@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .core import Instance, LineSegment, Model, Trajectory, make_instance
+from .offline import distance_arrival_floor
 from .online import FixedPathStrategy, Strategy, VisibleInfo, coverage_horizon, roundtrip_trajectory
 from .simulator import request_ratio, run
 
@@ -113,7 +114,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         # a violation is provable at an integer time in two ways: the request
         # was served late, or its deadline passed while it sat unserved
         for i, ((loc, arr), c) in enumerate(zip(released, comps)):
-            deadline = cfg.ratio_target * max(abs(loc), arr)
+            deadline = cfg.ratio_target * distance_arrival_floor(loc, arr)
             served_late = c is not None and c <= step and c > deadline
             overdue = (c is None or c > step) and step >= deadline
             if served_late or overdue:
@@ -158,7 +159,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             location=r.actual,
             arrival=r.arrival,
             completion=final.completions[idx],
-            floor=max(abs(r.actual), r.arrival),
+            floor=distance_arrival_floor(r.actual, r.arrival),
             ratio=ratios[idx],
             declared_step=step,
         )

@@ -18,6 +18,11 @@ def _as_line(line) -> LineSegment:
     return line if isinstance(line, LineSegment) else LineSegment(line[0], line[1])
 
 
+def _check_denom(denom: int) -> None:
+    if denom < 1:
+        raise ValueError(f"denom must be a positive integer, got {denom}")
+
+
 def _random_position(rng: random.Random, line: LineSegment, denom: int) -> Fraction:
     lo = math.ceil(line.a * denom)
     hi = math.floor(line.b * denom)
@@ -33,6 +38,7 @@ def random_instance(
     model: Model = Model.PREDICTION,
 ) -> Instance:
     """Instance with exact predictions (predicted == actual) and integer arrivals."""
+    _check_denom(denom)
     seg = _as_line(line)
     triples = []
     for _ in range(n):
@@ -53,6 +59,7 @@ def perturbed_instance(
 ) -> Instance:
     """Prediction-model instance whose actual locations stray from the
     predictions by at most ``delta``, clamped to the line."""
+    _check_denom(denom)
     seg = _as_line(line)
     delta = _exact(delta, "delta")
     if delta < 0:

@@ -4,19 +4,17 @@ exact latency-optimal service walk.
 A tour starts at the origin and alternates direction, each turning point
 strictly extending coverage on its side.  The latency optimum is computed two
 independent ways: an interval dynamic program (used everywhere) and a
-permutation brute force (used as a cross-check oracle on small inputs).
+Held-Karp exhaustive search over every service order (used as a cross-check
+oracle on small inputs).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .core import Instance, Request, Trajectory, _exact
 
@@ -273,21 +271,15 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     return canonical_tour(events), best[0]
 
 
-_PERM_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _perms(n: int) -> np.ndarray:
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return _PERM_CACHE[n]
-
-
 def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scalar, Tuple[Scalar, ...]]:
-    """Exhaustive latency optimum: tries every service order.
+    """Exhaustive latency optimum over every service order (Held-Karp).
 
-    Independent of the dynamic program above.  Positions are scaled to a
-    common denominator and all orders are evaluated with int64 vector math;
-    the winning order is then re-costed exactly.  Returns (total, order).
+    Independent of the dynamic program above: its states are (set of served
+    points, last point served), not intervals around the origin.  Positions
+    are scaled to integers over a common denominator; each move costs its
+    distance times the number of requests still waiting, the one it reaches
+    included.  The winning order is then re-costed exactly.  Returns
+    (total, order).
     """
     pts = sorted(p for p in (_exact(q, "location") for q in points) if p != 0)
     n = len(pts)
@@ -298,30 +290,35 @@ def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scala
 
     scale = lcm(*(p.denominator for p in pts))
     ints = [int(p * scale) for p in pts]
-    # worst-case weighted total fits comfortably in int64 for sane inputs
-    bound = 2 * max(abs(v) for v in ints) * n * n
-    if bound < 2**62:
-        perms = _perms(n)
-        X = np.array(ints, dtype=np.int64)[perms]  # (n!, n) positions in order
-        prev = np.concatenate([np.zeros((X.shape[0], 1), dtype=np.int64), X[:, :-1]], axis=1)
-        moves = np.abs(X - prev)
-        weights = np.arange(n, 0, -1, dtype=np.int64)
-        totals = moves @ weights
-        k = int(np.argmin(totals))
-        order = tuple(pts[idx] for idx in perms[k])
-        best_scaled = int(totals[k])
-    else:
-        order, best_scaled = None, None
-        for perm in itertools.permutations(range(n)):
-            t = pos = 0
-            tot = 0
-            for rank, idx in enumerate(perm):
-                t += abs(ints[idx] - pos)
-                pos = ints[idx]
-                tot += t
-            if best_scaled is None or tot < best_scaled:
-                best_scaled = tot
-                order = tuple(pts[idx] for idx in perm)
+    # cost[mask][last]: cheapest way to serve exactly the points in `mask`,
+    # ending at `last`; back[mask][last]: the point served just before it
+    cost: List[List[Optional[int]]] = [[None] * n for _ in range(1 << n)]
+    back = [[-1] * n for _ in range(1 << n)]
+    for i, x in enumerate(ints):
+        cost[1 << i][i] = abs(x) * n
+    for mask in range(1, 1 << n):
+        waiting = n - bin(mask).count("1")
+        for last, c in enumerate(cost[mask]):
+            if c is None:
+                continue
+            x = ints[last]
+            for nxt in range(n):
+                bit = 1 << nxt
+                if mask & bit:
+                    continue
+                step = c + abs(ints[nxt] - x) * waiting
+                cur = cost[mask | bit][nxt]
+                if cur is None or step < cur:
+                    cost[mask | bit][nxt] = step
+                    back[mask | bit][nxt] = last
+
+    mask = (1 << n) - 1
+    best_scaled, last = min((c, i) for i, c in enumerate(cost[mask]))
+    rev: List[Scalar] = []
+    while mask:
+        rev.append(pts[last])
+        mask, last = mask ^ (1 << last), back[mask][last]
+    order = tuple(reversed(rev))
 
     t = _ZERO
     pos = _ZERO
@@ -337,10 +334,15 @@ def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scala
 # --- per-request and aggregate reference values -------------------------------
 
 
-def simple_lower_bound(request: Request) -> Scalar:
+def distance_arrival_floor(location, arrival) -> Scalar:
     """No unit-speed schedule finishes a request before its distance from the
     origin or before its arrival."""
-    return max(abs(request.actual), request.arrival)
+    return max(abs(location), arrival)
+
+
+def simple_lower_bound(request: Request) -> Scalar:
+    """The distance/arrival floor of ``request``."""
+    return distance_arrival_floor(request.actual, request.arrival)
 
 
 def tour_reference_bound(request: Request, index: ArcIndex) -> Scalar:

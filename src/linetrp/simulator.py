@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 from .core import Instance, Trajectory
 from .offline import (
     arc_index,
+    distance_arrival_floor,
     optimal_latency_tour,
     simple_lower_bound,
     tour_reference_bound,
@@ -117,12 +118,15 @@ def _events(instance, traj, completions) -> Tuple[Event, ...]:
     return tuple(evs)
 
 
+def _ratio(completion, floor):
+    """Completion over a floor; 1 when the floor is zero, which only requests
+    at the origin arriving at time 0 have, and they are served at once."""
+    return _ONE if floor == 0 else completion / floor
+
+
 def request_ratio(actual, arrival, completion):
     """Completion over the distance/arrival floor; 1 when both are zero."""
-    floor = max(abs(actual), arrival)
-    if floor == 0:
-        return _ONE
-    return completion / floor
+    return _ratio(completion, distance_arrival_floor(actual, arrival))
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,8 @@ def evaluate(result: RunResult) -> EvaluationReport:
                 c,
                 bound_s,
                 bound_t,
-                _ONE if bound_s == 0 else c / bound_s,
-                _ONE if bound_t == 0 else c / bound_t,
+                _ratio(c, bound_s),
+                _ratio(c, bound_t),
             )
         )
     on_sum = result.on_sum
@@ -177,7 +181,7 @@ def evaluate(result: RunResult) -> EvaluationReport:
         rows=tuple(rows),
         on_sum=on_sum,
         opt_sum_bound=opt_bound,
-        sum_ratio=_ONE if on_sum == 0 else on_sum / opt_bound,
+        sum_ratio=_ratio(on_sum, opt_bound),
         max_ratio_simple=max((row.ratio_simple for row in rows), default=_ONE),
         max_ratio_tour=max((row.ratio_tour for row in rows), default=_ONE),
     )

@@ -66,7 +66,8 @@ def _game_outcome(transcript) -> str:
 
 def test_exact_latency_optimum_matches_exhaustive_search():
     """1000 seeded point sets, n <= 8 on a 1/16 grid: the interval dynamic
-    program and the permutation brute force must agree exactly, in under 30s."""
+    program and the Held-Karp exhaustive search must agree exactly, in under
+    30s."""
     rng = random.Random(1001)
     t0 = time.monotonic()
     mismatches = 0

@@ -64,6 +64,15 @@ def test_generate_rejects_delta_for_original_model(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--delta", "1/100"]])
+@pytest.mark.parametrize("denom", ["0", "-5"])
+def test_generate_rejects_nonpositive_denom(denom, extra, capsys):
+    assert main(["generate", "--denom", denom] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "denom" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_with_cross_check(tmp_path, capsys):
     path = _write(tmp_path, "inst.txt", GOOD)
     assert main(["oracle", path, "--brute"]) == 0

@@ -1,12 +1,17 @@
 """Tests for offline latency machinery: alternating tours, first-visit arc
 indexing, and the exact latency optimum (interval dynamic program, cross
-checked against an independent permutation brute force)."""
+checked against an independent Held-Karp exhaustive search)."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linetrp
 from linetrp.core import LineSegment, Request, Trajectory, make_instance
 from linetrp.offline import (
     Direction,
@@ -173,6 +178,40 @@ def test_dp_matches_brute_force(points):
     _, dp_total = optimal_latency_tour(points)
     brute_total, _ = brute_force_latency(points)
     assert dp_total == brute_total
+
+
+def test_dp_matches_brute_force_on_larger_sets():
+    """Sizes the default cap and the hypothesis lists above never reach:
+    10-12 points with negative positions and repeated locations."""
+    rng = random.Random(2024)
+    for _ in range(40):
+        denom = rng.choice((1, 3, 16))
+        pts = [F(rng.randint(-8 * denom, 8 * denom), denom) for _ in range(rng.randint(7, 9))]
+        pts += rng.choices(pts, k=3)
+        _, dp_total = optimal_latency_tour(pts)
+        brute_total, _ = brute_force_latency(pts, max_n=12)
+        assert dp_total == brute_total, pts
+
+
+def test_import_loads_no_third_party_module():
+    """linetrp has no runtime dependencies: in a fresh interpreter, importing
+    it adds only standard-library modules and the package itself."""
+    src = os.path.dirname(os.path.dirname(linetrp.__file__))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import linetrp\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names) - {'linetrp'})))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out == []
 
 
 @given(point_lists)
