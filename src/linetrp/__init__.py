@@ -51,6 +51,7 @@ from .online import (
     VisibleInfo,
     make_strategy,
     parse_alpha,
+    roundtrip_completions,
     roundtrip_trajectory,
     select_algorithm,
 )

@@ -351,12 +351,14 @@ def tour_reference_bound(request: Request, index: ArcIndex) -> Scalar:
     return max(index.at(request.actual), request.arrival)
 
 
-def opt_sum_lower_bound(instance: Instance) -> Scalar:
-    """Lower bound on the optimal total completion time of an instance.
+def opt_sum_floor(requests: Sequence[Request], dp_total) -> Scalar:
+    """The larger of two lower bounds on the optimal total completion time:
+    ``dp_total``, the latency optimum over the actual locations, which
+    ignores arrivals, and the arrival sum, which ignores geometry."""
+    return max(dp_total, sum((r.arrival for r in requests), _ZERO))
 
-    The latency optimum over the actual locations ignores arrivals, and the
-    arrival sum ignores geometry; both bound the optimum from below.
-    """
+
+def opt_sum_lower_bound(instance: Instance) -> Scalar:
+    """Lower bound on the optimal total completion time of an instance."""
     _, dp_total = optimal_latency_tour(r.actual for r in instance.requests)
-    arrival_total = sum((r.arrival for r in instance.requests), _ZERO)
-    return max(dp_total, arrival_total)
+    return opt_sum_floor(instance.requests, dp_total)

@@ -284,13 +284,27 @@ class RoundTripSchedule:
             return _ZERO
         return self.growth ** j + j * self.pad
 
+    def trips(self, until):
+        """Trips 1, 2, ... as ``(start, end, reach)``, up to and including the
+        first whose reach is at least ``until``.
+
+        Equal to ``(cumulative_length(j-1), cumulative_length(j), reach(j))``,
+        but each trip multiplies the running power of ``growth`` once instead
+        of raising it afresh.
+        """
+        start, power, j = _ZERO, self.growth, 1
+        while True:
+            end = power + j * self.pad
+            reach = (end - start) / 2
+            yield start, end, reach
+            if reach >= until:
+                return
+            start, power, j = end, power * self.growth, j + 1
+
 
 def first_visit_trip(schedule: RoundTripSchedule, arc) -> int:
     """Index of the first trip whose reach covers the given arc distance."""
-    j = 1
-    while schedule.reach(j) < arc:
-        j += 1
-    return j
+    return sum(1 for _ in schedule.trips(arc))
 
 
 def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Trajectory:
@@ -309,18 +323,13 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     for u, v in path.legs:
         arc += abs(v - u)
         marks.append((arc, v))
+    *geometric, _ = schedule.trips(total)
+    reaches = [reach for _, _, reach in geometric]
     pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
     t = _ZERO
-    j = 1
-    clamped = False
+    j = 0
     while t < horizon:
-        if clamped:
-            reach = total
-        else:
-            reach = schedule.reach(j)
-            if reach >= total:
-                clamped = True  # stop touching the exploding geometric terms
-                reach = total
+        reach = reaches[j] if j < len(reaches) else total
         turn_pos = path.end_position if reach == total else path.position_at_arc(reach)
         for c, p in marks:
             if c < reach:
@@ -342,10 +351,71 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
     total = path.total_arclength
     if total == 0:
         return _ZERO
-    j = 1
-    while schedule.reach(j) < total:
-        j += 1
-    return schedule.cumulative_length(j) + latest_arrival + 4 * total + 1
+    *_, (_, end, _) = schedule.trips(total)
+    return end + latest_arrival + 4 * total + 1
+
+
+def _periods_before(x, period) -> int:
+    """``floor(x / period)`` for a positive rational period.  The rational
+    part of a surd is divided exactly, so the float estimate inside
+    ``QuadraticScalar.__floor__`` only sees a fraction of one period plus
+    the surd part, however large ``x`` is."""
+    if isinstance(x, QuadraticScalar):
+        c = x.p / period
+        k = math.floor(c)
+        return k + math.floor(QuadraticScalar(c - k, x.q / period))
+    return math.floor(x / period)
+
+
+def _next_pass(geometric, base, period, s, arrival):
+    """Earliest time at or after ``arrival`` at which the round trips are at
+    arc ``s``: out and back in each geometric trip that reaches it, then at
+    ``base + k*period + s`` and ``base + (k+1)*period - s`` for ``k >= 0``."""
+    # start + s >= arrival iff start >= early; end - s >= arrival iff end >= late
+    early, late = arrival - s, arrival + s
+    for start, end, reach in geometric:
+        if end >= late and reach >= s:
+            return start + s if start >= early else end - s
+    sweep = base + max(_periods_before(early - base, period), 0) * period
+    if sweep >= early:
+        return sweep + s
+    if sweep + period >= late:
+        return sweep + period - s
+    return sweep + period + s
+
+
+def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[object]]:
+    """Exact completion of every ``(location, arrival)`` in ``requests`` under
+    the clamped round trips of ``planned``; None where the path never
+    reaches the location.
+
+    The path passes a location at one arc per leg crossing it.  A geometric
+    trip ``(start, end, reach)`` with ``reach >= s`` is at arc ``s`` at
+    ``start + s`` and ``end - s``; from the first trip whose reach clamps to
+    the path length ``L``, trips repeat with period ``2L``.  The completion
+    is the earliest of those times at or after the arrival, taken over all
+    arcs, so the cost grows with the legs and the geometric trips, not with
+    the arrival.  It equals ``roundtrip_trajectory(...).first_service_time``
+    on a trajectory long enough to serve the request.
+    """
+    path, schedule = planned.path, planned.schedule
+    total = path.total_arclength
+    if total == 0:  # parked at the origin
+        return [arrival if loc == 0 else None for loc, arrival in requests]
+    *geometric, (base, _, _) = schedule.trips(total)
+    period = 2 * total
+    legs = []  # (low end, high end, start, arc at start)
+    arc = _ZERO
+    for u, v in path.legs:
+        legs.append((min(u, v), max(u, v), u, arc))
+        arc += abs(v - u)
+    out: List[Optional[object]] = []
+    for loc, arrival in requests:
+        arcs = {at + abs(loc - u) for lo, hi, u, at in legs if lo <= loc <= hi}
+        out.append(
+            min((_next_pass(geometric, base, period, s, arrival) for s in arcs), default=None)
+        )
+    return out
 
 
 # --- strategies ----------------------------------------------------------------

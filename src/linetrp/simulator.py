@@ -1,23 +1,27 @@
 """Exact simulation of a strategy on an instance, and ratio evaluation.
 
-A run realizes the strategy's motion as a trajectory, reads off every
-request's completion (first visit at or after its arrival), and records an
-event log.  Evaluation rates each completion against two per-request floors:
-the coarse ``max(|location|, arrival)`` and the sharper first-visit time along
-a latency-optimal walk of the actual locations.
+A run reads every request's completion (first visit at or after its arrival)
+off the strategy's motion.  For a fixed-path strategy the completions come in
+closed form from the round-trip schedule (``roundtrip_completions``), so no
+trajectory is built; an adaptive strategy's replanned trajectory is scanned
+instead.  The trajectory and the event log are built on first use.
+Evaluation rates each completion against two per-request floors: the coarse
+``max(|location|, arrival)`` and the sharper first-visit time along a
+latency-optimal walk of the actual locations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .core import Instance, Trajectory
 from .offline import (
     arc_index,
     distance_arrival_floor,
+    opt_sum_floor,
     optimal_latency_tour,
     simple_lower_bound,
     tour_reference_bound,
@@ -27,6 +31,7 @@ from .online import (
     FixedPathStrategy,
     Strategy,
     coverage_horizon,
+    roundtrip_completions,
     roundtrip_trajectory,
     visible_info,
 )
@@ -54,12 +59,18 @@ _EVENT_RANK = {"arrival": 0, "service": 1, "turnaround": 2}
 class RunResult:
     instance: Instance
     strategy_name: str
-    trajectory: Trajectory  # truncated at the last completion unless asked not to
     completions: Tuple[object, ...]
+    build_trajectory: Callable[[], Trajectory] = field(repr=False, compare=False)
 
     @property
     def on_sum(self):
         return sum(self.completions, _ZERO)
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The motion, built on first use: cut at the last completion unless
+        the run was asked not to truncate."""
+        return self.build_trajectory()
 
     @cached_property
     def events(self) -> Tuple[Event, ...]:
@@ -71,8 +82,18 @@ def run(instance: Instance, strategy: Strategy, *, truncate: bool = True) -> Run
     info = visible_info(instance)
     if isinstance(strategy, FixedPathStrategy):
         planned = strategy.plan(info)
-        horizon = coverage_horizon(planned.path, planned.schedule, instance.max_arrival())
-        traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+        completions = roundtrip_completions(
+            planned, [(r.actual, r.arrival) for r in instance.requests]
+        )
+
+        def build() -> Trajectory:
+            path, schedule = planned.path, planned.schedule
+            if truncate:
+                end = max(completions, default=_ZERO)
+                return roundtrip_trajectory(path, schedule, end).truncated(end)
+            horizon = coverage_horizon(path, schedule, instance.max_arrival())
+            return roundtrip_trajectory(path, schedule, horizon)
+
     elif isinstance(strategy, AdaptiveStrategy):
         session = strategy.start(info)
         by_time = {}
@@ -81,20 +102,20 @@ def run(instance: Instance, strategy: Strategy, *, truncate: bool = True) -> Run
         for t in sorted(by_time):
             session.on_arrivals(t, by_time[t])
         traj = session.trajectory()
+        completions = [traj.first_service_time(r.actual, r.arrival) for r in instance.requests]
+
+        def build() -> Trajectory:
+            return traj.truncated(max(completions, default=_ZERO)) if truncate else traj
+
     else:
         raise TypeError(f"unknown strategy type {type(strategy).__name__}")
 
-    completions = []
-    for r in instance.requests:
-        c = traj.first_service_time(r.actual, r.arrival)
+    for r, c in zip(instance.requests, completions):
         if c is None:
             raise CoverageError(
                 f"request {r.index} at {r.actual} is never reached by {strategy.name}"
             )
-        completions.append(c)
-    if truncate:
-        traj = traj.truncated(max(completions, default=_ZERO))
-    return RunResult(instance, strategy.name, traj, tuple(completions))
+    return RunResult(instance, strategy.name, tuple(completions), build)
 
 
 def _events(instance, traj, completions) -> Tuple[Event, ...]:
@@ -175,8 +196,7 @@ def evaluate(result: RunResult) -> EvaluationReport:
             )
         )
     on_sum = result.on_sum
-    arrival_sum = sum((r.arrival for r in inst.requests), _ZERO)
-    opt_bound = max(dp_total, arrival_sum)
+    opt_bound = opt_sum_floor(inst.requests, dp_total)
     return EvaluationReport(
         rows=tuple(rows),
         on_sum=on_sum,

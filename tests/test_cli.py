@@ -111,6 +111,16 @@ def test_simulate_writes_request_csv(tmp_path):
     assert lines[1].split(",")[0] == "0"
 
 
+def test_simulate_serves_arrivals_near_a_billion(tmp_path, capsys):
+    late = "LINE 0 1\nMODEL original\nREQ - 1/2 1000000000\nREQ - 1 3000000001/3\nREQ - 0 7/2\n"
+    path = _write(tmp_path, "late.txt", late)
+    out = str(tmp_path / "late.csv")
+    assert main(["simulate", path, "--out", out]) == 0
+    assert "completion sum: 4000000011/2" in capsys.readouterr().out
+    rows = open(out).read().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["2000000001/2", "1000000001", "4"]
+
+
 def test_simulate_certifies_committed_schedules(tmp_path, capsys):
     # prediction-guided walks certify against the tour-prefix floor: the
     # optimal walk itself reaches interior points late, so the coarse

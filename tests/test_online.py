@@ -173,6 +173,10 @@ def test_schedule_lengths_telescope(alpha, pad, j):
     direct = sum((s.trip_length(k) for k in range(1, j + 1)), F(0))
     assert direct == s.cumulative_length(j)
     assert s.reach(j) * 2 == s.trip_length(j)
+    # the incremental trip walk stops at the first trip reaching its bound
+    assert list(s.trips(s.reach(j))) == [
+        (s.cumulative_length(k - 1), s.cumulative_length(k), s.reach(k)) for k in range(1, j + 1)
+    ]
 
 
 def test_first_visit_trip():

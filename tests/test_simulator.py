@@ -1,5 +1,6 @@
 """Tests for the exact simulator: completions, event logs, coverage failures,
-and the two-floor ratio evaluation."""
+the two-floor ratio evaluation, and the closed-form completions of round-trip
+schedules against the trajectory replay they replace."""
 
 import random
 from fractions import Fraction as F
@@ -11,14 +12,20 @@ from linetrp.core import LineSegment, Model, make_instance
 from linetrp.generate import random_instance
 from linetrp.offline import optimal_latency_tour
 from linetrp.online import (
+    DEFAULT_ALPHA,
     GreedyReplan,
     HalflineRoundTrips,
     LineSweepRoundTrips,
     PerfectPredictionTour,
     QuadraticScalar,
     RobustPredictionTour,
+    VisibleInfo,
+    coverage_horizon,
+    make_strategy,
+    roundtrip_completions,
+    roundtrip_trajectory,
 )
-from linetrp.simulator import CoverageError, evaluate, request_ratio, run
+from linetrp.simulator import CoverageError, RunResult, evaluate, request_ratio, run
 
 QS = QuadraticScalar
 
@@ -140,3 +147,126 @@ def test_greedy_is_latency_optimal_when_everything_arrives_at_zero(seed, n):
     result = run(inst, GreedyReplan())
     _, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
     assert result.on_sum == dp_total
+
+
+# --- closed-form completions against the trajectory replay ------------------
+
+
+def _draw_plan(data):
+    """A fixed-path strategy planned on a drawn line from drawn predictions,
+    with sqrt(3)/2 or a rational alpha; the robust tour brings pad > 0."""
+    name = data.draw(st.sampled_from(["halfline", "sweep", "perfect", "robust"]))
+    alpha = data.draw(st.sampled_from([DEFAULT_ALPHA, F(1, 2), F(3, 4), F(1), F(5, 2)]))
+    b = data.draw(st.fractions(min_value=F(1, 4), max_value=6, max_denominator=4))
+    a = F(0) if name == "halfline" else -data.draw(
+        st.fractions(min_value=0, max_value=6, max_denominator=4)
+    )
+    line = LineSegment(a, b)
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=8)
+    points = data.draw(st.lists(unit.map(lambda u: a + u * line.length), min_size=1, max_size=5))
+    # up to 26/400 of the line keeps the robust tour below its fallback threshold
+    delta = line.length * data.draw(st.integers(0, 26)) / 400
+    strategy = make_strategy(name, alpha, delta)
+    planned = strategy.plan(VisibleInfo(line, Model.PREDICTION, tuple(points)))
+    return strategy, line, points, planned
+
+
+def _replay(planned, latest_arrival):
+    path, schedule = planned.path, planned.schedule
+    return roundtrip_trajectory(path, schedule, coverage_horizon(path, schedule, latest_arrival))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_the_trajectory_replay(data):
+    _, line, points, planned = _draw_plan(data)
+    probe = _replay(planned, F(8))
+    # on the predictions, the origin, the path's turning points and every
+    # breakpoint of the motion (trip turnarounds included, surds among them)
+    spots = points + [F(0), line.a, line.b, *planned.path.turning_points]
+    spots += [p for _, p in probe.breakpoints]
+    times = [t for t, _ in probe.breakpoints]
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        loc = data.draw(st.sampled_from(spots))
+        arrival = data.draw(
+            st.one_of(
+                st.fractions(min_value=0, max_value=8, max_denominator=6),
+                st.sampled_from(times),
+            )
+        )
+        pairs.append((loc, arrival))
+        visit = probe.first_service_time(loc, arrival)
+        if visit is not None:
+            pairs.append((loc, visit))  # arriving exactly as the server passes
+    replay = _replay(planned, max(arrival for _, arrival in pairs))
+    expected = [replay.first_service_time(loc, arrival) for loc, arrival in pairs]
+    got = roundtrip_completions(planned, pairs)
+    assert got == expected
+    assert [str(c) for c in got] == [str(c) for c in expected]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_run_matches_the_trajectory_replay(data):
+    strategy, line, points, planned = _draw_plan(data)
+    probe = _replay(planned, F(8))
+    rational_times = [t for t, _ in probe.breakpoints if not isinstance(t, QuadraticScalar)]
+    spots = points + [F(0), line.a, line.b, *planned.path.turning_points]
+    triples = []
+    for pred in points:
+        actual = data.draw(st.sampled_from(spots))
+        arrival = data.draw(
+            st.one_of(
+                st.fractions(min_value=0, max_value=8, max_denominator=6),
+                st.sampled_from(rational_times),
+            )
+        )
+        triples.append((pred, actual, arrival))
+    inst = make_instance(line, triples)
+    replay = _replay(planned, inst.max_arrival())
+    expected = [replay.first_service_time(r.actual, r.arrival) for r in inst.requests]
+    if None in expected:  # a robust path misses an actual far from its prediction
+        with pytest.raises(CoverageError):
+            run(inst, strategy)
+        return
+    result = run(inst, strategy)
+    assert result.completions == tuple(expected)
+    assert [str(c) for c in result.completions] == [str(c) for c in expected]
+    cut = replay.truncated(max(expected))
+    assert result.trajectory.breakpoints == cut.breakpoints
+    assert result.events == RunResult(inst, strategy.name, tuple(expected), lambda: cut).events
+    assert run(inst, strategy, truncate=False).trajectory.breakpoints == replay.breakpoints
+
+
+def test_a_path_of_length_zero_parks_at_the_origin():
+    # robust tour, delta 0, every prediction at the origin: nothing to walk
+    inst = make_instance(LineSegment(F(-1), F(1)), [(F(0), F(0), F(5, 2)), (F(0), F(0), F(0))])
+    result = run(inst, RobustPredictionTour())
+    assert result.completions == (F(5, 2), F(0))
+    assert result.trajectory.breakpoints == ((F(0), F(0)), (F(5, 2), F(0)))
+    off = make_instance(LineSegment(F(-1), F(1)), [(F(0), F(1, 2), F(1))])
+    with pytest.raises(CoverageError):
+        run(off, RobustPredictionTour())
+
+
+def test_large_arrivals_are_served_without_walking_to_them():
+    # about 5*10^8 round trips of [0, 1] lie before these arrivals; the
+    # completions come from the schedule's period, not from walking them
+    inst = make_instance(
+        LineSegment(F(0), F(1)),
+        [(None, F(1, 2), F(10**9)), (None, F(1), 10**9 + F(1, 3)), (None, F(0), F(7, 2))],
+        Model.ORIGINAL,
+    )
+    result = run(inst, HalflineRoundTrips())
+    assert result.completions == (F(2000000001, 2), F(1000000001), F(4))
+    report = evaluate(result)
+    assert [row.completion for row in report.rows] == list(result.completions)
+    assert report.max_ratio_simple == F(8, 7)
+    # on [0, 10] the full sweeps start at a surd time; shifting an arrival by
+    # whole periods of 20 shifts its completion by exactly as much
+    planned = HalflineRoundTrips().plan(VisibleInfo(LineSegment(F(0), F(10)), Model.ORIGINAL, None))
+    shift = 20 * 10**30
+    near, far = roundtrip_completions(planned, [(F(7), F(30)), (F(7), 30 + shift)])
+    assert isinstance(near, QuadraticScalar) and near.q != 0
+    assert far == near + shift
