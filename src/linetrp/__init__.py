@@ -25,7 +25,6 @@ from .offline import (
     Direction,
     Tour,
     UncoveredLocationError,
-    arc_index,
     brute_force_latency,
     canonical_tour,
     opt_sum_lower_bound,

@@ -9,6 +9,11 @@ server has committed away from the origin, so a schedule that must keep
 growing its trips pays for the detour; a request still unserved at an integer
 time at least ``ratio_target`` times its floor ``max(|location|, arrival)`` is
 a proven violation.
+
+Against a committed schedule the adversary reads each request's completion
+off the schedule once, when it releases the request: later releases cannot
+change it.  An adaptive strategy is re-run on every step, since each release
+changes its plan.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from typing import List, Optional, Tuple
 
 from .core import Instance, LineSegment, Model, Trajectory, make_instance
 from .offline import distance_arrival_floor
-from .online import FixedPathStrategy, Strategy, VisibleInfo, coverage_horizon, roundtrip_trajectory
+from .online import (
+    FixedPathStrategy,
+    Strategy,
+    VisibleInfo,
+    coverage_horizon,
+    roundtrip_completions,
+    roundtrip_trajectory,
+)
 from .simulator import request_ratio, run
 
 _ZERO = Fraction(0)
@@ -37,6 +49,10 @@ class GameConfig:
     )
     ratio_target: Fraction = Fraction(3)
     max_steps: int = 120
+
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be nonnegative, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +95,11 @@ def _moving_outward(traj: Trajectory, t) -> bool:
 def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None) -> GameTranscript:
     """Run the release-time game against ``strategy``.
 
-    Fixed-path strategies commit their whole motion from the predictions, so
-    the adversary reads their trajectory directly; adaptive ones are re-run
-    against the releases made so far before every decision.  Returns the full
+    Fixed-path strategies commit their whole motion from the predictions:
+    the adversary watches their trajectory to time the releases and takes
+    each request's completion from ``roundtrip_completions`` at its release.
+    Adaptive ones are re-run against the releases made so far before every
+    decision, and the completions come from that run.  Returns the full
     transcript; ``witness`` stays None when the strategy escapes every
     deadline within ``max_steps``.
     """
@@ -95,22 +113,19 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         f"t=0: released base requests at {', '.join(str(b) for b in cfg.bases)}",
     ]
 
-    fixed_traj = None
+    planned = None
     if isinstance(strategy, FixedPathStrategy):
         planned = strategy.plan(VisibleInfo(cfg.line, Model.PREDICTION, all_predictions))
         horizon = coverage_horizon(planned.path, planned.schedule, Fraction(cfg.max_steps))
-        fixed_traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
-
-    def probe() -> Trajectory:
-        if fixed_traj is not None:
-            return fixed_traj
-        return run(_as_instance(cfg, released), strategy, truncate=False).trajectory
+        traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+        comps = roundtrip_completions(planned, released)
 
     declared: Optional[Tuple[int, int]] = None  # (request index, step)
     final_step = cfg.max_steps
     for step in range(cfg.max_steps + 1):
-        traj = probe()
-        comps = [traj.first_service_time(loc, arr) for loc, arr in released]
+        if planned is None:
+            probe = run(_as_instance(cfg, released), strategy, truncate=False)
+            traj, comps = probe.trajectory, probe.completions
         # a violation is provable at an integer time in two ways: the request
         # was served late, or its deadline passed while it sat unserved
         for i, ((loc, arr), c) in enumerate(zip(released, comps)):
@@ -136,6 +151,8 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
                 loc = pending.pop(0)
                 near_released.append(len(released))
                 released.append((loc, Fraction(step)))
+                if planned is not None:
+                    comps += roundtrip_completions(planned, released[-1:])
                 log.append(f"t={step}: server at {pos} heading out -- released {loc}")
 
     # the predictions stay honest: anything withheld goes out at the end

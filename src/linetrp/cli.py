@@ -16,7 +16,6 @@ import csv
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import __version__
 from .adversary import GameConfig, play_lowerbound_game, verify_witness
@@ -134,7 +133,9 @@ def _write(text: str, out) -> None:
 
 def _resolve_strategy(name, alpha_text, delta_text, instance=None):
     alpha = parse_alpha(alpha_text)
-    delta = parse_scalar(delta_text) if delta_text is not None else Fraction(0)
+    delta = parse_scalar(delta_text)
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta_text}")
     if name == "auto":
         if instance is None:
             raise ValueError("auto strategy needs an instance")

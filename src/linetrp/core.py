@@ -18,9 +18,6 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Fraction
 
-# Conservative float slack used only to pre-filter segments before exact checks.
-_PREFILTER_SLACK = 1e-9
-
 
 class ParseError(ValueError):
     """Malformed instance text.  Carries the offending 1-based line number."""
@@ -209,18 +206,6 @@ class Trajectory:
     def _times(self) -> list:
         return [t for t, _ in self.breakpoints]
 
-    @cached_property
-    def _float_segments(self) -> list:
-        # (t_end, lo, hi) per segment, widened so float error can only admit
-        # extra segments into the exact check, never drop a matching one.
-        out = []
-        for (ta, pa), (tb, pb) in zip(self.breakpoints, self.breakpoints[1:]):
-            fa, fb = float(pa), float(pb)
-            lo, hi = (fa, fb) if fa <= fb else (fb, fa)
-            slack = _PREFILTER_SLACK * (1.0 + max(abs(lo), abs(hi), float(tb)))
-            out.append((float(tb) + slack, lo - slack, hi + slack))
-        return out
-
     @property
     def end_time(self) -> Fraction:
         return self.breakpoints[-1][0]
@@ -246,24 +231,15 @@ class Trajectory:
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
 
-        Scans segments in time order; a cheap float envelope rules most
-        segments out before any exact arithmetic runs.
+        Bisects to the segment in progress at ``not_before`` and scans the
+        segments from there in time order, all in exact arithmetic.
         """
         pts = self.breakpoints
-        floc = float(loc)
-        fnb = float(not_before)
-        for k, (ft_end, flo, fhi) in enumerate(self._float_segments):
-            if ft_end < fnb or floc < flo or floc > fhi:
-                continue
-            ta, pa = pts[k]
-            tb, pb = pts[k + 1]
-            if tb < not_before:
-                continue
+        k = max(bisect.bisect_right(self._times, not_before) - 1, 0)
+        for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
             if pa == pb:
                 if pa == loc:
-                    cand = ta if ta >= not_before else not_before
-                    if cand <= tb:
-                        return cand
+                    return ta if ta >= not_before else not_before
             elif min(pa, pb) <= loc <= max(pa, pb):
                 # Monotone segment: unique crossing time.
                 tc = ta + (loc - pa) * (tb - ta) / (pb - pa)

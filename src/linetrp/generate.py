@@ -18,7 +18,11 @@ def _as_line(line) -> LineSegment:
     return line if isinstance(line, LineSegment) else LineSegment(line[0], line[1])
 
 
-def _check_denom(denom: int) -> None:
+def _check_sizes(n: int, max_arrival: int, denom: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if max_arrival < 0:
+        raise ValueError(f"max_arrival must be nonnegative, got {max_arrival}")
     if denom < 1:
         raise ValueError(f"denom must be a positive integer, got {denom}")
 
@@ -38,7 +42,7 @@ def random_instance(
     model: Model = Model.PREDICTION,
 ) -> Instance:
     """Instance with exact predictions (predicted == actual) and integer arrivals."""
-    _check_denom(denom)
+    _check_sizes(n, max_arrival, denom)
     seg = _as_line(line)
     triples = []
     for _ in range(n):
@@ -59,7 +63,7 @@ def perturbed_instance(
 ) -> Instance:
     """Prediction-model instance whose actual locations stray from the
     predictions by at most ``delta``, clamped to the line."""
-    _check_denom(denom)
+    _check_sizes(n, max_arrival, denom)
     seg = _as_line(line)
     delta = _exact(delta, "delta")
     if delta < 0:

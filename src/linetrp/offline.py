@@ -156,10 +156,6 @@ class ArcIndex:
         raise UncoveredLocationError(f"{x} is outside the tour coverage [{self._lo}, {self._hi}]")
 
 
-def arc_index(tour: Tour) -> ArcIndex:
-    return ArcIndex(tour)
-
-
 def tour_trajectory(tour: Tour) -> Trajectory:
     """Walk the tour once at unit speed starting at time 0, then park."""
     pts = [(_ZERO, _ZERO)]

@@ -122,9 +122,10 @@ class QuadraticScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if o.q == 0:
+            return QuadraticScalar(self.p / o.p, self.q / o.p)
+        # p^2 == 3 q^2 has no rational solution with q != 0, so d != 0
         d = o.p * o.p - 3 * o.q * o.q
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q[sqrt(3)]")
         return QuadraticScalar(
             (self.p * o.p - 3 * self.q * o.q) / d,
             (self.q * o.p - self.p * o.q) / d,
@@ -205,12 +206,15 @@ class QuadraticScalar:
         return float(self.p) + float(self.q) * math.sqrt(3.0)
 
     def __floor__(self) -> int:
-        n = math.floor(float(self))
-        while self >= n + 1:
-            n += 1
-        while self < n:
-            n -= 1
-        return n
+        if self.q == 0:
+            return math.floor(self.p)
+        # |q|*sqrt(3) = sqrt(3*a^2)/b lies strictly between the integers m and
+        # m+1, so self lies strictly between lo and lo+1
+        a, b = self.q.numerator, self.q.denominator
+        m = math.isqrt(3 * a * a) // b
+        lo = self.p + m if a > 0 else self.p - m - 1
+        n = math.floor(lo)
+        return n + 1 if self >= n + 1 else n
 
     def __repr__(self):
         return f"QuadraticScalar({self.p}, {self.q})"
@@ -355,18 +359,6 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
     return end + latest_arrival + 4 * total + 1
 
 
-def _periods_before(x, period) -> int:
-    """``floor(x / period)`` for a positive rational period.  The rational
-    part of a surd is divided exactly, so the float estimate inside
-    ``QuadraticScalar.__floor__`` only sees a fraction of one period plus
-    the surd part, however large ``x`` is."""
-    if isinstance(x, QuadraticScalar):
-        c = x.p / period
-        k = math.floor(c)
-        return k + math.floor(QuadraticScalar(c - k, x.q / period))
-    return math.floor(x / period)
-
-
 def _next_pass(geometric, base, period, s, arrival):
     """Earliest time at or after ``arrival`` at which the round trips are at
     arc ``s``: out and back in each geometric trip that reaches it, then at
@@ -376,7 +368,7 @@ def _next_pass(geometric, base, period, s, arrival):
     for start, end, reach in geometric:
         if end >= late and reach >= s:
             return start + s if start >= early else end - s
-    sweep = base + max(_periods_before(early - base, period), 0) * period
+    sweep = base + max(math.floor((early - base) / period), 0) * period
     if sweep >= early:
         return sweep + s
     if sweep + period >= late:
@@ -573,37 +565,28 @@ class ReplanSession:
 
     def __init__(self, info: VisibleInfo):
         self.info = info
-        self._points: List[Tuple[Fraction, Fraction]] = [(_ZERO, _ZERO)]
+        self._trajectory = Trajectory(((_ZERO, _ZERO),))
         self._known: List[Tuple[Fraction, Fraction]] = []  # (location, arrival)
-
-    def _plan_trajectory(self) -> Trajectory:
-        return Trajectory(tuple(self._points))
 
     def on_arrivals(self, time, locations: Sequence) -> None:
         """Fold in all requests arriving at ``time`` and replan from here."""
-        plan = self._plan_trajectory()
-        pos = plan.position_at(time)
-        kept = [bp for bp in self._points if bp[0] < time]
-        if not kept:
-            kept = [self._points[0]]
-        if kept[-1][0] < time:
-            kept.append((time, pos))
+        committed = self._trajectory.truncated(time)
         self._known.extend((loc, time) for loc in locations)
-        committed = Trajectory(tuple(kept))
         unserved = [
             loc
             for loc, arrival in self._known
             if committed.first_service_time(loc, arrival) is None
         ]
+        t, pos = committed.breakpoints[-1]
         tour, _ = optimal_latency_tour(loc - pos for loc in unserved)
-        t = kept[-1][0]
+        points = list(committed.breakpoints)
         for u, v in tour.legs:
             t += abs(v - u)
-            kept.append((t, pos + v))
-        self._points = kept
+            points.append((t, pos + v))
+        self._trajectory = Trajectory(tuple(points))
 
     def trajectory(self) -> Trajectory:
-        return self._plan_trajectory()
+        return self._trajectory
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 from .core import Instance, Trajectory
 from .offline import (
-    arc_index,
+    ArcIndex,
     distance_arrival_floor,
     opt_sum_floor,
     optimal_latency_tour,
@@ -177,7 +177,7 @@ def evaluate(result: RunResult) -> EvaluationReport:
     """Rate every completion in a run against both per-request floors."""
     inst = result.instance
     tour, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
-    index = arc_index(tour)
+    index = ArcIndex(tour)
     rows = []
     for r, c in zip(inst.requests, result.completions):
         bound_s = simple_lower_bound(r)

@@ -18,8 +18,8 @@ from linetrp.cli import main
 from linetrp.core import LineSegment, Model, make_instance, parse_instance, serialize_instance
 from linetrp.generate import perturbed_instance, random_instance
 from linetrp.offline import (
+    ArcIndex,
     Tour,
-    arc_index,
     brute_force_latency,
     canonical_tour,
     optimal_latency_tour,
@@ -94,7 +94,7 @@ def test_optimal_tours_satisfy_structural_invariants():
     for _ in range(1000):
         pts = [F(rng.randint(-128, 128), 16) for _ in range(rng.randint(0, 8))]
         tour, total = optimal_latency_tour(pts)
-        index = arc_index(tour)
+        index = ArcIndex(tour)
         replayed = sum((index.at(p) for p in pts), F(0))
         canonical = canonical_tour(tour.turning_points)
         lo = min([F(0)] + pts)
@@ -102,7 +102,7 @@ def test_optimal_tours_satisfy_structural_invariants():
         sweeps = []
         for order in ((lo, hi), (hi, lo)):
             sweep = canonical_tour(order)
-            sweep_index = arc_index(sweep)
+            sweep_index = ArcIndex(sweep)
             sweeps.append(sum((sweep_index.at(p) for p in pts), F(0)))
         if not (
             replayed == total

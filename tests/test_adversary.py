@@ -4,16 +4,34 @@ violation survives an independent re-run."""
 
 from fractions import Fraction as F
 
+import pytest
+
 from linetrp.adversary import GameConfig, Witness, play_lowerbound_game, verify_witness
+from linetrp.core import Model
 from linetrp.online import (
     GreedyReplan,
     HalflineRoundTrips,
+    LineSweepRoundTrips,
     PerfectPredictionTour,
     QuadraticScalar,
     RobustPredictionTour,
+    VisibleInfo,
+    coverage_horizon,
+    roundtrip_trajectory,
 )
 
 QS = QuadraticScalar
+
+COMMITTED = [
+    HalflineRoundTrips(),
+    LineSweepRoundTrips(),
+    PerfectPredictionTour(),
+    RobustPredictionTour(delta=F(1, 100)),
+    HalflineRoundTrips(F(3, 4)),
+    LineSweepRoundTrips(F(3, 4)),
+    PerfectPredictionTour(F(3, 4)),
+    RobustPredictionTour(F(1, 100), F(3, 4)),
+]
 
 
 def test_committed_halfline_schedule_is_caught():
@@ -50,6 +68,44 @@ def test_committed_robust_tour_is_caught():
     assert w.completion == QS(F(2039, 1000), 1)
     assert w.ratio > 3
     assert verify_witness(strategy, transcript)
+
+
+def test_committed_sweep_schedule_is_caught():
+    # on [0, 10] the sweep's zigzag is the half-line path, so the same trap
+    strategy = LineSweepRoundTrips()
+    transcript = play_lowerbound_game(strategy)
+    late = QS(F(1999, 1000), 1)
+    assert transcript.witness == Witness(8, F(1, 1000), F(1), late, F(1), late, 3)
+    assert verify_witness(strategy, transcript)
+
+
+@pytest.mark.parametrize("strategy", COMMITTED[4:], ids=lambda s: s.name)
+def test_rational_growth_is_caught_by_the_same_trap(strategy):
+    # alpha 3/4: the first trip turns at 7/4 and is back at 7/2, so the
+    # release at 1/1000 is served at 7/2 - 1/1000, plus the robust pad
+    transcript = play_lowerbound_game(strategy)
+    pad = F(4, 100) if isinstance(strategy, RobustPredictionTour) else F(0)
+    late = F(3499, 1000) + pad
+    assert transcript.witness == Witness(8, F(1, 1000), F(1), late, F(1), late, 3)
+    assert verify_witness(strategy, transcript)
+
+
+@pytest.mark.parametrize("strategy", COMMITTED, ids=lambda s: f"{s.name}-{s.alpha}")
+@pytest.mark.parametrize("target", [F(3), F(100)])
+def test_transcript_completions_match_the_trajectory_replay(strategy, target):
+    """The game reads committed completions off the schedule; replaying the
+    released instance on the materialized trajectory must agree."""
+    cfg = GameConfig(ratio_target=target)
+    transcript = play_lowerbound_game(strategy, cfg)
+    info = VisibleInfo(cfg.line, Model.PREDICTION, cfg.bases + cfg.near_origin)
+    planned = strategy.plan(info)
+    requests = transcript.instance.requests
+    horizon = coverage_horizon(planned.path, planned.schedule, transcript.instance.max_arrival())
+    traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+    replay = [traj.first_service_time(r.actual, r.arrival) for r in requests]
+    assert list(transcript.completions) == replay
+    assert [str(c) for c in transcript.completions] == [str(c) for c in replay]
+    assert len(requests) == 11
 
 
 def test_greedy_replanner_escapes():

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, and byte-level determinism of seeded runs."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import linetrp
 from linetrp.cli import main
 from linetrp.core import parse_instance
+from linetrp.online import STRATEGY_NAMES
 
 GOOD = """\
 LINE -1 2
@@ -73,6 +78,25 @@ def test_generate_rejects_nonpositive_denom(denom, extra, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["generate", "--n", "-2"], "n"),
+        (["generate", "--max-arrival", "-2"], "max_arrival"),
+        (["generate", "--max-arrival", "-2", "--delta", "1/100"], "max_arrival"),
+        (["sweep", "--trials", "1", "--delta=-1/100"], "delta"),
+        (["adversary", "--delta=-1/100"], "delta"),
+        (["adversary", "--max-steps", "-3"], "max_steps"),
+    ],
+)
+def test_negative_parameters_exit_2_naming_the_parameter(args, name, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be nonnegative")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_with_cross_check(tmp_path, capsys):
     path = _write(tmp_path, "inst.txt", GOOD)
     assert main(["oracle", path, "--brute"]) == 0
@@ -119,6 +143,35 @@ def test_simulate_serves_arrivals_near_a_billion(tmp_path, capsys):
     assert "completion sum: 4000000011/2" in capsys.readouterr().out
     rows = open(out).read().splitlines()[1:]
     assert [row.split(",")[4] for row in rows] == ["2000000001/2", "1000000001", "4"]
+
+
+@pytest.mark.parametrize("strategy", ("auto",) + STRATEGY_NAMES)
+@pytest.mark.parametrize("exponent", [20, 400])
+def test_simulate_serves_astronomical_arrivals(strategy, exponent, tmp_path):
+    # a child process with a time limit, so a regression fails instead of hanging
+    late = 10**exponent
+    path = _write(tmp_path, "late.txt", f"LINE 0 10\nREQ 3 3 1\nREQ 7 7 {late}\n")
+    src = os.path.dirname(os.path.dirname(linetrp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linetrp.cli", "simulate", path, "--strategy", strategy],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.split("completion sum: ")[1].splitlines()[0]
+    total = F(line.rsplit("(", 1)[1].rstrip(")"))
+    assert late < total < late + 40
+
+
+@pytest.mark.parametrize("extra", [[], ["--certify", "simple"]])
+def test_simulate_rejects_negative_delta(extra, tmp_path, capsys):
+    path = _write(tmp_path, "inst.txt", GOOD)
+    assert main(["simulate", path, "--delta", "-1"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: delta must be nonnegative")
+    assert captured.out == ""
 
 
 def test_simulate_certifies_committed_schedules(tmp_path, capsys):

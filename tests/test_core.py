@@ -19,6 +19,8 @@ from linetrp.core import (
     parse_scalar,
     serialize_instance,
 )
+from linetrp.offline import canonical_tour
+from linetrp.online import RoundTripSchedule, roundtrip_trajectory
 
 
 def _oracle_first_service(breakpoints, loc, not_before=F(0)):
@@ -152,6 +154,18 @@ def test_first_service_time_waiting_segment():
     assert traj.first_service_time(F(1), F(3)) == 3
 
 
+def test_first_service_time_from_a_breakpoint_a_wait_and_past_the_end():
+    # up to 2, wait there until 4, back to 0 at 6, then parked
+    traj = Trajectory(((F(0), F(0)), (F(2), F(2)), (F(4), F(2)), (F(6), F(0))))
+    assert traj.first_service_time(F(2), F(2)) == 2  # at a breakpoint
+    assert traj.first_service_time(F(1), F(2)) == 5
+    assert traj.first_service_time(F(2), F(3)) == 3  # inside the wait
+    assert traj.first_service_time(F(1), F(4)) == 5
+    assert traj.first_service_time(F(0), F(6)) == 6  # at the last breakpoint
+    assert traj.first_service_time(F(0), F(9)) == 9  # past the end
+    assert traj.first_service_time(F(1), F(9)) is None
+
+
 def test_truncated():
     traj = Trajectory(((F(0), F(0)), (F(2), F(2)), (F(4), F(0))))
     cut = traj.truncated(F(3))
@@ -195,6 +209,30 @@ def test_first_service_time_matches_oracle(traj, loc, not_before):
     assert got == expected
     if got is not None:
         assert got >= not_before
+        assert traj.position_at(got) == loc
+
+
+@given(
+    st.sampled_from([(F(0), F(1)), (F(0), F(10)), (F(-4), F(6)), (F(-3, 2), F(1, 3))]),
+    st.fractions(min_value=0, max_value=1, max_denominator=24),
+    st.one_of(
+        st.fractions(min_value=0, max_value=60, max_denominator=7),
+        st.integers(0, 30),  # index of a breakpoint time
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_first_service_time_matches_oracle_on_surd_round_trips(line, rel, start):
+    # breakpoint times are surds p + q*sqrt(3) under the default growth
+    a, b = line
+    traj = roundtrip_trajectory(canonical_tour((a, b)), RoundTripSchedule(), F(60))
+    loc = a + rel * (b - a)
+    pts = traj.breakpoints
+    not_before = pts[min(start, len(pts) - 1)][0] if isinstance(start, int) else start
+    expected = _oracle_first_service(pts, loc, not_before)
+    got = traj.first_service_time(loc, not_before)
+    assert got == expected
+    if got is not None:
+        assert str(got) == str(expected)
         assert traj.position_at(got) == loc
 
 

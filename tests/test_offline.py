@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 import linetrp
 from linetrp.core import LineSegment, Request, Trajectory, make_instance
 from linetrp.offline import (
+    ArcIndex,
     Direction,
     Tour,
     UncoveredLocationError,
-    arc_index,
     brute_force_latency,
     canonical_tour,
     opt_sum_lower_bound,
@@ -94,7 +94,7 @@ def test_canonical_tour_never_delays_first_visits(waypoints):
     lo = min([F(0)] + waypoints)
     hi = max([F(0)] + waypoints)
     assert tour.extent == (lo, hi)
-    index = arc_index(tour)
+    index = ArcIndex(tour)
     for w in waypoints:
         assert index.at(w) <= literal.first_service_time(w)
 
@@ -103,7 +103,7 @@ def test_canonical_tour_never_delays_first_visits(waypoints):
 
 
 def test_arc_index_frozen_values():
-    index = arc_index(Tour(Direction.LEFT, (F(-1), F(2))))
+    index = ArcIndex(Tour(Direction.LEFT, (F(-1), F(2))))
     assert index.at(F(0)) == 0
     assert index.at(F(-1, 2)) == F(1, 2)
     assert index.at(F(-1)) == 1
@@ -126,7 +126,7 @@ def test_tour_trajectory_walks_then_parks():
 def test_arc_index_agrees_with_tour_trajectory(points):
     tour, _ = optimal_latency_tour(points)
     traj = tour_trajectory(tour)
-    index = arc_index(tour)
+    index = ArcIndex(tour)
     for p in points:
         assert index.at(p) == traj.first_service_time(p)
 
@@ -218,7 +218,7 @@ def test_import_loads_no_third_party_module():
 @settings(max_examples=200)
 def test_dp_total_is_cost_of_its_own_tour(points):
     tour, total = optimal_latency_tour(points)
-    index = arc_index(tour)
+    index = ArcIndex(tour)
     assert total == sum((index.at(p) for p in points), F(0))
 
 
@@ -230,7 +230,7 @@ def test_per_request_bounds():
     assert simple_lower_bound(req) == 5
     assert simple_lower_bound(Request(0, None, F(-3), F(1))) == 3
 
-    index = arc_index(Tour(Direction.LEFT, (F(-1), F(2))))
+    index = ArcIndex(Tour(Direction.LEFT, (F(-1), F(2))))
     assert tour_reference_bound(Request(0, None, F(2), F(0)), index) == 4
     assert tour_reference_bound(Request(0, None, F(2), F(7)), index) == 7
 

@@ -124,6 +124,57 @@ def test_surd_inverse_and_abs(a):
     assert math.floor(a) <= float(a) < math.floor(a) + 1 or a == math.floor(a)
 
 
+def _sqrt3_convergents(count):
+    """Convergents h/k of sqrt(3) = [1; 1, 2, 1, 2, ...].  Each has
+    |h - k*sqrt(3)| < 1/k, so an integer plus that surd lies within 1/k of
+    the integer."""
+    h0, k0, h1, k1 = 1, 0, 1, 1
+    out = [(h1, k1)]
+    for i in range(count - 1):
+        a = 1 if i % 2 == 0 else 2
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        out.append((h1, k1))
+    return out
+
+
+_CONVERGENTS = _sqrt3_convergents(900)  # k reaches about 10^256
+huge_fractions = st.builds(F, st.integers(-(10**400), 10**400), st.integers(1, 10**12))
+near_integers = st.builds(
+    lambda hk, n, sign: n + sign * QS(hk[0], -hk[1]),
+    st.sampled_from(_CONVERGENTS),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([1, -1]),
+)
+
+
+def test_sqrt3_convergents_come_within_one_over_k():
+    assert all(abs(QS(h, -k)) < F(1, k) for h, k in _CONVERGENTS)
+    assert sum(k > 10**12 for _, k in _CONVERGENTS) > 850  # most within 10^-12
+
+
+@given(
+    st.one_of(
+        st.builds(QS, huge_fractions, st.one_of(small_fractions, huge_fractions)),
+        near_integers,
+    )
+)
+@settings(max_examples=300)
+def test_surd_floor_is_exact_at_any_magnitude(x):
+    n = math.floor(x)
+    assert type(n) is int
+    assert n <= x < n + 1
+
+
+def test_surd_division():
+    assert QS(3, 6) / 3 == QS(1, 2)
+    assert QS(3, 6) / F(3, 2) == QS(2, 4)
+    for zero in (0, F(0), QS(0)):
+        with pytest.raises(ZeroDivisionError):
+            QS(1) / zero
+        with pytest.raises(ZeroDivisionError):
+            SQRT3 / zero
+
+
 def test_parse_alpha():
     assert parse_alpha("sqrt3/2") == DEFAULT_ALPHA
     assert parse_alpha("1/2") == F(1, 2)
