@@ -27,11 +27,9 @@ from .offline import (
     UncoveredLocationError,
     brute_force_latency,
     canonical_tour,
-    opt_sum_lower_bound,
     optimal_latency_tour,
     simple_lower_bound,
     tour_reference_bound,
-    tour_trajectory,
 )
 from .online import (
     CERT_RATIO,

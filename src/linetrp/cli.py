@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,6 @@ from .adversary import GameConfig, play_lowerbound_game, verify_witness
 from .core import (
     LineSegment,
     Model,
-    ParseError,
     format_decimal,
     format_scalar,
     parse_instance,
@@ -105,9 +105,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, TypeError, CoverageError, ModelMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -329,6 +326,8 @@ _SWEEP_HEADER = [
 
 
 def _cmd_sweep(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {args.trials}")
     params = [
         (
             trial,
@@ -343,8 +342,11 @@ def _cmd_sweep(args) -> int:
         )
         for trial in range(args.trials)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a forked pool starts every worker up front, so never ask for more
+    # workers than there are trials or CPUs
+    workers = min(args.jobs, args.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_trial, params))
     else:
         rows = [_sweep_trial(p) for p in params]

@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Instance, Request, Trajectory, _exact
+from .core import Request, Trajectory, _exact
 
 Scalar = Fraction
 
@@ -31,30 +32,25 @@ class Direction(enum.Enum):
     LEFT = -1
     RIGHT = 1
 
-    @property
-    def opposite(self) -> "Direction":
-        return Direction.LEFT if self is Direction.RIGHT else Direction.RIGHT
-
 
 @dataclass(frozen=True)
 class Tour:
     """Alternating service walk from the origin.
 
-    Leg k goes to ``turning_points[k]``; directions alternate starting with
-    ``first_direction`` and every turning point strictly extends the covered
-    interval on its side.  An empty tour stays parked at the origin.
+    Leg k goes to ``turning_points[k]``; directions alternate and every
+    turning point strictly extends the covered interval on its side.  An
+    empty tour stays parked at the origin.
     """
 
-    first_direction: Direction
     turning_points: Tuple[Scalar, ...]
 
     def __post_init__(self):
         tps = tuple(_exact(tp, "turning point") for tp in self.turning_points)
         object.__setattr__(self, "turning_points", tps)
         lo = hi = _ZERO
-        d = self.first_direction
+        left = self.first_direction is Direction.LEFT
         for tp in tps:
-            if d is Direction.LEFT:
+            if left:
                 if not tp < lo:
                     raise ValueError(f"turning point {tp} does not extend left of {lo}")
                 lo = tp
@@ -62,16 +58,23 @@ class Tour:
                 if not tp > hi:
                     raise ValueError(f"turning point {tp} does not extend right of {hi}")
                 hi = tp
-            d = d.opposite
+            left = not left
 
     @property
-    def legs(self) -> Tuple[Tuple[Scalar, Scalar], ...]:
-        pts = (_ZERO,) + self.turning_points
-        return tuple(zip(pts, pts[1:]))
+    def first_direction(self) -> Direction:
+        """LEFT iff the first turning point is negative; RIGHT when empty."""
+        tps = self.turning_points
+        return Direction.LEFT if tps and tps[0] < 0 else Direction.RIGHT
 
-    @property
-    def total_arclength(self) -> Scalar:
-        return sum((abs(v - u) for u, v in self.legs), _ZERO)
+    @cached_property
+    def walk(self) -> Trajectory:
+        """The tour walked once at unit speed from time 0, then parked: each
+        breakpoint time is the arc length walked to that turning point."""
+        pts = [(_ZERO, _ZERO)]
+        for tp in self.turning_points:
+            arc, pos = pts[-1]
+            pts.append((arc + abs(tp - pos), tp))
+        return Trajectory(tuple(pts))
 
     @property
     def extent(self) -> Tuple[Scalar, Scalar]:
@@ -80,24 +83,9 @@ class Tour:
         hi = max((tp for tp in self.turning_points), default=_ZERO)
         return min(lo, _ZERO), max(hi, _ZERO)
 
-    @property
-    def end_position(self) -> Scalar:
-        return self.turning_points[-1] if self.turning_points else _ZERO
-
     def covers(self, x) -> bool:
         lo, hi = self.extent
         return lo <= x <= hi
-
-    def position_at_arc(self, s) -> Scalar:
-        """Position after walking arc length ``s`` along the tour (clamped)."""
-        if s < 0:
-            raise ValueError("arc length must be nonnegative")
-        for u, v in self.legs:
-            step = abs(v - u)
-            if s <= step:
-                return u + s if v > u else u - s
-            s = s - step
-        return self.end_position
 
 
 def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
@@ -126,8 +114,7 @@ def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
         if merged == seq:
             break
         seq = merged
-    first = Direction.LEFT if seq and seq[0] < 0 else Direction.RIGHT
-    return Tour(first, tuple(seq))
+    return Tour(tuple(seq))
 
 
 class ArcIndex:
@@ -136,11 +123,10 @@ class ArcIndex:
     def __init__(self, tour: Tour):
         self.tour = tour
         self._segments = []  # (u, v, arc_at_u, covered_lo, covered_hi) per leg
-        arc = _ZERO
         lo = hi = _ZERO
-        for u, v in tour.legs:
+        pts = tour.walk.breakpoints
+        for (arc, u), (_, v) in zip(pts, pts[1:]):
             self._segments.append((u, v, arc, lo, hi))
-            arc += abs(v - u)
             lo, hi = min(lo, v), max(hi, v)
         self._lo, self._hi = lo, hi
 
@@ -154,16 +140,6 @@ class ArcIndex:
             if v > u and hi < x <= v:
                 return arc + (x - u)
         raise UncoveredLocationError(f"{x} is outside the tour coverage [{self._lo}, {self._hi}]")
-
-
-def tour_trajectory(tour: Tour) -> Trajectory:
-    """Walk the tour once at unit speed starting at time 0, then park."""
-    pts = [(_ZERO, _ZERO)]
-    t = _ZERO
-    for u, v in tour.legs:
-        t += abs(v - u)
-        pts.append((t, v))
-    return Trajectory(tuple(pts))
 
 
 # --- exact latency optimum ----------------------------------------------------
@@ -183,7 +159,7 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
         weights[p] = weights.get(p, 0) + 1
     weights.pop(_ZERO, None)
     if not weights:
-        return Tour(Direction.RIGHT, ()), _ZERO
+        return Tour(()), _ZERO
 
     xs = sorted(weights)
     if _ZERO not in weights:
@@ -352,9 +328,3 @@ def opt_sum_floor(requests: Sequence[Request], dp_total) -> Scalar:
     ``dp_total``, the latency optimum over the actual locations, which
     ignores arrivals, and the arrival sum, which ignores geometry."""
     return max(dp_total, sum((r.arrival for r in requests), _ZERO))
-
-
-def opt_sum_lower_bound(instance: Instance) -> Scalar:
-    """Lower bound on the optimal total completion time of an instance."""
-    _, dp_total = optimal_latency_tour(r.actual for r in instance.requests)
-    return opt_sum_floor(instance.requests, dp_total)

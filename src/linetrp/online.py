@@ -79,10 +79,6 @@ class QuadraticScalar:
             return QuadraticScalar(other)
         return NotImplemented  # type: ignore[return-value]
 
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def as_fraction(self) -> Fraction:
         if self.q != 0:
             raise ValueError(f"{self} is irrational")
@@ -306,11 +302,6 @@ class RoundTripSchedule:
             start, power, j = end, power * self.growth, j + 1
 
 
-def first_visit_trip(schedule: RoundTripSchedule, arc) -> int:
-    """Index of the first trip whose reach covers the given arc distance."""
-    return sum(1 for _ in schedule.trips(arc))
-
-
 def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Trajectory:
     """Clamped geometric round trips over a path, until ``horizon``.
 
@@ -318,15 +309,12 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     and back.  Once the reach passes the path length, every further trip
     sweeps the whole path.  An empty path parks at the origin.
     """
-    total = path.total_arclength
+    walk = path.walk
+    total = walk.end_time
     if total == 0 or horizon <= 0:
         return Trajectory(((_ZERO, _ZERO),))
     # arc marks of the path's own turning points (direction changes in space)
-    marks: List[Tuple[object, object]] = []
-    arc = _ZERO
-    for u, v in path.legs:
-        arc += abs(v - u)
-        marks.append((arc, v))
+    marks = walk.breakpoints[1:]
     *geometric, _ = schedule.trips(total)
     reaches = [reach for _, _, reach in geometric]
     pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
@@ -334,7 +322,7 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     j = 0
     while t < horizon:
         reach = reaches[j] if j < len(reaches) else total
-        turn_pos = path.end_position if reach == total else path.position_at_arc(reach)
+        turn_pos = walk.position_at(reach)
         for c, p in marks:
             if c < reach:
                 pts.append((t + c, p))
@@ -352,7 +340,7 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
     """A time by which every on-path location has surely been visited after
     every arrival: full-coverage trips repeat every round after the reach
     first exceeds the path length."""
-    total = path.total_arclength
+    total = path.walk.end_time
     if total == 0:
         return _ZERO
     *_, (_, end, _) = schedule.trips(total)
@@ -391,16 +379,13 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     on a trajectory long enough to serve the request.
     """
     path, schedule = planned.path, planned.schedule
-    total = path.total_arclength
+    pts, total = path.walk.breakpoints, path.walk.end_time
     if total == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
     *geometric, (base, _, _) = schedule.trips(total)
     period = 2 * total
-    legs = []  # (low end, high end, start, arc at start)
-    arc = _ZERO
-    for u, v in path.legs:
-        legs.append((min(u, v), max(u, v), u, arc))
-        arc += abs(v - u)
+    # (low end, high end, start, arc at start) per leg
+    legs = [(min(u, v), max(u, v), u, at) for (at, u), (_, v) in zip(pts, pts[1:])]
     out: List[Optional[object]] = []
     for loc, arrival in requests:
         arcs = {at + abs(loc - u) for lo, hi, u, at in legs if lo <= loc <= hi}
@@ -566,24 +551,24 @@ class ReplanSession:
     def __init__(self, info: VisibleInfo):
         self.info = info
         self._trajectory = Trajectory(((_ZERO, _ZERO),))
-        self._known: List[Tuple[Fraction, Fraction]] = []  # (location, arrival)
+        self._unserved: List[Tuple[Fraction, Fraction]] = []  # (location, arrival)
 
     def on_arrivals(self, time, locations: Sequence) -> None:
-        """Fold in all requests arriving at ``time`` and replan from here."""
+        """Fold in all requests arriving at ``time`` and replan from here.
+
+        A request served before the cut at ``time`` stays served, at the same
+        time, in every later cut, so only the unserved ones are re-checked.
+        """
         committed = self._trajectory.truncated(time)
-        self._known.extend((loc, time) for loc in locations)
-        unserved = [
-            loc
-            for loc, arrival in self._known
+        self._unserved = [
+            (loc, arrival)
+            for loc, arrival in self._unserved + [(loc, time) for loc in locations]
             if committed.first_service_time(loc, arrival) is None
         ]
         t, pos = committed.breakpoints[-1]
-        tour, _ = optimal_latency_tour(loc - pos for loc in unserved)
-        points = list(committed.breakpoints)
-        for u, v in tour.legs:
-            t += abs(v - u)
-            points.append((t, pos + v))
-        self._trajectory = Trajectory(tuple(points))
+        tour, _ = optimal_latency_tour(loc - pos for loc, _ in self._unserved)
+        suffix = tuple((t + s, pos + x) for s, x in tour.walk.breakpoints[1:])
+        self._trajectory = Trajectory(committed.breakpoints + suffix)
 
     def trajectory(self) -> Trajectory:
         return self._trajectory

@@ -19,11 +19,9 @@ from linetrp.core import LineSegment, Model, make_instance, parse_instance, seri
 from linetrp.generate import perturbed_instance, random_instance
 from linetrp.offline import (
     ArcIndex,
-    Tour,
     brute_force_latency,
     canonical_tour,
     optimal_latency_tour,
-    tour_trajectory,
 )
 from linetrp.online import (
     CERT_RATIO,
@@ -304,7 +302,7 @@ def test_optimal_walk_replays_to_its_stated_total():
         inst = random_instance(rng, line, rng.randint(1, 10), max_arrival=0, denom=16)
         actuals = [r.actual for r in inst.requests]
         tour, total = optimal_latency_tour(actuals)
-        traj = tour_trajectory(tour)
+        traj = tour.walk
         replayed = sum((traj.first_service_time(a) for a in actuals), F(0))
         if replayed != total:
             bad += 1

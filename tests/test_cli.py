@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import linetrp
+from linetrp import cli
 from linetrp.cli import main
 from linetrp.core import parse_instance
 from linetrp.online import STRATEGY_NAMES
@@ -87,6 +88,7 @@ def test_generate_rejects_nonpositive_denom(denom, extra, capsys):
         (["sweep", "--trials", "1", "--delta=-1/100"], "delta"),
         (["adversary", "--delta=-1/100"], "delta"),
         (["adversary", "--max-steps", "-3"], "max_steps"),
+        (["sweep", "--trials", "-3"], "trials"),
     ],
 )
 def test_negative_parameters_exit_2_naming_the_parameter(args, name, capsys):
@@ -227,3 +229,46 @@ def test_sweep_is_deterministic_and_parallel_safe(capsys):
     assert lines[0].startswith("trial,strategy,n,delta,on_sum")
     assert len(lines) == 5
     assert lines[1].split(",")[1] == "greedy-replan"
+
+
+@pytest.mark.parametrize(
+    "trials, jobs, cpus, workers",
+    [
+        (3, 5000, 8, 3),  # no more workers than trials
+        (12, 5000, 8, 8),  # no more workers than CPUs
+        (4, 3, 8, 3),  # no more workers than asked for
+        (1, 5000, 8, None),  # one trial runs in this process
+        (4, 5000, 1, None),  # so does a single CPU
+        (4, 5000, None, None),  # and an unknown CPU count
+        (4, 0, 8, None),
+    ],
+)
+def test_sweep_caps_its_workers(trials, jobs, cpus, workers, monkeypatch, capsys):
+    requested = []
+
+    class RecordingPool:
+        """Records the worker count asked for and maps in this process, so
+        no worker is ever started."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    args = ["sweep", "--strategy", "sweep", "--trials", str(trials), "--seed", "3",
+            "--line", "0", "10", "--n", "3"]
+    assert main(args + ["--jobs", str(jobs)]) == 0
+    pooled = capsys.readouterr().out
+    assert requested == ([] if workers is None else [workers])
+    assert main(args) == 0
+    assert capsys.readouterr().out == pooled
+    assert len(pooled.splitlines()) == trials + 1

@@ -20,11 +20,10 @@ from linetrp.offline import (
     UncoveredLocationError,
     brute_force_latency,
     canonical_tour,
-    opt_sum_lower_bound,
+    opt_sum_floor,
     optimal_latency_tour,
     simple_lower_bound,
     tour_reference_bound,
-    tour_trajectory,
 )
 
 fractions_8 = st.fractions(min_value=-8, max_value=8, max_denominator=8)
@@ -50,31 +49,33 @@ def _literal_walk(waypoints):
 
 def test_tour_requires_strictly_extending_turns():
     with pytest.raises(ValueError):
-        Tour(Direction.RIGHT, (F(2), F(1)))  # second point is not left of 0
+        Tour((F(2), F(1)))  # second point is not left of 0
     with pytest.raises(ValueError):
-        Tour(Direction.RIGHT, (F(2), F(-1), F(1)))  # 1 is already covered
+        Tour((F(2), F(-1), F(1)))  # 1 is already covered
     with pytest.raises(ValueError):
-        Tour(Direction.LEFT, (F(1),))
+        Tour((F(0),))  # the origin extends neither side
 
 
 def test_tour_geometry():
-    tour = Tour(Direction.LEFT, (F(-1), F(2)))
-    assert tour.legs == ((F(0), F(-1)), (F(-1), F(2)))
-    assert tour.total_arclength == 4
+    tour = Tour((F(-1), F(2)))
+    assert tour.first_direction is Direction.LEFT
+    assert tour.walk.breakpoints == ((F(0), F(0)), (F(1), F(-1)), (F(4), F(2)))
+    assert tour.walk.end_time == 4
     assert tour.extent == (F(-1), F(2))
-    assert tour.end_position == 2
+    assert tour.walk.end_position == 2
     assert tour.covers(F(1, 2)) and tour.covers(F(-1))
     assert not tour.covers(F(3))
-    assert tour.position_at_arc(F(1, 2)) == F(-1, 2)
-    assert tour.position_at_arc(F(3)) == 1
-    assert tour.position_at_arc(F(99)) == 2  # clamped past the end
+    assert tour.walk.position_at(F(1, 2)) == F(-1, 2)
+    assert tour.walk.position_at(F(3)) == 1
+    assert tour.walk.position_at(F(99)) == 2  # parked past the end
 
 
 def test_empty_tour_parks_at_origin():
-    tour = Tour(Direction.RIGHT, ())
-    assert tour.total_arclength == 0
+    tour = Tour(())
+    assert tour.first_direction is Direction.RIGHT
+    assert tour.walk.end_time == 0
     assert tour.extent == (0, 0)
-    assert tour.position_at_arc(F(5)) == 0
+    assert tour.walk.position_at(F(5)) == 0
 
 
 def test_canonical_tour_drops_covered_and_merges():
@@ -103,7 +104,7 @@ def test_canonical_tour_never_delays_first_visits(waypoints):
 
 
 def test_arc_index_frozen_values():
-    index = ArcIndex(Tour(Direction.LEFT, (F(-1), F(2))))
+    index = ArcIndex(Tour((F(-1), F(2))))
     assert index.at(F(0)) == 0
     assert index.at(F(-1, 2)) == F(1, 2)
     assert index.at(F(-1)) == 1
@@ -114,7 +115,7 @@ def test_arc_index_frozen_values():
 
 
 def test_tour_trajectory_walks_then_parks():
-    traj = tour_trajectory(Tour(Direction.LEFT, (F(-1), F(2))))
+    traj = Tour((F(-1), F(2))).walk
     assert traj.breakpoints == ((F(0), F(0)), (F(1), F(-1)), (F(4), F(2)))
     assert traj.position_at(F(2)) == 0  # inbound through the origin
     assert traj.position_at(F(100)) == 2
@@ -125,7 +126,7 @@ def test_tour_trajectory_walks_then_parks():
 @settings(max_examples=200)
 def test_arc_index_agrees_with_tour_trajectory(points):
     tour, _ = optimal_latency_tour(points)
-    traj = tour_trajectory(tour)
+    traj = tour.walk
     index = ArcIndex(tour)
     for p in points:
         assert index.at(p) == traj.first_service_time(p)
@@ -230,7 +231,7 @@ def test_per_request_bounds():
     assert simple_lower_bound(req) == 5
     assert simple_lower_bound(Request(0, None, F(-3), F(1))) == 3
 
-    index = ArcIndex(Tour(Direction.LEFT, (F(-1), F(2))))
+    index = ArcIndex(Tour((F(-1), F(2))))
     assert tour_reference_bound(Request(0, None, F(2), F(0)), index) == 4
     assert tour_reference_bound(Request(0, None, F(2), F(7)), index) == 7
 
@@ -238,6 +239,7 @@ def test_per_request_bounds():
 def test_opt_sum_lower_bound_takes_the_larger_floor():
     line = LineSegment(F(-2), F(3))
     geometric = make_instance(line, [(F(-1), F(-1), F(0)), (F(2), F(2), F(0))])
-    assert opt_sum_lower_bound(geometric) == 5
     late = make_instance(line, [(F(-1), F(-1), F(9)), (F(2), F(2), F(0))])
-    assert opt_sum_lower_bound(late) == 9
+    for inst, floor in ((geometric, 5), (late, 9)):
+        _, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
+        assert opt_sum_floor(inst.requests, dp_total) == floor

@@ -8,8 +8,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linetrp.core import LineSegment, Model, make_instance
-from linetrp.offline import Direction, Tour
+from linetrp.core import LineSegment, Model, Trajectory, make_instance
+from linetrp.offline import Direction, Tour, optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
     DEFAULT_ALPHA,
@@ -25,7 +25,6 @@ from linetrp.online import (
     RoundTripSchedule,
     coverage_horizon,
     extend_tour_to_line,
-    first_visit_trip,
     make_strategy,
     padded_robust_path,
     parse_alpha,
@@ -232,17 +231,21 @@ def test_schedule_lengths_telescope(alpha, pad, j):
 
 def test_first_visit_trip():
     s = RoundTripSchedule()
-    assert first_visit_trip(s, F(0)) == 1
-    assert first_visit_trip(s, s.reach(1)) == 1  # reach is inclusive
-    assert first_visit_trip(s, s.reach(2)) == 2
-    assert first_visit_trip(s, s.reach(2) + F(1, 1000)) == 3
+
+    def first_visit_trip(arc):
+        return sum(1 for _ in s.trips(arc))
+
+    assert first_visit_trip(F(0)) == 1
+    assert first_visit_trip(s.reach(1)) == 1  # reach is inclusive
+    assert first_visit_trip(s.reach(2)) == 2
+    assert first_visit_trip(s.reach(2) + F(1, 1000)) == 3
 
 
 # --- trajectory synthesis ----------------------------------------------------
 
 
 def test_roundtrip_trajectory_frozen_breakpoints():
-    path = Tour(Direction.LEFT, (F(-1), F(2)))
+    path = Tour((F(-1), F(2)))
     traj = roundtrip_trajectory(path, RoundTripSchedule(), QS(6, 1))
     assert traj.breakpoints == (
         (F(0), F(0)),
@@ -260,10 +263,10 @@ def test_roundtrip_trajectory_frozen_breakpoints():
 
 
 def test_roundtrip_trajectory_trivial_cases():
-    parked = roundtrip_trajectory(Tour(Direction.RIGHT, ()), RoundTripSchedule(), F(10))
+    parked = roundtrip_trajectory(Tour(()), RoundTripSchedule(), F(10))
     assert parked.breakpoints == ((F(0), F(0)),)
     zero_horizon = roundtrip_trajectory(
-        Tour(Direction.RIGHT, (F(1),)), RoundTripSchedule(), F(0)
+        Tour((F(1),)), RoundTripSchedule(), F(0)
     )
     assert zero_horizon.position_at(F(5)) == 0
 
@@ -271,15 +274,15 @@ def test_roundtrip_trajectory_trivial_cases():
 def test_roundtrip_trajectory_clamped_trips_stay_cheap():
     # once the reach covers the path, trips repeat with period 2*length and
     # the construction must not keep expanding geometric terms
-    traj = roundtrip_trajectory(Tour(Direction.RIGHT, (F(1),)), RoundTripSchedule(), F(2000))
+    traj = roundtrip_trajectory(Tour((F(1),)), RoundTripSchedule(), F(2000))
     assert len(traj.breakpoints) == 2001
     assert traj.breakpoints[-1] == (F(2000), F(0))
 
 
 def test_coverage_horizon_frozen():
-    path = Tour(Direction.RIGHT, (F(1),))
+    path = Tour((F(1),))
     assert coverage_horizon(path, RoundTripSchedule(), F(0)) == QS(7, 1)
-    assert coverage_horizon(Tour(Direction.RIGHT, ()), RoundTripSchedule(), F(9)) == 0
+    assert coverage_horizon(Tour(()), RoundTripSchedule(), F(9)) == 0
 
 
 lines = st.builds(
@@ -296,7 +299,7 @@ lines = st.builds(
 )
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_trajectory_serves_everything_by_the_horizon(line, rel, latest):
-    path = Tour(Direction.LEFT, (line.a, line.b)) if line.a < 0 else Tour(Direction.RIGHT, (line.b,))
+    path = Tour((line.a, line.b)) if line.a < 0 else Tour((line.b,))
     schedule = RoundTripSchedule()
     horizon = coverage_horizon(path, schedule, latest)
     traj = roundtrip_trajectory(path, schedule, horizon)
@@ -310,7 +313,7 @@ def test_roundtrip_trajectory_serves_everything_by_the_horizon(line, rel, latest
 
 
 def test_extend_tour_to_line():
-    tour = Tour(Direction.RIGHT, (F(1),))
+    tour = Tour((F(1),))
     assert extend_tour_to_line(tour, LineSegment(F(-2), F(3))).turning_points == (F(1), F(-2), F(3))
     assert extend_tour_to_line(tour, LineSegment(F(0), F(3))).turning_points == (F(3),)
 
@@ -417,6 +420,57 @@ def test_greedy_session_replans_from_current_position():
         (F(2), F(2)),
         (F(5), F(-1)),
     )
+
+
+class _RecheckAllSession:
+    """Oracle for ``ReplanSession``: the replanner as it was written before it
+    kept only the unserved requests.  It re-checks every known request
+    against the committed motion on every arrival."""
+
+    def __init__(self):
+        self._trajectory = Trajectory(((F(0), F(0)),))
+        self._known = []
+
+    def on_arrivals(self, time, locations):
+        committed = self._trajectory.truncated(time)
+        self._known.extend((loc, time) for loc in locations)
+        unserved = [
+            loc
+            for loc, arrival in self._known
+            if committed.first_service_time(loc, arrival) is None
+        ]
+        t, pos = committed.breakpoints[-1]
+        tour, _ = optimal_latency_tour(loc - pos for loc in unserved)
+        points = list(committed.breakpoints)
+        prev = F(0)
+        for v in tour.turning_points:
+            t += abs(v - prev)
+            points.append((t, pos + v))
+            prev = v
+        self._trajectory = Trajectory(tuple(points))
+
+
+arrival_batches = st.lists(
+    st.tuples(
+        st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
+        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@given(st.fractions(min_value=0, max_value=3, max_denominator=4), arrival_batches)
+@settings(max_examples=200, deadline=None)
+def test_greedy_session_matches_the_recheck_all_oracle(first, batches):
+    info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
+    session, oracle = GreedyReplan().start(info), _RecheckAllSession()
+    time = first
+    for gap, locations in batches:
+        session.on_arrivals(time, locations)
+        oracle.on_arrivals(time, locations)
+        assert session.trajectory().breakpoints == oracle._trajectory.breakpoints
+        time += gap
 
 
 def test_select_algorithm():
