@@ -28,7 +28,6 @@ from .offline import (
     brute_force_latency,
     canonical_tour,
     optimal_latency_tour,
-    simple_lower_bound,
     tour_reference_bound,
 )
 from .online import (

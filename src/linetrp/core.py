@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,11 +39,22 @@ def _exact(value, what: str = "value"):
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse an exact scalar: integer ``-3``, fraction ``7/2``, or decimal ``0.25``."""
+    """Parse an exact scalar: integer ``-3``, fraction ``7/2``, or decimal
+    ``0.25`` / ``1e-3``.
+
+    A decimal exponent may not exceed ``sys.get_int_max_str_digits()`` in
+    magnitude, the limit Python puts on the digits of an integer string:
+    past it, ``Fraction`` takes seconds to build ``10**exponent`` and the
+    arithmetic on the result can run for minutes.
+    """
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
     try:
-        return Fraction(text)
+        exponent = int(text.lower().partition("e")[2] or 0)
+        if not limit or abs(exponent) <= limit:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar {text!r}") from exc
+    raise ValueError(f"bad scalar {text!r}: exponent beyond {limit}")
 
 
 def format_scalar(value) -> str:

@@ -2,10 +2,14 @@
 exact latency-optimal service walk.
 
 A tour starts at the origin and alternates direction, each turning point
-strictly extending coverage on its side.  The latency optimum is computed two
+strictly extending coverage on its side; ``canonical_tour`` collapses any
+visit list into one in a single pass.  The latency optimum is computed two
 independent ways: an interval dynamic program (used everywhere) and a
 Held-Karp exhaustive search over every service order (used as a cross-check
-oracle on small inputs).
+oracle on small inputs).  Both scale the rational locations once to integers
+over their common denominator; they share no other code.  The DP's states
+are (interval around the origin, end it stands at), and one relaxation loop
+serves both ends.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -91,30 +96,22 @@ class Tour:
 def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
     """Collapse an ordered visit list into a canonical alternating tour.
 
-    Waypoints already covered by the walk so far are dropped and consecutive
-    same-side extensions are merged, so no first visit happens later than in
-    the literal walk.
+    One pass: waypoints already covered by the walk so far are dropped, and a
+    further extension on the same side as the last kept turning point
+    replaces it, so no first visit happens later than in the literal walk.
     """
-    seq = [_exact(w, "waypoint") for w in waypoints]
-    while True:
-        kept: List[Scalar] = []
-        lo = hi = _ZERO
-        for w in seq:
-            if lo <= w <= hi:
-                continue
+    kept: List[Scalar] = []
+    lo = hi = _ZERO
+    for w in waypoints:
+        w = _exact(w, "waypoint")
+        if lo <= w <= hi:
+            continue
+        lo, hi = min(lo, w), max(hi, w)
+        if kept and (kept[-1] > 0) == (w > 0):
+            kept[-1] = w
+        else:
             kept.append(w)
-            lo, hi = min(lo, w), max(hi, w)
-        merged: List[Scalar] = []
-        for w in kept:
-            if merged and (merged[-1] > 0) == (w > 0):
-                # survivors on one side come in increasing magnitude
-                merged[-1] = w
-            else:
-                merged.append(w)
-        if merged == seq:
-            break
-        seq = merged
-    return Tour(tuple(seq))
+    return Tour(tuple(kept))
 
 
 class ArcIndex:
@@ -146,101 +143,72 @@ class ArcIndex:
 
 
 def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
-    """Minimum-latency service walk over the given locations (with repeats).
+    """Minimum-latency service walk over the given rational locations (with
+    repeats).
 
     Returns the canonical optimal tour and the exact minimal sum of
     first-visit times.  Locations at the origin are served at time 0 and do
     not influence the walk.  Ties prefer fewer direction changes, then a
-    first move to the left, which pins the result down uniquely.
+    first move to the left.  That does not pin the walk down: every state
+    then keeps its straight-on predecessor unless turning back is strictly
+    cheaper, and the walk ends at the left end unless the right end is
+    strictly better (turns and first move already fix the end, so this last
+    rule never decides).  Locations must be rational: the walk is solved over
+    integer positions scaled by their common denominator.
     """
     weights: Dict[Scalar, int] = {}
     for p in points:
         p = _exact(p, "location")
+        if not isinstance(p, Fraction):
+            raise TypeError(f"location must be rational, got {p!r}")
         weights[p] = weights.get(p, 0) + 1
     weights.pop(_ZERO, None)
     if not weights:
         return Tour(()), _ZERO
 
-    xs = sorted(weights)
-    if _ZERO not in weights:
-        xs = sorted(xs + [_ZERO])
-    w = [weights.get(x, 0) for x in xs]
-    m = len(xs)
-    o = xs.index(_ZERO)
-    total_w = sum(w)
-    prefix = [0]
-    for wi in w:
-        prefix.append(prefix[-1] + wi)
-
-    def served(i: int, j: int) -> int:
-        return prefix[j + 1] - prefix[i]
-
-    # dp[(i, j, side)] = (cost, turns, first_move_right); side 0 = at xs[i], 1 = at xs[j]
-    dp: Dict[Tuple[int, int, int], Tuple[Scalar, int, int]] = {
-        (o, o, 0): (_ZERO, 0, 0),
-        (o, o, 1): (_ZERO, 0, 0),
-    }
-    parent: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
-
-    def relax(key, value, par):
-        cur = dp.get(key)
-        if cur is None or value < cur:
-            dp[key] = value
-            parent[key] = par
-
-    for length in range(1, m):
-        for i in range(max(0, o - length), o + 1):
-            j = i + length
-            if j >= m or j < o:
-                continue
-            unserved_from = lambda ii, jj: total_w - served(ii, jj)
-            # arrive at the left end xs[i]
-            if i + 1 <= o:
-                for side, dist, dturn in (
-                    (0, xs[i + 1] - xs[i], 0),
-                    (1, xs[j] - xs[i], 1),
-                ):
-                    prev = dp.get((i + 1, j, side))
-                    if prev is None:
+    xs = sorted([_ZERO, *weights])
+    scale = lcm(*[x.denominator for x in xs])
+    at = [x.numerator * (scale // x.denominator) for x in xs]
+    prefix = list(accumulate((weights.get(x, 0) for x in xs), initial=0))
+    m, o = len(xs), xs.index(_ZERO)
+    # best[side][i][j] = (cost, turns, first_move_right) of the cheapest walk
+    # that has covered xs[i..j] and stands at xs[i] (side 0) or xs[j] (side 1);
+    # back[side][i][j] is the side it stood at before reaching that end.
+    # Each step costs its length times the requests still waiting.
+    best = [[[None] * m for _ in range(o + 1)] for _ in (0, 1)]
+    back = [[[0] * m for _ in range(o + 1)] for _ in (0, 1)]
+    # the first move goes straight on from the origin's side of its direction,
+    # which records that direction; turning back out of the origin loses on turns
+    best[0][o][o], best[1][o][o] = (0, 0, 0), (0, 0, 1)
+    for i in range(o, -1, -1):
+        for j in range(o, m):
+            for side in (0, 1):
+                pi, pj, end = (i + 1, j, at[i]) if side == 0 else (i, j - 1, at[j])
+                if pi > o or pj < o:
+                    continue
+                waiting = prefix[pi] + prefix[m] - prefix[pj + 1]
+                for prev in (side, 1 - side):  # straight on, then turning back
+                    state = best[prev][pi][pj]
+                    if state is None:
                         continue
-                    cost, turns, first = prev
-                    moving_first = (i + 1, j) == (o, o)
-                    turns = turns + (0 if moving_first else dturn)
-                    first = 0 if moving_first else first
-                    relax(
-                        (i, j, 0),
-                        (cost + dist * unserved_from(i + 1, j), turns, first),
-                        (i + 1, j, side),
-                    )
-            # arrive at the right end xs[j]
-            if j - 1 >= o:
-                for side, dist, dturn in (
-                    (1, xs[j] - xs[j - 1], 0),
-                    (0, xs[j] - xs[i], 1),
-                ):
-                    prev = dp.get((i, j - 1, side))
-                    if prev is None:
-                        continue
-                    cost, turns, first = prev
-                    moving_first = (i, j - 1) == (o, o)
-                    turns = turns + (0 if moving_first else dturn)
-                    first = 1 if moving_first else first
-                    relax(
-                        (i, j, 1),
-                        (cost + dist * unserved_from(i, j - 1), turns, first),
-                        (i, j - 1, side),
-                    )
+                    cost, turns, first = state
+                    step = abs(end - (at[pj] if prev else at[pi])) * waiting
+                    cand = (cost + step, turns + (prev != side), first)
+                    if best[side][i][j] is None or cand < best[side][i][j]:
+                        best[side][i][j], back[side][i][j] = cand, prev
 
-    finals = [(dp[key], key) for key in ((0, m - 1, 0), (0, m - 1, 1)) if key in dp]
-    (best, key) = min(finals)
-    # walk parents back, collecting the interval-extension positions in order
+    ends = (best[0][0][m - 1], best[1][0][m - 1])
+    (cost, _, _), side = min((v, s) for s, v in enumerate(ends) if v is not None)
+    # walk back to the origin, collecting each newly covered end in order
     events: List[Scalar] = []
-    while key in parent:
-        i, j, side = key
-        events.append(xs[i] if side == 0 else xs[j])
-        key = parent[key]
+    i, j = 0, m - 1
+    while (i, j) != (o, o):
+        events.append(xs[j] if side else xs[i])
+        prev = back[side][i][j]
+        i, j = (i, j - 1) if side else (i + 1, j)
+        side = prev
     events.reverse()
-    return canonical_tour(events), best[0]
+    return canonical_tour(events), Fraction(cost, scale)
 
 
 def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scalar, Tuple[Scalar, ...]]:
@@ -310,11 +278,6 @@ def distance_arrival_floor(location, arrival) -> Scalar:
     """No unit-speed schedule finishes a request before its distance from the
     origin or before its arrival."""
     return max(abs(location), arrival)
-
-
-def simple_lower_bound(request: Request) -> Scalar:
-    """The distance/arrival floor of ``request``."""
-    return distance_arrival_floor(request.actual, request.arrival)
 
 
 def tour_reference_bound(request: Request, index: ArcIndex) -> Scalar:

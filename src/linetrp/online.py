@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Instance, LineSegment, Model, Trajectory, _exact
+from .core import Instance, LineSegment, Model, Trajectory, _exact, parse_scalar
 from .offline import Tour, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
@@ -234,8 +234,8 @@ def parse_alpha(text: str):
     if cleaned == "sqrt3/2":
         return DEFAULT_ALPHA
     try:
-        value = Fraction(cleaned)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = parse_scalar(cleaned)
+    except ValueError as exc:
         raise ValueError(f"bad alpha {text!r} (use 'sqrt3/2' or a rational)") from exc
     if value <= 0:
         raise ValueError("alpha must be positive")

@@ -23,7 +23,6 @@ from .offline import (
     distance_arrival_floor,
     opt_sum_floor,
     optimal_latency_tour,
-    simple_lower_bound,
     tour_reference_bound,
 )
 from .online import (
@@ -180,7 +179,7 @@ def evaluate(result: RunResult) -> EvaluationReport:
     index = ArcIndex(tour)
     rows = []
     for r, c in zip(inst.requests, result.completions):
-        bound_s = simple_lower_bound(r)
+        bound_s = distance_arrival_floor(r.actual, r.arrival)
         bound_t = tour_reference_bound(r, index)
         rows.append(
             RequestReport(

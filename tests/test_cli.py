@@ -167,6 +167,31 @@ def test_simulate_serves_astronomical_arrivals(strategy, exponent, tmp_path):
     assert late < total < late + 40
 
 
+@pytest.mark.parametrize(
+    "text, flags, prefix",
+    [
+        ("LINE 0 1e3000000\nREQ 0 0 0\n", [], "error: line 1: "),
+        ("LINE 0 1\nREQ 0 0 1e-3000000\n", [], "error: line 2: "),
+        (GOOD, ["--alpha", "1e3000000"], "error: "),
+        (GOOD, ["--delta", "1e3000000"], "error: "),
+    ],
+)
+def test_simulate_rejects_huge_exponents(text, flags, prefix, tmp_path):
+    # a child process with a time limit: building 10**3000000 would hang
+    path = _write(tmp_path, "huge.txt", text)
+    src = os.path.dirname(os.path.dirname(linetrp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linetrp.cli", "simulate", path] + flags,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(prefix), proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("extra", [[], ["--certify", "simple"]])
 def test_simulate_rejects_negative_delta(extra, tmp_path, capsys):
     path = _write(tmp_path, "inst.txt", GOOD)

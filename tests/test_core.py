@@ -1,5 +1,6 @@
 """Data-model tests: trajectories, service times, instance round-trips."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -54,8 +55,12 @@ def test_parse_scalar_forms():
     assert parse_scalar("3") == 3
     assert parse_scalar("-7/2") == F(-7, 2)
     assert parse_scalar("0.25") == F(1, 4)
-    with pytest.raises(ValueError):
-        parse_scalar("abc")
+    assert parse_scalar("25e-2") == F(1, 4)
+    limit = sys.get_int_max_str_digits()
+    assert parse_scalar(f"1e{limit}") == 10**limit
+    for bad in ("abc", f"1e{limit + 1}", f"1e-{limit + 1}"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
     with pytest.raises(ValueError):
         parse_scalar("1/0")
 

@@ -2,6 +2,7 @@
 indexing, and the exact latency optimum (interval dynamic program, cross
 checked against an independent Held-Karp exhaustive search)."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -20,11 +21,12 @@ from linetrp.offline import (
     UncoveredLocationError,
     brute_force_latency,
     canonical_tour,
+    distance_arrival_floor,
     opt_sum_floor,
     optimal_latency_tour,
-    simple_lower_bound,
     tour_reference_bound,
 )
+from linetrp.online import SQRT3
 
 fractions_8 = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 point_lists = st.lists(fractions_8, min_size=0, max_size=6)
@@ -149,6 +151,38 @@ def test_optimal_latency_frozen_values():
     assert total == 50
     assert tour.turning_points == (F(10),)
 
+    # (2, -8, 26/3) ties this on total, turns and first move: the relaxation
+    # keeps going straight on unless turning back is strictly cheaper
+    pts = [F(1, 3), F(26, 3), F(-8), F(2), F(1, 3), F(1, 3), F(-1), F(-6), F(-8)]
+    tour, total = optimal_latency_tour(pts)
+    assert total == F(212, 3)
+    assert tour.turning_points == (F(1, 3), F(-8), F(26, 3))
+
+
+def test_optimal_latency_digest():
+    """Tours and totals over 600 seeded sets (n 0-20, negatives, repeats,
+    denominators 1/3/7/1000) hash to a recorded constant.  Small spans make
+    full ties common enough that trying the turn-back predecessor first, or
+    preferring a first move right, changes the hash."""
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for k in range(600):
+        n = k % 21
+        denom = (1, 3, 7, 1000)[k % 4]
+        span = rng.choice((2, 3, 5, 12)) * denom
+        pts = [F(rng.randint(-span, span), denom) for _ in range(n)]
+        for i in range(1, n):
+            if rng.random() < 0.1:
+                pts[i] = rng.choice(pts[:i])
+        tour, total = optimal_latency_tour(pts)
+        digest.update(repr((tour.turning_points, total)).encode())
+    assert digest.hexdigest() == "de4f4e1a6ab5901bd4588fdce285fa346b5d5033bb77605ed41e067219ef101e"
+
+
+def test_optimal_latency_rejects_irrational_locations():
+    with pytest.raises(TypeError, match="location must be rational"):
+        optimal_latency_tour([F(1), SQRT3])
+
 
 def test_optimal_latency_trivial_inputs():
     tour, total = optimal_latency_tour([])
@@ -228,8 +262,8 @@ def test_dp_total_is_cost_of_its_own_tour(points):
 
 def test_per_request_bounds():
     req = Request(0, None, F(-3), F(5))
-    assert simple_lower_bound(req) == 5
-    assert simple_lower_bound(Request(0, None, F(-3), F(1))) == 3
+    assert distance_arrival_floor(req.actual, req.arrival) == 5
+    assert distance_arrival_floor(F(-3), F(1)) == 3
 
     index = ArcIndex(Tour((F(-1), F(2))))
     assert tour_reference_bound(Request(0, None, F(2), F(0)), index) == 4
