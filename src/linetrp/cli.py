@@ -3,7 +3,12 @@
 Subcommands: ``generate`` (random instances), ``oracle`` (exact offline
 optimum), ``simulate`` (run a strategy, optionally certify its ratios),
 ``adversary`` (play the lower-bound game), ``sweep`` (seeded certification
-sweeps to CSV).  Numeric CSV columns come in exact and 6-place decimal forms.
+sweeps to CSV).
+
+The CSV columns are the explicit lists ``_REQUEST_COLUMNS`` (``simulate
+--out``) and ``_SWEEP_COLUMNS`` (``sweep``, after its trial columns) below;
+each column named in ``_DECIMAL`` is followed by ``<name>_dec``, its value to
+6 decimal places.
 
 Exit codes: 0 success, 1 usage, 2 bad input, 3 failed certification or
 cross-check.
@@ -13,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import os
 import random
 import sys
@@ -34,7 +41,6 @@ from .offline import brute_force_latency, optimal_latency_tour
 from .online import (
     CERT_RATIO,
     STRATEGY_NAMES,
-    ModelMismatchError,
     make_strategy,
     parse_alpha,
     select_algorithm,
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _dispatch(args)
-    except (OSError, ValueError, TypeError, CoverageError, ModelMismatchError) as exc:
+    except (OSError, ValueError, TypeError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -128,6 +134,56 @@ def _write(text: str, out) -> None:
             fh.write(text)
 
 
+# CSV columns as (header, attribute) pairs.  The lists are explicit, so a field
+# added to a report does not change the default CSV.
+_REQUEST_COLUMNS = tuple(
+    (attr, attr)
+    for attr in ("index", "predicted", "actual", "arrival", "completion", "bound_simple",
+                 "bound_tour", "ratio_simple", "ratio_tour")
+)
+_SWEEP_COLUMNS = (
+    ("on_sum", "on_sum"),
+    ("opt_floor", "opt_sum_bound"),
+    ("sum_ratio", "sum_ratio"),
+    ("max_ratio_simple", "max_ratio_simple"),
+    ("max_ratio_tour", "max_ratio_tour"),
+)
+_DECIMAL = {"completion", "ratio_simple", "ratio_tour"} | {name for name, _ in _SWEEP_COLUMNS}
+
+
+def _header(columns) -> list:
+    header = []
+    for name, _ in columns:
+        header += [name, f"{name}_dec"] if name in _DECIMAL else [name]
+    return header
+
+
+def _cells(record, columns) -> list:
+    cells = []
+    for name, attr in columns:
+        value = getattr(record, attr)
+        cells += [value, format_decimal(value)] if name in _DECIMAL else [value]
+    return cells
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text, one line per row; a ``None`` cell is written empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _exact_text(value) -> str:
+    return f"{value} ({format_decimal(value)})"
+
+
+def _read_instance(path):
+    with open(path) as fh:
+        return parse_instance(fh.read())
+
+
 def _resolve_strategy(name, alpha_text, delta_text, instance=None):
     alpha = parse_alpha(alpha_text)
     delta = parse_scalar(delta_text)
@@ -136,7 +192,7 @@ def _resolve_strategy(name, alpha_text, delta_text, instance=None):
     if name == "auto":
         if instance is None:
             raise ValueError("auto strategy needs an instance")
-        return select_algorithm(instance, delta if delta > 0 else None, alpha), delta
+        return select_algorithm(instance, delta, alpha), delta
     return make_strategy(name, alpha, delta), delta
 
 
@@ -163,12 +219,11 @@ def _tour_text(tour) -> str:
 
 
 def _cmd_oracle(args) -> int:
-    with open(args.instance) as fh:
-        inst = parse_instance(fh.read())
+    inst = _read_instance(args.instance)
     actuals = [r.actual for r in inst.requests]
     tour, total = optimal_latency_tour(actuals)
     print(f"requests: {len(actuals)}")
-    print(f"optimal latency sum: {total} ({format_decimal(total)})")
+    print(f"optimal latency sum: {_exact_text(total)}")
     print(f"optimal walk: {_tour_text(tour)}")
     if args.brute:
         brute_total, order = brute_force_latency(actuals)
@@ -184,28 +239,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.instance) as fh:
-        inst = parse_instance(fh.read())
+    inst = _read_instance(args.instance)
     strategy, delta = _resolve_strategy(args.strategy, args.alpha, args.delta, inst)
     result = run(inst, strategy)
     report = evaluate(result)
     print(f"strategy: {strategy.name}")
     print(f"requests: {len(inst.requests)}")
-    print(f"completion sum: {result.on_sum} ({format_decimal(result.on_sum)})")
+    print(f"completion sum: {_exact_text(result.on_sum)}")
     print(
-        f"optimal-sum floor: {report.opt_sum_bound} ({format_decimal(report.opt_sum_bound)})"
+        f"optimal-sum floor: {_exact_text(report.opt_sum_bound)}"
         f"  sum ratio: {format_decimal(report.sum_ratio)}"
     )
-    print(
-        f"worst ratio vs distance/arrival floor: {report.max_ratio_simple}"
-        f" ({format_decimal(report.max_ratio_simple)})"
-    )
-    print(
-        f"worst ratio vs tour-prefix floor: {report.max_ratio_tour}"
-        f" ({format_decimal(report.max_ratio_tour)})"
-    )
+    print(f"worst ratio vs distance/arrival floor: {_exact_text(report.max_ratio_simple)}")
+    print(f"worst ratio vs tour-prefix floor: {_exact_text(report.max_ratio_tour)}")
     if args.out:
-        _write(_request_csv(report), args.out)
+        rows = (_cells(row, _REQUEST_COLUMNS) for row in report.rows)
+        _write(_csv_text(_header(_REQUEST_COLUMNS), rows), args.out)
     if args.certify:
         bound = CERT_RATIO + 4 * delta
         worst = report.max_ratio_simple if args.certify == "simple" else report.max_ratio_tour
@@ -214,47 +263,6 @@ def _cmd_simulate(args) -> int:
             return 3
         print(f"certified: worst ratio within {bound}")
     return 0
-
-
-def _request_csv(report) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "index",
-            "predicted",
-            "actual",
-            "arrival",
-            "completion",
-            "completion_dec",
-            "bound_simple",
-            "bound_tour",
-            "ratio_simple",
-            "ratio_simple_dec",
-            "ratio_tour",
-            "ratio_tour_dec",
-        ]
-    )
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.index,
-                "" if row.predicted is None else str(row.predicted),
-                str(row.actual),
-                str(row.arrival),
-                str(row.completion),
-                format_decimal(row.completion),
-                str(row.bound_simple),
-                str(row.bound_tour),
-                str(row.ratio_simple),
-                format_decimal(row.ratio_simple),
-                str(row.ratio_tour),
-                format_decimal(row.ratio_tour),
-            ]
-        )
-    return buf.getvalue()
 
 
 def _cmd_adversary(args) -> int:
@@ -278,85 +286,33 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
-def _sweep_trial(params) -> list:
-    (trial, seed, strategy_name, alpha_text, delta_text, a_text, b_text, n, max_arrival) = params
-    rng = random.Random(f"{seed}:{trial}")
-    line = LineSegment(parse_scalar(a_text), parse_scalar(b_text))
-    delta = parse_scalar(delta_text)
+def _sweep_trial(args, trial: int) -> list:
+    rng = random.Random(f"{args.seed}:{trial}")
+    line = LineSegment(parse_scalar(args.line[0]), parse_scalar(args.line[1]))
+    delta = parse_scalar(args.delta)
     if delta > 0:
-        inst = perturbed_instance(rng, line, n, delta, max_arrival)
+        inst = perturbed_instance(rng, line, args.n, delta, args.max_arrival)
     else:
-        inst = random_instance(rng, line, n, max_arrival)
-    strategy, _ = _resolve_strategy(strategy_name, alpha_text, delta_text, inst)
+        inst = random_instance(rng, line, args.n, args.max_arrival)
+    strategy, _ = _resolve_strategy(args.strategy, args.alpha, args.delta, inst)
     report = evaluate(run(inst, strategy))
-    return [
-        trial,
-        strategy.name,
-        n,
-        delta_text,
-        str(report.on_sum),
-        format_decimal(report.on_sum),
-        str(report.opt_sum_bound),
-        format_decimal(report.opt_sum_bound),
-        str(report.sum_ratio),
-        format_decimal(report.sum_ratio),
-        str(report.max_ratio_simple),
-        format_decimal(report.max_ratio_simple),
-        str(report.max_ratio_tour),
-        format_decimal(report.max_ratio_tour),
-    ]
-
-
-_SWEEP_HEADER = [
-    "trial",
-    "strategy",
-    "n",
-    "delta",
-    "on_sum",
-    "on_sum_dec",
-    "opt_floor",
-    "opt_floor_dec",
-    "sum_ratio",
-    "sum_ratio_dec",
-    "max_ratio_simple",
-    "max_ratio_simple_dec",
-    "max_ratio_tour",
-    "max_ratio_tour_dec",
-]
+    return [trial, strategy.name, args.n, args.delta] + _cells(report, _SWEEP_COLUMNS)
 
 
 def _cmd_sweep(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be nonnegative, got {args.trials}")
-    params = [
-        (
-            trial,
-            args.seed,
-            args.strategy,
-            args.alpha,
-            args.delta,
-            args.line[0],
-            args.line[1],
-            args.n,
-            args.max_arrival,
-        )
-        for trial in range(args.trials)
-    ]
+    trial = functools.partial(_sweep_trial, args)
     # a forked pool starts every worker up front, so never ask for more
     # workers than there are trials or CPUs
     workers = min(args.jobs, args.trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_trial, params))
+            rows = list(pool.map(trial, range(args.trials)))
     else:
-        rows = [_sweep_trial(p) for p in params]
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER)
-    writer.writerows(rows)
-    _write(buf.getvalue(), args.out)
+        rows = map(trial, range(args.trials))
+    header = ["trial", "strategy", "n", "delta"] + _header(_SWEEP_COLUMNS)
+    _write(_csv_text(header, rows), args.out)
     return 0
 
 

@@ -222,10 +222,6 @@ class Trajectory:
     def end_time(self) -> Fraction:
         return self.breakpoints[-1][0]
 
-    @property
-    def end_position(self) -> Fraction:
-        return self.breakpoints[-1][1]
-
     def position_at(self, t) -> Fraction:
         """Exact server position at time ``t >= 0``."""
         if t < 0:

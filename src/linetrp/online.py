@@ -67,6 +67,10 @@ class QuadraticScalar:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticScalar is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore would hit __setattr__
+        return QuadraticScalar, (self.p, self.q)
+
     # -- coercion ----------------------------------------------------------
 
     @staticmethod
@@ -78,11 +82,6 @@ class QuadraticScalar:
         if isinstance(other, (int, Fraction)):
             return QuadraticScalar(other)
         return NotImplemented  # type: ignore[return-value]
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -548,8 +547,7 @@ class RobustPredictionTour(FixedPathStrategy):
 class ReplanSession:
     """Mutable state of one adaptive run; see GreedyReplan."""
 
-    def __init__(self, info: VisibleInfo):
-        self.info = info
+    def __init__(self):
         self._trajectory = Trajectory(((_ZERO, _ZERO),))
         self._unserved: List[Tuple[Fraction, Fraction]] = []  # (location, arrival)
 
@@ -582,7 +580,7 @@ class GreedyReplan(AdaptiveStrategy):
     name: str = field(default="greedy-replan", init=False)
 
     def start(self, info: VisibleInfo) -> ReplanSession:
-        return ReplanSession(info)
+        return ReplanSession()
 
 
 def select_algorithm(instance: Instance, delta=None, alpha=DEFAULT_ALPHA) -> Strategy:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, and byte-level determinism of seeded runs."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,6 +27,25 @@ REQ 2 2 0
 DRAG = "LINE 0 10\nREQ 4 4 0\n" + "".join(
     f"REQ {i}/1000 {i}/1000 {2 * i - 1}\n" for i in range(1, 9)
 )
+
+# predicted locations within 1/100 of the actual ones
+PREDICTED = """\
+LINE -3 7
+REQ 13/2 649/100 1/2
+REQ -2 -201/100 3
+REQ 1/4 0.26 3
+REQ 5 5 11/3
+REQ 3 299/100 20
+"""
+
+ORIGINAL = """\
+LINE -5 5
+MODEL original
+REQ - 4 1
+REQ - -3/2 0
+REQ - -5 7/2
+REQ - 2/3 12
+"""
 
 
 def _write(tmp_path, name, text):
@@ -242,8 +262,13 @@ def test_adversary_reports_greedy_escape(capsys):
     assert "2.499000" in out
 
 
-def test_sweep_is_deterministic_and_parallel_safe(capsys):
-    args = ["sweep", "--strategy", "greedy", "--trials", "4", "--seed", "3",
+@pytest.mark.parametrize(
+    "strategy, name",
+    [("greedy", "greedy-replan"), ("halfline", "halfline-roundtrips")],
+    ids=["rational", "surd"],  # the workers send back results of either kind
+)
+def test_sweep_is_deterministic_and_parallel_safe(strategy, name, capsys):
+    args = ["sweep", "--strategy", strategy, "--trials", "4", "--seed", "3",
             "--line", "0", "10", "--n", "5"]
     assert main(args) == 0
     sequential = capsys.readouterr().out
@@ -253,7 +278,7 @@ def test_sweep_is_deterministic_and_parallel_safe(capsys):
     lines = sequential.splitlines()
     assert lines[0].startswith("trial,strategy,n,delta,on_sum")
     assert len(lines) == 5
-    assert lines[1].split(",")[1] == "greedy-replan"
+    assert lines[1].split(",")[1] == name
 
 
 @pytest.mark.parametrize(
@@ -297,3 +322,61 @@ def test_sweep_caps_its_workers(trials, jobs, cpus, workers, monkeypatch, capsys
     assert main(args) == 0
     assert capsys.readouterr().out == pooled
     assert len(pooled.splitlines()) == trials + 1
+
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of seeded CLI output, recorded when every CSV cell was still written
+# out by hand: a change to any byte of it fails here
+SWEEP_LINE = ["--trials", "20", "--seed", "5", "--line", "0", "10", "--n", "6"]
+SWEEP_DIGESTS = {
+    "auto": "830ebb7981a042d67560fc5600e7e29b7a6eab312d765c0a1673deb5484b7e32",
+    "halfline": "4a3694f20e08bc582d0b4980f55d0ff6d39c4f9d9b603821b6f056a5c82a52b5",
+    "sweep": "b2fa6fd8d8a6a3f152c2666c43152d3acd27accbb7aefe56b953910a5c7958d6",
+    "perfect": "830ebb7981a042d67560fc5600e7e29b7a6eab312d765c0a1673deb5484b7e32",
+    "robust": "e204ef5c8dd31c455ebfa813abd9e2a57c408240aad85c2b724aa8097255a1a7",
+    "greedy": "69c762bd76c4118e03efe56813012c5e7e21b39cde4be1aa94bb9089fb1afe5a",
+}
+ROBUST_SWEEP = ["--strategy", "robust", "--delta", "1/100", "--trials", "20", "--seed", "7",
+                "--line", "0", "1"]
+ROBUST_SWEEP_DIGEST = "892196f29e45f44c62818b2808ab0c8164bae64d420658de19945d74182b6b71"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(["--strategy", name] + SWEEP_LINE, digest) for name, digest in SWEEP_DIGESTS.items()]
+    + [(ROBUST_SWEEP, ROBUST_SWEEP_DIGEST)],
+    ids=list(SWEEP_DIGESTS) + ["robust-delta"],
+)
+def test_sweep_output_is_pinned(argv, digest, capsys):
+    assert main(["sweep"] + argv) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "text, flags, stdout_digest, csv_digest",
+    [
+        (
+            PREDICTED,
+            ["--delta", "1/100", "--certify", "tour"],
+            "c1bd5a26c0707cd5f064f11858d363178e3b331f71ed84ef6b6d786df774ed94",
+            "e18de54eb503a47c7c20b98110c7f01c5d54c516bdb3ecbf034b0f90ca64482c",
+        ),
+        (
+            ORIGINAL,
+            [],
+            "968832d1c53a2fe967a87684e1404c906b9b9a43092f7e5df85099c87bf34f28",
+            "94c274cb19ee9ad60fdc17134394ee2b7da60cad5eb469bc743158c65d7c699d",
+        ),
+    ],
+    ids=["prediction", "original"],
+)
+def test_simulate_output_is_pinned(text, flags, stdout_digest, csv_digest, tmp_path, capsys):
+    path = _write(tmp_path, "inst.txt", text)
+    out = tmp_path / "report.csv"
+    assert main(["simulate", path, "--out", str(out)] + flags) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_digest
+    assert _sha256(out.read_bytes()) == csv_digest

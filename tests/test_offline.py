@@ -64,7 +64,6 @@ def test_tour_geometry():
     assert tour.walk.breakpoints == ((F(0), F(0)), (F(1), F(-1)), (F(4), F(2)))
     assert tour.walk.end_time == 4
     assert tour.extent == (F(-1), F(2))
-    assert tour.walk.end_position == 2
     assert tour.covers(F(1, 2)) and tour.covers(F(-1))
     assert not tour.covers(F(3))
     assert tour.walk.position_at(F(1, 2)) == F(-1, 2)

@@ -2,7 +2,9 @@
 geometric round-trip schedule, trajectory synthesis, and the planning rules
 of every strategy."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -66,10 +68,15 @@ def test_surd_ordering():
 def test_surd_mixes_with_fractions():
     assert QS(F(5, 2), 0) == F(5, 2)
     assert hash(QS(F(5, 2), 0)) == hash(F(5, 2))
-    assert QS(F(5, 2), 0).as_fraction() == F(5, 2)
-    with pytest.raises(ValueError):
-        SQRT3.as_fraction()
     assert {QS(1, 0), F(1)} == {F(1)}  # surds collapse into rational keys
+
+
+def test_surd_pickles_and_copies():
+    # a sweep's worker processes send their surd results back pickled
+    x = QS(F(5, 2), F(-1, 3))
+    for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert clone == x and type(clone) is QS
+        assert (clone.p, clone.q) == (x.p, x.q)
 
 
 def test_surd_floor_and_float():

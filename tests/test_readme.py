@@ -1,12 +1,13 @@
 """The README's commands stay in step with the CLI: every documented
-``linetrp`` invocation parses (nothing is executed), and every repository
-path it names exists."""
+``linetrp`` invocation parses (nothing is executed), the documented CSV
+headers are the ones the CLI writes, and every repository path it names
+exists."""
 
 import re
 import shlex
 from pathlib import Path
 
-from linetrp.cli import build_parser
+from linetrp.cli import build_parser, main
 from linetrp.online import STRATEGY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +55,20 @@ def test_readme_commands_parse(capsys):
 def test_readme_loop_covers_every_adversary_strategy():
     strategies = {argv[2] for argv in _readme_commands() if argv[:2] == ["adversary", "--strategy"]}
     assert strategies == set(STRATEGY_NAMES)
+
+
+def test_readme_csv_headers_match_the_cli(tmp_path, capsys):
+    documented = dict(
+        re.findall(r"`linetrp (\w+)[^`]*` writes one row per \w+:\n\n```csv\n(.*)\n```", README)
+    )
+    assert main(["sweep", "--trials", "0"]) == 0
+    sweep_header = capsys.readouterr().out.splitlines()[0]
+    instance = tmp_path / "inst.txt"
+    instance.write_text("LINE 0 1\nREQ 1 1 0\n")
+    report = tmp_path / "report.csv"
+    assert main(["simulate", str(instance), "--out", str(report)]) == 0
+    simulate_header = report.read_text().splitlines()[0]
+    assert documented == {"sweep": sweep_header, "simulate": simulate_header}
 
 
 def test_readme_names_only_existing_paths():
