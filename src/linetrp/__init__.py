@@ -20,16 +20,7 @@ from .core import (
     parse_scalar,
     serialize_instance,
 )
-from .offline import (
-    ArcIndex,
-    Direction,
-    Tour,
-    UncoveredLocationError,
-    brute_force_latency,
-    canonical_tour,
-    optimal_latency_tour,
-    tour_reference_bound,
-)
+from .offline import Direction, Tour, brute_force_latency, canonical_tour, optimal_latency_tour
 from .online import (
     CERT_RATIO,
     DEFAULT_ALPHA,

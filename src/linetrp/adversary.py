@@ -84,7 +84,7 @@ def _as_instance(cfg: GameConfig, released) -> Instance:
 def _moving_outward(traj: Trajectory, t) -> bool:
     """Is the server strictly heading away from the origin just after t?"""
     pos = traj.position_at(t)
-    i = bisect.bisect_right(traj._times, t)
+    i = bisect.bisect_right(traj.breakpoints, t, key=lambda bp: bp[0])
     if i >= len(traj.breakpoints):
         return False  # parked
     nxt = traj.breakpoints[i][1]

@@ -140,6 +140,22 @@ class Request:
         object.__setattr__(self, "arrival", _exact(self.arrival, "arrival"))
 
 
+def _check_request(line: LineSegment, model: Model, req: Request) -> None:
+    """Raise ValueError, naming the request, unless it fits the line and
+    carries a predicted location exactly when the model has them."""
+    if req.actual not in line:
+        raise ValueError(f"request {req.index}: actual location outside the line")
+    if req.arrival < 0:
+        raise ValueError(f"request {req.index}: negative arrival time")
+    if model is Model.ORIGINAL:
+        if req.predicted is not None:
+            raise ValueError(f"request {req.index}: original model takes no predicted location")
+    elif req.predicted is None:
+        raise ValueError(f"request {req.index}: prediction model requires a predicted location")
+    elif req.predicted not in line:
+        raise ValueError(f"request {req.index}: predicted location outside the line")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: the line, the information model, and the requests."""
@@ -153,17 +169,7 @@ class Instance:
         for pos, req in enumerate(self.requests):
             if req.index != pos:
                 raise ValueError(f"request at position {pos} has index {req.index}")
-            if req.actual not in self.line:
-                raise ValueError(f"request {pos}: actual location outside the line")
-            if req.arrival < 0:
-                raise ValueError(f"request {pos}: negative arrival time")
-            if self.model is Model.PREDICTION:
-                if req.predicted is None:
-                    raise ValueError(
-                        f"request {pos}: prediction model requires a predicted location"
-                    )
-                if req.predicted not in self.line:
-                    raise ValueError(f"request {pos}: predicted location outside the line")
+            _check_request(self.line, self.model, req)
 
     @property
     def predictions(self) -> Tuple[Fraction, ...]:
@@ -280,12 +286,14 @@ class Trajectory:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text.  Structural problems raise ParseError with the
-    offending line number; semantic ones (locations off the line, ...) raise
-    ValueError from the Instance constructor."""
+    """Parse instance text.  Every error raises ParseError, a ValueError,
+    with the offending line number: a request that does not fit the line or
+    the model names its REQ line (checked once the whole text is read, since
+    LINE and MODEL may follow the REQ lines); a missing LINE has no line
+    number."""
     line_seg: Optional[LineSegment] = None
     model: Optional[Model] = None
-    triples = []
+    requests = []  # (lineno, Request)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -320,12 +328,22 @@ def parse_instance(text: str) -> Instance:
                 arrival = parse_scalar(fields[3])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-            triples.append((predicted, actual, arrival))
+            requests.append((lineno, Request(len(requests), predicted, actual, arrival)))
         else:
             raise ParseError(lineno, f"unknown keyword {fields[0]!r}")
     if line_seg is None:
         raise ParseError(None, "missing LINE")
-    return make_instance(line_seg, triples, model if model is not None else Model.PREDICTION)
+    model = model if model is not None else Model.PREDICTION
+    try:
+        return Instance(line_seg, model, tuple(req for _, req in requests))
+    except ValueError:
+        # the instance checks each request in turn; name the first misfit's line
+        for lineno, req in requests:
+            try:
+                _check_request(line_seg, model, req)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+        raise
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -1,15 +1,16 @@
-"""Offline latency machinery: zigzag tours, first-visit arc indexing, and the
-exact latency-optimal service walk.
+"""Offline latency machinery: zigzag tours, their first visits, and the exact
+latency-optimal service walk.
 
 A tour starts at the origin and alternates direction, each turning point
 strictly extending coverage on its side; ``canonical_tour`` collapses any
-visit list into one in a single pass.  The latency optimum is computed two
-independent ways: an interval dynamic program (used everywhere) and a
-Held-Karp exhaustive search over every service order (used as a cross-check
-oracle on small inputs).  Both scale the rational locations once to integers
-over their common denominator; they share no other code.  The DP's states
-are (interval around the origin, end it stands at), and one relaxation loop
-serves both ends.
+visit list into one in a single pass.  ``Tour.first_visit`` reads a
+point's first-visit arc length off the tour's walk, with no division.  The
+latency optimum is computed two independent ways: an interval dynamic
+program (used everywhere) and a Held-Karp exhaustive search over every
+service order (used as a cross-check oracle on small inputs).  Both scale the
+rational locations once to integers over their common denominator; they
+share no other code.  The DP's states are (interval around the origin, end
+it stands at), and one relaxation loop serves both ends.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ from itertools import accumulate
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Request, Trajectory, _exact
-
-Scalar = Fraction
+from .core import Request, Scalar, Trajectory, _exact
 
 _ZERO = Fraction(0)
-
-
-class UncoveredLocationError(ValueError):
-    """A location outside the coverage of a tour was queried."""
 
 
 class Direction(enum.Enum):
@@ -81,16 +76,15 @@ class Tour:
             pts.append((arc + abs(tp - pos), tp))
         return Trajectory(tuple(pts))
 
-    @property
-    def extent(self) -> Tuple[Scalar, Scalar]:
-        """Covered interval (lo, hi)."""
-        lo = min((tp for tp in self.turning_points), default=_ZERO)
-        hi = max((tp for tp in self.turning_points), default=_ZERO)
-        return min(lo, _ZERO), max(hi, _ZERO)
-
-    def covers(self, x) -> bool:
-        lo, hi = self.extent
-        return lo <= x <= hi
+    def first_visit(self, x) -> Optional[Scalar]:
+        """Arc length at which the walk first reaches ``x``, or None when it
+        never does.  The walk first reaches ``x`` on its way into the first
+        breakpoint at or beyond ``x`` (on ``x``'s side of the origin), and
+        overshoots it by the distance between the two."""
+        for arc, p in self.walk.breakpoints:
+            if (p >= x) if x > 0 else (p <= x):
+                return arc - abs(p - x)
+        return None
 
 
 def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
@@ -112,31 +106,6 @@ def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
         else:
             kept.append(w)
     return Tour(tuple(kept))
-
-
-class ArcIndex:
-    """First-visit arc length along a tour, per covered location."""
-
-    def __init__(self, tour: Tour):
-        self.tour = tour
-        self._segments = []  # (u, v, arc_at_u, covered_lo, covered_hi) per leg
-        lo = hi = _ZERO
-        pts = tour.walk.breakpoints
-        for (arc, u), (_, v) in zip(pts, pts[1:]):
-            self._segments.append((u, v, arc, lo, hi))
-            lo, hi = min(lo, v), max(hi, v)
-        self._lo, self._hi = lo, hi
-
-    def at(self, x) -> Scalar:
-        """Arc length at which ``x`` is first visited."""
-        if x == 0:
-            return _ZERO
-        for u, v, arc, lo, hi in self._segments:
-            if v < u and v <= x < lo:
-                return arc + (u - x)
-            if v > u and hi < x <= v:
-                return arc + (x - u)
-        raise UncoveredLocationError(f"{x} is outside the tour coverage [{self._lo}, {self._hi}]")
 
 
 # --- exact latency optimum ----------------------------------------------------
@@ -278,12 +247,6 @@ def distance_arrival_floor(location, arrival) -> Scalar:
     """No unit-speed schedule finishes a request before its distance from the
     origin or before its arrival."""
     return max(abs(location), arrival)
-
-
-def tour_reference_bound(request: Request, index: ArcIndex) -> Scalar:
-    """First-visit time of the request along a latency-optimal walk of the
-    actual locations, floored by the arrival time."""
-    return max(index.at(request.actual), request.arrival)
 
 
 def opt_sum_floor(requests: Sequence[Request], dp_total) -> Scalar:

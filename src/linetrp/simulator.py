@@ -6,8 +6,9 @@ closed form from the round-trip schedule (``roundtrip_completions``), so no
 trajectory is built; an adaptive strategy's replanned trajectory is scanned
 instead.  The trajectory and the event log are built on first use.
 Evaluation rates each completion against two per-request floors: the coarse
-``max(|location|, arrival)`` and the sharper first-visit time along a
-latency-optimal walk of the actual locations.
+``max(|location|, arrival)`` and the sharper one, the request's first visit
+along a latency-optimal walk of the actual locations (``Tour.first_visit``)
+floored by its arrival.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .core import Instance, Trajectory
-from .offline import (
-    ArcIndex,
-    distance_arrival_floor,
-    opt_sum_floor,
-    optimal_latency_tour,
-    tour_reference_bound,
-)
+from .offline import distance_arrival_floor, opt_sum_floor, optimal_latency_tour
 from .online import (
     AdaptiveStrategy,
     FixedPathStrategy,
@@ -157,7 +152,7 @@ class RequestReport:
     arrival: object
     completion: object
     bound_simple: object  # max(|actual|, arrival)
-    bound_tour: object  # first-visit time along the latency-optimal walk
+    bound_tour: object  # max(first visit along the latency-optimal walk, arrival)
     ratio_simple: object
     ratio_tour: object
 
@@ -176,11 +171,10 @@ def evaluate(result: RunResult) -> EvaluationReport:
     """Rate every completion in a run against both per-request floors."""
     inst = result.instance
     tour, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
-    index = ArcIndex(tour)
     rows = []
     for r, c in zip(inst.requests, result.completions):
         bound_s = distance_arrival_floor(r.actual, r.arrival)
-        bound_t = tour_reference_bound(r, index)
+        bound_t = max(tour.first_visit(r.actual), r.arrival)
         rows.append(
             RequestReport(
                 r.index,

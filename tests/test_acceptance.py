@@ -17,12 +17,7 @@ from linetrp.adversary import GameConfig, play_lowerbound_game, verify_witness
 from linetrp.cli import main
 from linetrp.core import LineSegment, Model, make_instance, parse_instance, serialize_instance
 from linetrp.generate import perturbed_instance, random_instance
-from linetrp.offline import (
-    ArcIndex,
-    brute_force_latency,
-    canonical_tour,
-    optimal_latency_tour,
-)
+from linetrp.offline import brute_force_latency, canonical_tour, optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
     FALLBACK_THRESHOLD,
@@ -92,21 +87,19 @@ def test_optimal_tours_satisfy_structural_invariants():
     for _ in range(1000):
         pts = [F(rng.randint(-128, 128), 16) for _ in range(rng.randint(0, 8))]
         tour, total = optimal_latency_tour(pts)
-        index = ArcIndex(tour)
-        replayed = sum((index.at(p) for p in pts), F(0))
+        replayed = sum((tour.first_visit(p) for p in pts), F(0))
         canonical = canonical_tour(tour.turning_points)
         lo = min([F(0)] + pts)
         hi = max([F(0)] + pts)
         sweeps = []
         for order in ((lo, hi), (hi, lo)):
             sweep = canonical_tour(order)
-            sweep_index = ArcIndex(sweep)
-            sweeps.append(sum((sweep_index.at(p) for p in pts), F(0)))
+            sweeps.append(sum((sweep.first_visit(p) for p in pts), F(0)))
         if not (
             replayed == total
             and (canonical.first_direction, canonical.turning_points)
             == (tour.first_direction, tour.turning_points)
-            and all(tour.covers(p) for p in pts)
+            and all(tour.first_visit(p) is not None for p in pts)
             and all(total <= s for s in sweeps)
         ):
             bad += 1

@@ -139,6 +139,27 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("LINE 0 10\n# c\nREQ 1 1 0\nREQ 2 12 3\n", "line 4: request 1: actual location outside the line"),
+        ("LINE 0 10\nREQ 11 1 0\n", "line 2: request 0: predicted location outside the line"),
+        ("LINE 0 10\nREQ 1 1 -1\n", "line 2: request 0: negative arrival time"),
+        ("REQ - 1 0\nLINE 0 10\n", "line 1: request 0: prediction model requires a predicted"),
+        ("REQ 5 1 3\nREQ - 2 0\nMODEL original\nLINE 0 10\n", "line 1: request 0: original model"),
+        ("LINE 0 10\nMODEL original\nREQ 5 1 3\n", "line 3: request 0: original model takes no"),
+    ],
+    ids=["actual", "predicted", "arrival", "missing", "model-last", "original"],
+)
+def test_request_errors_name_their_line(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "bad.txt", text)
+    for argv in (["oracle", path], ["simulate", path]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+
 def test_simulate_auto_picks_the_prediction_tour(tmp_path, capsys):
     path = _write(tmp_path, "inst.txt", GOOD)
     assert main(["simulate", path]) == 0

@@ -255,6 +255,9 @@ def test_instance_validation():
     # the original model does not need predictions
     inst = make_instance(line, [(None, F(1), F(0))], model=Model.ORIGINAL)
     assert inst.requests[0].predicted is None
+    # ... and refuses one: no strategy would ever see it
+    with pytest.raises(ValueError, match="request 0: original model takes no predicted"):
+        make_instance(line, [(F(1), F(1), F(0))], model=Model.ORIGINAL)
     with pytest.raises(ValueError, match="only visible"):
         inst.predictions
 
@@ -346,7 +349,7 @@ def instances(draw):
         if model is Model.PREDICTION:
             predicted = F(draw(st.integers(min_value=a * denom, max_value=b * denom)), denom)
         else:
-            predicted = draw(st.sampled_from([None, actual]))
+            predicted = None
         arrival = F(draw(st.integers(min_value=0, max_value=50)))
         triples.append((predicted, actual, arrival))
     return make_instance(line, triples, model)

@@ -1,5 +1,5 @@
-"""Tests for offline latency machinery: alternating tours, first-visit arc
-indexing, and the exact latency optimum (interval dynamic program, cross
+"""Tests for offline latency machinery: alternating tours, their first
+visits, and the exact latency optimum (interval dynamic program, cross
 checked against an independent Held-Karp exhaustive search)."""
 
 import hashlib
@@ -15,16 +15,13 @@ from hypothesis import given, settings, strategies as st
 import linetrp
 from linetrp.core import LineSegment, Request, Trajectory, make_instance
 from linetrp.offline import (
-    ArcIndex,
     Direction,
     Tour,
-    UncoveredLocationError,
     brute_force_latency,
     canonical_tour,
     distance_arrival_floor,
     opt_sum_floor,
     optimal_latency_tour,
-    tour_reference_bound,
 )
 from linetrp.online import SQRT3
 
@@ -46,6 +43,12 @@ def _literal_walk(waypoints):
     return Trajectory(tuple(pts))
 
 
+def _extent(tour):
+    """Covered interval (lo, hi) of a tour."""
+    marks = (F(0),) + tour.turning_points
+    return min(marks), max(marks)
+
+
 # --- tours ---------------------------------------------------------------
 
 
@@ -63,9 +66,9 @@ def test_tour_geometry():
     assert tour.first_direction is Direction.LEFT
     assert tour.walk.breakpoints == ((F(0), F(0)), (F(1), F(-1)), (F(4), F(2)))
     assert tour.walk.end_time == 4
-    assert tour.extent == (F(-1), F(2))
-    assert tour.covers(F(1, 2)) and tour.covers(F(-1))
-    assert not tour.covers(F(3))
+    assert _extent(tour) == (F(-1), F(2))
+    assert tour.first_visit(F(1, 2)) is not None and tour.first_visit(F(-1)) is not None
+    assert tour.first_visit(F(3)) is None
     assert tour.walk.position_at(F(1, 2)) == F(-1, 2)
     assert tour.walk.position_at(F(3)) == 1
     assert tour.walk.position_at(F(99)) == 2  # parked past the end
@@ -75,7 +78,7 @@ def test_empty_tour_parks_at_origin():
     tour = Tour(())
     assert tour.first_direction is Direction.RIGHT
     assert tour.walk.end_time == 0
-    assert tour.extent == (0, 0)
+    assert _extent(tour) == (0, 0)
     assert tour.walk.position_at(F(5)) == 0
 
 
@@ -95,24 +98,22 @@ def test_canonical_tour_never_delays_first_visits(waypoints):
     literal = _literal_walk(waypoints)
     lo = min([F(0)] + waypoints)
     hi = max([F(0)] + waypoints)
-    assert tour.extent == (lo, hi)
-    index = ArcIndex(tour)
+    assert _extent(tour) == (lo, hi)
     for w in waypoints:
-        assert index.at(w) <= literal.first_service_time(w)
+        assert tour.first_visit(w) <= literal.first_service_time(w)
 
 
-# --- arc index -----------------------------------------------------------
+# --- first visits --------------------------------------------------------
 
 
 def test_arc_index_frozen_values():
-    index = ArcIndex(Tour((F(-1), F(2))))
-    assert index.at(F(0)) == 0
-    assert index.at(F(-1, 2)) == F(1, 2)
-    assert index.at(F(-1)) == 1
-    assert index.at(F(3, 2)) == F(7, 2)
-    assert index.at(F(2)) == 4
-    with pytest.raises(UncoveredLocationError):
-        index.at(F(5))
+    tour = Tour((F(-1), F(2)))
+    assert tour.first_visit(F(0)) == 0
+    assert tour.first_visit(F(-1, 2)) == F(1, 2)
+    assert tour.first_visit(F(-1)) == 1
+    assert tour.first_visit(F(3, 2)) == F(7, 2)
+    assert tour.first_visit(F(2)) == 4
+    assert tour.first_visit(F(5)) is None
 
 
 def test_tour_trajectory_walks_then_parks():
@@ -123,14 +124,18 @@ def test_tour_trajectory_walks_then_parks():
     assert traj.first_service_time(F(1)) == 3
 
 
-@given(point_lists)
-@settings(max_examples=200)
-def test_arc_index_agrees_with_tour_trajectory(points):
-    tour, _ = optimal_latency_tour(points)
-    traj = tour.walk
-    index = ArcIndex(tour)
-    for p in points:
-        assert index.at(p) == traj.first_service_time(p)
+@given(point_lists, st.booleans(), st.lists(fractions_8, max_size=4))
+@settings(max_examples=300)
+def test_arc_index_agrees_with_tour_trajectory(points, dp, extra):
+    # DP tours and canonical tours of arbitrary waypoints; queried at the
+    # turning points, the origin, between them, beyond both ends and at
+    # arbitrary points, covered or not
+    tour = optimal_latency_tour(points)[0] if dp else canonical_tour(points)
+    marks = sorted({F(0), *tour.turning_points})
+    between = [(u + v) / 2 for u, v in zip(marks, marks[1:])]
+    beyond = [marks[0] - 1, marks[0] - F(1, 3), marks[-1] + F(1, 3), marks[-1] + 1]
+    for x in marks + between + beyond + points + extra:
+        assert tour.first_visit(x) == tour.walk.first_service_time(x)
 
 
 # --- latency optimum -----------------------------------------------------
@@ -252,8 +257,7 @@ def test_import_loads_no_third_party_module():
 @settings(max_examples=200)
 def test_dp_total_is_cost_of_its_own_tour(points):
     tour, total = optimal_latency_tour(points)
-    index = ArcIndex(tour)
-    assert total == sum((index.at(p) for p in points), F(0))
+    assert total == sum((tour.first_visit(p) for p in points), F(0))
 
 
 # --- reference bounds ------------------------------------------------------
@@ -263,10 +267,6 @@ def test_per_request_bounds():
     req = Request(0, None, F(-3), F(5))
     assert distance_arrival_floor(req.actual, req.arrival) == 5
     assert distance_arrival_floor(F(-3), F(1)) == 3
-
-    index = ArcIndex(Tour((F(-1), F(2))))
-    assert tour_reference_bound(Request(0, None, F(2), F(0)), index) == 4
-    assert tour_reference_bound(Request(0, None, F(2), F(7)), index) == 7
 
 
 def test_opt_sum_lower_bound_takes_the_larger_floor():

@@ -391,7 +391,7 @@ def test_padded_robust_path_covers_all_error_neighborhoods(line, rel, delta):
     path = padded_robust_path(preds, delta, line)
     for p in preds:
         for x in (max(p - delta, line.a), p, min(p + delta, line.b)):
-            assert path.covers(x)
+            assert path.first_visit(x) is not None
 
 
 def test_robust_strategy_fallback_threshold():

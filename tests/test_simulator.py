@@ -106,6 +106,17 @@ def test_evaluate_frozen_report():
     assert (late.ratio_simple, late.ratio_tour) == (F(4), F(1))
 
 
+def test_tour_floor_is_floored_by_the_arrival():
+    # the latency-optimal walk of {-1, 2} first visits 2 at arc 4; arriving
+    # at 7, that request's tour floor is its arrival
+    inst = make_instance(
+        LineSegment(F(-1), F(2)), [(None, F(-1), F(0)), (None, F(2), F(7))], Model.ORIGINAL
+    )
+    report = evaluate(run(inst, GreedyReplan()))
+    assert optimal_latency_tour([F(-1), F(2)])[0].first_visit(F(2)) == 4
+    assert [row.bound_tour for row in report.rows] == [F(1), F(7)]
+
+
 strategy_pool = st.sampled_from(
     [HalflineRoundTrips(), LineSweepRoundTrips(), PerfectPredictionTour(), GreedyReplan()]
 )
