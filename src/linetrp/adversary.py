@@ -12,8 +12,8 @@ a proven violation.
 
 Against a committed schedule the adversary reads each request's completion
 off the schedule once, when it releases the request: later releases cannot
-change it.  An adaptive strategy is re-run on every step, since each release
-changes its plan.
+change it.  An adaptive strategy is re-run when a release changes its input,
+since each release changes its plan; between releases its last run stands.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _ZERO = Fraction(0)
 @dataclass(frozen=True)
 class GameConfig:
     line: LineSegment = LineSegment(Fraction(0), Fraction(10))
-    bases: Tuple[Fraction, ...] = tuple(Fraction(v) for v in (1, 4, 5, 6, 7, 8, 9, 10))
+    bases: Tuple[Fraction, ...] = tuple([Fraction(v) for v in (1, 4, 5, 6, 7, 8, 9, 10)])
     near_origin: Tuple[Fraction, ...] = (
         Fraction(1, 1000),
         Fraction(2, 1000),
@@ -98,9 +98,9 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     Fixed-path strategies commit their whole motion from the predictions:
     the adversary watches their trajectory to time the releases and takes
     each request's completion from ``roundtrip_completions`` at its release.
-    Adaptive ones are re-run against the releases made so far before every
-    decision, and the completions come from that run.  Returns the full
-    transcript; ``witness`` stays None when the strategy escapes every
+    Adaptive ones are re-run against the releases made so far when a release
+    changes that input, and the completions come from that run.  Returns the
+    full transcript; ``witness`` stays None when the strategy escapes every
     deadline within ``max_steps``.
     """
     cfg = config if config is not None else GameConfig()
@@ -122,10 +122,12 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
 
     declared: Optional[Tuple[int, int]] = None  # (request index, step)
     final_step = cfg.max_steps
+    probed = None  # len(released) at the last probe; only a release changes its input
     for step in range(cfg.max_steps + 1):
-        if planned is None:
+        if planned is None and probed != len(released):
             probe = run(_as_instance(cfg, released), strategy, truncate=False)
             traj, comps = probe.trajectory, probe.completions
+            probed = len(released)
         # a violation is provable at an integer time in two ways: the request
         # was served late, or its deadline passed while it sat unserved
         for i, ((loc, arr), c) in enumerate(zip(released, comps)):

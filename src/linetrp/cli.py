@@ -136,11 +136,11 @@ def _write(text: str, out) -> None:
 
 # CSV columns as (header, attribute) pairs.  The lists are explicit, so a field
 # added to a report does not change the default CSV.
-_REQUEST_COLUMNS = tuple(
+_REQUEST_COLUMNS = tuple([
     (attr, attr)
     for attr in ("index", "predicted", "actual", "arrival", "completion", "bound_simple",
                  "bound_tour", "ratio_simple", "ratio_tour")
-)
+])
 _SWEEP_COLUMNS = (
     ("on_sum", "on_sum"),
     ("opt_floor", "opt_sum_bound"),

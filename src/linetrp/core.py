@@ -176,7 +176,7 @@ class Instance:
         """Predicted locations in request order (prediction model only)."""
         if self.model is not Model.PREDICTION:
             raise ValueError("predictions are only visible in the prediction model")
-        return tuple(req.predicted for req in self.requests)
+        return tuple([req.predicted for req in self.requests])
 
     def max_arrival(self) -> Fraction:
         return max((req.arrival for req in self.requests), default=Fraction(0))
@@ -189,10 +189,10 @@ def make_instance(line, triples, model: Model = Model.PREDICTION) -> Instance:
     in triples for original-model instances.
     """
     seg = line if isinstance(line, LineSegment) else LineSegment(line[0], line[1])
-    reqs = tuple(
+    reqs = tuple([
         Request(i, predicted, actual, arrival)
         for i, (predicted, actual, arrival) in enumerate(triples)
-    )
+    ])
     return Instance(seg, model, reqs)
 
 
@@ -208,7 +208,7 @@ class Trajectory:
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        pts = tuple((_exact(t, "time"), _exact(p, "position")) for t, p in self.breakpoints)
+        pts = tuple([(_exact(t, "time"), _exact(p, "position")) for t, p in self.breakpoints])
         object.__setattr__(self, "breakpoints", pts)
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
@@ -335,7 +335,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(None, "missing LINE")
     model = model if model is not None else Model.PREDICTION
     try:
-        return Instance(line_seg, model, tuple(req for _, req in requests))
+        return Instance(line_seg, model, tuple([req for _, req in requests]))
     except ValueError:
         # the instance checks each request in turn; name the first misfit's line
         for lineno, req in requests:

@@ -45,7 +45,7 @@ class Tour:
     turning_points: Tuple[Scalar, ...]
 
     def __post_init__(self):
-        tps = tuple(_exact(tp, "turning point") for tp in self.turning_points)
+        tps = tuple([_exact(tp, "turning point") for tp in self.turning_points])
         object.__setattr__(self, "turning_points", tps)
         lo = hi = _ZERO
         left = self.first_direction is Direction.LEFT

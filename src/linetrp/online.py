@@ -565,7 +565,7 @@ class ReplanSession:
         ]
         t, pos = committed.breakpoints[-1]
         tour, _ = optimal_latency_tour(loc - pos for loc, _ in self._unserved)
-        suffix = tuple((t + s, pos + x) for s, x in tour.walk.breakpoints[1:])
+        suffix = tuple([(t + s, pos + x) for s, x in tour.walk.breakpoints[1:]])
         self._trajectory = Trajectory(committed.breakpoints + suffix)
 
     def trajectory(self) -> Trajectory:

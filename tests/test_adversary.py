@@ -2,10 +2,12 @@
 caught by a near-origin release, the replanner escapes, and every claimed
 violation survives an independent re-run."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from linetrp import adversary
 from linetrp.adversary import GameConfig, Witness, play_lowerbound_game, verify_witness
 from linetrp.core import Model
 from linetrp.online import (
@@ -19,6 +21,7 @@ from linetrp.online import (
     coverage_horizon,
     roundtrip_trajectory,
 )
+from linetrp.simulator import run
 
 QS = QuadraticScalar
 
@@ -139,3 +142,51 @@ def test_game_respects_custom_target():
     transcript = play_lowerbound_game(HalflineRoundTrips(), cfg)
     assert transcript.witness is None
     assert transcript.max_ratio > 3
+
+
+ROSTERS = {
+    "default": GameConfig().near_origin,
+    "five": tuple(F(k, 1000) for k in range(1, 6)),
+    "four": tuple(F(k, 1000) for k in range(1, 5)),
+}
+# sha256 of every game's log, completions, witness, worst ratio and
+# verify_witness verdict, recorded when adaptive strategies were re-probed at
+# every step: a change to when the game probes must not change any of them
+GAME_DIGESTS = {
+    "greedy-replan": "824ea09464c4069bcd2dce4693d14ced679a7c2f98a3085f82ecbe2ab2598f0a",
+    "robust-tour": "193a69ba36c13dd6452941f893bb14b0d2901143d03f3c9549ddaa30dd49a236",
+    "line-sweep": "1c6a0301c3a17f3672573e136ae95ccfed957e834e1768cc3ad8dd39d12b0b7c",
+}
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [GreedyReplan(), RobustPredictionTour(delta=F(1, 100)), LineSweepRoundTrips(F(3, 4))],
+    ids=lambda s: s.name,
+)
+def test_game_output_is_pinned(strategy):
+    digest = hashlib.sha256()
+    for roster in ROSTERS.values():
+        for max_steps in (0, 1, 5, 30, 120):
+            cfg = GameConfig(near_origin=roster, max_steps=max_steps)
+            t = play_lowerbound_game(strategy, cfg)
+            record = (t.log, t.completions, t.witness, t.max_ratio, verify_witness(strategy, t))
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == GAME_DIGESTS[strategy.name]
+
+
+def test_adaptive_strategy_is_probed_once_per_release(monkeypatch):
+    """Between releases the probe's instance does not change, so neither does
+    its run: one probe at the start, one after each near-origin release, and
+    the final run."""
+    calls = 0
+
+    def counting_run(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "run", counting_run)
+    cfg = GameConfig(max_steps=120)
+    play_lowerbound_game(GreedyReplan(), cfg)
+    assert calls <= 1 + len(cfg.near_origin) + 1
