@@ -1,9 +1,13 @@
 """Online strategies: geometric round-trip schedules and prediction-guided tours.
 
 All schedule arithmetic is exact.  The optimal trip growth rate involves
-``sqrt(3)``, so scalars here live in the quadratic extension Q[sqrt(3)],
-represented as an exact pair ``p + q*sqrt(3)`` of rationals.  Everything
-downstream (trajectories, service times, ratios) stays exact in that field.
+``sqrt(3)``, so scalars here live in the quadratic extension Q[sqrt(3)]:
+``QuadraticScalar`` is an exact pair ``p + q*sqrt(3)`` of rationals.
+Everything downstream (trajectories, service times, ratios) stays exact in
+that field.  The closed-form completions (``roundtrip_completions``) scale
+each call's values once to integer pairs ``(a, b)``, meaning
+``(a + b*sqrt(3))/d`` over one common denominator ``d``, work on those, and
+convert each request's completion back once.
 """
 
 from __future__ import annotations
@@ -36,6 +40,29 @@ def _pair_sign(p, q) -> int:
     if p > 0:  # q < 0
         return 1 if pp > qq else -1  # pp == qq impossible: sqrt(3) irrational
     return 1 if qq > pp else -1
+
+
+def _surd_floor(x: int, y: int, d: int) -> int:
+    """``floor((x + y*sqrt(3))/d)`` for integers with ``d != 0``."""
+    if d < 0:
+        x, y, d = -x, -y, -d
+    # for y != 0, |y|*sqrt(3) = sqrt(3*y^2) lies strictly between the integers
+    # m and m+1, so d times the value lies strictly between lo and lo+1
+    m = math.isqrt(3 * y * y)
+    lo = x + m if y >= 0 else x - m - 1
+    return lo // d
+
+
+def _parts(value):
+    """The rational parts ``(p, q)`` of ``p + q*sqrt(3)``."""
+    return (value.p, value.q) if isinstance(value, QuadraticScalar) else (value, 0)
+
+
+def _scaled(value, d: int):
+    """The integers ``(a, b)`` with ``value == (a + b*sqrt(3))/d``, for a
+    ``d`` that both rational parts of ``value`` divide."""
+    p, q = _parts(value)
+    return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)
 
 
 class ModelMismatchError(ValueError):
@@ -201,15 +228,8 @@ class QuadraticScalar:
         return float(self.p) + float(self.q) * math.sqrt(3.0)
 
     def __floor__(self) -> int:
-        if self.q == 0:
-            return math.floor(self.p)
-        # |q|*sqrt(3) = sqrt(3*a^2)/b lies strictly between the integers m and
-        # m+1, so self lies strictly between lo and lo+1
-        a, b = self.q.numerator, self.q.denominator
-        m = math.isqrt(3 * a * a) // b
-        lo = self.p + m if a > 0 else self.p - m - 1
-        n = math.floor(lo)
-        return n + 1 if self >= n + 1 else n
+        d = math.lcm(self.p.denominator, self.q.denominator)
+        return _surd_floor(*_scaled(self, d), d)
 
     def __repr__(self):
         return f"QuadraticScalar({self.p}, {self.q})"
@@ -348,19 +368,33 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
 
 def _next_pass(geometric, base, period, s, arrival):
     """Earliest time at or after ``arrival`` at which the round trips are at
-    arc ``s``: out and back in each geometric trip that reaches it, then at
-    ``base + k*period + s`` and ``base + (k+1)*period - s`` for ``k >= 0``."""
+    arc ``s``: out and back in each geometric trip ``(start, end, reach)``
+    that reaches it, then at ``base + k*period + s`` and
+    ``base + (k+1)*period - s`` for ``k >= 0``.
+
+    Every value is an integer pair ``(a, b)`` standing for
+    ``(a + b*sqrt(3))/d``, over one ``d`` shared by all of them; so is the
+    result.  ``_pair_sign`` orders the pairs and ``_surd_floor`` counts the
+    whole periods before the arrival."""
+    (sa, sb), (aa, ab) = s, arrival
     # start + s >= arrival iff start >= early; end - s >= arrival iff end >= late
-    early, late = arrival - s, arrival + s
-    for start, end, reach in geometric:
-        if end >= late and reach >= s:
-            return start + s if start >= early else end - s
-    sweep = base + max(math.floor((early - base) / period), 0) * period
-    if sweep >= early:
-        return sweep + s
-    if sweep + period >= late:
-        return sweep + period - s
-    return sweep + period + s
+    ea, eb, la, lb = aa - sa, ab - sb, aa + sa, ab + sb
+    for (ta, tb), (na, nb), (ra, rb) in geometric:
+        if _pair_sign(na - la, nb - lb) >= 0 and _pair_sign(ra - sa, rb - sb) >= 0:
+            if _pair_sign(ta - ea, tb - eb) >= 0:
+                return ta + sa, tb + sb
+            return na - sa, nb - sb
+    # k = floor((early - base)/period): times the period's conjugate over its norm
+    (ba, bb), (pa, pb) = base, period
+    x, y = ea - ba, eb - bb
+    k = max(_surd_floor(x * pa - 3 * y * pb, y * pa - x * pb, pa * pa - 3 * pb * pb), 0)
+    wa, wb = ba + k * pa, bb + k * pb  # the sweep of period k starts at (wa, wb)
+    if _pair_sign(wa - ea, wb - eb) >= 0:
+        return wa + sa, wb + sb
+    wa, wb = wa + pa, wb + pb
+    if _pair_sign(wa - la, wb - lb) >= 0:
+        return wa - sa, wb - sb
+    return wa + sa, wb + sb
 
 
 def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[object]]:
@@ -376,21 +410,44 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     arcs, so the cost grows with the legs and the geometric trips, not with
     the arrival.  It equals ``roundtrip_trajectory(...).first_service_time``
     on a trajectory long enough to serve the request.
+
+    The trips, the legs and the requests are scaled once to integer pairs
+    ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over the common denominator
+    ``d`` of every value in the call, so the per-request work is integer
+    arithmetic; each request's earliest pass is converted back once, to a
+    ``Fraction`` when ``b == 0`` and a ``QuadraticScalar`` otherwise.
     """
     path, schedule = planned.path, planned.schedule
     pts, total = path.walk.breakpoints, path.walk.end_time
     if total == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
-    *geometric, (base, _, _) = schedule.trips(total)
-    period = 2 * total
-    # (low end, high end, start, arc at start) per leg
-    legs = [(min(u, v), max(u, v), u, at) for (at, u), (_, v) in zip(pts, pts[1:])]
+    trips, requests = list(schedule.trips(total)), list(requests)
+    values = [v for row in trips + list(pts) + requests for v in row]
+    d = math.lcm(*[x.denominator for v in values for x in _parts(v)])
+    *geometric, (base, _, _) = [tuple([_scaled(v, d) for v in trip]) for trip in trips]
+    walk = [(_scaled(at, d), _scaled(u, d)) for at, u in pts]
+    period = _scaled(2 * total, d)
+    # (arc at start, start, end) per leg
+    legs = [(at, u, v) for (at, u), (_, v) in zip(walk, walk[1:])]
     out: List[Optional[object]] = []
     for loc, arrival in requests:
-        arcs = {at + abs(loc - u) for lo, hi, u, at in legs if lo <= loc <= hi}
-        out.append(
-            min((_next_pass(geometric, base, period, s, arrival) for s in arcs), default=None)
-        )
+        (xa, xb), arrival = _scaled(loc, d), _scaled(arrival, d)
+        arcs = set()
+        for (ca, cb), (ua, ub), (va, vb) in legs:
+            from_u, from_v = _pair_sign(xa - ua, xb - ub), _pair_sign(xa - va, xb - vb)
+            if from_u * from_v <= 0:  # the leg crosses the location, at arc + |loc - u|
+                arcs.add((ca + from_u * (xa - ua), cb + from_u * (xb - ub)))
+        best = None
+        for s in arcs:
+            t = _next_pass(geometric, base, period, s, arrival)
+            if best is None or _pair_sign(t[0] - best[0], t[1] - best[1]) < 0:
+                best = t
+        if best is None:
+            out.append(None)
+        elif best[1] == 0:
+            out.append(Fraction(best[0], d))
+        else:
+            out.append(QuadraticScalar(Fraction(best[0], d), Fraction(best[1], d)))
     return out
 
 

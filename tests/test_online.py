@@ -25,6 +25,8 @@ from linetrp.online import (
     QuadraticScalar,
     RobustPredictionTour,
     RoundTripSchedule,
+    _pair_sign,
+    _surd_floor,
     coverage_horizon,
     extend_tour_to_line,
     make_strategy,
@@ -169,6 +171,20 @@ def test_surd_floor_is_exact_at_any_magnitude(x):
     n = math.floor(x)
     assert type(n) is int
     assert n <= x < n + 1
+
+
+@given(
+    st.integers(-(10**400), 10**400),
+    st.one_of(st.integers(-(10**400), 10**400), st.integers(-50, 50)),
+    st.one_of(st.integers(1, 10**400), st.integers(1, 12)),
+)
+@settings(max_examples=300)
+def test_surd_floor_helper_brackets_the_value(x, y, d):
+    # n <= (x + y*sqrt(3))/d < n + 1, decided without the root
+    n = _surd_floor(x, y, d)
+    assert _pair_sign(x - n * d, y) >= 0
+    assert _pair_sign(x - (n + 1) * d, y) < 0
+    assert _surd_floor(-x, -y, -d) == n
 
 
 def test_surd_division():

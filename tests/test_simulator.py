@@ -12,7 +12,9 @@ from linetrp.core import LineSegment, Model, make_instance
 from linetrp.generate import random_instance
 from linetrp.offline import optimal_latency_tour
 from linetrp.online import (
+    CERT_RATIO,
     DEFAULT_ALPHA,
+    SQRT3,
     GreedyReplan,
     HalflineRoundTrips,
     LineSweepRoundTrips,
@@ -281,3 +283,44 @@ def test_large_arrivals_are_served_without_walking_to_them():
     near, far = roundtrip_completions(planned, [(F(7), F(30)), (F(7), 30 + shift)])
     assert isinstance(near, QuadraticScalar) and near.q != 0
     assert far == near + shift
+
+
+@pytest.mark.parametrize(
+    "strategy, line, predictions",
+    [
+        (HalflineRoundTrips(), LineSegment(F(0), F(10)), ()),
+        # pad 4*delta = 1/100
+        (RobustPredictionTour(F(1, 400)), LineSegment(F(-1), F(2)), (F(-2, 3), F(7, 5))),
+        # a surd line length makes the period a surd
+        (LineSweepRoundTrips(), LineSegment(-SQRT3, F(5, 2) + SQRT3), ()),
+    ],
+)
+def test_one_huge_denominator_scales_every_request(strategy, line, predictions):
+    # every value of a call is scaled to the common denominator of all of
+    # them, here about 10**50 times the schedule's own; shifting the arrival
+    # by whole periods still shifts each completion by exactly as much
+    planned = strategy.plan(VisibleInfo(line, Model.PREDICTION, predictions))
+    shift = 2 * planned.path.walk.end_time * 10**30
+    arrival = 30 + F(1, 10**50 + 1)
+    spots = [F(0), F(1, 3), *predictions, *planned.path.turning_points]
+    got = roundtrip_completions(
+        planned, [(x, arrival) for x in spots] + [(x, arrival + shift) for x in spots]
+    )
+    near, far = got[: len(spots)], got[len(spots) :]
+    assert far == [c + shift for c in near]
+    replay = _replay(planned, arrival)
+    expected = [replay.first_service_time(x, arrival) for x in spots]
+    assert near == expected
+    assert [str(c) for c in near] == [str(c) for c in expected]
+
+
+def test_robust_certificate_is_per_request_on_half_lines_only():
+    # on a full line the padded walk goes left first, so one request just
+    # right of the origin waits out the left excursion: 33/1000 against a
+    # floor of 7/1000, above 2 + sqrt(3) + 4*delta = 3.772...
+    delta = F(1, 100)
+    inst = make_instance(LineSegment(F(-1), F(1)), [(F(-3, 1000), F(7, 1000), F(0))])
+    report = evaluate(run(inst, RobustPredictionTour(delta)))
+    assert report.rows[0].completion == F(33, 1000)
+    assert report.max_ratio_simple == report.max_ratio_tour == F(33, 7)
+    assert report.max_ratio_simple > CERT_RATIO + 4 * delta
