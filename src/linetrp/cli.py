@@ -221,12 +221,13 @@ def _tour_text(tour) -> str:
 def _cmd_oracle(args) -> int:
     inst = _read_instance(args.instance)
     actuals = [r.actual for r in inst.requests]
+    if args.brute:  # first: past its size cap, exhaustive search fails before any output
+        brute_total, order = brute_force_latency(actuals)
     tour, total = optimal_latency_tour(actuals)
     print(f"requests: {len(actuals)}")
     print(f"optimal latency sum: {_exact_text(total)}")
     print(f"optimal walk: {_tour_text(tour)}")
     if args.brute:
-        brute_total, order = brute_force_latency(actuals)
         if brute_total != total:
             print(
                 f"cross-check FAILED: exhaustive search got {brute_total}"

@@ -10,7 +10,10 @@ program (used everywhere) and a Held-Karp exhaustive search over every
 service order (used as a cross-check oracle on small inputs).  Both scale the
 rational locations once to integers over their common denominator; they
 share no other code.  The DP's states are (interval around the origin, end
-it stands at), and one relaxation loop serves both ends.
+it stands at), each holding one int key that orders exactly as its
+(cost, turns, first move) tuple.  The origin's own row and column, where
+one end is unreachable, are filled apart, so the loop over the other
+intervals relaxes both ends with no test for a missing state.
 """
 
 from __future__ import annotations
@@ -124,6 +127,14 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     strictly better (turns and first move already fix the end, so this last
     rule never decides).  Locations must be rational: the walk is solved over
     integer positions scaled by their common denominator.
+
+    Each state's (cost, turns, first_move_right) is packed into the int
+    ``(cost*(m+1) + turns)*2 + first`` over the ``m`` distinct positions, the
+    origin included.  A walk makes fewer than ``m`` turns and ``first`` is 0
+    or 1, so comparing keys compares the tuples: one int comparison per
+    relaxation.  The origin's row (walks that left it to the right) and its
+    column (to the left) are filled before the other intervals; the end a
+    walk cannot stand at there holds an int larger than every key.
     """
     weights: Dict[Scalar, int] = {}
     for p in points:
@@ -140,42 +151,61 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     at = [x.numerator * (scale // x.denominator) for x in xs]
     prefix = list(accumulate((weights.get(x, 0) for x in xs), initial=0))
     m, o = len(xs), xs.index(_ZERO)
-    # best[side][i][j] = (cost, turns, first_move_right) of the cheapest walk
-    # that has covered xs[i..j] and stands at xs[i] (side 0) or xs[j] (side 1);
-    # back[side][i][j] is the side it stood at before reaching that end.
-    # Each step costs its length times the requests still waiting.
-    best = [[[None] * m for _ in range(o + 1)] for _ in (0, 1)]
-    back = [[[0] * m for _ in range(o + 1)] for _ in (0, 1)]
-    # the first move goes straight on from the origin's side of its direction,
-    # which records that direction; turning back out of the origin loses on turns
-    best[0][o][o], best[1][o][o] = (0, 0, 0), (0, 0, 1)
-    for i in range(o, -1, -1):
-        for j in range(o, m):
-            for side in (0, 1):
-                pi, pj, end = (i + 1, j, at[i]) if side == 0 else (i, j - 1, at[j])
-                if pi > o or pj < o:
-                    continue
-                waiting = prefix[pi] + prefix[m] - prefix[pj + 1]
-                for prev in (side, 1 - side):  # straight on, then turning back
-                    state = best[prev][pi][pj]
-                    if state is None:
-                        continue
-                    cost, turns, first = state
-                    step = abs(end - (at[pj] if prev else at[pi])) * waiting
-                    cand = (cost + step, turns + (prev != side), first)
-                    if best[side][i][j] is None or cand < best[side][i][j]:
-                        best[side][i][j], back[side][i][j] = cand, prev
+    # best[side][i][j - o] is the key of the cheapest walk that has covered
+    # xs[i..j] and stands at xs[i] (side 0) or xs[j] (side 1); turned[side][i][j - o]
+    # says whether it got there by turning back from the other end.  A step
+    # adds its length times the requests still waiting (the one it reaches
+    # included) times `unit`; a turn adds 2.  No walk stands at the origin's
+    # end after leaving it: those states hold `never`, above every key (fewer
+    # than m steps, none longer than the span, at most prefix[m] waiting).
+    unit = 2 * (m + 1)
+    never = (prefix[m] * (at[-1] - at[0]) * m + 1) * unit
+    out = [(prefix[m] - prefix[j + 1]) * unit for j in range(o, m)]  # waiting right of xs[j]
+    best = [[None] * (o + 1) for _ in (0, 1)]
+    turned = [[None] * (o + 1) for _ in (0, 1)]
+    # the origin's row: the first move goes straight on from the origin's side
+    # of its direction, which records that direction (key 1 is first move
+    # right); turning back out of the origin loses on turns
+    row = [1]
+    for j in range(o + 1, m):
+        row.append(row[-1] + (at[j] - at[j - 1]) * (prefix[o] * unit + out[j - o - 1]))
+    best[0][o], best[1][o], turned[1][o] = [0] + [never] * (m - o - 1), row, [False] * (m - o)
+    cols = list(zip(at[o + 1 :], [at[j] - at[j - 1] for j in range(o + 1, m)], out[1:], out))
+    for i in range(o - 1, -1, -1):
+        xi, dl = at[i], at[i + 1] - at[i]
+        here, before = prefix[i + 1] * unit, prefix[i] * unit  # waiting left of xs[i+1], xs[i]
+        ln, rn = best[0][i + 1], best[1][i + 1]
+        # the origin's column: straight on from the right, standing at xs[i]
+        left, right = ln[0] + dl * (here + out[0]), never
+        lrow, rrow, lturn, rturn = [left], [never], [False], [False]
+        for (xj, gap, wait, wait_before), lnj, rnj in zip(cols, ln[1:], rn[1:]):
+            span = xj - xi
+            # at xs[j]: straight on from xs[j-1] unless turning back from xs[i] is cheaper
+            w = before + wait_before
+            step, turn = right + gap * w, left + span * w + 2
+            back = turn < step
+            rturn.append(back)
+            right = turn if back else step
+            # at xs[i]: straight on from xs[i+1] unless turning back from xs[j] is cheaper
+            w = here + wait
+            step, turn = lnj + dl * w, rnj + span * w + 2
+            back = turn < step
+            lturn.append(back)
+            left = turn if back else step
+            lrow.append(left)
+            rrow.append(right)
+        best[0][i], best[1][i], turned[0][i], turned[1][i] = lrow, rrow, lturn, rturn
 
-    ends = (best[0][0][m - 1], best[1][0][m - 1])
-    (cost, _, _), side = min((v, s) for s, v in enumerate(ends) if v is not None)
+    key, side = min((best[0][0][-1], 0), (best[1][0][-1], 1))
+    cost = key // unit
     # walk back to the origin, collecting each newly covered end in order
     events: List[Scalar] = []
     i, j = 0, m - 1
     while (i, j) != (o, o):
         events.append(xs[j] if side else xs[i])
-        prev = back[side][i][j]
+        back = turned[side][i][j - o]
         i, j = (i, j - 1) if side else (i + 1, j)
-        side = prev
+        side ^= back
     events.reverse()
     return canonical_tour(events), Fraction(cost, scale)
 

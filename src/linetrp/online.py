@@ -5,9 +5,10 @@ All schedule arithmetic is exact.  The optimal trip growth rate involves
 ``QuadraticScalar`` is an exact pair ``p + q*sqrt(3)`` of rationals.
 Everything downstream (trajectories, service times, ratios) stays exact in
 that field.  The closed-form completions (``roundtrip_completions``) scale
-each call's values once to integer pairs ``(a, b)``, meaning
-``(a + b*sqrt(3))/d`` over one common denominator ``d``, work on those, and
-convert each request's completion back once.
+each call's trips and legs once to integer pairs ``(a, b)``, meaning
+``(a + b*sqrt(3))/d`` over a common denominator ``d`` (rescaled once per
+distinct request denominator), work on those, and convert each request's
+completion back once.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ def _scaled(value, d: int):
     ``d`` that both rational parts of ``value`` divide."""
     p, q = _parts(value)
     return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)
+
+
+def _times(rows, f: int):
+    """Every integer pair ``(a, b)`` of ``rows`` (tuples of pairs) times ``f``."""
+    return [tuple([(a * f, b * f) for a, b in row]) for row in rows]
 
 
 class ModelMismatchError(ValueError):
@@ -311,14 +317,15 @@ class RoundTripSchedule:
         but each trip multiplies the running power of ``growth`` once instead
         of raising it afresh.
         """
-        start, power, j = _ZERO, self.growth, 1
+        growth, pad = self.growth, self.pad
+        start, power, j = _ZERO, growth, 1
         while True:
-            end = power + j * self.pad
+            end = power + j * pad
             reach = (end - start) / 2
             yield start, end, reach
             if reach >= until:
                 return
-            start, power, j = end, power * self.growth, j + 1
+            start, power, j = end, power * growth, j + 1
 
 
 def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Trajectory:
@@ -411,35 +418,44 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     the arrival.  It equals ``roundtrip_trajectory(...).first_service_time``
     on a trajectory long enough to serve the request.
 
-    The trips, the legs and the requests are scaled once to integer pairs
-    ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over the common denominator
-    ``d`` of every value in the call, so the per-request work is integer
-    arithmetic; each request's earliest pass is converted back once, to a
-    ``Fraction`` when ``b == 0`` and a ``QuadraticScalar`` otherwise.
+    The trips and the legs are scaled once to integer pairs ``(a, b)``,
+    meaning ``(a + b*sqrt(3))/d0`` over their common denominator ``d0``, and
+    rescaled once per distinct ``d = lcm(d0, denominators of the request)``,
+    so pairwise coprime requests do not grow each other's integers.  The
+    per-request work is integer arithmetic; each request's earliest pass is
+    converted back once, to a ``Fraction`` when ``b == 0`` and a
+    ``QuadraticScalar`` otherwise.
     """
     path, schedule = planned.path, planned.schedule
     pts, total = path.walk.breakpoints, path.walk.end_time
     if total == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
-    trips, requests = list(schedule.trips(total)), list(requests)
-    values = [v for row in trips + list(pts) + requests for v in row]
-    d = math.lcm(*[x.denominator for v in values for x in _parts(v)])
-    *geometric, (base, _, _) = [tuple([_scaled(v, d) for v in trip]) for trip in trips]
-    walk = [(_scaled(at, d), _scaled(u, d)) for at, u in pts]
-    period = _scaled(2 * total, d)
-    # (arc at start, start, end) per leg
+    trips = list(schedule.trips(total))
+    d0 = math.lcm(*[x.denominator for row in trips + list(pts) for v in row for x in _parts(v)])
+    *geometric, (base, _, _) = [tuple([_scaled(v, d0) for v in trip]) for trip in trips]
+    walk = [(_scaled(at, d0), _scaled(u, d0)) for at, u in pts]
+    # (arc at start, start, end) per leg; (base, period) of the full sweeps
     legs = [(at, u, v) for (at, u), (_, v) in zip(walk, walk[1:])]
+    sweeps = (base, _scaled(2 * total, d0))
+    over = {d0: (geometric, legs, sweeps)}  # the same geometry over each d seen
     out: List[Optional[object]] = []
     for loc, arrival in requests:
-        (xa, xb), arrival = _scaled(loc, d), _scaled(arrival, d)
+        (lp, lq), (ap, aq) = _parts(loc), _parts(arrival)
+        d = math.lcm(d0, lp.denominator, lq.denominator, ap.denominator, aq.denominator)
+        if d not in over:
+            f = d // d0
+            over[d] = (_times(geometric, f), _times(legs, f), _times([sweeps], f)[0])
+        geometric_d, legs_d, (base, period) = over[d]
+        xa, xb = lp.numerator * (d // lp.denominator), lq.numerator * (d // lq.denominator)
+        arrival = ap.numerator * (d // ap.denominator), aq.numerator * (d // aq.denominator)
         arcs = set()
-        for (ca, cb), (ua, ub), (va, vb) in legs:
+        for (ca, cb), (ua, ub), (va, vb) in legs_d:
             from_u, from_v = _pair_sign(xa - ua, xb - ub), _pair_sign(xa - va, xb - vb)
             if from_u * from_v <= 0:  # the leg crosses the location, at arc + |loc - u|
                 arcs.add((ca + from_u * (xa - ua), cb + from_u * (xb - ub)))
         best = None
         for s in arcs:
-            t = _next_pass(geometric, base, period, s, arrival)
+            t = _next_pass(geometric_d, base, period, s, arrival)
             if best is None or _pair_sign(t[0] - best[0], t[1] - best[1]) < 0:
                 best = t
         if best is None:

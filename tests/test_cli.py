@@ -128,6 +128,20 @@ def test_oracle_with_cross_check(tmp_path, capsys):
     assert "cross-check ok" in out
 
 
+def test_oracle_brute_past_its_cap_prints_nothing(tmp_path, capsys):
+    # 12 requests exceed the exhaustive search's cap of 9: the run fails
+    # before the DP's optimum or walk reaches stdout
+    out = str(tmp_path / "inst.txt")
+    assert main(["generate", "--line", "-5", "5", "--n", "12", "--seed", "3", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["oracle", out, "--brute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: brute force capped at 9 non-origin points, got 12\n"
+    assert main(["oracle", out]) == 0
+    assert "optimal walk:" in capsys.readouterr().out
+
+
 def test_oracle_missing_file_exits_2(capsys):
     assert main(["oracle", "/nonexistent/inst.txt"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -183,6 +183,28 @@ def test_optimal_latency_digest():
     assert digest.hexdigest() == "de4f4e1a6ab5901bd4588fdce285fa346b5d5033bb77605ed41e067219ef101e"
 
 
+def test_optimal_latency_digest_large():
+    """Tours and totals over 60 seeded sets of n = 30-200 hash to a recorded
+    constant.  A quarter of the sets lie right of the origin and a quarter
+    left of it, so the origin's own row or column of the interval table
+    carries the whole walk; the rest straddle it.  Denominators are 1/7/1000,
+    spans small enough to repeat locations and large enough to spread them."""
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for k in range(60):
+        n = 30 + k * 170 // 59
+        denom = (1, 7, 1000)[k % 3]
+        span = rng.choice((3, 20, 150)) * denom
+        lo, hi = {1: (1, span), 2: (-span, -1)}.get(k % 4, (-span, span))
+        pts = [F(rng.randint(lo, hi), denom) for _ in range(n)]
+        for i in range(1, n):
+            if rng.random() < 0.1:
+                pts[i] = rng.choice(pts[:i])
+        tour, total = optimal_latency_tour(pts)
+        digest.update(repr((tour.turning_points, total)).encode())
+    assert digest.hexdigest() == "4db0be6b7f12ff0ee3d5a05061e18055b15bfc54b2d7da574fbe6518ad57c441"
+
+
 def test_optimal_latency_rejects_irrational_locations():
     with pytest.raises(TypeError, match="location must be rational"):
         optimal_latency_tour([F(1), SQRT3])

@@ -314,6 +314,31 @@ def test_one_huge_denominator_scales_every_request(strategy, line, predictions):
     assert [str(c) for c in near] == [str(c) for c in expected]
 
 
+@pytest.mark.parametrize(
+    "strategy, line, predictions, span",
+    [
+        (HalflineRoundTrips(), LineSegment(F(0), F(10)), (), (F(0), F(10))),
+        (RobustPredictionTour(F(1, 400)), LineSegment(F(-1), F(2)), (F(-2, 3), F(7, 5)), (F(-1), F(2))),
+        (LineSweepRoundTrips(), LineSegment(-SQRT3, F(5, 2) + SQRT3), (), (F(-1), F(5, 2))),
+    ],
+)
+def test_coprime_request_denominators_match_the_trajectory_replay(strategy, line, predictions, span):
+    # every location and every arrival has its own prime denominator, so no
+    # two requests share one; each is served over its own rescaled geometry
+    planned = strategy.plan(VisibleInfo(line, Model.PREDICTION, predictions))
+    primes = [p for p in range(1009, 2000) if all(p % q for q in range(2, 45))][:80]
+    lo, hi = span
+    pairs = [
+        (lo + (hi - lo) * F(k * 37 % p, p), F(k * 7919 % (20 * q), q))
+        for k, (p, q) in enumerate(zip(primes[::2], primes[1::2]))
+    ]
+    replay = _replay(planned, max(arrival for _, arrival in pairs))
+    expected = [replay.first_service_time(x, arrival) for x, arrival in pairs]
+    got = roundtrip_completions(planned, pairs)
+    assert got == expected
+    assert [str(c) for c in got] == [str(c) for c in expected]
+
+
 def test_robust_certificate_is_per_request_on_half_lines_only():
     # on a full line the padded walk goes left first, so one request just
     # right of the origin waits out the left excursion: 33/1000 against a
