@@ -105,7 +105,15 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     """
     cfg = config if config is not None else GameConfig()
     all_predictions = cfg.bases + cfg.near_origin
-    released: List[Tuple[Fraction, Fraction]] = [(b, _ZERO) for b in cfg.bases]
+    released: List[Tuple[Fraction, Fraction]] = []
+    deadlines: List[Fraction] = []  # per released request, fixed at its release
+
+    def release(loc, arrival) -> None:
+        released.append((loc, arrival))
+        deadlines.append(cfg.ratio_target * distance_arrival_floor(loc, arrival))
+
+    for b in cfg.bases:
+        release(b, _ZERO)
     near_released: List[int] = []  # indices into `released`
     pending = list(cfg.near_origin)
     log = [
@@ -130,8 +138,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             probed = len(released)
         # a violation is provable at an integer time in two ways: the request
         # was served late, or its deadline passed while it sat unserved
-        for i, ((loc, arr), c) in enumerate(zip(released, comps)):
-            deadline = cfg.ratio_target * distance_arrival_floor(loc, arr)
+        for i, ((loc, arr), c, deadline) in enumerate(zip(released, comps, deadlines)):
             served_late = c is not None and c <= step and c > deadline
             overdue = (c is None or c > step) and step >= deadline
             if served_late or overdue:
@@ -152,14 +159,14 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             if prev_served and pos >= 1 and _moving_outward(traj, Fraction(step)):
                 loc = pending.pop(0)
                 near_released.append(len(released))
-                released.append((loc, Fraction(step)))
+                release(loc, Fraction(step))
                 if planned is not None:
                     comps += roundtrip_completions(planned, released[-1:])
                 log.append(f"t={step}: server at {pos} heading out -- released {loc}")
 
     # the predictions stay honest: anything withheld goes out at the end
     for loc in pending:
-        released.append((loc, Fraction(final_step)))
+        release(loc, Fraction(final_step))
         log.append(f"t={final_step}: released remaining {loc} (game over)")
 
     instance = _as_instance(cfg, released)

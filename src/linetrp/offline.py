@@ -81,13 +81,19 @@ class Tour:
 
     def first_visit(self, x) -> Optional[Scalar]:
         """Arc length at which the walk first reaches ``x``, or None when it
-        never does.  The walk first reaches ``x`` on its way into the first
-        breakpoint at or beyond ``x`` (on ``x``'s side of the origin), and
-        overshoots it by the distance between the two."""
-        for arc, p in self.walk.breakpoints:
-            if (p >= x) if x > 0 else (p <= x):
-                return arc - abs(p - x)
-        return None
+        never does."""
+        return _first_visit(self.walk.breakpoints, x)
+
+
+def _first_visit(breakpoints, x):
+    """The first-visit rule over a walk's ``(arc, position)`` breakpoints, in
+    any exact numbers (``evaluate`` passes integers): the walk first reaches
+    ``x`` on its way into the first breakpoint at or beyond ``x`` (on ``x``'s
+    side of the origin), and overshoots it by the distance between the two."""
+    for arc, p in breakpoints:
+        if (p >= x) if x > 0 else (p <= x):
+            return arc - abs(p - x)
+    return None
 
 
 def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:

@@ -14,6 +14,7 @@ completion back once.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -313,19 +314,33 @@ class RoundTripSchedule:
         """Trips 1, 2, ... as ``(start, end, reach)``, up to and including the
         first whose reach is at least ``until``.
 
-        Equal to ``(cumulative_length(j-1), cumulative_length(j), reach(j))``,
-        but each trip multiplies the running power of ``growth`` once instead
-        of raising it afresh.
+        Equal to ``(cumulative_length(j-1), cumulative_length(j), reach(j))``.
+        Every schedule with this ``alpha`` and ``pad`` (types included: a
+        ``Fraction`` alpha and an equal rational ``QuadraticScalar`` one give
+        trips of different types) shares one memoized list of trips, extended
+        one trip at a time as a caller walks past its end, so each trip is
+        built once; a call yields a prefix of that list.
         """
-        growth, pad = self.growth, self.pad
-        start, power, j = _ZERO, growth, 1
+        trips = _trip_memo(self.alpha, self.pad)
+        j = 0
         while True:
-            end = power + j * pad
-            reach = (end - start) / 2
-            yield start, end, reach
-            if reach >= until:
+            if j == len(trips):  # trip j ends at growth**j + j*pad; trip j+1 starts there
+                start = trips[-1][1] if trips else _ZERO
+                power = (start - j * self.pad) * self.growth if trips else self.growth
+                end = power + (j + 1) * self.pad
+                trips.append((start, end, (end - start) / 2))
+            trip = trips[j]
+            yield trip
+            if trip[2] >= until:
                 return
-            start, power, j = end, power * growth, j + 1
+            j += 1
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _trip_memo(alpha, pad) -> list:
+    """The trips built so far for one ``(alpha, pad)``, only ever appended
+    to; see ``RoundTripSchedule.trips``."""
+    return []
 
 
 def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Trajectory:

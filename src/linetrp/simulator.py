@@ -4,26 +4,36 @@ A run reads every request's completion (first visit at or after its arrival)
 off the strategy's motion.  For a fixed-path strategy the completions come in
 closed form from the round-trip schedule (``roundtrip_completions``), so no
 trajectory is built; an adaptive strategy's replanned trajectory is scanned
-instead.  The trajectory and the event log are built on first use.
+instead.  The trajectory, the event log and the completion sum are built on
+first use.
 Evaluation rates each completion against two per-request floors: the coarse
 ``max(|location|, arrival)`` and the sharper one, the request's first visit
 along a latency-optimal walk of the actual locations (``Tour.first_visit``)
-floored by its arrival.
+floored by its arrival.  It scales every completion, location, arrival and
+breakpoint of that walk once to integer pairs ``(a, b)``, meaning
+``(a + b*sqrt(3))/d`` over one common ``d``, finds both floors and both
+maximal ratios by integer comparison (cross-multiplied, no division), and
+divides only the two winning ratios and the sum ratio exactly.  A row's own
+ratios are computed when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .core import Instance, Trajectory
-from .offline import distance_arrival_floor, opt_sum_floor, optimal_latency_tour
+from .offline import _first_visit, distance_arrival_floor, opt_sum_floor, optimal_latency_tour
 from .online import (
     AdaptiveStrategy,
     FixedPathStrategy,
     Strategy,
+    _pair_sign,
+    _parts,
+    _scaled,
     coverage_horizon,
     roundtrip_completions,
     roundtrip_trajectory,
@@ -56,7 +66,7 @@ class RunResult:
     completions: Tuple[object, ...]
     build_trajectory: Callable[[], Trajectory] = field(repr=False, compare=False)
 
-    @property
+    @cached_property
     def on_sum(self):
         return sum(self.completions, _ZERO)
 
@@ -153,8 +163,14 @@ class RequestReport:
     completion: object
     bound_simple: object  # max(|actual|, arrival)
     bound_tour: object  # max(first visit along the latency-optimal walk, arrival)
-    ratio_simple: object
-    ratio_tour: object
+
+    @property
+    def ratio_simple(self):
+        return _ratio(self.completion, self.bound_simple)
+
+    @property
+    def ratio_tour(self):
+        return _ratio(self.completion, self.bound_tour)
 
 
 @dataclass(frozen=True)
@@ -167,27 +183,53 @@ class EvaluationReport:
     max_ratio_tour: object
 
 
+def _first_max(ratios) -> int:
+    """Index of the first largest ``num/floor`` over ``(num, floor)`` integer
+    pairs on one denominator, as ``max()`` would pick it, or -1 when empty.
+    A zero floor stands for ratio 1; the others are positive, so comparing
+    cross products compares the ratios."""
+    best = -1
+    for i, (num, floor) in enumerate(ratios):
+        (a, b), (u, v) = ((1, 0), (1, 0)) if floor == (0, 0) else (num, floor)
+        # (a + b*r)/(u + v*r) > (p + q*r)/(s + w*r), for r = sqrt(3)
+        if best < 0 or _pair_sign(
+            a * s + 3 * b * w - p * u - 3 * q * v, a * w + b * s - p * v - q * u
+        ) > 0:
+            best, p, q, s, w = i, a, b, u, v
+    return best
+
+
 def evaluate(result: RunResult) -> EvaluationReport:
-    """Rate every completion in a run against both per-request floors."""
+    """Rate every completion in a run against both per-request floors.
+
+    A floor keeps the distance (or the first visit) when it ties with the
+    arrival, and each maximum is the first maximal row's ratio, as with
+    ``max()``; no rows give 1."""
     inst = result.instance
     tour, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
-    rows = []
+    walk = tour.walk.breakpoints
+    values = [v for r in inst.requests for v in (r.actual, r.arrival)]
+    values += result.completions
+    values += [v for bp in walk for v in bp]
+    d = math.lcm(*[x.denominator for v in values for x in _parts(v)])
+    walk_d = [(_scaled(arc, d)[0], _scaled(p, d)[0]) for arc, p in walk]  # rational
+    rows, simple, tour_ratios = [], [], []
     for r, c in zip(inst.requests, result.completions):
-        bound_s = distance_arrival_floor(r.actual, r.arrival)
-        bound_t = max(tour.first_visit(r.actual), r.arrival)
-        rows.append(
-            RequestReport(
-                r.index,
-                r.predicted,
-                r.actual,
-                r.arrival,
-                c,
-                bound_s,
-                bound_t,
-                _ratio(c, bound_s),
-                _ratio(c, bound_t),
-            )
-        )
+        x, _ = _scaled(r.actual, d)
+        t, num = _scaled(r.arrival, d), _scaled(c, d)
+        if _pair_sign(t[0] - abs(x), t[1]) > 0:
+            bound_s, floor_s = r.arrival, t
+        else:
+            bound_s, floor_s = abs(r.actual), (abs(x), 0)
+        visit = _first_visit(walk_d, x)
+        if _pair_sign(t[0] - visit, t[1]) > 0:
+            bound_t, floor_t = r.arrival, t
+        else:
+            bound_t, floor_t = Fraction(visit, d), (visit, 0)
+        rows.append(RequestReport(r.index, r.predicted, r.actual, r.arrival, c, bound_s, bound_t))
+        simple.append((num, floor_s))
+        tour_ratios.append((num, floor_t))
+    i, j = _first_max(simple), _first_max(tour_ratios)
     on_sum = result.on_sum
     opt_bound = opt_sum_floor(inst.requests, dp_total)
     return EvaluationReport(
@@ -195,6 +237,6 @@ def evaluate(result: RunResult) -> EvaluationReport:
         on_sum=on_sum,
         opt_sum_bound=opt_bound,
         sum_ratio=_ratio(on_sum, opt_bound),
-        max_ratio_simple=max((row.ratio_simple for row in rows), default=_ONE),
-        max_ratio_tour=max((row.ratio_tour for row in rows), default=_ONE),
+        max_ratio_simple=rows[i].ratio_simple if rows else _ONE,
+        max_ratio_tour=rows[j].ratio_tour if rows else _ONE,
     )

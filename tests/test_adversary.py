@@ -190,3 +190,19 @@ def test_adaptive_strategy_is_probed_once_per_release(monkeypatch):
     cfg = GameConfig(max_steps=120)
     play_lowerbound_game(GreedyReplan(), cfg)
     assert calls <= 1 + len(cfg.near_origin) + 1
+
+
+@pytest.mark.parametrize("strategy", [GreedyReplan(), HalflineRoundTrips()], ids=["greedy", "halfline"])
+def test_deadlines_are_fixed_at_release(strategy, monkeypatch):
+    """A released request's floor, and so its deadline, never changes: one
+    floor per request, plus the witness's own."""
+    calls = []
+    real = adversary.distance_arrival_floor
+    monkeypatch.setattr(
+        adversary, "distance_arrival_floor", lambda loc, arr: calls.append(loc) or real(loc, arr)
+    )
+    cfg = GameConfig(max_steps=120)
+    transcript = play_lowerbound_game(strategy, cfg)
+    requests = len(cfg.bases) + len(cfg.near_origin)
+    assert len(transcript.instance.requests) == requests
+    assert len(calls) <= requests + (transcript.witness is not None)

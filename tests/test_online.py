@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linetrp import online
 from linetrp.core import LineSegment, Model, Trajectory, make_instance
 from linetrp.offline import Direction, Tour, optimal_latency_tour
 from linetrp.online import (
@@ -250,6 +251,71 @@ def test_schedule_lengths_telescope(alpha, pad, j):
     assert list(s.trips(s.reach(j))) == [
         (s.cumulative_length(k - 1), s.cumulative_length(k), s.reach(k)) for k in range(1, j + 1)
     ]
+
+
+
+def _closed_form_trips(s, j):
+    cumulative = [s.cumulative_length(k) for k in range(j + 1)]
+    return [(cumulative[k - 1], cumulative[k], s.reach(k)) for k in range(1, j + 1)]
+
+
+def _typed(trips):
+    return [tuple([(type(v), str(v)) for v in trip]) for trip in trips]
+
+
+@given(
+    st.sampled_from([DEFAULT_ALPHA, F(1, 2), F(5, 2), QS(F(1, 3), F(1, 4))]),
+    st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4),
+    st.integers(1, 9),
+)
+@settings(max_examples=100)
+def test_memoized_trips_are_the_closed_form(alpha, pad, j):
+    s = RoundTripSchedule(alpha, pad)
+    expected = _closed_form_trips(s, j)
+    assert _typed(s.trips(s.reach(j))) == _typed(expected)
+    assert _typed(online._trip_memo(s.alpha, s.pad)[:j]) == _typed(expected)
+    # a short walk after a long one still stops at its own bound
+    assert _typed(s.trips(s.reach(1))) == _typed(expected[:1])
+
+
+def test_interleaved_trip_walks_share_one_memo():
+    online._trip_memo.cache_clear()
+    s = RoundTripSchedule(DEFAULT_ALPHA, F(1, 3))
+    expected = _closed_form_trips(s, 6)
+    long, short = s.trips(s.reach(6)), s.trips(s.reach(4))
+    head = [next(long), next(long)]  # builds trips 1 and 2
+    mid = list(short)  # reads 1 and 2, builds 3 and 4
+    tail = list(long)  # reads 3 and 4, builds 5 and 6
+    assert _typed(head + tail) == _typed(expected)
+    assert _typed(mid) == _typed(expected[:4])
+    assert len(online._trip_memo(s.alpha, s.pad)) == 6
+
+
+def test_trip_memo_keeps_alpha_types_apart():
+    rational, surd = RoundTripSchedule(F(3, 4)), RoundTripSchedule(QS(F(3, 4)))
+    assert rational.alpha == surd.alpha and hash(rational.alpha) == hash(surd.alpha)
+    # in either order, each alpha type gets trips of its own type
+    for s, kind in ((surd, QS), (rational, F), (surd, QS)):
+        trips = list(s.trips(100))
+        assert trips == _closed_form_trips(s, len(trips))
+        assert {type(v) for _, end, reach in trips for v in (end, reach)} == {kind}
+
+
+def test_repeated_trips_multiply_no_surds(monkeypatch):
+    first = list(RoundTripSchedule().trips(10**6))
+    calls = []
+    real = QS.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(QS, "__mul__", counting)
+    monkeypatch.setattr(QS, "__rmul__", counting)
+    assert list(RoundTripSchedule().trips(10**6)) == first
+    short = list(RoundTripSchedule().trips(10))
+    assert short == first[: len(short)] and len(short) < len(first)
+    assert calls == []
 
 
 def test_first_visit_trip():

@@ -2,6 +2,7 @@
 the two-floor ratio evaluation, and the closed-form completions of round-trip
 schedules against the trajectory replay they replace."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linetrp.core import LineSegment, Model, make_instance
-from linetrp.generate import random_instance
+from linetrp.generate import perturbed_instance, random_instance
 from linetrp.offline import optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
@@ -27,6 +28,7 @@ from linetrp.online import (
     roundtrip_completions,
     roundtrip_trajectory,
 )
+from linetrp import simulator
 from linetrp.simulator import CoverageError, RunResult, evaluate, request_ratio, run
 
 QS = QuadraticScalar
@@ -349,3 +351,110 @@ def test_robust_certificate_is_per_request_on_half_lines_only():
     assert report.rows[0].completion == F(33, 1000)
     assert report.max_ratio_simple == report.max_ratio_tour == F(33, 7)
     assert report.max_ratio_simple > CERT_RATIO + 4 * delta
+
+
+# --- evaluation reports, pinned byte for byte --------------------------------
+
+_REPORT_FIELDS = ("on_sum", "opt_sum_bound", "sum_ratio", "max_ratio_simple", "max_ratio_tour")
+_ROW_FIELDS = ("index", "predicted", "actual", "arrival", "completion", "bound_simple",
+               "bound_tour", "ratio_simple", "ratio_tour")
+
+
+def _report_text(report) -> str:
+    """The type and ``str`` of every report field and every row field."""
+    cells = [(name, getattr(report, name)) for name in _REPORT_FIELDS]
+    for row in report.rows:
+        cells += [(name, getattr(row, name)) for name in _ROW_FIELDS]
+    return "".join(f"{name}:{type(v).__name__}:{v}\n" for name, v in cells)
+
+
+def _pinned_runs():
+    """Seeded half-line, prediction, robust and greedy runs at three alphas,
+    then surd arrivals, origin requests at time 0 and an empty instance."""
+    rng = random.Random("evaluate-pin")
+    for alpha in (DEFAULT_ALPHA, F(1, 2), F(5, 2)):
+        for n in range(1, 11):
+            b = rng.choice([1, 2, 10, 50])
+            yield random_instance(rng, (0, b), n, 50, 1000), HalflineRoundTrips(alpha)
+            line = rng.choice([(-2, 3), (-10, 10)])
+            yield random_instance(rng, line, n, 50, 1000), PerfectPredictionTour(alpha)
+            delta = rng.choice([F(1, 100), F(3, 100), F(1, 20)])
+            robust = perturbed_instance(rng, (0, 1), n, delta, 50, 1000)
+            yield robust, RobustPredictionTour(delta, alpha)
+            yield random_instance(rng, (-3, 5), n, 20, 8), GreedyReplan()
+    surd = [(F(1), F(1), QS(1, F(1, 2))), (F(3), F(3), 2 * SQRT3), (F(1, 3), F(1, 3), F(0)),
+            (F(0), F(0), QS(F(1, 7), F(2, 7)))]
+    yield make_instance(LineSegment(F(0), F(4)), surd), GreedyReplan()
+    # arrivals in Q written as surds tie with, and beat, the distance floor
+    surd += [(F(2), F(2), QS(2)), (F(1, 2), F(1, 2), QS(3))]
+    for strategy in (HalflineRoundTrips(), PerfectPredictionTour(F(1, 2))):
+        yield make_instance(LineSegment(F(0), F(4)), surd), strategy
+    origin = [(F(0), F(0), F(0)), (F(2), F(2), F(0)), (F(0), F(0), F(0)), (F(-1), F(-1), F(3))]
+    yield make_instance(LineSegment(F(-1), F(2)), origin), PerfectPredictionTour()
+    yield make_instance(LineSegment(F(-1), F(2)), origin), GreedyReplan()
+    yield make_instance(LineSegment(F(0), F(2)), [(F(0), F(0), F(0))] * 3), HalflineRoundTrips()
+    # every ratio is 1: the origin request's Fraction comes before a surd one
+    tie = [(F(0), F(0), F(0)), (F(1), F(1), 1 + SQRT3)]
+    yield make_instance(LineSegment(F(0), F(4)), tie), HalflineRoundTrips()
+    for strategy in (HalflineRoundTrips(), GreedyReplan()):
+        yield make_instance(LineSegment(F(0), F(2)), []), strategy
+
+
+# sha256 of _report_text over _pinned_runs, recorded while every row still
+# divided its own two ratios and the maxima came from max()
+EVALUATE_DIGEST = "115cb483e39a359194764e61fc44a4b2e23457747e960ee21b76140a6693564e"
+
+
+def test_evaluation_reports_are_pinned():
+    text = "".join(_report_text(evaluate(run(inst, s))) for inst, s in _pinned_runs())
+    assert hashlib.sha256(text.encode()).hexdigest() == EVALUATE_DIGEST
+
+
+# --- the maxima against max() over the rows' own ratios -----------------------
+
+
+@st.composite
+def _evaluated_runs(draw):
+    """A run on drawn requests: origin requests at time 0 and ties come up
+    often, and the fixed-path strategies also see surd arrivals."""
+    name = draw(st.sampled_from(["halfline", "sweep", "perfect", "greedy"]))
+    alpha = draw(st.sampled_from([DEFAULT_ALPHA, F(1, 2), F(5, 2)]))
+    line = LineSegment(F(0), F(4)) if name == "halfline" else LineSegment(F(-3), F(4))
+    spot = st.fractions(min_value=line.a, max_value=line.b, max_denominator=2)
+    rational = st.fractions(min_value=0, max_value=6, max_denominator=2)
+    arrival = rational if name == "greedy" else st.one_of(
+        rational, st.builds(lambda p, q: p + q * SQRT3, rational, st.sampled_from([F(1), F(1, 2)]))
+    )
+    requests = draw(st.lists(st.tuples(spot, arrival), max_size=8))
+    inst = make_instance(line, [(x, x, t) for x, t in requests])
+    return run(inst, make_strategy(name, alpha))
+
+
+@given(_evaluated_runs())
+@settings(max_examples=200, deadline=None)
+def test_maxima_and_sum_ratio_match_the_row_ratios(result):
+    report = evaluate(result)
+    for worst, ratio in (("max_ratio_simple", "ratio_simple"), ("max_ratio_tour", "ratio_tour")):
+        expected = max((getattr(row, ratio) for row in report.rows), default=F(1))
+        got = getattr(report, worst)
+        assert got == expected
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    if report.opt_sum_bound == 0:
+        assert report.sum_ratio == 1
+    else:
+        assert report.sum_ratio == report.on_sum / report.opt_sum_bound
+    total = sum(result.completions, F(0))
+    assert (report.on_sum, type(report.on_sum)) == (total, type(total))
+
+
+def test_evaluate_divides_only_the_winning_ratios(monkeypatch):
+    # the rows' ratios are compared in integers: only the two maxima and the
+    # sum ratio are ever divided out
+    rng = random.Random(20)
+    inst = random_instance(rng, (0, 10), 20, 50, 1000)
+    result = run(inst, HalflineRoundTrips())
+    calls = []
+    real = simulator._ratio
+    monkeypatch.setattr(simulator, "_ratio", lambda c, f: calls.append(1) or real(c, f))
+    evaluate(result)
+    assert len(calls) <= 3
