@@ -12,8 +12,9 @@ a proven violation.
 
 Against a committed schedule the adversary reads each request's completion
 off the schedule once, when it releases the request: later releases cannot
-change it.  An adaptive strategy is re-run when a release changes its input,
-since each release changes its plan; between releases its last run stands.
+change it.  An adaptive strategy is started once and kept live: each release
+is fed to its session as it happens, and the completions are re-read off the
+session's trajectory, since each release changes its plan.
 """
 
 from __future__ import annotations
@@ -33,20 +34,13 @@ from .online import (
     roundtrip_completions,
     roundtrip_trajectory,
 )
-from .simulator import request_ratio, run
-
-_ZERO = Fraction(0)
-
+from .simulator import _check_coverage, request_ratio, run
 
 @dataclass(frozen=True)
 class GameConfig:
     line: LineSegment = LineSegment(Fraction(0), Fraction(10))
     bases: Tuple[Fraction, ...] = tuple([Fraction(v) for v in (1, 4, 5, 6, 7, 8, 9, 10)])
-    near_origin: Tuple[Fraction, ...] = (
-        Fraction(1, 1000),
-        Fraction(2, 1000),
-        Fraction(3, 1000),
-    )
+    near_origin: Tuple[Fraction, ...] = tuple([Fraction(k, 1000) for k in (1, 2, 3)])
     ratio_target: Fraction = Fraction(3)
     max_steps: int = 120
 
@@ -77,10 +71,6 @@ class GameTranscript:
     log: Tuple[str, ...]
 
 
-def _as_instance(cfg: GameConfig, released) -> Instance:
-    return make_instance(cfg.line, [(loc, loc, arr) for loc, arr in released])
-
-
 def _moving_outward(traj: Trajectory, t) -> bool:
     """Is the server strictly heading away from the origin just after t?"""
     pos = traj.position_at(t)
@@ -98,22 +88,39 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     Fixed-path strategies commit their whole motion from the predictions:
     the adversary watches their trajectory to time the releases and takes
     each request's completion from ``roundtrip_completions`` at its release.
-    Adaptive ones are re-run against the releases made so far when a release
-    changes that input, and the completions come from that run.  Returns the
-    full transcript; ``witness`` stays None when the strategy escapes every
-    deadline within ``max_steps``.
+    An adaptive one is started once; each release is fed to that one
+    session, and the completions are re-read off its trajectory.  Returns
+    the full transcript; ``witness`` stays None when the strategy escapes
+    every deadline within ``max_steps``.  Raises CoverageError when the
+    strategy never serves some released request.
     """
     cfg = config if config is not None else GameConfig()
     all_predictions = cfg.bases + cfg.near_origin
+    info = VisibleInfo(cfg.line, Model.PREDICTION, all_predictions)
     released: List[Tuple[Fraction, Fraction]] = []
     deadlines: List[Fraction] = []  # per released request, fixed at its release
+    comps: List[object] = []
+    if isinstance(strategy, FixedPathStrategy):
+        planned, session = strategy.plan(info), None
+        horizon = coverage_horizon(planned.path, planned.schedule, Fraction(cfg.max_steps))
+        traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+    else:
+        session = strategy.start(info)
+        traj = session.trajectory()
 
-    def release(loc, arrival) -> None:
-        released.append((loc, arrival))
-        deadlines.append(cfg.ratio_target * distance_arrival_floor(loc, arrival))
+    def release(locations, arrival) -> None:
+        nonlocal traj, comps
+        batch = [(loc, arrival) for loc in locations]
+        released.extend(batch)
+        deadlines.extend([cfg.ratio_target * distance_arrival_floor(loc, arrival) for loc in locations])
+        if session is None:
+            comps += roundtrip_completions(planned, batch)
+        else:
+            session.on_arrivals(arrival, locations)
+            traj = session.trajectory()
+            comps = [traj.first_service_time(loc, arr) for loc, arr in released]
 
-    for b in cfg.bases:
-        release(b, _ZERO)
+    release(cfg.bases, Fraction(0))
     near_released: List[int] = []  # indices into `released`
     pending = list(cfg.near_origin)
     log = [
@@ -121,21 +128,9 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         f"t=0: released base requests at {', '.join(str(b) for b in cfg.bases)}",
     ]
 
-    planned = None
-    if isinstance(strategy, FixedPathStrategy):
-        planned = strategy.plan(VisibleInfo(cfg.line, Model.PREDICTION, all_predictions))
-        horizon = coverage_horizon(planned.path, planned.schedule, Fraction(cfg.max_steps))
-        traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
-        comps = roundtrip_completions(planned, released)
-
     declared: Optional[Tuple[int, int]] = None  # (request index, step)
     final_step = cfg.max_steps
-    probed = None  # len(released) at the last probe; only a release changes its input
     for step in range(cfg.max_steps + 1):
-        if planned is None and probed != len(released):
-            probe = run(_as_instance(cfg, released), strategy, truncate=False)
-            traj, comps = probe.trajectory, probe.completions
-            probed = len(released)
         # a violation is provable at an integer time in two ways: the request
         # was served late, or its deadline passed while it sat unserved
         for i, ((loc, arr), c, deadline) in enumerate(zip(released, comps, deadlines)):
@@ -159,22 +154,17 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             if prev_served and pos >= 1 and _moving_outward(traj, Fraction(step)):
                 loc = pending.pop(0)
                 near_released.append(len(released))
-                release(loc, Fraction(step))
-                if planned is not None:
-                    comps += roundtrip_completions(planned, released[-1:])
+                release([loc], Fraction(step))
                 log.append(f"t={step}: server at {pos} heading out -- released {loc}")
 
     # the predictions stay honest: anything withheld goes out at the end
-    for loc in pending:
-        release(loc, Fraction(final_step))
-        log.append(f"t={final_step}: released remaining {loc} (game over)")
+    if pending:
+        release(pending, Fraction(final_step))
+    log += [f"t={final_step}: released remaining {loc} (game over)" for loc in pending]
 
-    instance = _as_instance(cfg, released)
-    final = run(instance, strategy)
-    ratios = [
-        request_ratio(r.actual, r.arrival, c)
-        for r, c in zip(instance.requests, final.completions)
-    ]
+    instance = make_instance(cfg.line, [(loc, loc, arr) for loc, arr in released])
+    _check_coverage(instance, comps, strategy.name)
+    ratios = [request_ratio(r.actual, r.arrival, c) for r, c in zip(instance.requests, comps)]
     max_ratio = max(ratios, default=Fraction(1))
     witness = None
     if declared is not None:
@@ -184,14 +174,14 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             request_index=idx,
             location=r.actual,
             arrival=r.arrival,
-            completion=final.completions[idx],
+            completion=comps[idx],
             floor=distance_arrival_floor(r.actual, r.arrival),
             ratio=ratios[idx],
             declared_step=step,
         )
         log.append(
             f"witness: request {idx} at {r.actual}, arrival {r.arrival},"
-            f" completed {final.completions[idx]} (ratio {ratios[idx]})"
+            f" completed {comps[idx]} (ratio {ratios[idx]})"
         )
     else:
         log.append(f"no witness within {cfg.max_steps} steps; worst ratio {max_ratio}")
@@ -199,7 +189,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         strategy_name=strategy.name,
         config=cfg,
         instance=instance,
-        completions=final.completions,
+        completions=tuple(comps),
         witness=witness,
         max_ratio=max_ratio,
         log=tuple(log),

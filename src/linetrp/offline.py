@@ -14,6 +14,7 @@ it stands at), each holding one int key that orders exactly as its
 (cost, turns, first move) tuple.  The origin's own row and column, where
 one end is unreachable, are filled apart, so the loop over the other
 intervals relaxes both ends with no test for a missing state.
+The DP's tour is the walk it found: its walk back keeps only the turns.
 """
 
 from __future__ import annotations
@@ -124,15 +125,16 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     """Minimum-latency service walk over the given rational locations (with
     repeats).
 
-    Returns the canonical optimal tour and the exact minimal sum of
-    first-visit times.  Locations at the origin are served at time 0 and do
-    not influence the walk.  Ties prefer fewer direction changes, then a
-    first move to the left.  That does not pin the walk down: every state
-    then keeps its straight-on predecessor unless turning back is strictly
-    cheaper, and the walk ends at the left end unless the right end is
-    strictly better (turns and first move already fix the end, so this last
-    rule never decides).  Locations must be rational: the walk is solved over
-    integer positions scaled by their common denominator.
+    Returns the optimal tour, as the walk back through the table finds its
+    turns, and the exact minimal sum of first-visit times.  Locations at the
+    origin are served at time 0 and do not influence the walk.  Ties prefer
+    fewer direction changes, then a first move to the left.  That does not
+    pin the walk down: every state then keeps its straight-on predecessor
+    unless turning back is strictly cheaper, and the walk ends at the left
+    end unless the right end is strictly better (turns and first move
+    already fix the end, so this last rule never decides).  Locations must
+    be rational: the walk is solved over integer positions scaled by their
+    common denominator.
 
     Each state's (cost, turns, first_move_right) is packed into the int
     ``(cost*(m+1) + turns)*2 + first`` over the ``m`` distinct positions, the
@@ -204,16 +206,16 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
 
     key, side = min((best[0][0][-1], 0), (best[1][0][-1], 1))
     cost = key // unit
-    # walk back to the origin, collecting each newly covered end in order
-    events: List[Scalar] = []
+    # walk back to the origin, keeping the final end and each end turned back from
     i, j = 0, m - 1
+    turns = [xs[j] if side else xs[i]]
     while (i, j) != (o, o):
-        events.append(xs[j] if side else xs[i])
         back = turned[side][i][j - o]
         i, j = (i, j - 1) if side else (i + 1, j)
         side ^= back
-    events.reverse()
-    return canonical_tour(events), Fraction(cost, scale)
+        if back:
+            turns.append(xs[j] if side else xs[i])
+    return Tour(tuple(turns[::-1])), Fraction(cost, scale)
 
 
 def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scalar, Tuple[Scalar, ...]]:

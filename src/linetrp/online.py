@@ -644,14 +644,18 @@ class ReplanSession:
 
         A request served before the cut at ``time`` stays served, at the same
         time, in every later cut, so only the unserved ones are re-checked.
+        Raises ValueError when the server then stands at a surd position.
         """
         committed = self._trajectory.truncated(time)
+        t, at = committed.breakpoints[-1]
+        pos, surd = _parts(at)
+        if surd:
+            raise ValueError(f"arrival {time} finds the server at the surd position {at}")
         self._unserved = [
             (loc, arrival)
             for loc, arrival in self._unserved + [(loc, time) for loc in locations]
             if committed.first_service_time(loc, arrival) is None
         ]
-        t, pos = committed.breakpoints[-1]
         tour, _ = optimal_latency_tour(loc - pos for loc, _ in self._unserved)
         suffix = tuple([(t + s, pos + x) for s, x in tour.walk.breakpoints[1:]])
         self._trajectory = Trajectory(committed.breakpoints + suffix)

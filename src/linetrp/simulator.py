@@ -114,12 +114,15 @@ def run(instance: Instance, strategy: Strategy, *, truncate: bool = True) -> Run
     else:
         raise TypeError(f"unknown strategy type {type(strategy).__name__}")
 
+    _check_coverage(instance, completions, strategy.name)
+    return RunResult(instance, strategy.name, tuple(completions), build)
+
+
+def _check_coverage(instance: Instance, completions, name: str) -> None:
+    """Raise CoverageError for the first request left without a completion."""
     for r, c in zip(instance.requests, completions):
         if c is None:
-            raise CoverageError(
-                f"request {r.index} at {r.actual} is never reached by {strategy.name}"
-            )
-    return RunResult(instance, strategy.name, tuple(completions), build)
+            raise CoverageError(f"request {r.index} at {r.actual} is never reached by {name}")
 
 
 def _events(instance, traj, completions) -> Tuple[Event, ...]:

@@ -7,21 +7,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from linetrp import adversary
+from linetrp import adversary, online
 from linetrp.adversary import GameConfig, Witness, play_lowerbound_game, verify_witness
-from linetrp.core import Model
+from linetrp.core import Model, Trajectory
+from linetrp.offline import Tour, optimal_latency_tour
 from linetrp.online import (
+    AdaptiveStrategy,
+    FixedPathStrategy,
     GreedyReplan,
     HalflineRoundTrips,
     LineSweepRoundTrips,
     PerfectPredictionTour,
+    PlannedTrips,
     QuadraticScalar,
     RobustPredictionTour,
+    RoundTripSchedule,
     VisibleInfo,
     coverage_horizon,
     roundtrip_trajectory,
 )
-from linetrp.simulator import run
+from linetrp.simulator import CoverageError, run
 
 QS = QuadraticScalar
 
@@ -169,27 +174,120 @@ def test_game_output_is_pinned(strategy):
     for roster in ROSTERS.values():
         for max_steps in (0, 1, 5, 30, 120):
             cfg = GameConfig(near_origin=roster, max_steps=max_steps)
-            t = play_lowerbound_game(strategy, cfg)
-            record = (t.log, t.completions, t.witness, t.max_ratio, verify_witness(strategy, t))
-            digest.update(repr(record).encode())
+            digest.update(_game_record(strategy, cfg))
     assert digest.hexdigest() == GAME_DIGESTS[strategy.name]
 
 
+def _game_record(strategy, cfg) -> bytes:
+    t = play_lowerbound_game(strategy, cfg)
+    return repr((t.log, t.completions, t.witness, t.max_ratio, verify_witness(strategy, t))).encode()
+
+
+# the edges of the game: no bases, no near-origin roster, neither, no steps,
+# and a last step that releases a near-origin request just before the
+# withheld ones go out at the same time, so two arrival batches share one time
+EDGE_CONFIGS = (
+    GameConfig(bases=()),
+    GameConfig(near_origin=()),
+    GameConfig(bases=(), near_origin=()),
+    GameConfig(max_steps=0),
+    GameConfig(max_steps=1),
+    GameConfig(near_origin=ROSTERS["five"], max_steps=3),
+)
+# sha256 of the same record over EDGE_CONFIGS, recorded while the game still
+# re-ran an adaptive strategy from scratch for every probe and at the end
+EDGE_DIGESTS = {
+    "greedy-replan": "a5da58f1d45c96417989ccab7856b1291d7f5e6f153d0f13b4e605653b8b1183",
+    "halfline-roundtrips": "aec06fbf3c7d9c51ddb91de173cd2725baaffb700fad0f0d8a946db8fe58a2bd",
+    "robust-tour": "ba984f8ac17f57f44cc0f85f5896549f88bd8fcde49957f212ae004b8f87e04e",
+}
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [GreedyReplan(), HalflineRoundTrips(), RobustPredictionTour(F(1, 100))],
+    ids=lambda s: s.name,
+)
+def test_edge_case_games_are_pinned(strategy):
+    last = play_lowerbound_game(strategy, EDGE_CONFIGS[4]).log
+    assert "t=1: server at 1 heading out -- released 1/1000" in last
+    assert "t=1: released remaining 1/500 (game over)" in last
+    digest = hashlib.sha256()
+    for cfg in EDGE_CONFIGS:
+        digest.update(_game_record(strategy, cfg))
+    assert digest.hexdigest() == EDGE_DIGESTS[strategy.name]
+
+
 def test_adaptive_strategy_is_probed_once_per_release(monkeypatch):
-    """Between releases the probe's instance does not change, so neither does
-    its run: one probe at the start, one after each near-origin release, and
-    the final run."""
-    calls = 0
+    """The game keeps one live session: each release is fed to it once, so
+    it makes no fresh run and one replan per arrival batch (the bases, then
+    each near-origin release)."""
+    runs = replans = 0
 
     def counting_run(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        nonlocal runs
+        runs += 1
         return run(*args, **kwargs)
 
+    def counting_dp(points):
+        nonlocal replans
+        replans += 1
+        return optimal_latency_tour(points)
+
     monkeypatch.setattr(adversary, "run", counting_run)
+    monkeypatch.setattr(online, "optimal_latency_tour", counting_dp)
     cfg = GameConfig(max_steps=120)
     play_lowerbound_game(GreedyReplan(), cfg)
-    assert calls <= 1 + len(cfg.near_origin) + 1
+    assert runs == 0
+    assert replans <= 1 + len(cfg.near_origin)
+
+
+@pytest.mark.parametrize("max_steps", [0, 5, 120])
+@pytest.mark.parametrize("roster", ROSTERS, ids=str)
+def test_greedy_transcript_matches_a_fresh_run(roster, max_steps):
+    """The game's live session and a fresh run of the released instance
+    give the same completions, types and printed forms included."""
+    cfg = GameConfig(near_origin=ROSTERS[roster], max_steps=max_steps)
+    transcript = play_lowerbound_game(GreedyReplan(), cfg)
+    fresh = run(transcript.instance, GreedyReplan()).completions
+    assert transcript.completions == fresh
+    assert [type(c) for c in transcript.completions] == [type(c) for c in fresh]
+    assert [str(c) for c in transcript.completions] == [str(c) for c in fresh]
+
+
+class _ShortTrips(FixedPathStrategy):
+    name = "short-trips"
+
+    def plan(self, info):
+        return PlannedTrips(Tour((F(5),)), RoundTripSchedule())
+
+
+class _Parked(AdaptiveStrategy):
+    name = "parked"
+
+    def start(self, info):
+        return _ParkedSession()
+
+
+class _ParkedSession:
+    def on_arrivals(self, time, locations):
+        pass
+
+    def trajectory(self):
+        return Trajectory(((F(0), F(0)),))
+
+
+@pytest.mark.parametrize(
+    "strategy, missed",
+    [(_ShortTrips(), "request 3 at 6 is never reached by short-trips"),
+     (_Parked(), "request 0 at 1 is never reached by parked")],
+    ids=["fixed", "adaptive"],
+)
+def test_a_request_never_reached_raises_coverage_error(strategy, missed):
+    """A released request the strategy never serves fails the game as it
+    fails a fresh run of the released instance."""
+    with pytest.raises(CoverageError, match=f"^{missed}$"):
+        play_lowerbound_game(strategy, GameConfig(max_steps=5))
 
 
 @pytest.mark.parametrize("strategy", [GreedyReplan(), HalflineRoundTrips()], ids=["greedy", "halfline"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linetrp
+from linetrp import offline
 from linetrp.core import LineSegment, Request, Trajectory, make_instance
 from linetrp.offline import (
     Direction,
@@ -203,6 +204,22 @@ def test_optimal_latency_digest_large():
         tour, total = optimal_latency_tour(pts)
         digest.update(repr((tour.turning_points, total)).encode())
     assert digest.hexdigest() == "4db0be6b7f12ff0ee3d5a05061e18055b15bfc54b2d7da574fbe6518ad57c441"
+
+
+def test_dp_returns_the_walk_it_found(monkeypatch):
+    """The walk back through the table keeps the turns as it finds them; the
+    tour is never re-collapsed."""
+
+    def refuse(waypoints):
+        raise AssertionError("optimal_latency_tour re-collapsed its walk")
+
+    monkeypatch.setattr(offline, "canonical_tour", refuse)
+    pts = [F(1, 3), F(26, 3), F(-8), F(2), F(1, 3), F(1, 3), F(-1), F(-6), F(-8)]
+    tour, total = optimal_latency_tour(pts)
+    assert tour.turning_points == (F(1, 3), F(-8), F(26, 3))
+    assert total == F(212, 3)
+    assert optimal_latency_tour([F(5), F(2), F(0)])[0].turning_points == (F(5),)
+    assert optimal_latency_tour([F(-5), F(-2)])[0].turning_points == (F(-5),)
 
 
 def test_optimal_latency_rejects_irrational_locations():

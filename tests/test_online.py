@@ -511,6 +511,21 @@ def test_greedy_session_replans_from_current_position():
     )
 
 
+def test_greedy_session_rejects_a_surd_position():
+    """The replanner plans from rational positions: an arrival that finds the
+    server mid-leg at a surd position is refused by name, before any state
+    changes, while one that finds it parked at a rational spot is served."""
+    info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(3), F(3), F(0))]))
+    session = GreedyReplan().start(info)
+    session.on_arrivals(F(0), [F(3)])
+    before = session.trajectory()
+    with pytest.raises(ValueError, match=r"^arrival 1 \+ 1/2\*sqrt\(3\) finds the server"):
+        session.on_arrivals(QuadraticScalar(1, F(1, 2)), [F(1)])
+    assert session.trajectory() is before
+    session.on_arrivals(QuadraticScalar(4, F(1, 2)), [F(1)])  # parked at 3
+    assert session.trajectory().breakpoints[-1] == (QuadraticScalar(6, F(1, 2)), F(1))
+
+
 class _RecheckAllSession:
     """Oracle for ``ReplanSession``: the replanner as it was written before it
     kept only the unserved requests.  It re-checks every known request

@@ -400,6 +400,16 @@ def _pinned_runs():
         yield make_instance(LineSegment(F(0), F(2)), []), strategy
 
 
+def test_greedy_refuses_to_replan_from_a_surd_position():
+    """The pinned surd arrivals plus two more: at arrival 2 the server stands
+    at 1 - sqrt(3)/2, and the replanner refuses it by name."""
+    surd = [(F(1), F(1), QS(1, F(1, 2))), (F(3), F(3), 2 * SQRT3), (F(1, 3), F(1, 3), F(0)),
+            (F(0), F(0), QS(F(1, 7), F(2, 7))), (F(2), F(2), QS(2)), (F(1, 2), F(1, 2), QS(3))]
+    inst = make_instance(LineSegment(F(0), F(4)), surd)
+    with pytest.raises(ValueError, match=r"^arrival 2 finds the server at the surd position 1 - 1/2\*sqrt\(3\)$"):
+        run(inst, GreedyReplan())
+
+
 # sha256 of _report_text over _pinned_runs, recorded while every row still
 # divided its own two ratios and the maxima came from max()
 EVALUATE_DIGEST = "115cb483e39a359194764e61fc44a4b2e23457747e960ee21b76140a6693564e"
