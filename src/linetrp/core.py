@@ -38,6 +38,35 @@ def _exact(value, what: str = "value"):
     return value
 
 
+def _parts(value):
+    """The rational parts ``(p, q)`` of ``p + q*sqrt(3)``: those of an
+    ``online.QuadraticScalar``, the one exact type with a ``q``, else
+    ``(value, 0)`` for an int or ``Fraction``.  (The attribute test is
+    several times cheaper than ``isinstance`` against ``Fraction``'s ABC.)"""
+    q = getattr(value, "q", None)
+    return (value, 0) if q is None else (value.p, q)
+
+
+def _scaled(value, d: int):
+    """The integers ``(a, b)`` with ``value == (a + b*sqrt(3))/d``, for a
+    ``d`` that both rational parts of ``value`` divide."""
+    p, q = _parts(value)
+    return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)
+
+
+def _exact_sum(values):
+    """``sum(values, Fraction(0))``, added as integer pairs over the lcm of
+    every denominator: a ``Fraction`` (0 when empty) unless some value is a
+    surd, then a surd of that value's class (``online.QuadraticScalar``,
+    which this module cannot import), even when the ``sqrt(3)`` parts cancel."""
+    values = list(values)
+    d = math.lcm(*[x.denominator for v in values for x in _parts(v)])
+    pairs = [_scaled(v, d) for v in values]
+    a, b = sum([x for x, _ in pairs]), sum([y for _, y in pairs])
+    surd = next((v for v in values if hasattr(v, "q")), None)
+    return Fraction(a, d) if surd is None else type(surd)(Fraction(a, d), Fraction(b, d))
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse an exact scalar: integer ``-3``, fraction ``7/2``, or decimal
     ``0.25`` / ``1e-3``.

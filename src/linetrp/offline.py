@@ -9,9 +9,10 @@ latency optimum is computed two independent ways: an interval dynamic
 program (used everywhere) and a Held-Karp exhaustive search over every
 service order (used as a cross-check oracle on small inputs).  Both scale the
 rational locations once to integers over their common denominator; they
-share no other code.  The DP's states are (interval around the origin, end
-it stands at), each holding one int key that orders exactly as its
-(cost, turns, first move) tuple.  The origin's own row and column, where
+share no other code.  The DP counts repeats and sorts those integers, so it
+never hashes or orders a ``Fraction``.  Its states are (interval around the
+origin, end it stands at), each holding one int key that orders exactly as
+its (cost, turns, first move) tuple.  The origin's own row and column, where
 one end is unreachable, are filled apart, so the loop over the other
 intervals relaxes both ends with no test for a missing state.
 The DP's tour is the walk it found: its walk back keeps only the turns.
@@ -20,14 +21,15 @@ The DP's tour is the walk it found: its walk back keeps only the turns.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Request, Scalar, Trajectory, _exact
+from .core import Request, Scalar, Trajectory, _exact, _exact_sum
 
 _ZERO = Fraction(0)
 
@@ -144,23 +146,21 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     column (to the left) are filled before the other intervals; the end a
     walk cannot stand at there holds an int larger than every key.
     """
-    weights: Dict[Scalar, int] = {}
-    for p in points:
-        p = _exact(p, "location")
+    locations = [_exact(p, "location") for p in points]
+    for p in locations:
         if not isinstance(p, Fraction):
             raise TypeError(f"location must be rational, got {p!r}")
-        weights[p] = weights.get(p, 0) + 1
-    weights.pop(_ZERO, None)
+    scale = lcm(*[p.denominator for p in locations])
+    weights = Counter([p.numerator * (scale // p.denominator) for p in locations])
+    del weights[0]  # a Counter ignores a missing key
     if not weights:
         return Tour(()), _ZERO
 
-    xs = sorted([_ZERO, *weights])
-    scale = lcm(*[x.denominator for x in xs])
-    at = [x.numerator * (scale // x.denominator) for x in xs]
-    prefix = list(accumulate((weights.get(x, 0) for x in xs), initial=0))
-    m, o = len(xs), xs.index(_ZERO)
+    at = sorted([0, *weights])
+    prefix = list(accumulate([weights[x] for x in at], initial=0))
+    m, o = len(at), at.index(0)
     # best[side][i][j - o] is the key of the cheapest walk that has covered
-    # xs[i..j] and stands at xs[i] (side 0) or xs[j] (side 1); turned[side][i][j - o]
+    # at[i..j] and stands at at[i] (side 0) or at[j] (side 1); turned[side][i][j - o]
     # says whether it got there by turning back from the other end.  A step
     # adds its length times the requests still waiting (the one it reaches
     # included) times `unit`; a turn adds 2.  No walk stands at the origin's
@@ -168,7 +168,7 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     # than m steps, none longer than the span, at most prefix[m] waiting).
     unit = 2 * (m + 1)
     never = (prefix[m] * (at[-1] - at[0]) * m + 1) * unit
-    out = [(prefix[m] - prefix[j + 1]) * unit for j in range(o, m)]  # waiting right of xs[j]
+    out = [(prefix[m] - prefix[j + 1]) * unit for j in range(o, m)]  # waiting right of at[j]
     best = [[None] * (o + 1) for _ in (0, 1)]
     turned = [[None] * (o + 1) for _ in (0, 1)]
     # the origin's row: the first move goes straight on from the origin's side
@@ -181,20 +181,20 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     cols = list(zip(at[o + 1 :], [at[j] - at[j - 1] for j in range(o + 1, m)], out[1:], out))
     for i in range(o - 1, -1, -1):
         xi, dl = at[i], at[i + 1] - at[i]
-        here, before = prefix[i + 1] * unit, prefix[i] * unit  # waiting left of xs[i+1], xs[i]
+        here, before = prefix[i + 1] * unit, prefix[i] * unit  # waiting left of at[i+1], at[i]
         ln, rn = best[0][i + 1], best[1][i + 1]
-        # the origin's column: straight on from the right, standing at xs[i]
+        # the origin's column: straight on from the right, standing at at[i]
         left, right = ln[0] + dl * (here + out[0]), never
         lrow, rrow, lturn, rturn = [left], [never], [False], [False]
         for (xj, gap, wait, wait_before), lnj, rnj in zip(cols, ln[1:], rn[1:]):
             span = xj - xi
-            # at xs[j]: straight on from xs[j-1] unless turning back from xs[i] is cheaper
+            # right end at[j]: straight on from at[j-1] unless turning back from at[i] is cheaper
             w = before + wait_before
             step, turn = right + gap * w, left + span * w + 2
             back = turn < step
             rturn.append(back)
             right = turn if back else step
-            # at xs[i]: straight on from xs[i+1] unless turning back from xs[j] is cheaper
+            # left end at[i]: straight on from at[i+1] unless turning back from at[j] is cheaper
             w = here + wait
             step, turn = lnj + dl * w, rnj + span * w + 2
             back = turn < step
@@ -208,14 +208,14 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     cost = key // unit
     # walk back to the origin, keeping the final end and each end turned back from
     i, j = 0, m - 1
-    turns = [xs[j] if side else xs[i]]
+    turns = [at[j] if side else at[i]]
     while (i, j) != (o, o):
         back = turned[side][i][j - o]
         i, j = (i, j - 1) if side else (i + 1, j)
         side ^= back
         if back:
-            turns.append(xs[j] if side else xs[i])
-    return Tour(tuple(turns[::-1])), Fraction(cost, scale)
+            turns.append(at[j] if side else at[i])
+    return Tour(tuple([Fraction(x, scale) for x in reversed(turns)])), Fraction(cost, scale)
 
 
 def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scalar, Tuple[Scalar, ...]]:
@@ -290,5 +290,7 @@ def distance_arrival_floor(location, arrival) -> Scalar:
 def opt_sum_floor(requests: Sequence[Request], dp_total) -> Scalar:
     """The larger of two lower bounds on the optimal total completion time:
     ``dp_total``, the latency optimum over the actual locations, which
-    ignores arrivals, and the arrival sum, which ignores geometry."""
-    return max(dp_total, sum((r.arrival for r in requests), _ZERO))
+    ignores arrivals, and the arrival sum, which ignores geometry.  The
+    arrival sum is ``sum(arrivals, Fraction(0))``, type included, added in
+    integers by ``core._exact_sum``."""
+    return max(dp_total, _exact_sum([r.arrival for r in requests]))

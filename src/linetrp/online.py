@@ -2,7 +2,9 @@
 
 All schedule arithmetic is exact.  The optimal trip growth rate involves
 ``sqrt(3)``, so scalars here live in the quadratic extension Q[sqrt(3)]:
-``QuadraticScalar`` is an exact pair ``p + q*sqrt(3)`` of rationals.
+``QuadraticScalar`` is an exact pair ``p + q*sqrt(3)`` of rationals; it
+orders by the sign of integer cross products of its parts' numerators and
+denominators, building no ``Fraction``.
 Everything downstream (trajectories, service times, ratios) stays exact in
 that field.  The closed-form completions (``roundtrip_completions``) scale
 each call's trips and legs once to integer pairs ``(a, b)``, meaning
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Instance, LineSegment, Model, Trajectory, _exact, parse_scalar
+from .core import Instance, LineSegment, Model, Trajectory, _exact, _parts, _scaled, parse_scalar
 from .offline import Tour, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
@@ -53,18 +55,6 @@ def _surd_floor(x: int, y: int, d: int) -> int:
     m = math.isqrt(3 * y * y)
     lo = x + m if y >= 0 else x - m - 1
     return lo // d
-
-
-def _parts(value):
-    """The rational parts ``(p, q)`` of ``p + q*sqrt(3)``."""
-    return (value.p, value.q) if isinstance(value, QuadraticScalar) else (value, 0)
-
-
-def _scaled(value, d: int):
-    """The integers ``(a, b)`` with ``value == (a + b*sqrt(3))/d``, for a
-    ``d`` that both rational parts of ``value`` divide."""
-    p, q = _parts(value)
-    return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)
 
 
 def _times(rows, f: int):
@@ -194,14 +184,21 @@ class QuadraticScalar:
         return _pair_sign(self.p, self.q)
 
     def _cmp(self, other) -> Optional[int]:
-        # inlined coercion: comparisons dominate simulation time
+        # comparisons dominate simulation time: the sign of (p - u) + (q - v)*sqrt(3)
+        # times the positive p.den*q.den*u.den*v.den, in integers, builds no Fraction
         if isinstance(other, QuadraticScalar):
-            return _pair_sign(self.p - other.p, self.q - other.q)
-        if isinstance(other, (int, Fraction)):
-            return _pair_sign(self.p - other, self.q)
-        if isinstance(other, float):
+            u, v = other.p, other.q
+        elif isinstance(other, (int, Fraction)):
+            u, v = other, 0
+        elif isinstance(other, float):
             raise TypeError("refusing float comparison with QuadraticScalar")
-        return None
+        else:
+            return None
+        p, q = self.p, self.q
+        pd, qd, ud, vd = p.denominator, q.denominator, u.denominator, v.denominator
+        x = p.numerator * ud - u.numerator * pd
+        y = q.numerator * vd - v.numerator * qd
+        return _pair_sign(x * qd * vd, y * pd * ud)
 
     def __eq__(self, other):
         c = self._cmp(other)

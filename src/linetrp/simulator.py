@@ -25,15 +25,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .core import Instance, Trajectory
+from .core import Instance, Trajectory, _exact_sum, _parts, _scaled
 from .offline import _first_visit, distance_arrival_floor, opt_sum_floor, optimal_latency_tour
 from .online import (
     AdaptiveStrategy,
     FixedPathStrategy,
     Strategy,
     _pair_sign,
-    _parts,
-    _scaled,
     coverage_horizon,
     roundtrip_completions,
     roundtrip_trajectory,
@@ -68,7 +66,10 @@ class RunResult:
 
     @cached_property
     def on_sum(self):
-        return sum(self.completions, _ZERO)
+        """The completion sum, as ``sum(completions, Fraction(0))`` gives it
+        (a ``QuadraticScalar`` iff some completion is one), added in integers
+        by ``core._exact_sum``."""
+        return _exact_sum(self.completions)
 
     @cached_property
     def trajectory(self) -> Trajectory:

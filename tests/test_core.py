@@ -14,6 +14,7 @@ from linetrp.core import (
     ParseError,
     Request,
     Trajectory,
+    _exact_sum,
     format_scalar,
     make_instance,
     parse_instance,
@@ -21,7 +22,7 @@ from linetrp.core import (
     serialize_instance,
 )
 from linetrp.offline import canonical_tour
-from linetrp.online import RoundTripSchedule, roundtrip_trajectory
+from linetrp.online import QuadraticScalar, RoundTripSchedule, roundtrip_trajectory
 
 
 def _oracle_first_service(breakpoints, loc, not_before=F(0)):
@@ -239,6 +240,30 @@ def test_first_service_time_matches_oracle_on_surd_round_trips(line, rel, start)
     if got is not None:
         assert str(got) == str(expected)
         assert traj.position_at(got) == loc
+
+
+_sum_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+_sum_surds = st.builds(QuadraticScalar, _sum_fractions, _sum_fractions)
+
+
+@given(
+    st.one_of(
+        st.lists(st.one_of(_sum_fractions, st.integers(-9, 9))),
+        st.lists(st.one_of(_sum_fractions, _sum_surds), min_size=1),
+        # surds whose sqrt(3) parts cancel
+        st.lists(_sum_surds, max_size=3).map(lambda xs: xs + [QuadraticScalar(1, -x.q) for x in xs]),
+    )
+)
+@settings(max_examples=300)
+def test_exact_sum_is_the_fraction_sum(values):
+    got, expected = _exact_sum(values), sum(values, F(0))
+    assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
+
+
+def test_exact_sum_of_nothing_and_of_cancelled_surds():
+    assert (_exact_sum([]), type(_exact_sum([]))) == (0, F)
+    total = _exact_sum([QuadraticScalar(F(1, 2), 1), QuadraticScalar(F(1, 3), -1)])
+    assert type(total) is QuadraticScalar and (total.p, total.q) == (F(5, 6), 0)
 
 
 # --- instances ---------------------------------------------------------------

@@ -222,6 +222,36 @@ def test_dp_returns_the_walk_it_found(monkeypatch):
     assert optimal_latency_tour([F(-5), F(-2)])[0].turning_points == (F(-5),)
 
 
+class _Unordered(F):
+    """A rational that refuses to be hashed or ordered."""
+
+    def __hash__(self):
+        raise AssertionError("a location was hashed")
+
+    def __lt__(self, other):
+        raise AssertionError("a location was ordered")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_dp_orders_and_counts_scaled_integers():
+    """The DP scales every location to an integer before it counts repeats
+    or sorts, so it never hashes or orders a Fraction, and its (tour, total),
+    types included, are those for plain Fractions."""
+    rng = random.Random(15)
+    sets = [
+        [F(0), F(0)],
+        [F(1, 3), F(-2, 7), F(1, 3), F(0), F(5, 1000), F(-2, 7), F(9, 2)],
+        [F(rng.randint(-60, 60), rng.choice((1, 3, 7, 1000))) for _ in range(40)],
+        [F(rng.randint(1, 9), 4) for _ in range(12)] + [F(0)] * 3,
+    ]
+    for pts in sets:
+        tour, total = optimal_latency_tour([_Unordered(p) for p in pts])
+        expected = optimal_latency_tour(pts)
+        assert repr((tour.turning_points, total)) == repr((expected[0].turning_points, expected[1]))
+        assert {type(x) for x in (*tour.turning_points, total)} == {F}
+
+
 def test_optimal_latency_rejects_irrational_locations():
     with pytest.raises(TypeError, match="location must be rational"):
         optimal_latency_tour([F(1), SQRT3])

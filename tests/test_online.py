@@ -188,6 +188,47 @@ def test_surd_floor_helper_brackets_the_value(x, y, d):
     assert _surd_floor(-x, -y, -d) == n
 
 
+def _fraction_cmp(a, b):
+    """The comparison by differences of ``Fraction`` parts, independent of
+    the integer cross products ``QuadraticScalar`` compares by."""
+    u, v = (b.p, b.q) if isinstance(b, QS) else (F(b), F(0))
+    return _pair_sign(a.p - u, a.q - v)
+
+
+wide_ints = st.integers(-(10**30), 10**30)
+wide_fractions = st.builds(F, wide_ints, st.integers(1, 10**6))
+wide_surds = st.builds(QS, wide_fractions, st.one_of(st.just(F(0)), wide_fractions))
+
+
+@given(wide_surds, st.data())
+@settings(max_examples=400)
+def test_surd_comparison_matches_the_fraction_oracle(a, data):
+    b = data.draw(
+        st.one_of(
+            wide_surds,
+            wide_fractions,
+            wide_ints,
+            st.booleans(),
+            # ties and near ties with a's own parts
+            st.sampled_from([F(0), F(1, 10**6), -F(1, 10**6)]).map(lambda e: QS(a.p + e, a.q)),
+            st.sampled_from([F(0), F(1, 10**6)]).map(lambda e: a.p + e),
+        )
+    )
+    s = _fraction_cmp(a, b)
+    assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
+    assert (a <= b, a >= b, a != b) == (s <= 0, s >= 0, s != 0)
+    assert (b > a, b == a, b < a) == (s < 0, s == 0, s > 0)  # reflected
+    if a.q == 0:
+        assert a == a.p and hash(a) == hash(a.p)
+        if a.p.denominator == 1:
+            assert hash(a) == hash(a.p.numerator) and a == a.p.numerator
+    with pytest.raises(TypeError):
+        a < float(a)  # noqa: B015
+    with pytest.raises(TypeError):
+        a == 0.5  # noqa: B015
+    assert a.__lt__("1") is NotImplemented and a != "1"
+
+
 def test_surd_division():
     assert QS(3, 6) / 3 == QS(1, 2)
     assert QS(3, 6) / F(3, 2) == QS(2, 4)
