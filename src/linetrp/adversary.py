@@ -15,11 +15,17 @@ off the schedule once, when it releases the request: later releases cannot
 change it.  An adaptive strategy is started once and kept live: each release
 is fed to its session as it happens, and the completions are re-read off the
 session's trajectory, since each release changes its plan.
+
+The game visits only the releases and the first violation, never the steps
+between them: between releases the completions are fixed, so each request's
+first provably late step has a closed form, and the next release is found on
+the trajectory's legs.  Its cost does not grow with ``max_steps``.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -30,7 +36,7 @@ from .online import (
     FixedPathStrategy,
     Strategy,
     VisibleInfo,
-    coverage_horizon,
+    coverage_horizon,  # not called here; perfbench/tracer.py wraps it under this name
     roundtrip_completions,
     roundtrip_trajectory,
 )
@@ -71,15 +77,27 @@ class GameTranscript:
     log: Tuple[str, ...]
 
 
-def _moving_outward(traj: Trajectory, t) -> bool:
-    """Is the server strictly heading away from the origin just after t?"""
-    pos = traj.position_at(t)
-    i = bisect.bisect_right(traj.breakpoints, t, key=lambda bp: bp[0])
-    if i >= len(traj.breakpoints):
-        return False  # parked
-    nxt = traj.breakpoints[i][1]
-    slope = (nxt > pos) - (nxt < pos)
-    return (pos > 0 and slope > 0) or (pos < 0 and slope < 0)
+def _ceil(x) -> int:
+    """Smallest integer at least ``x``, a ``Fraction`` or a surd."""
+    return -math.floor(-x)
+
+
+def _next_outward_step(traj: Trajectory, lo: int, hi) -> Optional[int]:
+    """First integer step in ``[lo, hi]`` at which the server stands at
+    position 1 or beyond, strictly heading away from the origin: on a leg
+    ``(ta, pa) -> (tb, pb)`` with ``pb > pa`` and ``ta <= t < tb``.  None
+    when there is none by ``hi`` or before the trajectory parks."""
+    pts = traj.breakpoints
+    k = max(bisect.bisect_right(pts, lo, key=lambda bp: bp[0]) - 1, 0)
+    for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
+        if ta > hi:
+            return None
+        if pb > pa and pb > 1:  # outward, and past 1 before the leg ends
+            at_one = ta if pa >= 1 else ta + (1 - pa) * (tb - ta) / (pb - pa)
+            t = max(lo, _ceil(at_one))
+            if t < tb and t <= hi:
+                return t
+    return None
 
 
 def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None) -> GameTranscript:
@@ -89,10 +107,18 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     the adversary watches their trajectory to time the releases and takes
     each request's completion from ``roundtrip_completions`` at its release.
     An adaptive one is started once; each release is fed to that one
-    session, and the completions are re-read off its trajectory.  Returns
-    the full transcript; ``witness`` stays None when the strategy escapes
-    every deadline within ``max_steps``.  Raises CoverageError when the
-    strategy never serves some released request.
+    session, and the completions are re-read off its trajectory.
+
+    The game jumps from release to release.  Between releases every
+    completion is fixed, so a request with deadline D is first provably
+    late at step ``max(ceil(D), now)``, where ``now`` is the first step not
+    yet checked, and never if it is served by D.  The next release is read
+    off the trajectory's legs, and the committed trajectory is built only as
+    far as that scan looks.  So the cost grows with the releases and the
+    legs, not with ``max_steps``.  Returns the full transcript; ``witness``
+    stays None when the strategy escapes every deadline within
+    ``max_steps``.  Raises CoverageError when the strategy never serves some
+    released request.
     """
     cfg = config if config is not None else GameConfig()
     all_predictions = cfg.bases + cfg.near_origin
@@ -102,10 +128,12 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     comps: List[object] = []
     if isinstance(strategy, FixedPathStrategy):
         planned, session = strategy.plan(info), None
-        horizon = coverage_horizon(planned.path, planned.schedule, Fraction(cfg.max_steps))
-        traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+        # the committed round trips run forever; they are built lazily, and
+        # not at all when the path never reaches 1, where nothing is released
+        grows = max(planned.path.turning_points, default=0) >= 1
+        traj = Trajectory(((Fraction(0), Fraction(0)),))
     else:
-        session = strategy.start(info)
+        session, grows = strategy.start(info), False
         traj = session.trajectory()
 
     def release(locations, arrival) -> None:
@@ -120,6 +148,23 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             traj = session.trajectory()
             comps = [traj.first_service_time(loc, arr) for loc, arr in released]
 
+    def next_release(now: int, hi) -> Optional[int]:
+        # a near-origin request goes out only once the earlier ones are served
+        nonlocal traj
+        lo = max(now, 1)
+        for i in near_released:
+            if comps[i] is None:
+                return None
+            lo = max(lo, _ceil(comps[i]))
+        if lo > hi:
+            return None
+        while True:
+            step = _next_outward_step(traj, lo, hi)
+            if step is not None or not grows or traj.end_time > hi:
+                return step
+            horizon = max(2 * traj.end_time, 1)
+            traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+
     release(cfg.bases, Fraction(0))
     near_released: List[int] = []  # indices into `released`
     pending = list(cfg.near_origin)
@@ -128,34 +173,38 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         f"t=0: released base requests at {', '.join(str(b) for b in cfg.bases)}",
     ]
 
-    declared: Optional[Tuple[int, int]] = None  # (request index, step)
-    final_step = cfg.max_steps
-    for step in range(cfg.max_steps + 1):
-        # a violation is provable at an integer time in two ways: the request
-        # was served late, or its deadline passed while it sat unserved
-        for i, ((loc, arr), c, deadline) in enumerate(zip(released, comps, deadlines)):
-            served_late = c is not None and c <= step and c > deadline
-            overdue = (c is None or c > step) and step >= deadline
-            if served_late or overdue:
-                declared = (i, step)
-                log.append(
-                    f"t={step}: request at {loc} (arrival {arr}) is past its"
-                    f" deadline {deadline} -- witness declared"
-                )
-                break
-        if declared is not None:
-            final_step = step
+    # each step checks for a violation, then maybe releases; ``now`` is the
+    # first step not yet checked
+    now = 0
+    while True:
+        late = [
+            (max(_ceil(deadline), now), i)
+            for i, (c, deadline) in enumerate(zip(comps, deadlines))
+            if c is None or c > deadline
+        ]
+        declared = min(late, default=None)  # (step, request index)
+        if declared is not None and declared[0] > cfg.max_steps:
+            declared = None
+        # a violation found at a step is declared before a release there
+        hi = cfg.max_steps if declared is None else declared[0] - 1
+        step = next_release(now, hi) if pending else None
+        if step is None:
             break
-        if pending and step >= 1:
-            pos = traj.position_at(Fraction(step))
-            prev_served = all(
-                comps[i] is not None and comps[i] <= step for i in near_released
-            )
-            if prev_served and pos >= 1 and _moving_outward(traj, Fraction(step)):
-                loc = pending.pop(0)
-                near_released.append(len(released))
-                release([loc], Fraction(step))
-                log.append(f"t={step}: server at {pos} heading out -- released {loc}")
+        pos = traj.position_at(Fraction(step))
+        loc = pending.pop(0)
+        near_released.append(len(released))
+        release([loc], Fraction(step))
+        log.append(f"t={step}: server at {pos} heading out -- released {loc}")
+        now = step + 1
+
+    final_step = cfg.max_steps
+    if declared is not None:
+        final_step, i = declared
+        (loc, arr), deadline = released[i], deadlines[i]
+        log.append(
+            f"t={final_step}: request at {loc} (arrival {arr}) is past its"
+            f" deadline {deadline} -- witness declared"
+        )
 
     # the predictions stay honest: anything withheld goes out at the end
     if pending:
@@ -168,7 +217,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     max_ratio = max(ratios, default=Fraction(1))
     witness = None
     if declared is not None:
-        idx, step = declared
+        step, idx = declared
         r = instance.requests[idx]
         witness = Witness(
             request_index=idx,

@@ -47,11 +47,16 @@ def _parts(value):
     return (value, 0) if q is None else (value.p, q)
 
 
-def _scaled(value, d: int):
-    """The integers ``(a, b)`` with ``value == (a + b*sqrt(3))/d``, for a
-    ``d`` that both rational parts of ``value`` divide."""
-    p, q = _parts(value)
-    return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)
+def _scaled_pairs(values):
+    """``(d, pairs)``: the lcm ``d`` of the denominators of every rational
+    part of ``values``, and each value as the integers ``(a, b)`` with
+    ``value == (a + b*sqrt(3))/d``, in order.  Each value is split into its
+    parts once."""
+    parts = [_parts(v) for v in values]
+    d = math.lcm(*[x.denominator for pq in parts for x in pq])
+    return d, [
+        (p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)) for p, q in parts
+    ]
 
 
 def _exact_sum(values):
@@ -60,8 +65,7 @@ def _exact_sum(values):
     surd, then a surd of that value's class (``online.QuadraticScalar``,
     which this module cannot import), even when the ``sqrt(3)`` parts cancel."""
     values = list(values)
-    d = math.lcm(*[x.denominator for v in values for x in _parts(v)])
-    pairs = [_scaled(v, d) for v in values]
+    d, pairs = _scaled_pairs(values)
     a, b = sum([x for x, _ in pairs]), sum([y for _, y in pairs])
     surd = next((v for v in values if hasattr(v, "q")), None)
     return Fraction(a, d) if surd is None else type(surd)(Fraction(a, d), Fraction(b, d))

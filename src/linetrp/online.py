@@ -22,7 +22,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Instance, LineSegment, Model, Trajectory, _exact, _parts, _scaled, parse_scalar
+from .core import (
+    Instance,
+    LineSegment,
+    Model,
+    Trajectory,
+    _exact,
+    _parts,
+    _scaled_pairs,
+    parse_scalar,
+)
 from .offline import Tour, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
@@ -232,8 +241,8 @@ class QuadraticScalar:
         return float(self.p) + float(self.q) * math.sqrt(3.0)
 
     def __floor__(self) -> int:
-        d = math.lcm(self.p.denominator, self.q.denominator)
-        return _surd_floor(*_scaled(self, d), d)
+        d, [(a, b)] = _scaled_pairs([self])
+        return _surd_floor(a, b, d)
 
     def __repr__(self):
         return f"QuadraticScalar({self.p}, {self.q})"
@@ -271,8 +280,8 @@ class RoundTripSchedule:
 
     Trip j has virtual length ``(2+2a)`` for j=1 and ``(2+2a)^(j-1) * (1+2a)``
     after that, plus a constant ``pad`` per trip; the trip lengths telescope so
-    that the first j trips together take ``(2+2a)^j + j*pad`` time.  ``reach``
-    is the turnaround distance, half the trip length.
+    that the first j trips together take ``(2+2a)^j + j*pad`` time.  A trip's
+    reach is its turnaround distance, half its length.
     """
 
     alpha: object = DEFAULT_ALPHA
@@ -290,31 +299,15 @@ class RoundTripSchedule:
     def growth(self):
         return 2 + 2 * self.alpha
 
-    def trip_length(self, j: int):
-        if j < 1:
-            raise ValueError("trips are numbered from 1")
-        base = self.growth if j == 1 else self.growth ** (j - 1) * (1 + 2 * self.alpha)
-        return base + self.pad
-
-    def reach(self, j: int):
-        return self.trip_length(j) / 2
-
-    def cumulative_length(self, j: int):
-        """Total time spent in trips 1..j (0 for j=0)."""
-        if j < 0:
-            raise ValueError("trip count must be nonnegative")
-        if j == 0:
-            return _ZERO
-        return self.growth ** j + j * self.pad
-
     def trips(self, until):
         """Trips 1, 2, ... as ``(start, end, reach)``, up to and including the
         first whose reach is at least ``until``.
 
-        Equal to ``(cumulative_length(j-1), cumulative_length(j), reach(j))``.
-        Every schedule with this ``alpha`` and ``pad`` (types included: a
-        ``Fraction`` alpha and an equal rational ``QuadraticScalar`` one give
-        trips of different types) shares one memoized list of trips, extended
+        Trip j starts when trip j-1 ends, ends at ``growth**j + j*pad`` and
+        reaches half its length (see the class docstring).  Every schedule
+        with this ``alpha`` and ``pad`` (types included: a ``Fraction``
+        alpha and an equal rational ``QuadraticScalar`` one give trips of
+        different types) shares one memoized list of trips, extended
         one trip at a time as a caller walks past its end, so each trip is
         built once; a call yields a prefix of that list.
         """
@@ -343,7 +336,7 @@ def _trip_memo(alpha, pad) -> list:
 def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Trajectory:
     """Clamped geometric round trips over a path, until ``horizon``.
 
-    Trip j walks the path from the origin out to arc ``min(reach(j), length)``
+    Each trip walks the path from the origin out to arc ``min(reach, length)``
     and back.  Once the reach passes the path length, every further trip
     sweeps the whole path.  An empty path parks at the origin.
     """
@@ -443,12 +436,13 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     if total == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
     trips = list(schedule.trips(total))
-    d0 = math.lcm(*[x.denominator for row in trips + list(pts) for v in row for x in _parts(v)])
-    *geometric, (base, _, _) = [tuple([_scaled(v, d0) for v in trip]) for trip in trips]
-    walk = [(_scaled(at, d0), _scaled(u, d0)) for at, u in pts]
+    d0, scaled = _scaled_pairs([v for row in trips + list(pts) for v in row] + [2 * total])
+    it = iter(scaled)
+    *geometric, (base, _, _) = [(next(it), next(it), next(it)) for _ in trips]
+    walk = [(next(it), next(it)) for _ in pts]
     # (arc at start, start, end) per leg; (base, period) of the full sweeps
     legs = [(at, u, v) for (at, u), (_, v) in zip(walk, walk[1:])]
-    sweeps = (base, _scaled(2 * total, d0))
+    sweeps = (base, next(it))
     over = {d0: (geometric, legs, sweeps)}  # the same geometry over each d seen
     out: List[Optional[object]] = []
     for loc, arrival in requests:

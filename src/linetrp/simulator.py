@@ -19,13 +19,12 @@ ratios are computed when read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .core import Instance, Trajectory, _exact_sum, _parts, _scaled
+from .core import Instance, Trajectory, _exact_sum, _scaled_pairs
 from .offline import _first_visit, distance_arrival_floor, opt_sum_floor, optimal_latency_tour
 from .online import (
     AdaptiveStrategy,
@@ -212,15 +211,14 @@ def evaluate(result: RunResult) -> EvaluationReport:
     inst = result.instance
     tour, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
     walk = tour.walk.breakpoints
-    values = [v for r in inst.requests for v in (r.actual, r.arrival)]
-    values += result.completions
-    values += [v for bp in walk for v in bp]
-    d = math.lcm(*[x.denominator for v in values for x in _parts(v)])
-    walk_d = [(_scaled(arc, d)[0], _scaled(p, d)[0]) for arc, p in walk]  # rational
+    requests = list(zip(inst.requests, result.completions))
+    values = [v for r, c in requests for v in (r.actual, r.arrival, c)]
+    d, pairs = _scaled_pairs(values + [v for bp in walk for v in bp])
+    it = iter(pairs)
+    scaled = [(next(it)[0], next(it), next(it)) for _ in requests]  # actual is rational
+    walk_d = [(next(it)[0], next(it)[0]) for _ in walk]  # rational
     rows, simple, tour_ratios = [], [], []
-    for r, c in zip(inst.requests, result.completions):
-        x, _ = _scaled(r.actual, d)
-        t, num = _scaled(r.arrival, d), _scaled(c, d)
+    for (r, c), (x, t, num) in zip(requests, scaled):
         if _pair_sign(t[0] - abs(x), t[1]) > 0:
             bound_s, floor_s = r.arrival, t
         else:

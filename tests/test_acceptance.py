@@ -130,6 +130,19 @@ def test_halfline_schedule_certified_ratio():
     )
 
 
+def _reach(schedule, j):
+    """Trip j's turnaround distance in closed form: half of ``2+2a`` for
+    j = 1, of ``(2+2a)^(j-1) * (1+2a)`` after that, plus half the pad."""
+    g = schedule.growth
+    length = g if j == 1 else g ** (j - 1) * (1 + 2 * schedule.alpha)
+    return (length + schedule.pad) / 2
+
+
+def _cumulative_length(schedule, j):
+    """Time the first j trips take: ``(2+2a)^j + j*pad``."""
+    return schedule.growth**j + j * schedule.pad
+
+
 def test_halfline_ratio_bound_is_tight():
     """Requests dropped just past a turnaround push the ratio as close to
     2+sqrt(3) as desired: within 1e-2 already at probe depth 1e-2, improving
@@ -141,13 +154,13 @@ def test_halfline_ratio_bound_is_tight():
     for j in (3, 4, 5):
         gaps = []
         for d in (2, 4, 6):
-            loc = schedule.reach(j - 1) + F(1, 10**d)
+            loc = _reach(schedule, j - 1) + F(1, 10**d)
             # built directly: the probe location is an exact quadratic surd,
             # which the text format does not carry
             inst = make_instance(line, [(None, loc, F(0))], Model.ORIGINAL)
             result = run(inst, HalflineRoundTrips())
             completion = result.completions[0]
-            expected = schedule.cumulative_length(j - 1) + loc
+            expected = _cumulative_length(schedule, j - 1) + loc
             ratio = completion / loc
             gap = CERT_RATIO - ratio
             gaps.append(gap)

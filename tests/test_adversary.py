@@ -2,15 +2,24 @@
 caught by a near-origin release, the replanner escapes, and every claimed
 violation survives an independent re-run."""
 
+import bisect
+import dataclasses
 import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linetrp import adversary, online
-from linetrp.adversary import GameConfig, Witness, play_lowerbound_game, verify_witness
-from linetrp.core import Model, Trajectory
-from linetrp.offline import Tour, optimal_latency_tour
+from linetrp.adversary import (
+    GameConfig,
+    GameTranscript,
+    Witness,
+    play_lowerbound_game,
+    verify_witness,
+)
+from linetrp.core import LineSegment, Model, Trajectory, make_instance
+from linetrp.offline import Tour, distance_arrival_floor, optimal_latency_tour
 from linetrp.online import (
     AdaptiveStrategy,
     FixedPathStrategy,
@@ -24,9 +33,10 @@ from linetrp.online import (
     RoundTripSchedule,
     VisibleInfo,
     coverage_horizon,
+    roundtrip_completions,
     roundtrip_trajectory,
 )
-from linetrp.simulator import CoverageError, run
+from linetrp.simulator import CoverageError, _check_coverage, request_ratio, run
 
 QS = QuadraticScalar
 
@@ -304,3 +314,176 @@ def test_deadlines_are_fixed_at_release(strategy, monkeypatch):
     requests = len(cfg.bases) + len(cfg.near_origin)
     assert len(transcript.instance.requests) == requests
     assert len(calls) <= requests + (transcript.witness is not None)
+
+
+# --- the event loop against the step-by-step game ---------------------------
+
+
+def _moving_outward(traj, t) -> bool:
+    """Is the server strictly heading away from the origin just after t?"""
+    pos = traj.position_at(t)
+    i = bisect.bisect_right(traj.breakpoints, t, key=lambda bp: bp[0])
+    if i >= len(traj.breakpoints):
+        return False  # parked
+    nxt = traj.breakpoints[i][1]
+    slope = (nxt > pos) - (nxt < pos)
+    return (pos > 0 and slope > 0) or (pos < 0 and slope < 0)
+
+
+def _stepwise_game(strategy, cfg) -> GameTranscript:
+    """The release game played the slow way, as a reference: every integer
+    step up to ``max_steps`` re-checks every released request, then asks
+    whether the server, on a trajectory built out to ``coverage_horizon``,
+    stands at 1 or beyond heading outward."""
+    all_predictions = cfg.bases + cfg.near_origin
+    info = VisibleInfo(cfg.line, Model.PREDICTION, all_predictions)
+    released, deadlines, comps = [], [], []
+    if isinstance(strategy, FixedPathStrategy):
+        planned, session = strategy.plan(info), None
+        horizon = coverage_horizon(planned.path, planned.schedule, F(cfg.max_steps))
+        traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+    else:
+        session = strategy.start(info)
+        traj = session.trajectory()
+
+    def release(locations, arrival):
+        nonlocal traj, comps
+        batch = [(loc, arrival) for loc in locations]
+        released.extend(batch)
+        deadlines.extend([cfg.ratio_target * distance_arrival_floor(loc, arrival) for loc in locations])
+        if session is None:
+            comps += roundtrip_completions(planned, batch)
+        else:
+            session.on_arrivals(arrival, locations)
+            traj = session.trajectory()
+            comps = [traj.first_service_time(loc, arr) for loc, arr in released]
+
+    release(cfg.bases, F(0))
+    near_released, pending = [], list(cfg.near_origin)
+    log = [
+        "predictions announced: " + ", ".join(str(p) for p in all_predictions),
+        f"t=0: released base requests at {', '.join(str(b) for b in cfg.bases)}",
+    ]
+    declared, final_step = None, cfg.max_steps
+    for step in range(cfg.max_steps + 1):
+        for i, ((loc, arr), c, deadline) in enumerate(zip(released, comps, deadlines)):
+            served_late = c is not None and c <= step and c > deadline
+            overdue = (c is None or c > step) and step >= deadline
+            if served_late or overdue:
+                declared = (i, step)
+                log.append(
+                    f"t={step}: request at {loc} (arrival {arr}) is past its"
+                    f" deadline {deadline} -- witness declared"
+                )
+                break
+        if declared is not None:
+            final_step = step
+            break
+        if pending and step >= 1:
+            pos = traj.position_at(F(step))
+            prev_served = all(comps[i] is not None and comps[i] <= step for i in near_released)
+            if prev_served and pos >= 1 and _moving_outward(traj, F(step)):
+                loc = pending.pop(0)
+                near_released.append(len(released))
+                release([loc], F(step))
+                log.append(f"t={step}: server at {pos} heading out -- released {loc}")
+    if pending:
+        release(pending, F(final_step))
+    log += [f"t={final_step}: released remaining {loc} (game over)" for loc in pending]
+
+    instance = make_instance(cfg.line, [(loc, loc, arr) for loc, arr in released])
+    _check_coverage(instance, comps, strategy.name)
+    ratios = [request_ratio(r.actual, r.arrival, c) for r, c in zip(instance.requests, comps)]
+    max_ratio = max(ratios, default=F(1))
+    witness = None
+    if declared is not None:
+        idx, step = declared
+        r = instance.requests[idx]
+        floor = distance_arrival_floor(r.actual, r.arrival)
+        witness = Witness(idx, r.actual, r.arrival, comps[idx], floor, ratios[idx], step)
+        log.append(
+            f"witness: request {idx} at {r.actual}, arrival {r.arrival},"
+            f" completed {comps[idx]} (ratio {ratios[idx]})"
+        )
+    else:
+        log.append(f"no witness within {cfg.max_steps} steps; worst ratio {max_ratio}")
+    return GameTranscript(strategy.name, cfg, instance, tuple(comps), witness, max_ratio, tuple(log))
+
+
+def _outcome(strategy, cfg, play):
+    try:
+        t = play(strategy, cfg)
+    except (CoverageError, ValueError) as exc:  # ValueError: halfline on a full line
+        return f"{type(exc).__name__}: {exc}"
+    return repr((t.log, t.completions, t.witness, t.max_ratio, t.instance))
+
+
+_ALPHAS = [online.DEFAULT_ALPHA, F(3, 4), F(2), F(1, 2), F(7, 5)]
+_STRATEGIES = st.one_of(
+    st.builds(HalflineRoundTrips, st.sampled_from(_ALPHAS)),
+    st.builds(LineSweepRoundTrips, st.sampled_from(_ALPHAS)),
+    st.builds(PerfectPredictionTour, st.sampled_from(_ALPHAS)),
+    st.builds(
+        RobustPredictionTour,
+        st.sampled_from([F(0), F(1, 100), F(1, 20), F(1)]),  # 1: past the fallback threshold
+        st.sampled_from(_ALPHAS),
+    ),
+    st.just(GreedyReplan()),
+)
+_GAMES = st.builds(
+    GameConfig,
+    line=st.sampled_from([LineSegment(F(0), F(10)), LineSegment(F(-3), F(10))]),
+    bases=st.lists(st.integers(0, 40).map(lambda k: F(k, 4)), max_size=8).map(tuple),
+    near_origin=st.lists(st.integers(0, 9).map(lambda k: F(k, 1000)), max_size=5).map(tuple),
+    ratio_target=st.sampled_from([F(3), F(1, 2), F(4), F(5, 2), F(1), F(2), F(7), F(100)]),
+    max_steps=st.integers(0, 150),
+)
+
+
+@given(_STRATEGIES, _GAMES)
+@example(HalflineRoundTrips(), GameConfig(ratio_target=F(1, 2)))
+@example(GreedyReplan(), GameConfig(near_origin=ROSTERS["five"], ratio_target=F(4)))
+@settings(max_examples=200, deadline=None)
+def test_event_game_matches_the_stepwise_game(strategy, cfg):
+    """Jumping from release to release gives the transcript of checking
+    every step: the same log, completions, witness, worst ratio and
+    instance, or the same error."""
+    assert _outcome(strategy, cfg, play_lowerbound_game) == _outcome(strategy, cfg, _stepwise_game)
+
+
+_SCALE_STRATEGIES = [
+    HalflineRoundTrips(),
+    LineSweepRoundTrips(),
+    PerfectPredictionTour(),
+    RobustPredictionTour(F(1, 100)),
+    GreedyReplan(),
+]
+
+
+@pytest.mark.parametrize("strategy", _SCALE_STRATEGIES, ids=lambda s: s.name)
+@pytest.mark.parametrize("cfg", [GameConfig(), GameConfig(bases=())], ids=["default", "no-bases"])
+def test_game_cost_does_not_grow_with_max_steps(strategy, cfg, monkeypatch):
+    """A million steps play the same game as 120 where it ends early, and
+    build no more of the committed trajectory: the work follows the
+    releases and the legs, not ``max_steps``."""
+    built = []
+    real = adversary.roundtrip_trajectory
+
+    def counting(*args):
+        traj = real(*args)
+        built.append(len(traj.breakpoints))
+        return traj
+
+    monkeypatch.setattr(adversary, "roundtrip_trajectory", counting)
+    short = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=120))
+    short_built, built[:] = sum(built), []
+    long = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=10**6))
+    assert sum(built) == short_built <= 100
+    if short.witness is not None:
+        assert (long.witness, long.log) == (short.witness, short.log)
+    else:  # the same releases; what is withheld goes out at the last step
+
+        def played(log):
+            return [line for line in log[:-1] if not line.endswith("(game over)")]
+
+        assert long.witness is None and played(long.log) == played(short.log)

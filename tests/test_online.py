@@ -251,16 +251,34 @@ def test_parse_alpha():
 # --- round-trip schedule ---------------------------------------------------
 
 
+# The schedule's closed form, kept here as an oracle independent of the
+# incremental ``RoundTripSchedule.trips``: trip j is ``2+2a`` long for j = 1
+# and ``(2+2a)^(j-1) * (1+2a)`` after that, plus the pad; the lengths
+# telescope, so the first j trips take ``(2+2a)^j + j*pad``.
+def _trip_length(s, j):
+    base = s.growth if j == 1 else s.growth ** (j - 1) * (1 + 2 * s.alpha)
+    return base + s.pad
+
+
+def _reach(s, j):
+    return _trip_length(s, j) / 2
+
+
+def _cumulative_length(s, j):
+    return F(0) if j == 0 else s.growth**j + j * s.pad
+
+
 def test_schedule_frozen_values():
     s = RoundTripSchedule()
     assert s.growth == QS(2, 1)
-    assert s.reach(1) == QS(1, F(1, 2))
-    assert s.reach(2) == QS(F(5, 2), F(3, 2))
-    assert s.cumulative_length(0) == 0
-    assert s.cumulative_length(1) == QS(2, 1)
-    assert s.cumulative_length(2) == QS(7, 4)  # (2 + sqrt(3))^2
+    assert _reach(s, 1) == QS(1, F(1, 2))
+    assert _reach(s, 2) == QS(F(5, 2), F(3, 2))
+    assert _cumulative_length(s, 0) == 0
+    assert _cumulative_length(s, 1) == QS(2, 1)
+    assert _cumulative_length(s, 2) == QS(7, 4)  # (2 + sqrt(3))^2
     padded = RoundTripSchedule(pad=F(4))
-    assert padded.reach(1) == QS(3, F(1, 2))
+    assert _reach(padded, 1) == QS(3, F(1, 2))
+    assert list(s.trips(_reach(s, 2)))[1] == (QS(2, 1), QS(7, 4), _reach(s, 2))
 
 
 def test_schedule_validation():
@@ -268,11 +286,6 @@ def test_schedule_validation():
         RoundTripSchedule(alpha=F(0))
     with pytest.raises(ValueError):
         RoundTripSchedule(pad=F(-1))
-    s = RoundTripSchedule()
-    with pytest.raises(ValueError):
-        s.trip_length(0)
-    with pytest.raises(ValueError):
-        s.cumulative_length(-1)
 
 
 alphas = st.one_of(
@@ -285,19 +298,16 @@ alphas = st.one_of(
 @settings(max_examples=150)
 def test_schedule_lengths_telescope(alpha, pad, j):
     s = RoundTripSchedule(alpha, pad)
-    direct = sum((s.trip_length(k) for k in range(1, j + 1)), F(0))
-    assert direct == s.cumulative_length(j)
-    assert s.reach(j) * 2 == s.trip_length(j)
+    direct = sum((_trip_length(s, k) for k in range(1, j + 1)), F(0))
+    assert direct == _cumulative_length(s, j)
     # the incremental trip walk stops at the first trip reaching its bound
-    assert list(s.trips(s.reach(j))) == [
-        (s.cumulative_length(k - 1), s.cumulative_length(k), s.reach(k)) for k in range(1, j + 1)
-    ]
+    assert list(s.trips(_reach(s, j))) == _closed_form_trips(s, j)
 
 
 
 def _closed_form_trips(s, j):
-    cumulative = [s.cumulative_length(k) for k in range(j + 1)]
-    return [(cumulative[k - 1], cumulative[k], s.reach(k)) for k in range(1, j + 1)]
+    cumulative = [_cumulative_length(s, k) for k in range(j + 1)]
+    return [(cumulative[k - 1], cumulative[k], _reach(s, k)) for k in range(1, j + 1)]
 
 
 def _typed(trips):
@@ -313,17 +323,17 @@ def _typed(trips):
 def test_memoized_trips_are_the_closed_form(alpha, pad, j):
     s = RoundTripSchedule(alpha, pad)
     expected = _closed_form_trips(s, j)
-    assert _typed(s.trips(s.reach(j))) == _typed(expected)
+    assert _typed(s.trips(_reach(s, j))) == _typed(expected)
     assert _typed(online._trip_memo(s.alpha, s.pad)[:j]) == _typed(expected)
     # a short walk after a long one still stops at its own bound
-    assert _typed(s.trips(s.reach(1))) == _typed(expected[:1])
+    assert _typed(s.trips(_reach(s, 1))) == _typed(expected[:1])
 
 
 def test_interleaved_trip_walks_share_one_memo():
     online._trip_memo.cache_clear()
     s = RoundTripSchedule(DEFAULT_ALPHA, F(1, 3))
     expected = _closed_form_trips(s, 6)
-    long, short = s.trips(s.reach(6)), s.trips(s.reach(4))
+    long, short = s.trips(_reach(s, 6)), s.trips(_reach(s, 4))
     head = [next(long), next(long)]  # builds trips 1 and 2
     mid = list(short)  # reads 1 and 2, builds 3 and 4
     tail = list(long)  # reads 3 and 4, builds 5 and 6
@@ -366,9 +376,9 @@ def test_first_visit_trip():
         return sum(1 for _ in s.trips(arc))
 
     assert first_visit_trip(F(0)) == 1
-    assert first_visit_trip(s.reach(1)) == 1  # reach is inclusive
-    assert first_visit_trip(s.reach(2)) == 2
-    assert first_visit_trip(s.reach(2) + F(1, 1000)) == 3
+    assert first_visit_trip(_reach(s, 1)) == 1  # reach is inclusive
+    assert first_visit_trip(_reach(s, 2)) == 2
+    assert first_visit_trip(_reach(s, 2) + F(1, 1000)) == 3
 
 
 # --- trajectory synthesis ----------------------------------------------------
