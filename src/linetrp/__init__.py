@@ -6,10 +6,12 @@ ratio certification, and an adversarial lower-bound game.
 """
 
 from .core import (
+    SQRT3,
     Instance,
     LineSegment,
     Model,
     ParseError,
+    QuadraticScalar,
     Request,
     Scalar,
     Trajectory,
@@ -25,13 +27,11 @@ from .online import (
     CERT_RATIO,
     DEFAULT_ALPHA,
     FALLBACK_THRESHOLD,
-    SQRT3,
     GreedyReplan,
     HalflineRoundTrips,
     LineSweepRoundTrips,
     ModelMismatchError,
     PerfectPredictionTour,
-    QuadraticScalar,
     RobustPredictionTour,
     RoundTripSchedule,
     Strategy,

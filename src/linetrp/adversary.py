@@ -77,11 +77,6 @@ class GameTranscript:
     log: Tuple[str, ...]
 
 
-def _ceil(x) -> int:
-    """Smallest integer at least ``x``, a ``Fraction`` or a surd."""
-    return -math.floor(-x)
-
-
 def _next_outward_step(traj: Trajectory, lo: int, hi) -> Optional[int]:
     """First integer step in ``[lo, hi]`` at which the server stands at
     position 1 or beyond, strictly heading away from the origin: on a leg
@@ -94,7 +89,7 @@ def _next_outward_step(traj: Trajectory, lo: int, hi) -> Optional[int]:
             return None
         if pb > pa and pb > 1:  # outward, and past 1 before the leg ends
             at_one = ta if pa >= 1 else ta + (1 - pa) * (tb - ta) / (pb - pa)
-            t = max(lo, _ceil(at_one))
+            t = max(lo, math.ceil(at_one))
             if t < tb and t <= hi:
                 return t
     return None
@@ -155,7 +150,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         for i in near_released:
             if comps[i] is None:
                 return None
-            lo = max(lo, _ceil(comps[i]))
+            lo = max(lo, math.ceil(comps[i]))
         if lo > hi:
             return None
         while True:
@@ -178,7 +173,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     now = 0
     while True:
         late = [
-            (max(_ceil(deadline), now), i)
+            (max(math.ceil(deadline), now), i)
             for i, (c, deadline) in enumerate(zip(comps, deadlines))
             if c is None or c > deadline
         ]

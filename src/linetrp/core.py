@@ -1,9 +1,16 @@
 """Exact data model for the repairperson-on-a-line problem.
 
 Positions, times, and line endpoints are exact numbers (``fractions.Fraction``
-or compatible exact types), so simulation results and ratio certificates never
+or ``QuadraticScalar``), so simulation results and ratio certificates never
 depend on float rounding.  Server motion is a piecewise-linear trajectory with
 speed at most 1, starting at the origin at time 0.
+
+The online schedules' optimal trip growth rate involves ``sqrt(3)``, so times
+live in the quadratic extension Q[sqrt(3)]: ``QuadraticScalar`` is an exact
+pair ``p + q*sqrt(3)`` of rationals; it orders by the sign of integer cross
+products of its parts' numerators and denominators, building no ``Fraction``.
+Everything downstream (trajectories, service times, ratios) stays exact in
+that field.
 """
 
 from __future__ import annotations
@@ -38,13 +45,223 @@ def _exact(value, what: str = "value"):
     return value
 
 
+def _pair_sign(p, q) -> int:
+    """Sign of p + q*sqrt(3), without evaluating the root."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # opposite signs: the sign follows whichever of p^2, 3 q^2 dominates
+    pp, qq = p * p, 3 * q * q
+    if p > 0:  # q < 0
+        return 1 if pp > qq else -1  # pp == qq impossible: sqrt(3) irrational
+    return 1 if qq > pp else -1
+
+
+def _surd_floor(x: int, y: int, d: int) -> int:
+    """``floor((x + y*sqrt(3))/d)`` for integers with ``d != 0``."""
+    if d < 0:
+        x, y, d = -x, -y, -d
+    # for y != 0, |y|*sqrt(3) = sqrt(3*y^2) lies strictly between the integers
+    # m and m+1, so d times the value lies strictly between lo and lo+1
+    m = math.isqrt(3 * y * y)
+    lo = x + m if y >= 0 else x - m - 1
+    return lo // d
+
+
+class QuadraticScalar:
+    """Exact element p + q*sqrt(3) of Q[sqrt(3)].
+
+    Supports field arithmetic and total ordering, mixes freely with int and
+    Fraction, and refuses floats.  Rational values (q == 0) compare and hash
+    consistently with the equal Fraction.
+    """
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p, q=0):
+        if type(p) is not Fraction:  # hot path: components usually arrive exact
+            if isinstance(p, float):
+                raise TypeError("QuadraticScalar components must be exact")
+            p = Fraction(p)
+        if type(q) is not Fraction:
+            if isinstance(q, float):
+                raise TypeError("QuadraticScalar components must be exact")
+            q = Fraction(q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticScalar is immutable")
+
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore would hit __setattr__
+        return QuadraticScalar, (self.p, self.q)
+
+    # -- coercion ----------------------------------------------------------
+
+    @staticmethod
+    def _coerce(other) -> "QuadraticScalar":
+        if isinstance(other, QuadraticScalar):
+            return other
+        if isinstance(other, float):
+            raise TypeError("refusing float arithmetic with QuadraticScalar")
+        if isinstance(other, (int, Fraction)):
+            return QuadraticScalar(other)
+        return NotImplemented  # type: ignore[return-value]
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return QuadraticScalar(self.p + o.p, self.q + o.q)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return QuadraticScalar(self.p - o.p, self.q - o.q)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return QuadraticScalar(o.p - self.p, o.q - self.q)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return QuadraticScalar(self.p * o.p + 3 * self.q * o.q, self.p * o.q + self.q * o.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.q == 0:
+            return QuadraticScalar(self.p / o.p, self.q / o.p)
+        # p^2 == 3 q^2 has no rational solution with q != 0, so d != 0
+        d = o.p * o.p - 3 * o.q * o.q
+        return QuadraticScalar(
+            (self.p * o.p - 3 * self.q * o.q) / d,
+            (self.q * o.p - self.p * o.q) / d,
+        )
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        out = QuadraticScalar(1)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __neg__(self):
+        return QuadraticScalar(-self.p, -self.q)
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return -self if self._sign() < 0 else self
+
+    # -- ordering ----------------------------------------------------------
+
+    def _sign(self) -> int:
+        return _pair_sign(self.p, self.q)
+
+    def _cmp(self, other) -> Optional[int]:
+        # comparisons dominate simulation time: the sign of (p - u) + (q - v)*sqrt(3)
+        # times the positive p.den*q.den*u.den*v.den, in integers, builds no Fraction
+        if isinstance(other, QuadraticScalar):
+            u, v = other.p, other.q
+        elif isinstance(other, (int, Fraction)):
+            u, v = other, 0
+        elif isinstance(other, float):
+            raise TypeError("refusing float comparison with QuadraticScalar")
+        else:
+            return None
+        p, q = self.p, self.q
+        pd, qd, ud, vd = p.denominator, q.denominator, u.denominator, v.denominator
+        x = p.numerator * ud - u.numerator * pd
+        y = q.numerator * vd - v.numerator * qd
+        return _pair_sign(x * qd * vd, y * pd * ud)
+
+    def __eq__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c == 0
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
+
+    def __hash__(self):
+        return hash(self.p) if self.q == 0 else hash((self.p, self.q))
+
+    # -- conversions -------------------------------------------------------
+
+    def __bool__(self):
+        return self.p != 0 or self.q != 0
+
+    def __float__(self):
+        return float(self.p) + float(self.q) * math.sqrt(3.0)
+
+    def __floor__(self) -> int:
+        d, [(a, b)] = _scaled_pairs([self])
+        return _surd_floor(a, b, d)
+
+    def __ceil__(self) -> int:
+        return -math.floor(-self)
+
+    def __repr__(self):
+        return f"QuadraticScalar({self.p}, {self.q})"
+
+    def __str__(self):
+        if self.q == 0:
+            return str(self.p)
+        sign = "+" if self.q > 0 else "-"
+        return f"{self.p} {sign} {abs(self.q)}*sqrt(3)"
+
+
+SQRT3 = QuadraticScalar(0, 1)
+
+
 def _parts(value):
-    """The rational parts ``(p, q)`` of ``p + q*sqrt(3)``: those of an
-    ``online.QuadraticScalar``, the one exact type with a ``q``, else
-    ``(value, 0)`` for an int or ``Fraction``.  (The attribute test is
-    several times cheaper than ``isinstance`` against ``Fraction``'s ABC.)"""
-    q = getattr(value, "q", None)
-    return (value, 0) if q is None else (value.p, q)
+    """The rational parts ``(p, q)`` of ``p + q*sqrt(3)``: those of a
+    ``QuadraticScalar``, else ``(value, 0)`` for an int or ``Fraction``."""
+    return (value.p, value.q) if isinstance(value, QuadraticScalar) else (value, 0)
 
 
 def _scaled_pairs(values):
@@ -62,13 +279,13 @@ def _scaled_pairs(values):
 def _exact_sum(values):
     """``sum(values, Fraction(0))``, added as integer pairs over the lcm of
     every denominator: a ``Fraction`` (0 when empty) unless some value is a
-    surd, then a surd of that value's class (``online.QuadraticScalar``,
-    which this module cannot import), even when the ``sqrt(3)`` parts cancel."""
+    ``QuadraticScalar``, then one, even when the ``sqrt(3)`` parts cancel."""
     values = list(values)
     d, pairs = _scaled_pairs(values)
     a, b = sum([x for x, _ in pairs]), sum([y for _, y in pairs])
-    surd = next((v for v in values if hasattr(v, "q")), None)
-    return Fraction(a, d) if surd is None else type(surd)(Fraction(a, d), Fraction(b, d))
+    if any(isinstance(v, QuadraticScalar) for v in values):
+        return QuadraticScalar(Fraction(a, d), Fraction(b, d))
+    return Fraction(a, d)
 
 
 def parse_scalar(text: str) -> Fraction:

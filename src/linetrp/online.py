@@ -1,16 +1,11 @@
 """Online strategies: geometric round-trip schedules and prediction-guided tours.
 
-All schedule arithmetic is exact.  The optimal trip growth rate involves
-``sqrt(3)``, so scalars here live in the quadratic extension Q[sqrt(3)]:
-``QuadraticScalar`` is an exact pair ``p + q*sqrt(3)`` of rationals; it
-orders by the sign of integer cross products of its parts' numerators and
-denominators, building no ``Fraction``.
-Everything downstream (trajectories, service times, ratios) stays exact in
-that field.  The closed-form completions (``roundtrip_completions``) scale
-each call's trips and legs once to integer pairs ``(a, b)``, meaning
-``(a + b*sqrt(3))/d`` over a common denominator ``d`` (rescaled once per
-distinct request denominator), work on those, and convert each request's
-completion back once.
+All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
+the optimal trip growth rate involves ``sqrt(3)``.  The closed-form
+completions (``roundtrip_completions``) scale each call's trips and legs
+once to integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over a
+common denominator ``d`` (rescaled once per distinct request denominator),
+work on those, and convert each request's completion back once.
 """
 
 from __future__ import annotations
@@ -23,47 +18,23 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
+    SQRT3,  # not used here; re-exported with the scalar for callers of this module
     Instance,
     LineSegment,
     Model,
+    QuadraticScalar,
     Trajectory,
     _exact,
+    _pair_sign,
     _parts,
     _scaled_pairs,
+    _surd_floor,
     parse_scalar,
 )
 from .offline import Tour, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
-
-
-def _pair_sign(p, q) -> int:
-    """Sign of p + q*sqrt(3), without evaluating the root."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    # opposite signs: the sign follows whichever of p^2, 3 q^2 dominates
-    pp, qq = p * p, 3 * q * q
-    if p > 0:  # q < 0
-        return 1 if pp > qq else -1  # pp == qq impossible: sqrt(3) irrational
-    return 1 if qq > pp else -1
-
-
-def _surd_floor(x: int, y: int, d: int) -> int:
-    """``floor((x + y*sqrt(3))/d)`` for integers with ``d != 0``."""
-    if d < 0:
-        x, y, d = -x, -y, -d
-    # for y != 0, |y|*sqrt(3) = sqrt(3*y^2) lies strictly between the integers
-    # m and m+1, so d times the value lies strictly between lo and lo+1
-    m = math.isqrt(3 * y * y)
-    lo = x + m if y >= 0 else x - m - 1
-    return lo // d
 
 
 def _times(rows, f: int):
@@ -75,186 +46,6 @@ class ModelMismatchError(ValueError):
     """Strategy asked for information the instance's model does not provide."""
 
 
-class QuadraticScalar:
-    """Exact element p + q*sqrt(3) of Q[sqrt(3)].
-
-    Supports field arithmetic and total ordering, mixes freely with int and
-    Fraction, and refuses floats.  Rational values (q == 0) compare and hash
-    consistently with the equal Fraction.
-    """
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q=0):
-        if type(p) is not Fraction:  # hot path: components usually arrive exact
-            if isinstance(p, float):
-                raise TypeError("QuadraticScalar components must be exact")
-            p = Fraction(p)
-        if type(q) is not Fraction:
-            if isinstance(q, float):
-                raise TypeError("QuadraticScalar components must be exact")
-            q = Fraction(q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticScalar is immutable")
-
-    def __reduce__(self):
-        # rebuild through __init__: the default slot restore would hit __setattr__
-        return QuadraticScalar, (self.p, self.q)
-
-    # -- coercion ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "QuadraticScalar":
-        if isinstance(other, QuadraticScalar):
-            return other
-        if isinstance(other, float):
-            raise TypeError("refusing float arithmetic with QuadraticScalar")
-        if isinstance(other, (int, Fraction)):
-            return QuadraticScalar(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticScalar(self.p + o.p, self.q + o.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticScalar(self.p - o.p, self.q - o.q)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticScalar(o.p - self.p, o.q - self.q)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticScalar(self.p * o.p + 3 * self.q * o.q, self.p * o.q + self.q * o.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.q == 0:
-            return QuadraticScalar(self.p / o.p, self.q / o.p)
-        # p^2 == 3 q^2 has no rational solution with q != 0, so d != 0
-        d = o.p * o.p - 3 * o.q * o.q
-        return QuadraticScalar(
-            (self.p * o.p - 3 * self.q * o.q) / d,
-            (self.q * o.p - self.p * o.q) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = QuadraticScalar(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __neg__(self):
-        return QuadraticScalar(-self.p, -self.q)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return -self if self._sign() < 0 else self
-
-    # -- ordering ----------------------------------------------------------
-
-    def _sign(self) -> int:
-        return _pair_sign(self.p, self.q)
-
-    def _cmp(self, other) -> Optional[int]:
-        # comparisons dominate simulation time: the sign of (p - u) + (q - v)*sqrt(3)
-        # times the positive p.den*q.den*u.den*v.den, in integers, builds no Fraction
-        if isinstance(other, QuadraticScalar):
-            u, v = other.p, other.q
-        elif isinstance(other, (int, Fraction)):
-            u, v = other, 0
-        elif isinstance(other, float):
-            raise TypeError("refusing float comparison with QuadraticScalar")
-        else:
-            return None
-        p, q = self.p, self.q
-        pd, qd, ud, vd = p.denominator, q.denominator, u.denominator, v.denominator
-        x = p.numerator * ud - u.numerator * pd
-        y = q.numerator * vd - v.numerator * qd
-        return _pair_sign(x * qd * vd, y * pd * ud)
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
-    def __hash__(self):
-        return hash(self.p) if self.q == 0 else hash((self.p, self.q))
-
-    # -- conversions -------------------------------------------------------
-
-    def __bool__(self):
-        return self.p != 0 or self.q != 0
-
-    def __float__(self):
-        return float(self.p) + float(self.q) * math.sqrt(3.0)
-
-    def __floor__(self) -> int:
-        d, [(a, b)] = _scaled_pairs([self])
-        return _surd_floor(a, b, d)
-
-    def __repr__(self):
-        return f"QuadraticScalar({self.p}, {self.q})"
-
-    def __str__(self):
-        if self.q == 0:
-            return str(self.p)
-        sign = "+" if self.q > 0 else "-"
-        return f"{self.p} {sign} {abs(self.q)}*sqrt(3)"
-
-
-SQRT3 = QuadraticScalar(0, 1)
 DEFAULT_ALPHA = QuadraticScalar(0, _HALF)  # sqrt(3)/2, the ratio-optimal growth knob
 CERT_RATIO = QuadraticScalar(2, 1)  # 2 + sqrt(3): certified per-request ratio
 FALLBACK_THRESHOLD = QuadraticScalar(_HALF, Fraction(-1, 4))  # (2 - sqrt(3))/4 ~ 0.067

@@ -24,14 +24,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .core import Instance, Trajectory, _exact_sum, _scaled_pairs
+from .core import Instance, Trajectory, _exact_sum, _pair_sign, _scaled_pairs
 from .offline import _first_visit, distance_arrival_floor, opt_sum_floor, optimal_latency_tour
 from .online import (
     AdaptiveStrategy,
     FixedPathStrategy,
     Strategy,
-    _pair_sign,
-    coverage_horizon,
+    coverage_horizon,  # not called here; perfbench/tracer.py wraps it under this name
     roundtrip_completions,
     roundtrip_trajectory,
     visible_info,
@@ -72,8 +71,7 @@ class RunResult:
 
     @cached_property
     def trajectory(self) -> Trajectory:
-        """The motion, built on first use: cut at the last completion unless
-        the run was asked not to truncate."""
+        """The motion, built on first use and cut at the last completion."""
         return self.build_trajectory()
 
     @cached_property
@@ -81,7 +79,7 @@ class RunResult:
         return _events(self.instance, self.trajectory, self.completions)
 
 
-def run(instance: Instance, strategy: Strategy, *, truncate: bool = True) -> RunResult:
+def run(instance: Instance, strategy: Strategy) -> RunResult:
     """Simulate ``strategy`` on ``instance`` exactly."""
     info = visible_info(instance)
     if isinstance(strategy, FixedPathStrategy):
@@ -91,12 +89,8 @@ def run(instance: Instance, strategy: Strategy, *, truncate: bool = True) -> Run
         )
 
         def build() -> Trajectory:
-            path, schedule = planned.path, planned.schedule
-            if truncate:
-                end = max(completions, default=_ZERO)
-                return roundtrip_trajectory(path, schedule, end).truncated(end)
-            horizon = coverage_horizon(path, schedule, instance.max_arrival())
-            return roundtrip_trajectory(path, schedule, horizon)
+            end = max(completions, default=_ZERO)
+            return roundtrip_trajectory(planned.path, planned.schedule, end).truncated(end)
 
     elif isinstance(strategy, AdaptiveStrategy):
         session = strategy.start(info)
@@ -109,7 +103,7 @@ def run(instance: Instance, strategy: Strategy, *, truncate: bool = True) -> Run
         completions = [traj.first_service_time(r.actual, r.arrival) for r in instance.requests]
 
         def build() -> Trajectory:
-            return traj.truncated(max(completions, default=_ZERO)) if truncate else traj
+            return traj.truncated(max(completions, default=_ZERO))
 
     else:
         raise TypeError(f"unknown strategy type {type(strategy).__name__}")

@@ -31,6 +31,7 @@ from linetrp.online import (
     visible_info,
 )
 from linetrp.simulator import evaluate, run
+from test_online import _cumulative_length, _reach  # the schedule's closed-form oracle
 
 HALF_LINES = [LineSegment(F(0), F(b)) for b in (1, 2, 10, 50)] + [
     LineSegment(F(-b), F(0)) for b in (1, 2, 10, 50)
@@ -128,19 +129,6 @@ def test_halfline_schedule_certified_ratio():
         ok,
         f"10000 instances, worst {float(worst):.6f} <= {float(CERT_RATIO):.6f}, {elapsed:.0f}s",
     )
-
-
-def _reach(schedule, j):
-    """Trip j's turnaround distance in closed form: half of ``2+2a`` for
-    j = 1, of ``(2+2a)^(j-1) * (1+2a)`` after that, plus half the pad."""
-    g = schedule.growth
-    length = g if j == 1 else g ** (j - 1) * (1 + 2 * schedule.alpha)
-    return (length + schedule.pad) / 2
-
-
-def _cumulative_length(schedule, j):
-    """Time the first j trips take: ``(2+2a)^j + j*pad``."""
-    return schedule.growth**j + j * schedule.pad
 
 
 def test_halfline_ratio_bound_is_tight():

@@ -87,6 +87,11 @@ def test_surd_floor_and_float():
     assert math.floor(QS(2, 1)) == 3
     assert math.floor(-SQRT3) == -2
     assert math.floor(QS(F(7, 2), 0)) == 3
+    assert math.ceil(SQRT3) == 2
+    assert math.ceil(QS(2, 1)) == 4
+    assert math.ceil(-SQRT3) == -1
+    assert math.ceil(QS(F(7, 2), 0)) == 4
+    assert math.ceil(QS(3, 0)) == 3 and type(math.ceil(QS(3, 0))) is int
     assert abs(float(SQRT3) - 3**0.5) < 1e-12
 
 
@@ -251,10 +256,10 @@ def test_parse_alpha():
 # --- round-trip schedule ---------------------------------------------------
 
 
-# The schedule's closed form, kept here as an oracle independent of the
-# incremental ``RoundTripSchedule.trips``: trip j is ``2+2a`` long for j = 1
-# and ``(2+2a)^(j-1) * (1+2a)`` after that, plus the pad; the lengths
-# telescope, so the first j trips take ``(2+2a)^j + j*pad``.
+# The schedule's closed form, the oracle independent of the incremental
+# ``RoundTripSchedule.trips`` (test_acceptance imports it too): trip j is
+# ``2+2a`` long for j = 1 and ``(2+2a)^(j-1) * (1+2a)`` after that, plus the
+# pad; the lengths telescope, so the first j trips take ``(2+2a)^j + j*pad``.
 def _trip_length(s, j):
     base = s.growth if j == 1 else s.growth ** (j - 1) * (1 + 2 * s.alpha)
     return base + s.pad

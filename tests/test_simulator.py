@@ -47,12 +47,6 @@ def test_perfect_run_frozen_completions():
     assert result.trajectory.position_at(QS(6, 1)) == 2
 
 
-def test_run_without_truncation_keeps_the_planned_horizon():
-    inst = make_instance(LineSegment(F(0), F(2)), [(F(1), F(1), F(0))])
-    kept = run(inst, PerfectPredictionTour(), truncate=False)
-    assert kept.trajectory.breakpoints[-1][0] > max(kept.completions)
-
-
 def test_event_log_is_ordered_and_complete():
     inst = make_instance(
         LineSegment(F(-1), F(2)), [(F(-1), F(-1), F(0)), (F(2), F(2), F(0))]
@@ -251,7 +245,6 @@ def test_run_matches_the_trajectory_replay(data):
     cut = replay.truncated(max(expected))
     assert result.trajectory.breakpoints == cut.breakpoints
     assert result.events == RunResult(inst, strategy.name, tuple(expected), lambda: cut).events
-    assert run(inst, strategy, truncate=False).trajectory.breakpoints == replay.breakpoints
 
 
 def test_a_path_of_length_zero_parks_at_the_origin():
