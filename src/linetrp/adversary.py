@@ -13,8 +13,8 @@ a proven violation.
 Against a committed schedule the adversary reads each request's completion
 off the schedule once, when it releases the request: later releases cannot
 change it.  An adaptive strategy is started once and kept live: each release
-is fed to its session as it happens, and the completions are re-read off the
-session's trajectory, since each release changes its plan.
+is fed to its session as it happens, and the completions are the session's
+own, which it keeps in closed form as it replans.
 
 The game visits only the releases and the first violation, never the steps
 between them: between releases the completions are fixed, so each request's
@@ -102,7 +102,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     the adversary watches their trajectory to time the releases and takes
     each request's completion from ``roundtrip_completions`` at its release.
     An adaptive one is started once; each release is fed to that one
-    session, and the completions are re-read off its trajectory.
+    session, and the completions are taken from its ``completions()``.
 
     The game jumps from release to release.  Between releases every
     completion is fixed, so a request with deadline D is first provably
@@ -140,8 +140,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             comps += roundtrip_completions(planned, batch)
         else:
             session.on_arrivals(arrival, locations)
-            traj = session.trajectory()
-            comps = [traj.first_service_time(loc, arr) for loc, arr in released]
+            traj, comps = session.trajectory(), session.completions()
 
     def next_release(now: int, hi) -> Optional[int]:
         # a near-origin request goes out only once the earlier ones are served

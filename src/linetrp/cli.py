@@ -303,6 +303,8 @@ def _sweep_trial(args, trial: int) -> list:
 def _cmd_sweep(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be nonnegative, got {args.trials}")
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     trial = functools.partial(_sweep_trial, args)
     # a forked pool starts every worker up front, so never ask for more
     # workers than there are trials or CPUs

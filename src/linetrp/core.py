@@ -446,6 +446,19 @@ def make_instance(line, triples, model: Model = Model.PREDICTION) -> Instance:
     return Instance(seg, model, reqs)
 
 
+def _checked_motion(breakpoints) -> tuple:
+    """``breakpoints`` as exact ``(time, position)`` pairs; raises ValueError
+    unless each one comes strictly after the one before and is reached from
+    it at speed at most 1."""
+    pts = tuple([(_exact(t, "time"), _exact(p, "position")) for t, p in breakpoints])
+    for (ta, pa), (tb, pb) in zip(pts, pts[1:]):
+        if tb <= ta:
+            raise ValueError("breakpoint times must strictly increase")
+        if abs(pb - pa) > tb - ta:
+            raise ValueError("speed exceeds 1 between breakpoints")
+    return pts
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Piecewise-linear server motion, as (time, position) breakpoints.
@@ -458,17 +471,26 @@ class Trajectory:
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        pts = tuple([(_exact(t, "time"), _exact(p, "position")) for t, p in self.breakpoints])
+        pts = _checked_motion(self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
         if pts[0][0] != 0 or pts[0][1] != 0:
             raise ValueError("trajectory must start at the origin at time 0")
-        for (ta, pa), (tb, pb) in zip(pts, pts[1:]):
-            if tb <= ta:
-                raise ValueError("breakpoint times must strictly increase")
-            if abs(pb - pa) > tb - ta:
-                raise ValueError("speed exceeds 1 between breakpoints")
+
+    @classmethod
+    def _unchecked(cls, pts) -> "Trajectory":
+        # breakpoints already checked, or valid by construction
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "breakpoints", pts)
+        return traj
+
+    def extended(self, suffix) -> "Trajectory":
+        """This motion followed by the breakpoints of ``suffix``.  They are
+        checked as the constructor checks them, from the joint breakpoint
+        on; the breakpoints already here are not checked again."""
+        pts = self.breakpoints
+        return Trajectory._unchecked(pts + _checked_motion(pts[-1:] + tuple(suffix))[1:])
 
     @cached_property
     def _times(self) -> list:
@@ -518,12 +540,11 @@ class Trajectory:
         """The same motion cut off (and parked) at time ``t_end``."""
         if t_end < 0:
             raise ValueError("cut-off time must be nonnegative")
-        kept = [bp for bp in self.breakpoints if bp[0] < t_end]
-        if not kept:
-            kept = [self.breakpoints[0]]
-        if kept[-1][0] < t_end:
-            kept.append((t_end, self.position_at(t_end)))
-        return Trajectory(tuple(kept))
+        before = max(bisect.bisect_left(self._times, t_end), 1)  # at least the start
+        kept = Trajectory._unchecked(self.breakpoints[:before])
+        if kept.end_time < t_end:
+            return kept.extended(((t_end, self.position_at(t_end)),))
+        return kept
 
 
 # --- instance text format ---------------------------------------------------

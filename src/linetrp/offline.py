@@ -75,12 +75,14 @@ class Tour:
     @cached_property
     def walk(self) -> Trajectory:
         """The tour walked once at unit speed from time 0, then parked: each
-        breakpoint time is the arc length walked to that turning point."""
+        breakpoint time is the arc length walked to that turning point.
+        Every turning point lies beyond the walk's position before it, so
+        the motion is valid by construction and is not checked again."""
         pts = [(_ZERO, _ZERO)]
         for tp in self.turning_points:
             arc, pos = pts[-1]
             pts.append((arc + abs(tp - pos), tp))
-        return Trajectory(tuple(pts))
+        return Trajectory._unchecked(tuple(pts))
 
     def first_visit(self, x) -> Optional[Scalar]:
         """Arc length at which the walk first reaches ``x``, or None when it

@@ -31,7 +31,7 @@ from .core import (
     _surd_floor,
     parse_scalar,
 )
-from .offline import Tour, canonical_tour, optimal_latency_tour
+from .offline import Tour, _first_visit, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -304,7 +304,10 @@ class AdaptiveStrategy(Strategy):
 
     @abc.abstractmethod
     def start(self, info: VisibleInfo) -> "ReplanSession":
-        ...
+        """A fresh session for one run.  The caller feeds it each batch of
+        requests with ``on_arrivals(time, locations)``, in time order, and
+        reads the motion so far from ``trajectory()`` and one completion per
+        fed request, in feed order, from ``completions()``."""
 
 
 def extend_tour_to_line(tour: Tour, line: LineSegment) -> Tour:
@@ -419,31 +422,55 @@ class ReplanSession:
 
     def __init__(self):
         self._trajectory = Trajectory(((_ZERO, _ZERO),))
-        self._unserved: List[Tuple[Fraction, Fraction]] = []  # (location, arrival)
+        self._last = _ZERO  # the latest arrival time fed
+        self._locations: List[object] = []  # one per fed request, in feed order
+        self._completions: List[object] = []  # likewise
+        self._unserved: List[int] = []  # indices of the requests unserved at ``_last``
 
     def on_arrivals(self, time, locations: Sequence) -> None:
         """Fold in all requests arriving at ``time`` and replan from here.
 
-        A request served before the cut at ``time`` stays served, at the same
-        time, in every later cut, so only the unserved ones are re-checked.
-        Raises ValueError when the server then stands at a surd position.
+        Each request's completion comes in closed form.  One served by
+        ``time`` keeps its completion; a new one at the server's position
+        ``pos`` completes at ``time``; every other one is replanned and
+        completes at ``time`` plus its first visit along the new walk from
+        ``pos``.  Raises ValueError, before any state changes, when ``time``
+        comes before an earlier arrival or finds the server at a surd
+        position.
         """
+        if time < self._last:
+            raise ValueError(f"arrival {time} comes before the earlier arrival {self._last}")
         committed = self._trajectory.truncated(time)
         t, at = committed.breakpoints[-1]
         pos, surd = _parts(at)
         if surd:
             raise ValueError(f"arrival {time} finds the server at the surd position {at}")
-        self._unserved = [
-            (loc, arrival)
-            for loc, arrival in self._unserved + [(loc, time) for loc in locations]
-            if committed.first_service_time(loc, arrival) is None
-        ]
-        tour, _ = optimal_latency_tour(loc - pos for loc, _ in self._unserved)
-        suffix = tuple([(t + s, pos + x) for s, x in tour.walk.breakpoints[1:]])
-        self._trajectory = Trajectory(committed.breakpoints + suffix)
+        fed = len(self._locations)
+        locations = self._locations + list(locations)
+        completions = self._completions + [t if loc == pos else None for loc in locations[fed:]]
+        unserved = [i for i in self._unserved if completions[i] > time]
+        unserved += [i for i in range(fed, len(locations)) if completions[i] is None]
+        targets = [locations[i] - pos for i in unserved]
+        tour, _ = optimal_latency_tour(targets)
+        walk = tour.walk.breakpoints
+        # first visits along the walk, in integers over one denominator
+        d, scaled = _scaled_pairs([v for bp in walk for v in bp] + targets)
+        it = iter(scaled)
+        walk_d = [(next(it)[0], next(it)[0]) for _ in walk]  # rational
+        for i, (x, _) in zip(unserved, it):
+            completions[i] = t + Fraction(_first_visit(walk_d, x), d)
+        suffix = [(t + s, pos + x) for s, x in walk[1:]]
+        self._trajectory = committed.extended(suffix)
+        self._last, self._locations, self._completions = time, locations, completions
+        self._unserved = unserved
 
     def trajectory(self) -> Trajectory:
         return self._trajectory
+
+    def completions(self) -> List[object]:
+        """The completion of every request fed so far, in feed order: the
+        first time at or after its arrival that ``trajectory()`` reaches it."""
+        return list(self._completions)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,23 @@ def test_adaptive_strategy_is_probed_once_per_release(monkeypatch):
     assert replans <= 1 + len(cfg.near_origin)
 
 
+def test_adaptive_completions_come_from_the_session(monkeypatch):
+    """The replanner's completions are its session's closed form: a game
+    with no witness to verify scans the trajectory for none of them."""
+    scans = 0
+    real = Trajectory.first_service_time
+
+    def counting(self, loc, not_before=0):
+        nonlocal scans
+        scans += 1
+        return real(self, loc, not_before)
+
+    monkeypatch.setattr(Trajectory, "first_service_time", counting)
+    transcript = play_lowerbound_game(GreedyReplan(), GameConfig())
+    assert transcript.witness is None
+    assert scans == 0
+
+
 @pytest.mark.parametrize("max_steps", [0, 5, 120])
 @pytest.mark.parametrize("roster", ROSTERS, ids=str)
 def test_greedy_transcript_matches_a_fresh_run(roster, max_steps):
@@ -280,11 +297,17 @@ class _Parked(AdaptiveStrategy):
 
 
 class _ParkedSession:
+    def __init__(self):
+        self._fed = 0
+
     def on_arrivals(self, time, locations):
-        pass
+        self._fed += len(locations)
 
     def trajectory(self):
         return Trajectory(((F(0), F(0)),))
+
+    def completions(self):
+        return [None] * self._fed
 
 
 @pytest.mark.parametrize(

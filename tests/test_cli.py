@@ -119,6 +119,15 @@ def test_negative_parameters_exit_2_naming_the_parameter(args, name, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(jobs, capsys):
+    assert main(["sweep", "--trials", "4", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: jobs must be at least 1, got {jobs}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_with_cross_check(tmp_path, capsys):
     path = _write(tmp_path, "inst.txt", GOOD)
     assert main(["oracle", path, "--brute"]) == 0
@@ -325,7 +334,6 @@ def test_sweep_is_deterministic_and_parallel_safe(strategy, name, capsys):
         (1, 5000, 8, None),  # one trial runs in this process
         (4, 5000, 1, None),  # so does a single CPU
         (4, 5000, None, None),  # and an unknown CPU count
-        (4, 0, 8, None),
     ],
 )
 def test_sweep_caps_its_workers(trials, jobs, cpus, workers, monkeypatch, capsys):

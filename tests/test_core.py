@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linetrp import core
 from linetrp.core import (
     Instance,
     LineSegment,
@@ -181,6 +182,29 @@ def test_truncated():
     assert traj.truncated(F(5)).breakpoints[-1] == (F(5), F(0))
 
 
+def test_extended_checks_the_joint_and_the_suffix(monkeypatch):
+    traj = Trajectory(((F(0), F(0)), (F(2), F(2))))
+    longer = traj.extended([(3, 1), (F(7, 2), F(1))])
+    assert longer.breakpoints == ((F(0), F(0)), (F(2), F(2)), (F(3), F(1)), (F(7, 2), F(1)))
+    assert [type(v) for bp in longer.breakpoints for v in bp] == [F] * 8
+    assert traj.extended(()).breakpoints == traj.breakpoints
+    with pytest.raises(ValueError, match="^breakpoint times must strictly increase$"):
+        traj.extended([(F(2), F(2))])  # at the joint
+    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
+        traj.extended([(F(3), F(0))])  # at the joint
+    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
+        traj.extended([(F(3), F(1)), (F(4), F(3))])  # inside the suffix
+    with pytest.raises(TypeError):
+        traj.extended([(F(3), 1.0)])
+    # the breakpoints already checked are not checked again
+    checked = []
+    real = core._checked_motion
+    monkeypatch.setattr(core, "_checked_motion", lambda pts: checked.append(len(pts)) or real(pts))
+    longer.extended([(F(4), F(3, 2))])
+    longer.truncated(F(5, 2))
+    assert checked == [2, 2]
+
+
 @st.composite
 def trajectories(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -201,6 +225,23 @@ def trajectories(draw):
 def test_speed_bounded_by_one(traj, t2):
     t1 = t2 / 2
     assert abs(traj.position_at(t1) - traj.position_at(t2)) <= abs(t1 - t2)
+
+
+@given(
+    trajectories(),
+    st.integers(min_value=1, max_value=7),
+    st.fractions(min_value=F(0), max_value=F(20), max_denominator=6),
+)
+@settings(max_examples=100)
+def test_extended_and_truncated_match_the_constructor(traj, k, t_end):
+    """Joining a prefix and the rest gives the whole; a cut gives the
+    breakpoints before it and the position there, as rebuilt from scratch."""
+    pts = traj.breakpoints
+    assert Trajectory(pts[:k]).extended(pts[k:]).breakpoints == pts
+    kept = [bp for bp in pts if bp[0] < t_end] or [pts[0]]
+    if kept[-1][0] < t_end:
+        kept.append((t_end, traj.position_at(t_end)))
+    assert traj.truncated(t_end).breakpoints == Trajectory(tuple(kept)).breakpoints
 
 
 @given(

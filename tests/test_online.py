@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linetrp import online
+from linetrp import core, online
 from linetrp.core import LineSegment, Model, Trajectory, make_instance
 from linetrp.offline import Direction, Tour, optimal_latency_tour
 from linetrp.online import (
@@ -580,6 +580,73 @@ def test_greedy_session_rejects_a_surd_position():
     assert session.trajectory() is before
     session.on_arrivals(QuadraticScalar(4, F(1, 2)), [F(1)])  # parked at 3
     assert session.trajectory().breakpoints[-1] == (QuadraticScalar(6, F(1, 2)), F(1))
+    late = session.completions()[-1]
+    assert type(late) is QuadraticScalar and late == QuadraticScalar(6, F(1, 2))
+    fed = [(F(3), F(0)), (F(1), QuadraticScalar(4, F(1, 2)))]
+    _assert_completions_match_the_trajectory(session, fed)
+
+
+def test_greedy_session_serves_a_request_at_its_position_on_arrival():
+    """A request released where the server stands completes at its arrival,
+    and the walk replanned around it does not go back for it."""
+    info = visible_info(make_instance(LineSegment(F(-2), F(3)), [(F(2), F(2), F(0))]))
+    session = GreedyReplan().start(info)
+    session.on_arrivals(F(0), [F(2), F(0)])
+    session.on_arrivals(F(1), [F(1), F(-1)])  # the server passes 1 at time 1
+    assert session.completions() == [F(2), F(0), F(1), F(5)]
+    assert session.trajectory().breakpoints == (
+        (F(0), F(0)),
+        (F(1), F(1)),
+        (F(2), F(2)),
+        (F(5), F(-1)),
+    )
+    _assert_completions_match_the_trajectory(
+        session, [(F(2), F(0)), (F(0), F(0)), (F(1), F(1)), (F(-1), F(1))]
+    )
+
+
+def test_greedy_session_refuses_an_arrival_out_of_order():
+    """Completions are kept in closed form, which holds only while time runs
+    forward: an arrival before an earlier one is refused, and nothing changes."""
+    info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(3), F(3), F(0))]))
+    session = GreedyReplan().start(info)
+    session.on_arrivals(F(2), [F(3)])
+    before = session.trajectory(), session.completions()
+    with pytest.raises(ValueError, match=r"^arrival 1 comes before the earlier arrival 2$"):
+        session.on_arrivals(F(1), [F(1)])
+    assert (session.trajectory(), session.completions()) == before
+    session.on_arrivals(F(2), [F(1)])  # the same time again is fine
+    assert session.completions() == [F(5), F(3)]  # 1 first, then 3
+
+
+def test_greedy_session_checks_only_the_new_breakpoints(monkeypatch):
+    """A replan checks the cut and the replanned suffix, never the committed
+    motion before the cut again, so its checking does not grow with the run."""
+    info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
+    session = GreedyReplan().start(info)
+    checked = []
+    real = core._checked_motion
+    monkeypatch.setattr(core, "_checked_motion", lambda pts: checked.append(len(pts)) or real(pts))
+    for step in range(1, 25):
+        before, checked[:] = session.trajectory(), []
+        time = F(step, 2)
+        session.on_arrivals(time, [F((-1) ** step * (step % 5))])
+        kept = max(len([bp for bp in before.breakpoints if bp[0] < time]), 1)
+        # the cut point and the suffix are new; the last kept point and the
+        # cut point each begin one checked pair
+        assert sum(checked) == len(session.trajectory().breakpoints) - kept + 2
+    assert len(session.trajectory().breakpoints) > 10
+
+
+def _assert_completions_match_the_trajectory(session, fed):
+    """The session's closed-form completions are the first visits its
+    trajectory makes, value, type and printed form alike."""
+    traj = session.trajectory()
+    replay = [traj.first_service_time(loc, arrival) for loc, arrival in fed]
+    closed = session.completions()
+    assert closed == replay
+    assert [type(c) for c in closed] == [type(c) for c in replay]
+    assert [str(c) for c in closed] == [str(c) for c in replay]
 
 
 class _RecheckAllSession:
@@ -625,11 +692,13 @@ arrival_batches = st.lists(
 def test_greedy_session_matches_the_recheck_all_oracle(first, batches):
     info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
     session, oracle = GreedyReplan().start(info), _RecheckAllSession()
-    time = first
+    time, fed = first, []
     for gap, locations in batches:
         session.on_arrivals(time, locations)
         oracle.on_arrivals(time, locations)
+        fed += [(loc, time) for loc in locations]
         assert session.trajectory().breakpoints == oracle._trajectory.breakpoints
+        _assert_completions_match_the_trajectory(session, fed)
         time += gap
 
 
