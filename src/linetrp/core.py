@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,17 +289,30 @@ def _exact_sum(values):
     return Fraction(a, d)
 
 
+_INTEGER_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse an exact scalar: integer ``-3``, fraction ``7/2``, or decimal
     ``0.25`` / ``1e-3``.
+
+    Text of the form ``format_scalar`` writes, ASCII ``-?[0-9]+(/[0-9]+)?``,
+    is read straight into ``int`` numerator and denominator; every other
+    form (a ``+`` sign, spaces, underscores, non-ASCII digits, decimals,
+    exponents) goes through ``Fraction(text)``.  Both give the same value
+    and type, and fail on the same text.
 
     A decimal exponent may not exceed ``sys.get_int_max_str_digits()`` in
     magnitude, the limit Python puts on the digits of an integer string:
     past it, ``Fraction`` takes seconds to build ``10**exponent`` and the
     arithmetic on the result can run for minutes.
     """
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    match = _INTEGER_SCALAR.fullmatch(text)
     try:
+        if match is not None:
+            num, den = match.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        limit = sys.get_int_max_str_digits()  # 0 means no limit
         exponent = int(text.lower().partition("e")[2] or 0)
         if not limit or abs(exponent) <= limit:
             return Fraction(text)
@@ -565,6 +579,13 @@ def parse_instance(text: str) -> Instance:
     line_seg: Optional[LineSegment] = None
     model: Optional[Model] = None
     requests = []  # (lineno, Request)
+    scalars = {}  # text -> value: a Fraction is immutable, so equal texts share one
+
+    def scalar(text):
+        if text not in scalars:
+            scalars[text] = parse_scalar(text)
+        return scalars[text]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -594,9 +615,9 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 4:
                 raise ParseError(lineno, "REQ takes predicted, actual, arrival")
             try:
-                predicted = None if fields[1] == "-" else parse_scalar(fields[1])
-                actual = parse_scalar(fields[2])
-                arrival = parse_scalar(fields[3])
+                predicted = None if fields[1] == "-" else scalar(fields[1])
+                actual = scalar(fields[2])
+                arrival = scalar(fields[3])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
             requests.append((lineno, Request(len(requests), predicted, actual, arrival)))

@@ -14,8 +14,9 @@ never hashes or orders a ``Fraction``.  Its states are (interval around the
 origin, end it stands at), each holding one int key that orders exactly as
 its (cost, turns, first move) tuple.  The origin's own row and column, where
 one end is unreachable, are filled apart, so the loop over the other
-intervals relaxes both ends with no test for a missing state.
-The DP's tour is the walk it found: its walk back keeps only the turns.
+intervals relaxes both ends with no test for a missing state.  The table
+holds keys only: the walk back finds each turn by recomputing the state's
+straight-on key, and the DP's tour is the walk it found, its turns alone.
 """
 
 from __future__ import annotations
@@ -162,9 +163,8 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     prefix = list(accumulate([weights[x] for x in at], initial=0))
     m, o = len(at), at.index(0)
     # best[side][i][j - o] is the key of the cheapest walk that has covered
-    # at[i..j] and stands at at[i] (side 0) or at[j] (side 1); turned[side][i][j - o]
-    # says whether it got there by turning back from the other end.  A step
-    # adds its length times the requests still waiting (the one it reaches
+    # at[i..j] and stands at at[i] (side 0) or at[j] (side 1).  A step adds
+    # its length times the requests still waiting (the one it reaches
     # included) times `unit`; a turn adds 2.  No walk stands at the origin's
     # end after leaving it: those states hold `never`, above every key (fewer
     # than m steps, none longer than the span, at most prefix[m] waiting).
@@ -172,14 +172,13 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     never = (prefix[m] * (at[-1] - at[0]) * m + 1) * unit
     out = [(prefix[m] - prefix[j + 1]) * unit for j in range(o, m)]  # waiting right of at[j]
     best = [[None] * (o + 1) for _ in (0, 1)]
-    turned = [[None] * (o + 1) for _ in (0, 1)]
     # the origin's row: the first move goes straight on from the origin's side
     # of its direction, which records that direction (key 1 is first move
     # right); turning back out of the origin loses on turns
     row = [1]
     for j in range(o + 1, m):
         row.append(row[-1] + (at[j] - at[j - 1]) * (prefix[o] * unit + out[j - o - 1]))
-    best[0][o], best[1][o], turned[1][o] = [0] + [never] * (m - o - 1), row, [False] * (m - o)
+    best[0][o], best[1][o] = [0] + [never] * (m - o - 1), row
     cols = list(zip(at[o + 1 :], [at[j] - at[j - 1] for j in range(o + 1, m)], out[1:], out))
     for i in range(o - 1, -1, -1):
         xi, dl = at[i], at[i + 1] - at[i]
@@ -187,36 +186,41 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
         ln, rn = best[0][i + 1], best[1][i + 1]
         # the origin's column: straight on from the right, standing at at[i]
         left, right = ln[0] + dl * (here + out[0]), never
-        lrow, rrow, lturn, rturn = [left], [never], [False], [False]
+        lrow, rrow = [left], [never]
         for (xj, gap, wait, wait_before), lnj, rnj in zip(cols, ln[1:], rn[1:]):
             span = xj - xi
             # right end at[j]: straight on from at[j-1] unless turning back from at[i] is cheaper
             w = before + wait_before
             step, turn = right + gap * w, left + span * w + 2
-            back = turn < step
-            rturn.append(back)
-            right = turn if back else step
+            right = turn if turn < step else step
             # left end at[i]: straight on from at[i+1] unless turning back from at[j] is cheaper
             w = here + wait
             step, turn = lnj + dl * w, rnj + span * w + 2
-            back = turn < step
-            lturn.append(back)
-            left = turn if back else step
+            left = turn if turn < step else step
             lrow.append(left)
             rrow.append(right)
-        best[0][i], best[1][i], turned[0][i], turned[1][i] = lrow, rrow, lturn, rturn
+        best[0][i], best[1][i] = lrow, rrow
 
     key, side = min((best[0][0][-1], 0), (best[1][0][-1], 1))
     cost = key // unit
-    # walk back to the origin, keeping the final end and each end turned back from
+    # walk back towards the origin, keeping the final end and each end turned
+    # back from.  A state's key differs from the key of going straight on
+    # into it exactly when turning back was cheaper, so the walk turns there.
+    # In the origin's row and column the walk goes straight on, so the walk
+    # back stops when it reaches either.
     i, j = 0, m - 1
     turns = [at[j] if side else at[i]]
-    while (i, j) != (o, o):
-        back = turned[side][i][j - o]
-        i, j = (i, j - 1) if side else (i + 1, j)
-        side ^= back
-        if back:
+    while i < o < j:
+        if side:
+            j -= 1
+            dist = at[j + 1] - at[j]
+        else:
+            i += 1
+            dist = at[i] - at[i - 1]
+        if key != best[side][i][j - o] + dist * (prefix[i] * unit + out[j - o]):
+            side ^= 1
             turns.append(at[j] if side else at[i])
+        key = best[side][i][j - o]
     return Tour(tuple([Fraction(x, scale) for x in reversed(turns)])), Fraction(cost, scale)
 
 

@@ -434,10 +434,15 @@ class ReplanSession:
         ``time`` keeps its completion; a new one at the server's position
         ``pos`` completes at ``time``; every other one is replanned and
         completes at ``time`` plus its first visit along the new walk from
-        ``pos``.  Raises ValueError, before any state changes, when ``time``
-        comes before an earlier arrival or finds the server at a surd
-        position.
+        ``pos``.  A ``QuadraticScalar`` time with no ``sqrt(3)`` part is read
+        as its ``Fraction``, so the cut splits no leg at a surd-typed point
+        and the trajectory replays the completions in their own type.  Raises
+        ValueError, before any state changes, when ``time`` comes before an
+        earlier arrival or finds the server at a surd position.
         """
+        rational, surd = _parts(time)
+        if not surd:
+            time = rational
         if time < self._last:
             raise ValueError(f"arrival {time} comes before the earlier arrival {self._last}")
         committed = self._trajectory.truncated(time)

@@ -1,5 +1,6 @@
 """Data-model tests: trajectories, service times, instance round-trips."""
 
+import random
 import sys
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrp import core
+from linetrp import core, generate
 from linetrp.core import (
     Instance,
     LineSegment,
@@ -76,6 +77,40 @@ def test_format_scalar_canonical():
 @given(st.fractions(max_denominator=10**6))
 def test_scalar_round_trip(x):
     assert parse_scalar(format_scalar(x)) == x
+
+
+def _assert_parses_as_fraction(text):
+    """``parse_scalar(text)`` is ``Fraction(text)``, value and type, and
+    raises ``ValueError("bad scalar ...")`` exactly when ``Fraction`` raises."""
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as info:
+            parse_scalar(text)
+        assert str(info.value) == f"bad scalar {text!r}"
+        return
+    got = parse_scalar(text)
+    assert got == expected and type(got) is F
+
+
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+SCALAR_NEAR_MISSES = [
+    "+3", "007", "-0", "-0/7", "3/-4", "-3/-4", "3/0", "-3/0", "1_000", "1/1_0", " 3", "3 ",
+    "3\n", "3/ 4", "\u0663", "-\u0663/4", "", "-", "/4", "3/", "0x1",
+    "9" * _DIGIT_LIMIT, "-" + "9" * _DIGIT_LIMIT, "1/" + "9" * _DIGIT_LIMIT,
+    "9" * (_DIGIT_LIMIT + 1), "-" + "9" * (_DIGIT_LIMIT + 1), "1/" + "9" * (_DIGIT_LIMIT + 1),
+]
+
+
+def test_parse_scalar_near_misses_parse_as_fraction():
+    for text in SCALAR_NEAR_MISSES:
+        _assert_parses_as_fraction(text)
+
+
+@given(st.one_of(st.fractions(), st.integers()).map(format_scalar))
+@settings(max_examples=300)
+def test_parse_scalar_of_formatted_text_is_fraction(text):
+    _assert_parses_as_fraction(text)
 
 
 # --- line segments -----------------------------------------------------------
@@ -425,3 +460,22 @@ def instances(draw):
 @settings(max_examples=200)
 def test_serialize_parse_identity(inst):
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+class _NoText(F):
+    """A ``Fraction`` that refuses to be built from text."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, str):
+            raise AssertionError(f"Fraction was given the text {numerator!r}")
+        return super().__new__(cls, numerator, denominator)
+
+
+def test_parse_instance_reads_serialized_scalars_as_integers(monkeypatch):
+    """Every scalar ``serialize_instance`` writes is read into integers, never
+    handed to ``Fraction`` as text."""
+    rng = random.Random(19)
+    inst = generate.perturbed_instance(rng, (F(-21, 2), F(10)), 200, F(1, 20))
+    text = serialize_instance(inst)
+    monkeypatch.setattr(core, "Fraction", _NoText)
+    assert parse_instance(text) == inst

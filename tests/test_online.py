@@ -619,6 +619,20 @@ def test_greedy_session_refuses_an_arrival_out_of_order():
     assert session.completions() == [F(5), F(3)]  # 1 first, then 3
 
 
+def test_greedy_session_reads_a_rational_surd_arrival_as_a_fraction():
+    """An arrival time that is a ``QuadraticScalar`` with no ``sqrt(3)`` part
+    cuts the motion as its ``Fraction`` would, so a request served on the
+    leg it splits replays to the same ``Fraction`` the closed form keeps."""
+    info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(2), F(2), F(0))]))
+    session = GreedyReplan().start(info)
+    session.on_arrivals(F(0), [F(2), F(4)])
+    session.on_arrivals(QuadraticScalar(3), [F(1)])
+    assert session.completions() == [F(2), F(4), F(7)]
+    assert all(type(bp[0]) is F for bp in session.trajectory().breakpoints)
+    fed = [(F(2), F(0)), (F(4), F(0)), (F(1), QuadraticScalar(3))]
+    _assert_completions_match_the_trajectory(session, fed)
+
+
 def test_greedy_session_checks_only_the_new_breakpoints(monkeypatch):
     """A replan checks the cut and the replanned suffix, never the committed
     motion before the cut again, so its checking does not grow with the run."""
