@@ -277,16 +277,22 @@ def _scaled_pairs(values):
     ]
 
 
-def _exact_sum(values):
-    """``sum(values, Fraction(0))``, added as integer pairs over the lcm of
-    every denominator: a ``Fraction`` (0 when empty) unless some value is a
-    ``QuadraticScalar``, then one, even when the ``sqrt(3)`` parts cancel."""
-    values = list(values)
-    d, pairs = _scaled_pairs(values)
+def _pairs_sum(values, d, pairs):
+    """``sum(values, Fraction(0))`` from one integer pair ``(a, b)`` per
+    value, with ``value == (a + b*sqrt(3))/d``: a ``Fraction`` (0 when
+    empty) unless some value is a ``QuadraticScalar``, then one, even when
+    the ``sqrt(3)`` parts cancel."""
     a, b = sum([x for x, _ in pairs]), sum([y for _, y in pairs])
     if any(isinstance(v, QuadraticScalar) for v in values):
         return QuadraticScalar(Fraction(a, d), Fraction(b, d))
     return Fraction(a, d)
+
+
+def _exact_sum(values):
+    """``sum(values, Fraction(0))``, added as integer pairs over the lcm of
+    every denominator (``_pairs_sum``)."""
+    values = list(values)
+    return _pairs_sum(values, *_scaled_pairs(values))
 
 
 _INTEGER_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -398,10 +404,13 @@ class Request:
     arrival: Fraction
 
     def __post_init__(self):
-        if self.predicted is not None:
+        # a Fraction is kept as it is: _exact would return it unchanged
+        if self.predicted is not None and type(self.predicted) is not Fraction:
             object.__setattr__(self, "predicted", _exact(self.predicted, "predicted"))
-        object.__setattr__(self, "actual", _exact(self.actual, "actual"))
-        object.__setattr__(self, "arrival", _exact(self.arrival, "arrival"))
+        if type(self.actual) is not Fraction:
+            object.__setattr__(self, "actual", _exact(self.actual, "actual"))
+        if type(self.arrival) is not Fraction:
+            object.__setattr__(self, "arrival", _exact(self.arrival, "arrival"))
 
 
 def _check_request(line: LineSegment, model: Model, req: Request) -> None:
@@ -420,6 +429,37 @@ def _check_request(line: LineSegment, model: Model, req: Request) -> None:
         raise ValueError(f"request {req.index}: predicted location outside the line")
 
 
+def _fits_in_integers(line: LineSegment, model: Model):
+    """A quick test that a request passes ``_check_request``, for a line with
+    ``Fraction`` endpoints: true when the request's values are ``Fraction``s
+    that fit the line and the model, compared by integer cross products
+    (denominators are positive).  False for any other value or any misfit,
+    which ``_check_request`` then checks and names."""
+    a, b = line.a, line.b
+    if type(a) is not Fraction or type(b) is not Fraction:
+        return lambda req: False
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    original = model is Model.ORIGINAL
+
+    def inside(v) -> bool:
+        return (
+            type(v) is Fraction
+            and an * v.denominator <= v.numerator * ad
+            and v.numerator * bd <= bn * v.denominator
+        )
+
+    def fits(req) -> bool:
+        t = req.arrival
+        return (
+            inside(req.actual)
+            and type(t) is Fraction
+            and t.numerator >= 0
+            and (req.predicted is None if original else inside(req.predicted))
+        )
+
+    return fits
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: the line, the information model, and the requests."""
@@ -430,10 +470,12 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "requests", tuple(self.requests))
+        fits = _fits_in_integers(self.line, self.model)
         for pos, req in enumerate(self.requests):
             if req.index != pos:
                 raise ValueError(f"request at position {pos} has index {req.index}")
-            _check_request(self.line, self.model, req)
+            if not fits(req):
+                _check_request(self.line, self.model, req)
 
     @property
     def predictions(self) -> Tuple[Fraction, ...]:

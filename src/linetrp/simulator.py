@@ -9,12 +9,14 @@ first use.
 Evaluation rates each completion against two per-request floors: the coarse
 ``max(|location|, arrival)`` and the sharper one, the request's first visit
 along a latency-optimal walk of the actual locations (``Tour.first_visit``)
-floored by its arrival.  It scales every completion, location, arrival and
-breakpoint of that walk once to integer pairs ``(a, b)``, meaning
-``(a + b*sqrt(3))/d`` over one common ``d``, finds both floors and both
-maximal ratios by integer comparison (cross-multiplied, no division), and
-divides only the two winning ratios and the sum ratio exactly.  A row's own
-ratios are computed when read.
+floored by its arrival.  It scales every completion, location and arrival
+and the turning points of that walk (not the walk itself) once, in one call,
+to integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over one common
+``d``.  From those pairs it adds up the walk's arcs, finds both floors and
+both maximal ratios by integer comparison (cross-multiplied, no division),
+and adds the completion sum and the arrival sum; it divides only the two
+winning ratios and the sum ratio exactly.  The per-request rows are built
+when first read, and a row's own ratios when read.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .core import Instance, Trajectory, _exact_sum, _pair_sign, _scaled_pairs
-from .offline import _first_visit, distance_arrival_floor, opt_sum_floor, optimal_latency_tour
+from .core import Instance, Trajectory, _exact_sum, _pair_sign, _pairs_sum, _scaled_pairs
+from .offline import _first_visit, distance_arrival_floor, optimal_latency_tour
 from .online import (
     AdaptiveStrategy,
     FixedPathStrategy,
@@ -172,12 +174,17 @@ class RequestReport:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    rows: Tuple[RequestReport, ...]
     on_sum: object
     opt_sum_bound: object  # lower bound on the optimal completion-time sum
     sum_ratio: object
     max_ratio_simple: object
     max_ratio_tour: object
+    build_rows: Callable[[], Tuple[RequestReport, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def rows(self) -> Tuple[RequestReport, ...]:
+        """One report per request, in request order, built on first use."""
+        return self.build_rows()
 
 
 def _first_max(ratios) -> int:
@@ -196,43 +203,60 @@ def _first_max(ratios) -> int:
     return best
 
 
+def _arrival_binds(t, reach: int) -> bool:
+    """Whether an arrival, the pair ``t``, lies strictly beyond ``reach`` on
+    the same denominator; a tie keeps ``reach``, as ``max(reach, arrival)``
+    does."""
+    return _pair_sign(t[0] - reach, t[1]) > 0
+
+
 def evaluate(result: RunResult) -> EvaluationReport:
     """Rate every completion in a run against both per-request floors.
 
     A floor keeps the distance (or the first visit) when it ties with the
     arrival, and each maximum is the first maximal row's ratio, as with
     ``max()``; no rows give 1."""
-    inst = result.instance
-    tour, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
-    walk = tour.walk.breakpoints
-    requests = list(zip(inst.requests, result.completions))
-    values = [v for r, c in requests for v in (r.actual, r.arrival, c)]
-    d, pairs = _scaled_pairs(values + [v for bp in walk for v in bp])
+    requests, completions = result.instance.requests, result.completions
+    tour, dp_total = optimal_latency_tour(r.actual for r in requests)
+    values = [v for r, c in zip(requests, completions) for v in (r.actual, r.arrival, c)]
+    d, pairs = _scaled_pairs(values + list(tour.turning_points))
     it = iter(pairs)
     scaled = [(next(it)[0], next(it), next(it)) for _ in requests]  # actual is rational
-    walk_d = [(next(it)[0], next(it)[0]) for _ in walk]  # rational
-    rows, simple, tour_ratios = [], [], []
-    for (r, c), (x, t, num) in zip(requests, scaled):
-        if _pair_sign(t[0] - abs(x), t[1]) > 0:
-            bound_s, floor_s = r.arrival, t
-        else:
-            bound_s, floor_s = abs(r.actual), (abs(x), 0)
-        visit = _first_visit(walk_d, x)
-        if _pair_sign(t[0] - visit, t[1]) > 0:
-            bound_t, floor_t = r.arrival, t
-        else:
-            bound_t, floor_t = Fraction(visit, d), (visit, 0)
-        rows.append(RequestReport(r.index, r.predicted, r.actual, r.arrival, c, bound_s, bound_t))
-        simple.append((num, floor_s))
-        tour_ratios.append((num, floor_t))
-    i, j = _first_max(simple), _first_max(tour_ratios)
-    on_sum = result.on_sum
-    opt_bound = opt_sum_floor(inst.requests, dp_total)
+    # the tour walked at unit speed, as (arc, position) pairs: turning points are rational
+    walk, arc, pos = [(0, 0)], 0, 0
+    for x, _ in it:
+        arc, pos = arc + abs(x - pos), x
+        walk.append((arc, pos))
+    reaches, simple, tour_ratios = [], [], []
+    for x, t, num in scaled:
+        near, visit = abs(x), _first_visit(walk, x)
+        reaches.append((near, visit))
+        simple.append((num, t if _arrival_binds(t, near) else (near, 0)))
+        tour_ratios.append((num, t if _arrival_binds(t, visit) else (visit, 0)))
+
+    def bound(k: int, side: int):
+        """The k-th request's simple (side 0) or tour (side 1) floor."""
+        reach = reaches[k][side]
+        return requests[k].arrival if _arrival_binds(scaled[k][1], reach) else Fraction(reach, d)
+
+    def build_rows() -> Tuple[RequestReport, ...]:
+        return tuple([
+            RequestReport(r.index, r.predicted, r.actual, r.arrival, c, bound(k, 0), bound(k, 1))
+            for k, (r, c) in enumerate(zip(requests, completions))
+        ])
+
+    def worst(side: int, ratios):
+        k = _first_max(ratios)
+        return _ratio(completions[k], bound(k, side)) if k >= 0 else _ONE
+
+    on_sum = _pairs_sum(completions, d, [num for _, _, num in scaled])
+    arrivals = _pairs_sum([r.arrival for r in requests], d, [t for _, t, _ in scaled])
+    opt_bound = max(dp_total, arrivals)
     return EvaluationReport(
-        rows=tuple(rows),
         on_sum=on_sum,
         opt_sum_bound=opt_bound,
         sum_ratio=_ratio(on_sum, opt_bound),
-        max_ratio_simple=rows[i].ratio_simple if rows else _ONE,
-        max_ratio_tour=rows[j].ratio_tour if rows else _ONE,
+        max_ratio_simple=worst(0, simple),
+        max_ratio_tour=worst(1, tour_ratios),
+        build_rows=build_rows,
     )

@@ -377,6 +377,102 @@ def test_predictions_property():
     assert inst.max_arrival() == 3
 
 
+# --- instance checks in integers ----------------------------------------------
+
+
+def test_line_endpoints_are_inclusive_and_arrival_zero_is_accepted():
+    line = (F(-3, 2), F(5, 3))
+    inst = make_instance(line, [(F(-3, 2), F(5, 3), F(0)), (F(5, 3), F(-3, 2), F(0))])
+    assert [(r.predicted, r.actual, r.arrival) for r in inst.requests] == [
+        (F(-3, 2), F(5, 3), 0), (F(5, 3), F(-3, 2), 0)]
+    tiny = F(1, 10**30)
+    for triple in [(F(0), F(5, 3) + tiny, F(0)), (F(0), F(-3, 2) - tiny, F(0))]:
+        with pytest.raises(ValueError, match=r"^request 0: actual location outside the line$"):
+            make_instance(line, [triple])
+    with pytest.raises(ValueError, match=r"^request 0: negative arrival time$"):
+        make_instance(line, [(F(0), F(0), -tiny)])
+
+
+def test_line_and_request_denominators_may_differ():
+    line = LineSegment(F(-7, 3), F(11, 4))  # -2.333..., 2.75
+    inside = [(F(2749, 1000), F(-23, 10), F(1, 7)), (F(-233, 100), F(11, 4), F(0))]
+    assert len(make_instance(line, inside).requests) == 2
+    with pytest.raises(ValueError, match=r"^request 2: predicted location outside the line$"):
+        make_instance(line, inside + [(F(2751, 1000), F(0), F(0))])
+    with pytest.raises(ValueError, match=r"^request 0: actual location outside the line$"):
+        make_instance(line, [(F(0), F(-234, 100), F(0))])
+
+
+def test_every_request_check_message_is_kept():
+    line = (F(-1), F(2))
+    cases = [
+        ([(F(0), F(3), F(0))], Model.PREDICTION, "request 0: actual location outside the line"),
+        ([(F(0), F(0), F(0)), (F(0), F(0), F(-1, 3))], Model.PREDICTION,
+         "request 1: negative arrival time"),
+        ([(F(1), F(1), F(0))], Model.ORIGINAL, "request 0: original model takes no predicted location"),
+        ([(None, F(1), F(0))], Model.PREDICTION,
+         "request 0: prediction model requires a predicted location"),
+        ([(F(5, 2), F(1), F(0))], Model.PREDICTION, "request 0: predicted location outside the line"),
+    ]
+    for triples, model, message in cases:
+        with pytest.raises(ValueError) as err:
+            make_instance(line, triples, model)
+        assert str(err.value) == message
+
+
+_CHECK_VALUES = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3),
+    st.builds(QuadraticScalar, st.fractions(min_value=-3, max_value=3, max_denominator=2),
+              st.sampled_from([0, F(1, 2), -1])),
+)
+
+
+@given(
+    st.sampled_from([F(0), 0, F(-3, 2), -2, -QuadraticScalar(0, 1), QuadraticScalar(-1)]),
+    st.sampled_from([F(2), 3, F(5, 2), QuadraticScalar(0, 1), QuadraticScalar(2)]),
+    st.sampled_from(list(Model)),
+    st.lists(st.tuples(st.one_of(st.none(), _CHECK_VALUES), _CHECK_VALUES, _CHECK_VALUES), max_size=4),
+)
+@settings(max_examples=200)
+def test_instance_checks_match_check_request(a, b, model, triples):
+    """Any mix of ints, Fractions and surds, line endpoints included, gets
+    the verdict and message of ``_check_request`` run on each request in
+    turn."""
+    line = LineSegment(a, b)
+    expected = None
+    for i, triple in enumerate(triples):
+        try:
+            core._check_request(line, model, Request(i, *triple))
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    try:
+        make_instance(line, triples, model)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_parsed_misfit_names_its_req_line():
+    text = "LINE -1 2\nREQ 0 1 0\n# a comment\nREQ 0 1/3 -1/2\nREQ 3 0 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.lineno, str(err.value)) == (4, "line 4: request 1: negative arrival time")
+    with pytest.raises(ParseError) as err:
+        parse_instance("REQ - 1 0\nREQ 1 1 0\nLINE -1 2\nMODEL original\n")
+    assert str(err.value) == "line 2: request 1: original model takes no predicted location"
+
+
+def test_request_keeps_the_fractions_it_is_given():
+    x, t = F(1, 3), F(2)
+    req = Request(0, None, x, t)
+    assert req.actual is x and req.arrival is t
+    req = Request(0, 1, 2, 0)
+    assert [type(v) for v in (req.predicted, req.actual, req.arrival)] == [F, F, F]
+
+
 # --- text format -------------------------------------------------------------
 
 SAMPLE = """\

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from linetrp.core import LineSegment, Model, make_instance
 from linetrp.generate import perturbed_instance, random_instance
-from linetrp.offline import optimal_latency_tour
+from linetrp import core, offline
+from linetrp.offline import opt_sum_floor, optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
     DEFAULT_ALPHA,
@@ -448,6 +449,11 @@ def test_maxima_and_sum_ratio_match_the_row_ratios(result):
         assert report.sum_ratio == report.on_sum / report.opt_sum_bound
     total = sum(result.completions, F(0))
     assert (report.on_sum, type(report.on_sum)) == (total, type(total))
+    # the sums from evaluate's one scaling against their own public paths
+    requests = result.instance.requests
+    floor = opt_sum_floor(requests, optimal_latency_tour([r.actual for r in requests])[1])
+    for got, expected in ((report.opt_sum_bound, floor), (report.on_sum, result.on_sum)):
+        assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
 
 
 def test_evaluate_divides_only_the_winning_ratios(monkeypatch):
@@ -461,3 +467,40 @@ def test_evaluate_divides_only_the_winning_ratios(monkeypatch):
     monkeypatch.setattr(simulator, "_ratio", lambda c, f: calls.append(1) or real(c, f))
     evaluate(result)
     assert len(calls) <= 3
+
+
+def test_evaluate_builds_rows_on_first_read(monkeypatch):
+    rng = random.Random(20)
+    inst = random_instance(rng, (-3, 5), 12, 20, 8)
+    result = run(inst, PerfectPredictionTour())
+    built = []
+    real = simulator.RequestReport
+    monkeypatch.setattr(
+        simulator, "RequestReport", lambda index, *rest: built.append(index) or real(index, *rest)
+    )
+    report = evaluate(result)
+    assert built == []
+    assert "build_rows" not in repr(report)
+    rows = report.rows
+    assert built == list(range(12)) and [row.index for row in rows] == built
+    assert report.rows is rows and len(built) == 12
+
+
+def test_evaluate_scales_the_turning_points_not_the_walk(monkeypatch):
+    # both sums come from evaluate's own integer pairs, and the walk's arcs
+    # are added up from its scaled turning points
+    rng = random.Random(21)
+    inst = random_instance(rng, (-3, 5), 12, 20, 8)
+    result = run(inst, GreedyReplan())
+    calls = []
+    exact_sum = core._exact_sum
+    for module in (core, offline, simulator):
+        monkeypatch.setattr(module, "_exact_sum", lambda v: calls.append("_exact_sum") or exact_sum(v))
+    walk = offline.Tour.walk
+    monkeypatch.setattr(
+        offline.Tour, "walk", property(lambda tour: calls.append("walk") or walk.func(tour))
+    )
+    report = evaluate(result)
+    report.rows
+    assert calls == []
+    assert report.on_sum == result.on_sum and calls == ["_exact_sum"]
