@@ -20,6 +20,14 @@ The game visits only the releases and the first violation, never the steps
 between them: between releases the completions are fixed, so each request's
 first provably late step has a closed form, and the next release is found on
 the trajectory's legs.  Its cost does not grow with ``max_steps``.
+
+A committed game keeps one plan, so the plan's trips and legs are scaled to
+integer pairs once, however many batches it releases; ``verify_witness``
+plans again and re-runs from scratch.  Each request's floor is computed once,
+at its release, and its first late step whenever its completion is set: once
+for a committed plan, at every release for an adaptive session.  The worst
+ratio is picked by cross products of integer pairs (``simulator._first_max``),
+so only it and the witness's ratio are divided out.
 """
 
 from __future__ import annotations
@@ -30,7 +38,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import Instance, LineSegment, Model, Trajectory, make_instance
+from .core import (
+    Instance,
+    LineSegment,
+    Model,
+    Trajectory,
+    _inside_in_integers,
+    _interpolate,
+    _scaled_pairs,
+    make_instance,
+)
 from .offline import distance_arrival_floor
 from .online import (
     FixedPathStrategy,
@@ -40,7 +57,7 @@ from .online import (
     roundtrip_completions,
     roundtrip_trajectory,
 )
-from .simulator import _check_coverage, request_ratio, run
+from .simulator import _check_coverage, _first_max, _ratio, request_ratio, run
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -51,6 +68,13 @@ class GameConfig:
     max_steps: int = 120
 
     def __post_init__(self):
+        line, inside = self.line, _inside_in_integers(self.line)
+        for name in ("bases", "near_origin"):
+            for loc in getattr(self, name):
+                if not inside(loc) and loc not in line:
+                    raise ValueError(f"{name} must lie on the line [{line.a}, {line.b}], got {loc}")
+        if not self.ratio_target > 0:
+            raise ValueError(f"ratio_target must be positive, got {self.ratio_target}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be nonnegative, got {self.max_steps}")
 
@@ -83,12 +107,12 @@ def _next_outward_step(traj: Trajectory, lo: int, hi) -> Optional[int]:
     ``(ta, pa) -> (tb, pb)`` with ``pb > pa`` and ``ta <= t < tb``.  None
     when there is none by ``hi`` or before the trajectory parks."""
     pts = traj.breakpoints
-    k = max(bisect.bisect_right(pts, lo, key=lambda bp: bp[0]) - 1, 0)
+    k = max(bisect.bisect_right(traj._times, lo) - 1, 0)
     for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
         if ta > hi:
             return None
         if pb > pa and pb > 1:  # outward, and past 1 before the leg ends
-            at_one = ta if pa >= 1 else ta + (1 - pa) * (tb - ta) / (pb - pa)
+            at_one = ta if pa >= 1 else _interpolate(pa, ta, pb, tb, 1)
             t = max(lo, math.ceil(at_one))
             if t < tb and t <= hi:
                 return t
@@ -119,8 +143,10 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     all_predictions = cfg.bases + cfg.near_origin
     info = VisibleInfo(cfg.line, Model.PREDICTION, all_predictions)
     released: List[Tuple[Fraction, Fraction]] = []
-    deadlines: List[Fraction] = []  # per released request, fixed at its release
+    floors: List[Fraction] = []  # per released request, fixed at its release
+    deadlines: List[Fraction] = []  # likewise: ratio_target times the floor
     comps: List[object] = []
+    late_at: List[Optional[int]] = []  # per request: the step it is late from, or None
     if isinstance(strategy, FixedPathStrategy):
         planned, session = strategy.plan(info), None
         # the committed round trips run forever; they are built lazily, and
@@ -135,12 +161,21 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         nonlocal traj, comps
         batch = [(loc, arrival) for loc in locations]
         released.extend(batch)
-        deadlines.extend([cfg.ratio_target * distance_arrival_floor(loc, arrival) for loc in locations])
+        new = [distance_arrival_floor(loc, arrival) for loc in locations]
+        floors.extend(new)
+        deadlines.extend([cfg.ratio_target * floor for floor in new])
         if session is None:
             comps += roundtrip_completions(planned, batch)
+            known = len(late_at)  # a committed completion never changes
         else:
             session.on_arrivals(arrival, locations)
-            traj, comps = session.trajectory(), session.completions()
+            traj, comps, known = session.trajectory(), session.completions(), 0
+        # late from ceil(deadline) on unless served by the deadline; this
+        # holds until a release changes the completion
+        late_at[known:] = [
+            math.ceil(d) if c is None or c > d else None
+            for c, d in zip(comps[known:], deadlines[known:])
+        ]
 
     def next_release(now: int, hi) -> Optional[int]:
         # a near-origin request goes out only once the earlier ones are served
@@ -171,11 +206,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     # first step not yet checked
     now = 0
     while True:
-        late = [
-            (max(math.ceil(deadline), now), i)
-            for i, (c, deadline) in enumerate(zip(comps, deadlines))
-            if c is None or c > deadline
-        ]
+        late = [(max(step, now), i) for i, step in enumerate(late_at) if step is not None]
         declared = min(late, default=None)  # (step, request index)
         if declared is not None and declared[0] > cfg.max_steps:
             declared = None
@@ -207,24 +238,27 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
 
     instance = make_instance(cfg.line, [(loc, loc, arr) for loc, arr in released])
     _check_coverage(instance, comps, strategy.name)
-    ratios = [request_ratio(r.actual, r.arrival, c) for r, c in zip(instance.requests, comps)]
-    max_ratio = max(ratios, default=Fraction(1))
+    # the first largest completion/floor, by cross products of integer pairs
+    _, pairs = _scaled_pairs(comps + floors)
+    worst = _first_max(list(zip(pairs, pairs[len(comps) :])))
+    max_ratio = _ratio(comps[worst], floors[worst]) if worst >= 0 else Fraction(1)
     witness = None
     if declared is not None:
         step, idx = declared
         r = instance.requests[idx]
+        ratio = _ratio(comps[idx], floors[idx])
         witness = Witness(
             request_index=idx,
             location=r.actual,
             arrival=r.arrival,
             completion=comps[idx],
-            floor=distance_arrival_floor(r.actual, r.arrival),
-            ratio=ratios[idx],
+            floor=floors[idx],
+            ratio=ratio,
             declared_step=step,
         )
         log.append(
             f"witness: request {idx} at {r.actual}, arrival {r.arrival},"
-            f" completed {comps[idx]} (ratio {ratios[idx]})"
+            f" completed {comps[idx]} (ratio {ratio})"
         )
     else:
         log.append(f"no witness within {cfg.max_steps} steps; worst ratio {max_ratio}")

@@ -277,15 +277,39 @@ def _scaled_pairs(values):
     ]
 
 
-def _pairs_sum(values, d, pairs):
-    """``sum(values, Fraction(0))`` from one integer pair ``(a, b)`` per
-    value, with ``value == (a + b*sqrt(3))/d``: a ``Fraction`` (0 when
-    empty) unless some value is a ``QuadraticScalar``, then one, even when
-    the ``sqrt(3)`` parts cancel."""
-    a, b = sum([x for x, _ in pairs]), sum([y for _, y in pairs])
+def _scalar_like(values, a: int, b: int, d: int):
+    """``(a + b*sqrt(3))/d`` in the type that exact arithmetic on ``values``
+    gives: a ``Fraction`` unless some value is a ``QuadraticScalar``, then
+    one, even when ``b == 0``."""
     if any(isinstance(v, QuadraticScalar) for v in values):
         return QuadraticScalar(Fraction(a, d), Fraction(b, d))
     return Fraction(a, d)
+
+
+def _pairs_sum(values, d, pairs):
+    """``sum(values, Fraction(0))`` from one integer pair ``(a, b)`` per
+    value, with ``value == (a + b*sqrt(3))/d``: a ``Fraction`` (0 when
+    empty) unless some value is a ``QuadraticScalar`` (``_scalar_like``)."""
+    return _scalar_like(values, sum([x for x, _ in pairs]), sum([y for _, y in pairs]), d)
+
+
+def _interpolate(x0, y0, x1, y1, x):
+    """``y0 + (y1 - y0)*(x - x0)/(x1 - x0)`` for ``x1 != x0``: the value at
+    ``x`` of the leg through ``(x0, y0)`` and ``(x1, y1)``, with the value
+    and type that expression gives (``_scalar_like``).
+
+    The five values are scaled once to integer pairs over one denominator
+    (``_scaled_pairs``) and divided by the run ``x1 - x0`` through its
+    conjugate, so the only scalar built is the result."""
+    values = (x0, y0, x1, y1, x)
+    d, [(xa, xb), (ya, yb), (ua, ub), (va, vb), (za, zb)] = _scaled_pairs(values)
+    ra, rb, wa, wb, sa, sb = va - ya, vb - yb, ua - xa, ub - xb, za - xa, zb - xb
+    ma, mb = ra * sa + 3 * rb * sb, ra * sb + rb * sa  # rise times step, over d*d
+    # rise*step/run == rise*step*conj(run)/norm(run); norm != 0 as sqrt(3) is irrational
+    n = wa * wa - 3 * wb * wb
+    a = ya * n + ma * wa - 3 * mb * wb
+    b = yb * n + mb * wa - ma * wb
+    return _scalar_like(values, a, b, d * n)
 
 
 def _exact_sum(values):
@@ -429,17 +453,15 @@ def _check_request(line: LineSegment, model: Model, req: Request) -> None:
         raise ValueError(f"request {req.index}: predicted location outside the line")
 
 
-def _fits_in_integers(line: LineSegment, model: Model):
-    """A quick test that a request passes ``_check_request``, for a line with
-    ``Fraction`` endpoints: true when the request's values are ``Fraction``s
-    that fit the line and the model, compared by integer cross products
-    (denominators are positive).  False for any other value or any misfit,
-    which ``_check_request`` then checks and names."""
+def _inside_in_integers(line: LineSegment):
+    """A quick test that a value lies on ``line``: true when the value and
+    both endpoints are ``Fraction``s and ``a <= value <= b`` by integer cross
+    products (denominators are positive).  False for any other value, or
+    any other line, which ``value in line`` then decides."""
     a, b = line.a, line.b
     if type(a) is not Fraction or type(b) is not Fraction:
-        return lambda req: False
+        return lambda v: False
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    original = model is Model.ORIGINAL
 
     def inside(v) -> bool:
         return (
@@ -447,6 +469,17 @@ def _fits_in_integers(line: LineSegment, model: Model):
             and an * v.denominator <= v.numerator * ad
             and v.numerator * bd <= bn * v.denominator
         )
+
+    return inside
+
+
+def _fits_in_integers(line: LineSegment, model: Model):
+    """A quick test that a request passes ``_check_request``: true when the
+    request's values are ``Fraction``s that fit the line
+    (``_inside_in_integers``) and the model.  False for any other value or
+    any misfit, which ``_check_request`` then checks and names."""
+    inside = _inside_in_integers(line)
+    original = model is Model.ORIGINAL
 
     def fits(req) -> bool:
         t = req.arrival
@@ -568,7 +601,7 @@ class Trajectory:
         tb, pb = pts[i + 1]
         if pa == pb:
             return pa
-        return pa + (pb - pa) * (t - ta) / (tb - ta)
+        return _interpolate(ta, pa, tb, pb, t)
 
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
@@ -584,7 +617,7 @@ class Trajectory:
                     return ta if ta >= not_before else not_before
             elif min(pa, pb) <= loc <= max(pa, pb):
                 # Monotone segment: unique crossing time.
-                tc = ta + (loc - pa) * (tb - ta) / (pb - pa)
+                tc = _interpolate(pa, ta, pb, tb, loc)
                 if tc >= not_before:
                     return tc
         if pts[-1][1] == loc:

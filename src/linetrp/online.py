@@ -2,10 +2,12 @@
 
 All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
 the optimal trip growth rate involves ``sqrt(3)``.  The closed-form
-completions (``roundtrip_completions``) scale each call's trips and legs
-once to integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over a
-common denominator ``d`` (rescaled once per distinct request denominator),
-work on those, and convert each request's completion back once.
+completions (``roundtrip_completions``) work on the plan's trips and legs as
+integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over a common
+denominator ``d``, and convert each request's completion back once.  A
+``PlannedTrips`` scales them once, on first use, and keeps them with one
+rescale per distinct request denominator, so every call on the same plan
+reuses them.
 """
 
 from __future__ import annotations
@@ -200,6 +202,24 @@ def _next_pass(geometric, base, period, s, arrival):
     return wa + sa, wb + sb
 
 
+def _trip_geometry(planned: PlannedTrips):
+    """``(d0, over)``: the round trips of ``planned`` in integer pairs
+    ``(a, b)``, meaning ``(a + b*sqrt(3))/d0`` over their common
+    denominator ``d0``, and ``over``, a dict from each denominator ``d``
+    rescaled to so far (``d0`` first) to ``(geometric, legs, sweeps)`` over
+    ``d``: the geometric trips as ``(start, end, reach)``, the path's legs as
+    ``(arc at start, start, end)`` and the full sweeps as ``(base,
+    period)``.  The path must have positive length."""
+    pts, total = planned.path.walk.breakpoints, planned.path.walk.end_time
+    trips = list(planned.schedule.trips(total))
+    d0, scaled = _scaled_pairs([v for row in trips + list(pts) for v in row] + [2 * total])
+    it = iter(scaled)
+    *geometric, (base, _, _) = [(next(it), next(it), next(it)) for _ in trips]
+    walk = [(next(it), next(it)) for _ in pts]
+    legs = [(at, u, v) for (at, u), (_, v) in zip(walk, walk[1:])]
+    return d0, {d0: (geometric, legs, (base, next(it)))}
+
+
 def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[object]]:
     """Exact completion of every ``(location, arrival)`` in ``requests`` under
     the clamped round trips of ``planned``; None where the path never
@@ -214,33 +234,24 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     the arrival.  It equals ``roundtrip_trajectory(...).first_service_time``
     on a trajectory long enough to serve the request.
 
-    The trips and the legs are scaled once to integer pairs ``(a, b)``,
-    meaning ``(a + b*sqrt(3))/d0`` over their common denominator ``d0``, and
-    rescaled once per distinct ``d = lcm(d0, denominators of the request)``,
-    so pairwise coprime requests do not grow each other's integers.  The
-    per-request work is integer arithmetic; each request's earliest pass is
-    converted back once, to a ``Fraction`` when ``b == 0`` and a
+    The trips and the legs come in integer pairs from the plan's own
+    geometry (``PlannedTrips._geometry``), scaled once per plan over their
+    common denominator ``d0`` and rescaled once per distinct ``d = lcm(d0,
+    denominators of the request)``, so pairwise coprime requests do not grow
+    each other's integers, and a plan read by many calls is scaled once.
+    The per-request work is integer arithmetic; each request's earliest pass
+    is converted back once, to a ``Fraction`` when ``b == 0`` and a
     ``QuadraticScalar`` otherwise.
     """
-    path, schedule = planned.path, planned.schedule
-    pts, total = path.walk.breakpoints, path.walk.end_time
-    if total == 0:  # parked at the origin
+    if planned.path.walk.end_time == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
-    trips = list(schedule.trips(total))
-    d0, scaled = _scaled_pairs([v for row in trips + list(pts) for v in row] + [2 * total])
-    it = iter(scaled)
-    *geometric, (base, _, _) = [(next(it), next(it), next(it)) for _ in trips]
-    walk = [(next(it), next(it)) for _ in pts]
-    # (arc at start, start, end) per leg; (base, period) of the full sweeps
-    legs = [(at, u, v) for (at, u), (_, v) in zip(walk, walk[1:])]
-    sweeps = (base, next(it))
-    over = {d0: (geometric, legs, sweeps)}  # the same geometry over each d seen
+    d0, over = planned._geometry
     out: List[Optional[object]] = []
     for loc, arrival in requests:
         (lp, lq), (ap, aq) = _parts(loc), _parts(arrival)
         d = math.lcm(d0, lp.denominator, lq.denominator, ap.denominator, aq.denominator)
         if d not in over:
-            f = d // d0
+            f, (geometric, legs, sweeps) = d // d0, over[d0]
             over[d] = (_times(geometric, f), _times(legs, f), _times([sweeps], f)[0])
         geometric_d, legs_d, (base, period) = over[d]
         xa, xb = lp.numerator * (d // lp.denominator), lq.numerator * (d // lq.denominator)
@@ -283,8 +294,17 @@ def visible_info(instance: Instance) -> VisibleInfo:
 
 @dataclass(frozen=True)
 class PlannedTrips:
+    """Round trips of ``schedule`` over ``path``, committed before time 0."""
+
     path: Tour
     schedule: RoundTripSchedule
+
+    @functools.cached_property
+    def _geometry(self):
+        """The trips, legs and sweeps in integer pairs (``_trip_geometry``),
+        built on first use and kept with this plan; ``roundtrip_completions``
+        adds each new denominator's rescale to it."""
+        return _trip_geometry(self)
 
 
 class Strategy(abc.ABC):

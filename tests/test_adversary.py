@@ -159,6 +159,34 @@ def test_game_respects_custom_target():
     assert transcript.max_ratio > 3
 
 
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("near_origin", {"near_origin": (F(-1, 1000),)}),
+        ("near_origin", {"bases": (F(1),), "near_origin": (F(1, 1000), F(11))}),
+        ("bases", {"bases": (F(1), F(21, 2))}),
+        ("bases", {"line": LineSegment(F(-3), F(10)), "bases": (F(-4),)}),
+    ],
+    ids=["near-origin-below", "near-origin-beyond", "base-beyond", "base-below"],
+)
+def test_game_config_refuses_a_location_off_its_line(field, changes):
+    """A base or near-origin location off the line is refused when the
+    config is made, naming the field, not after the game has been played."""
+    with pytest.raises(ValueError, match=f"^{field} must lie on the line "):
+        GameConfig(**changes)
+
+
+@pytest.mark.parametrize("target", [F(0), F(-3), -1])
+def test_game_config_refuses_a_ratio_target_not_positive(target):
+    with pytest.raises(ValueError, match="^ratio_target must be positive"):
+        GameConfig(ratio_target=target)
+
+
+def test_game_config_takes_locations_at_the_line_ends():
+    cfg = GameConfig(line=LineSegment(F(-3), F(10)), bases=(F(-3), F(10)), near_origin=(F(0),))
+    assert cfg.bases == (F(-3), F(10))
+
+
 ROSTERS = {
     "default": GameConfig().near_origin,
     "five": tuple(F(k, 1000) for k in range(1, 6)),
@@ -326,7 +354,8 @@ def test_a_request_never_reached_raises_coverage_error(strategy, missed):
 @pytest.mark.parametrize("strategy", [GreedyReplan(), HalflineRoundTrips()], ids=["greedy", "halfline"])
 def test_deadlines_are_fixed_at_release(strategy, monkeypatch):
     """A released request's floor, and so its deadline, never changes: one
-    floor per request, plus the witness's own."""
+    floor per request, computed at its release and reused for the worst
+    ratio and the witness."""
     calls = []
     real = adversary.distance_arrival_floor
     monkeypatch.setattr(
@@ -336,7 +365,105 @@ def test_deadlines_are_fixed_at_release(strategy, monkeypatch):
     transcript = play_lowerbound_game(strategy, cfg)
     requests = len(cfg.bases) + len(cfg.near_origin)
     assert len(transcript.instance.requests) == requests
-    assert len(calls) <= requests + (transcript.witness is not None)
+    assert len(calls) == requests
+    if isinstance(strategy, HalflineRoundTrips):
+        assert transcript.witness is not None  # whose floor is reused too
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GameConfig(),
+        GameConfig(ratio_target=F(100)),
+        GameConfig(near_origin=ROSTERS["five"], ratio_target=F(100)),
+    ],
+    ids=["default", "no-witness", "five"],
+)
+@pytest.mark.parametrize("strategy", COMMITTED[:4], ids=lambda s: s.name)
+def test_a_committed_game_scales_its_plan_once(strategy, cfg, monkeypatch):
+    """However many batches a committed game releases, its plan's trips and
+    legs are scaled to integer pairs once; ``verify_witness`` plans again
+    and scales its own fresh plan."""
+    scaled, batches = [], 0
+    real_geometry, real_completions = online._trip_geometry, adversary.roundtrip_completions
+
+    def counting_geometry(planned):
+        scaled.append(planned)
+        return real_geometry(planned)
+
+    def counting_completions(planned, requests):
+        nonlocal batches
+        batches += 1
+        return real_completions(planned, requests)
+
+    monkeypatch.setattr(online, "_trip_geometry", counting_geometry)
+    monkeypatch.setattr(adversary, "roundtrip_completions", counting_completions)
+    transcript = play_lowerbound_game(strategy, cfg)
+    assert batches >= 3 and len(scaled) == 1
+    (game_plan,) = scaled
+    if transcript.witness is not None:
+        assert verify_witness(strategy, transcript)
+        assert len(scaled) == 2
+        assert scaled[1] is not game_plan and scaled[1] == game_plan
+
+
+class _Scripted(AdaptiveStrategy):
+    """Completes the k-th fed request at ``script[k]`` and never moves."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+
+    def start(self, info):
+        return _ScriptedSession(self.script)
+
+
+class _ScriptedSession(_ParkedSession):
+    def __init__(self, script):
+        super().__init__()
+        self._script = script
+
+    def completions(self):
+        return list(self._script[: self._fed])
+
+
+def _assert_max_ratio_is_the_first_max(transcript):
+    """``max_ratio`` is ``max()`` of every released request's ratio, type
+    and ``repr`` included: the first maximal one."""
+    ratios = [
+        request_ratio(r.actual, r.arrival, c)
+        for r, c in zip(transcript.instance.requests, transcript.completions)
+    ]
+    expected, got = max(ratios, default=F(1)), transcript.max_ratio
+    assert (got, type(got), repr(got)) == (expected, type(expected), repr(expected))
+
+
+@pytest.mark.parametrize(
+    "strategy", COMMITTED + [GreedyReplan()], ids=lambda s: f"{s.name}-{getattr(s, 'alpha', '')}"
+)
+def test_max_ratio_is_the_largest_released_ratio(strategy):
+    _assert_max_ratio_is_the_first_max(play_lowerbound_game(strategy))
+
+
+@pytest.mark.parametrize(
+    "bases, script, first",
+    [
+        ((F(1), F(2)), [QS(3), F(6)], QS(3)),  # ratios 3 and 3
+        ((F(1), F(2)), [F(3), QS(6)], F(3)),
+        ((F(0), F(1)), [F(0), QS(1)], F(1)),  # a zero floor stands for ratio 1
+        ((F(1), F(0)), [QS(1), F(0)], QS(1)),
+    ],
+    ids=["surd-first", "fraction-first", "zero-floor-first", "zero-floor-second"],
+)
+def test_max_ratio_keeps_the_first_of_tied_requests(bases, script, first):
+    """Two requests released at 0 with equal ratios of different types:
+    ``max_ratio`` is the first one's, as ``max()`` picks it."""
+    cfg = GameConfig(bases=bases, near_origin=(), ratio_target=F(100))
+    transcript = play_lowerbound_game(_Scripted(script), cfg)
+    assert transcript.witness is None
+    assert (transcript.max_ratio, type(transcript.max_ratio)) == (first, type(first))
+    _assert_max_ratio_is_the_first_max(transcript)
 
 
 # --- the event loop against the step-by-step game ---------------------------
@@ -472,6 +599,16 @@ def test_event_game_matches_the_stepwise_game(strategy, cfg):
     every step: the same log, completions, witness, worst ratio and
     instance, or the same error."""
     assert _outcome(strategy, cfg, play_lowerbound_game) == _outcome(strategy, cfg, _stepwise_game)
+
+
+@given(_STRATEGIES, _GAMES)
+@settings(max_examples=100, deadline=None)
+def test_max_ratio_is_the_first_max_on_any_game(strategy, cfg):
+    try:
+        transcript = play_lowerbound_game(strategy, cfg)
+    except (CoverageError, ValueError):  # ValueError: halfline on a full line
+        return
+    _assert_max_ratio_is_the_first_max(transcript)
 
 
 _SCALE_STRATEGIES = [

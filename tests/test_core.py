@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linetrp import core, generate
@@ -340,6 +340,30 @@ def test_exact_sum_of_nothing_and_of_cancelled_surds():
     assert (_exact_sum([]), type(_exact_sum([]))) == (0, F)
     total = _exact_sum([QuadraticScalar(F(1, 2), 1), QuadraticScalar(F(1, 3), -1)])
     assert type(total) is QuadraticScalar and (total.p, total.q) == (F(5, 6), 0)
+
+
+_leg_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+# breakpoints are exact scalars; a query point may also be an int
+_leg_points = st.one_of(_leg_fractions, st.builds(QuadraticScalar, _leg_fractions, _leg_fractions))
+_leg_values = st.one_of(_leg_points, st.integers(-9, 9))
+# speed 1 and -1, in between (rational and surd), and parked
+_leg_slopes = st.sampled_from(
+    [1, -1, F(1, 2), F(-2, 3), QuadraticScalar(-1, 1), QuadraticScalar(1, F(-1, 2)), 0, F(0)]
+)
+
+
+@given(_leg_points, _leg_points, _leg_values.filter(lambda run: run != 0), _leg_slopes, _leg_values)
+@example(F(0), F(0), F(2), 1, F(1))  # the midpoint of a unit-speed leg
+@example(F(1), QuadraticScalar(0, 1), F(3), 0, F(2))  # parked at a surd
+@example(QuadraticScalar(1, 1), F(0), QuadraticScalar(2, 1), -1, 1)  # a surd run, an int x
+@settings(max_examples=200)
+def test_interpolate_matches_the_division_formula(x0, y0, run, slope, x):
+    """``core._interpolate`` gives what the division formula gives on a leg
+    from ``(x0, y0)`` over ``run`` at ``slope``: value, type and text."""
+    x1, y1 = x0 + run, y0 + slope * run
+    got = core._interpolate(x0, y0, x1, y1, x)
+    expected = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
 
 
 # --- instances ---------------------------------------------------------------
