@@ -43,8 +43,8 @@ from .core import (
     LineSegment,
     Model,
     Trajectory,
-    _inside_in_integers,
     _interpolate,
+    _on_line,
     _scaled_pairs,
     make_instance,
 )
@@ -68,10 +68,10 @@ class GameConfig:
     max_steps: int = 120
 
     def __post_init__(self):
-        line, inside = self.line, _inside_in_integers(self.line)
+        line, inside = self.line, _on_line(self.line)
         for name in ("bases", "near_origin"):
             for loc in getattr(self, name):
-                if not inside(loc) and loc not in line:
+                if not inside(loc):
                     raise ValueError(f"{name} must lie on the line [{line.a}, {line.b}], got {loc}")
         if not self.ratio_target > 0:
             raise ValueError(f"ratio_target must be positive, got {self.ratio_target}")

@@ -19,7 +19,6 @@ import bisect
 import enum
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -320,6 +319,7 @@ def _exact_sum(values):
 
 
 _INTEGER_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_MAX_EXPONENT = 4300  # CPython's default limit on the digits of an integer string
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -332,23 +332,21 @@ def parse_scalar(text: str) -> Fraction:
     exponents) goes through ``Fraction(text)``.  Both give the same value
     and type, and fail on the same text.
 
-    A decimal exponent may not exceed ``sys.get_int_max_str_digits()`` in
-    magnitude, the limit Python puts on the digits of an integer string:
-    past it, ``Fraction`` takes seconds to build ``10**exponent`` and the
-    arithmetic on the result can run for minutes.
+    A decimal exponent may not exceed ``_MAX_EXPONENT`` (4300) in magnitude,
+    whatever the interpreter's own digit limit: past it, ``Fraction`` takes
+    seconds to build ``10**exponent`` and the arithmetic on the result can
+    run for minutes.
     """
     match = _INTEGER_SCALAR.fullmatch(text)
     try:
         if match is not None:
             num, den = match.groups()
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        limit = sys.get_int_max_str_digits()  # 0 means no limit
-        exponent = int(text.lower().partition("e")[2] or 0)
-        if not limit or abs(exponent) <= limit:
+        if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar {text!r}") from exc
-    raise ValueError(f"bad scalar {text!r}: exponent beyond {limit}")
+    raise ValueError(f"bad scalar {text!r}: exponent beyond {_MAX_EXPONENT}")
 
 
 def format_scalar(value) -> str:
@@ -437,60 +435,46 @@ class Request:
             object.__setattr__(self, "arrival", _exact(self.arrival, "arrival"))
 
 
-def _check_request(line: LineSegment, model: Model, req: Request) -> None:
-    """Raise ValueError, naming the request, unless it fits the line and
-    carries a predicted location exactly when the model has them."""
-    if req.actual not in line:
-        raise ValueError(f"request {req.index}: actual location outside the line")
-    if req.arrival < 0:
-        raise ValueError(f"request {req.index}: negative arrival time")
-    if model is Model.ORIGINAL:
-        if req.predicted is not None:
-            raise ValueError(f"request {req.index}: original model takes no predicted location")
-    elif req.predicted is None:
-        raise ValueError(f"request {req.index}: prediction model requires a predicted location")
-    elif req.predicted not in line:
-        raise ValueError(f"request {req.index}: predicted location outside the line")
-
-
-def _inside_in_integers(line: LineSegment):
-    """A quick test that a value lies on ``line``: true when the value and
-    both endpoints are ``Fraction``s and ``a <= value <= b`` by integer cross
-    products (denominators are positive).  False for any other value, or
-    any other line, which ``value in line`` then decides."""
+def _on_line(line: LineSegment):
+    """``inside(v)``: whether ``v`` lies on ``line``.  When ``v`` and both
+    endpoints are ``Fraction``s it compares by integer cross products
+    (denominators are positive); any other value or line goes through
+    ``v in line``."""
     a, b = line.a, line.b
     if type(a) is not Fraction or type(b) is not Fraction:
-        return lambda v: False
+        return line.__contains__
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
 
     def inside(v) -> bool:
-        return (
-            type(v) is Fraction
-            and an * v.denominator <= v.numerator * ad
-            and v.numerator * bd <= bn * v.denominator
-        )
+        if type(v) is Fraction:
+            return an * v.denominator <= v.numerator * ad and v.numerator * bd <= bn * v.denominator
+        return v in line
 
     return inside
 
 
-def _fits_in_integers(line: LineSegment, model: Model):
-    """A quick test that a request passes ``_check_request``: true when the
-    request's values are ``Fraction``s that fit the line
-    (``_inside_in_integers``) and the model.  False for any other value or
-    any misfit, which ``_check_request`` then checks and names."""
-    inside = _inside_in_integers(line)
+def _request_rule(line: LineSegment, model: Model):
+    """``check(req)``: raises ValueError, naming the request, unless it lies
+    on the line, arrives at a nonnegative time, and carries a predicted
+    location (on the line) exactly when the model has them."""
+    inside = _on_line(line)
     original = model is Model.ORIGINAL
 
-    def fits(req) -> bool:
+    def check(req) -> None:
+        if not inside(req.actual):
+            raise ValueError(f"request {req.index}: actual location outside the line")
         t = req.arrival
-        return (
-            inside(req.actual)
-            and type(t) is Fraction
-            and t.numerator >= 0
-            and (req.predicted is None if original else inside(req.predicted))
-        )
+        if (t.numerator < 0) if type(t) is Fraction else (t < 0):
+            raise ValueError(f"request {req.index}: negative arrival time")
+        if original:
+            if req.predicted is not None:
+                raise ValueError(f"request {req.index}: original model takes no predicted location")
+        elif req.predicted is None:
+            raise ValueError(f"request {req.index}: prediction model requires a predicted location")
+        elif not inside(req.predicted):
+            raise ValueError(f"request {req.index}: predicted location outside the line")
 
-    return fits
+    return check
 
 
 @dataclass(frozen=True)
@@ -503,12 +487,11 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "requests", tuple(self.requests))
-        fits = _fits_in_integers(self.line, self.model)
+        check = _request_rule(self.line, self.model)
         for pos, req in enumerate(self.requests):
             if req.index != pos:
                 raise ValueError(f"request at position {pos} has index {req.index}")
-            if not fits(req):
-                _check_request(self.line, self.model, req)
+            check(req)
 
     @property
     def predictions(self) -> Tuple[Fraction, ...]:
@@ -517,8 +500,11 @@ class Instance:
             raise ValueError("predictions are only visible in the prediction model")
         return tuple([req.predicted for req in self.requests])
 
-    def max_arrival(self) -> Fraction:
-        return max((req.arrival for req in self.requests), default=Fraction(0))
+
+def _as_line(line) -> LineSegment:
+    """``line`` itself when it is a LineSegment, else the segment of an
+    ``(a, b)`` pair."""
+    return line if isinstance(line, LineSegment) else LineSegment(line[0], line[1])
 
 
 def make_instance(line, triples, model: Model = Model.PREDICTION) -> Instance:
@@ -527,12 +513,11 @@ def make_instance(line, triples, model: Model = Model.PREDICTION) -> Instance:
     ``line`` may be a LineSegment or an ``(a, b)`` pair.  Pass ``predicted=None``
     in triples for original-model instances.
     """
-    seg = line if isinstance(line, LineSegment) else LineSegment(line[0], line[1])
     reqs = tuple([
         Request(i, predicted, actual, arrival)
         for i, (predicted, actual, arrival) in enumerate(triples)
     ])
-    return Instance(seg, model, reqs)
+    return Instance(_as_line(line), model, reqs)
 
 
 def _checked_motion(breakpoints) -> tuple:
@@ -705,9 +690,10 @@ def parse_instance(text: str) -> Instance:
         return Instance(line_seg, model, tuple([req for _, req in requests]))
     except ValueError:
         # the instance checks each request in turn; name the first misfit's line
+        check = _request_rule(line_seg, model)
         for lineno, req in requests:
             try:
-                _check_request(line_seg, model, req)
+                check(req)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
         raise

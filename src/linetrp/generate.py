@@ -11,11 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from .core import Instance, LineSegment, Model, _exact, make_instance
-
-
-def _as_line(line) -> LineSegment:
-    return line if isinstance(line, LineSegment) else LineSegment(line[0], line[1])
+from .core import Instance, LineSegment, Model, _as_line, _exact, make_instance
 
 
 def _check_sizes(n: int, max_arrival: int, denom: int) -> None:

@@ -118,7 +118,8 @@ def test_transcript_completions_match_the_trajectory_replay(strategy, target):
     info = VisibleInfo(cfg.line, Model.PREDICTION, cfg.bases + cfg.near_origin)
     planned = strategy.plan(info)
     requests = transcript.instance.requests
-    horizon = coverage_horizon(planned.path, planned.schedule, transcript.instance.max_arrival())
+    latest = max([r.arrival for r in requests], default=F(0))
+    horizon = coverage_horizon(planned.path, planned.schedule, latest)
     traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
     replay = [traj.first_service_time(r.actual, r.arrival) for r in requests]
     assert list(transcript.completions) == replay
@@ -166,8 +167,13 @@ def test_game_respects_custom_target():
         ("near_origin", {"bases": (F(1),), "near_origin": (F(1, 1000), F(11))}),
         ("bases", {"bases": (F(1), F(21, 2))}),
         ("bases", {"line": LineSegment(F(-3), F(10)), "bases": (F(-4),)}),
+        ("bases", {"bases": (F(1), 6 * QS(0, 1))}),
+        ("bases", {"line": LineSegment(F(0), 2 * QS(0, 1)), "bases": (F(7, 2),)}),
+        ("near_origin", {"line": LineSegment(F(0), 2 * QS(0, 1)), "bases": (F(1),),
+                         "near_origin": (F(-1, 1000),)}),
     ],
-    ids=["near-origin-below", "near-origin-beyond", "base-beyond", "base-below"],
+    ids=["near-origin-below", "near-origin-beyond", "base-beyond", "base-below",
+         "surd-base-beyond", "base-beyond-surd-line", "near-origin-below-surd-line"],
 )
 def test_game_config_refuses_a_location_off_its_line(field, changes):
     """A base or near-origin location off the line is refused when the
@@ -183,8 +189,16 @@ def test_game_config_refuses_a_ratio_target_not_positive(target):
 
 
 def test_game_config_takes_locations_at_the_line_ends():
-    cfg = GameConfig(line=LineSegment(F(-3), F(10)), bases=(F(-3), F(10)), near_origin=(F(0),))
-    assert cfg.bases == (F(-3), F(10))
+    root3 = QS(0, 1)
+    cases = [
+        (LineSegment(F(-3), F(10)), (F(-3), F(10))),
+        (LineSegment(F(-3), F(10)), (F(-3), 5 * root3, F(10))),  # a surd base inside
+        (LineSegment(F(0), 2 * root3), (F(1), 2 * root3)),  # a surd line end
+        (LineSegment(-root3, F(2)), (-root3, F(2))),
+    ]
+    for line, bases in cases:
+        cfg = GameConfig(line=line, bases=bases, near_origin=(F(0),))
+        assert cfg.bases == bases
 
 
 ROSTERS = {

@@ -59,13 +59,37 @@ def test_parse_scalar_forms():
     assert parse_scalar("-7/2") == F(-7, 2)
     assert parse_scalar("0.25") == F(1, 4)
     assert parse_scalar("25e-2") == F(1, 4)
-    limit = sys.get_int_max_str_digits()
+    limit = core._MAX_EXPONENT
     assert parse_scalar(f"1e{limit}") == 10**limit
     for bad in ("abc", f"1e{limit + 1}", f"1e-{limit + 1}"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
     with pytest.raises(ValueError):
         parse_scalar("1/0")
+
+
+def _assert_exponent_bounded():
+    assert parse_scalar("0.25") == F(1, 4)
+    assert parse_scalar(f"1e-{core._MAX_EXPONENT}") == F(1, 10**core._MAX_EXPONENT)
+    # the short exponent first: a missing bound fails there instead of hanging
+    for bad in (f"1e-{core._MAX_EXPONENT + 1}", "1e-99999999"):
+        with pytest.raises(ValueError, match="exponent beyond 4300$"):
+            parse_scalar(bad)
+
+
+def test_parse_scalar_bounds_the_exponent_with_no_interpreter_digit_limit():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0 switches the interpreter's limit off
+    try:
+        _assert_exponent_bounded()
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_parse_scalar_bounds_the_exponent_without_the_digit_limit_api(monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    _assert_exponent_bounded()
 
 
 def test_format_scalar_canonical():
@@ -398,7 +422,6 @@ def test_instance_indices_must_match_positions():
 def test_predictions_property():
     inst = make_instance((F(-1), F(1)), [(F(1), F(1), F(0)), (F(-1, 2), F(0), F(3))])
     assert inst.predictions == (F(1), F(-1, 2))
-    assert inst.max_arrival() == 3
 
 
 # --- instance checks in integers ----------------------------------------------
@@ -452,6 +475,23 @@ _CHECK_VALUES = st.one_of(
 )
 
 
+def _plain_request_misfit(line, model, triples):
+    """The message for the first request that misfits ``line`` or ``model``,
+    by plain comparisons on the values as given, or None."""
+    for i, (predicted, actual, arrival) in enumerate(triples):
+        if not line.a <= actual <= line.b:
+            return f"request {i}: actual location outside the line"
+        if arrival < 0:
+            return f"request {i}: negative arrival time"
+        if model is Model.ORIGINAL and predicted is not None:
+            return f"request {i}: original model takes no predicted location"
+        if model is Model.PREDICTION and predicted is None:
+            return f"request {i}: prediction model requires a predicted location"
+        if predicted is not None and not line.a <= predicted <= line.b:
+            return f"request {i}: predicted location outside the line"
+    return None
+
+
 @given(
     st.sampled_from([F(0), 0, F(-3, 2), -2, -QuadraticScalar(0, 1), QuadraticScalar(-1)]),
     st.sampled_from([F(2), 3, F(5, 2), QuadraticScalar(0, 1), QuadraticScalar(2)]),
@@ -459,24 +499,18 @@ _CHECK_VALUES = st.one_of(
     st.lists(st.tuples(st.one_of(st.none(), _CHECK_VALUES), _CHECK_VALUES, _CHECK_VALUES), max_size=4),
 )
 @settings(max_examples=200)
-def test_instance_checks_match_check_request(a, b, model, triples):
+def test_instance_checks_match_plain_comparisons(a, b, model, triples):
     """Any mix of ints, Fractions and surds, line endpoints included, gets
-    the verdict and message of ``_check_request`` run on each request in
-    turn."""
+    the verdict and message that plain comparisons give on each request in
+    turn: on the line, arrival not negative, a predicted location exactly
+    when the model has them, and that one on the line."""
     line = LineSegment(a, b)
-    expected = None
-    for i, triple in enumerate(triples):
-        try:
-            core._check_request(line, model, Request(i, *triple))
-        except ValueError as exc:
-            expected = str(exc)
-            break
     try:
         make_instance(line, triples, model)
         got = None
     except ValueError as exc:
         got = str(exc)
-    assert got == expected
+    assert got == _plain_request_misfit(line, model, triples)
 
 
 def test_parsed_misfit_names_its_req_line():

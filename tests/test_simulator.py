@@ -234,7 +234,7 @@ def test_run_matches_the_trajectory_replay(data):
         )
         triples.append((pred, actual, arrival))
     inst = make_instance(line, triples)
-    replay = _replay(planned, inst.max_arrival())
+    replay = _replay(planned, max([r.arrival for r in inst.requests], default=F(0)))
     expected = [replay.first_service_time(r.actual, r.arrival) for r in inst.requests]
     if None in expected:  # a robust path misses an actual far from its prediction
         with pytest.raises(CoverageError):
