@@ -41,7 +41,6 @@ from typing import List, Optional, Tuple
 from .core import (
     Instance,
     LineSegment,
-    Model,
     Trajectory,
     _interpolate,
     _on_line,
@@ -140,8 +139,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     released request.
     """
     cfg = config if config is not None else GameConfig()
-    all_predictions = cfg.bases + cfg.near_origin
-    info = VisibleInfo(cfg.line, Model.PREDICTION, all_predictions)
+    info = VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)
     released: List[Tuple[Fraction, Fraction]] = []
     floors: List[Fraction] = []  # per released request, fixed at its release
     deadlines: List[Fraction] = []  # likewise: ratio_target times the floor
@@ -198,7 +196,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     near_released: List[int] = []  # indices into `released`
     pending = list(cfg.near_origin)
     log = [
-        "predictions announced: " + ", ".join(str(p) for p in all_predictions),
+        "predictions announced: " + ", ".join(str(p) for p in info.predictions),
         f"t=0: released base requests at {', '.join(str(b) for b in cfg.bases)}",
     ]
 

@@ -36,7 +36,7 @@ from .core import (
     parse_scalar,
     serialize_instance,
 )
-from .generate import perturbed_instance, random_instance
+from .generate import _DENOM, _check_sizes, perturbed_instance, random_instance
 from .offline import brute_force_latency, optimal_latency_tour
 from .online import (
     CERT_RATIO,
@@ -62,13 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-arrival", type=int, default=50)
     gen.add_argument("--delta", default=None, help="prediction error bound, exact (e.g. 1/100)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--denom", type=int, default=1000)
+    gen.add_argument("--denom", type=int, default=_DENOM)
     gen.add_argument("--model", choices=[m.value for m in Model], default="prediction")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
+    gen.set_defaults(run=_cmd_generate)
 
     orc = sub.add_parser("oracle", help="exact offline latency optimum of an instance")
     orc.add_argument("instance")
     orc.add_argument("--brute", action="store_true", help="cross-check against exhaustive search")
+    orc.set_defaults(run=_cmd_oracle)
 
     sim = sub.add_parser("simulate", help="run a strategy on an instance")
     sim.add_argument("instance")
@@ -82,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 3 unless the worst per-request ratio stays within the certified bound",
     )
     sim.add_argument("--out", default=None, help="write per-request CSV")
+    sim.set_defaults(run=_cmd_simulate)
 
     adv = sub.add_parser("adversary", help="play the release-time lower-bound game")
     adv.add_argument("--strategy", choices=STRATEGY_NAMES, default="halfline")
     adv.add_argument("--alpha", default="sqrt3/2")
     adv.add_argument("--delta", default="1/100")
     adv.add_argument("--max-steps", type=int, default=120)
+    adv.set_defaults(run=_cmd_adversary)
 
     sw = sub.add_parser("sweep", help="seeded certification sweep, CSV output")
     sw.add_argument("--strategy", choices=("auto",) + STRATEGY_NAMES, default="auto")
@@ -100,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--alpha", default="sqrt3/2")
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", default=None, help="output CSV (default stdout)")
+    sw.set_defaults(run=_cmd_sweep)
     return p
 
 
@@ -110,20 +115,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (OSError, ValueError, TypeError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    return {
-        "generate": _cmd_generate,
-        "oracle": _cmd_oracle,
-        "simulate": _cmd_simulate,
-        "adversary": _cmd_adversary,
-        "sweep": _cmd_sweep,
-    }[args.command](args)
 
 
 def _write(text: str, out) -> None:
@@ -184,16 +179,19 @@ def _read_instance(path):
         return parse_instance(fh.read())
 
 
-def _resolve_strategy(name, alpha_text, delta_text, instance=None):
+def _knobs(alpha_text, delta_text):
+    """``(alpha, delta)`` read from their option texts; delta nonnegative."""
     alpha = parse_alpha(alpha_text)
     delta = parse_scalar(delta_text)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta_text}")
+    return alpha, delta
+
+
+def _resolve_strategy(name, alpha, delta, instance):
     if name == "auto":
-        if instance is None:
-            raise ValueError("auto strategy needs an instance")
-        return select_algorithm(instance, delta, alpha), delta
-    return make_strategy(name, alpha, delta), delta
+        return select_algorithm(instance, delta, alpha)
+    return make_strategy(name, alpha, delta)
 
 
 def _cmd_generate(args) -> int:
@@ -241,7 +239,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_simulate(args) -> int:
     inst = _read_instance(args.instance)
-    strategy, delta = _resolve_strategy(args.strategy, args.alpha, args.delta, inst)
+    alpha, delta = _knobs(args.alpha, args.delta)
+    strategy = _resolve_strategy(args.strategy, alpha, delta, inst)
     result = run(inst, strategy)
     report = evaluate(result)
     print(f"strategy: {strategy.name}")
@@ -267,7 +266,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    strategy, _ = _resolve_strategy(args.strategy, args.alpha, args.delta)
+    strategy = make_strategy(args.strategy, *_knobs(args.alpha, args.delta))
     transcript = play_lowerbound_game(strategy, GameConfig(max_steps=args.max_steps))
     for line in transcript.log:
         print(line)
@@ -287,15 +286,13 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
-def _sweep_trial(args, trial: int) -> list:
+def _sweep_trial(args, line, alpha, delta, trial: int) -> list:
     rng = random.Random(f"{args.seed}:{trial}")
-    line = LineSegment(parse_scalar(args.line[0]), parse_scalar(args.line[1]))
-    delta = parse_scalar(args.delta)
     if delta > 0:
         inst = perturbed_instance(rng, line, args.n, delta, args.max_arrival)
     else:
         inst = random_instance(rng, line, args.n, args.max_arrival)
-    strategy, _ = _resolve_strategy(args.strategy, args.alpha, args.delta, inst)
+    strategy = _resolve_strategy(args.strategy, alpha, delta, inst)
     report = evaluate(run(inst, strategy))
     return [trial, strategy.name, args.n, args.delta] + _cells(report, _SWEEP_COLUMNS)
 
@@ -305,7 +302,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"trials must be nonnegative, got {args.trials}")
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
-    trial = functools.partial(_sweep_trial, args)
+    # every argument is read and checked once, so a bad one fails even with no trials
+    line = LineSegment(parse_scalar(args.line[0]), parse_scalar(args.line[1]))
+    _check_sizes(args.n, args.max_arrival, _DENOM)
+    alpha, delta = _knobs(args.alpha, args.delta)
+    trial = functools.partial(_sweep_trial, args, line, alpha, delta)
     # a forked pool starts every worker up front, so never ask for more
     # workers than there are trials or CPUs
     workers = min(args.jobs, args.trials, os.cpu_count() or 1)

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 Scalar = Fraction
 
@@ -318,8 +318,9 @@ def _exact_sum(values):
     return _pairs_sum(values, *_scaled_pairs(values))
 
 
-_INTEGER_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_MAX_EXPONENT = 4300  # CPython's default limit on the digits of an integer string
+_MAX_DIGITS = 4300  # CPython's default limit on the digits of an integer string
+_INTEGER_SCALAR = re.compile(rf"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -332,21 +333,23 @@ def parse_scalar(text: str) -> Fraction:
     exponents) goes through ``Fraction(text)``.  Both give the same value
     and type, and fail on the same text.
 
-    A decimal exponent may not exceed ``_MAX_EXPONENT`` (4300) in magnitude,
-    whatever the interpreter's own digit limit: past it, ``Fraction`` takes
-    seconds to build ``10**exponent`` and the arithmetic on the result can
-    run for minutes.
+    ``_MAX_DIGITS`` (4300) bounds a run of digits (underscores not counted)
+    and a decimal exponent's magnitude, whatever the interpreter's own digit
+    limit: reading digits takes time quadratic in their number, and past it
+    ``Fraction`` takes seconds to build ``10**exponent``.
     """
     match = _INTEGER_SCALAR.fullmatch(text)
     try:
         if match is not None:
             num, den = match.groups()
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+        if any(len(run) - run.count("_") > _MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+            raise ValueError("digit run too long")
+        if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_DIGITS:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar {text!r}") from exc
-    raise ValueError(f"bad scalar {text!r}: exponent beyond {_MAX_EXPONENT}")
+    raise ValueError(f"bad scalar {text!r}: exponent beyond {_MAX_DIGITS}")
 
 
 def format_scalar(value) -> str:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .core import Instance, LineSegment, Model, _as_line, _exact, make_instance
 
+_DENOM = 1000  # the location grid's denominator when none is given
+
 
 def _check_sizes(n: int, max_arrival: int, denom: int) -> None:
     if n < 0:
@@ -34,7 +36,7 @@ def random_instance(
     line,
     n: int,
     max_arrival: int = 50,
-    denom: int = 1000,
+    denom: int = _DENOM,
     model: Model = Model.PREDICTION,
 ) -> Instance:
     """Instance with exact predictions (predicted == actual) and integer arrivals."""
@@ -55,7 +57,7 @@ def perturbed_instance(
     n: int,
     delta,
     max_arrival: int = 50,
-    denom: int = 1000,
+    denom: int = _DENOM,
 ) -> Instance:
     """Prediction-model instance whose actual locations stray from the
     predictions by at most ``delta``, clamped to the line."""

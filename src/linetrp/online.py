@@ -283,13 +283,12 @@ class VisibleInfo:
     """What a strategy may see before time 0."""
 
     line: LineSegment
-    model: Model
     predictions: Optional[Tuple[Fraction, ...]]  # None in the original model
 
 
 def visible_info(instance: Instance) -> VisibleInfo:
     preds = instance.predictions if instance.model is Model.PREDICTION else None
-    return VisibleInfo(instance.line, instance.model, preds)
+    return VisibleInfo(instance.line, preds)
 
 
 @dataclass(frozen=True)
@@ -337,20 +336,6 @@ def extend_tour_to_line(tour: Tour, line: LineSegment) -> Tour:
 
 
 @dataclass(frozen=True)
-class HalflineRoundTrips(FixedPathStrategy):
-    """Prediction-free round trips on a half-line, growing geometrically."""
-
-    alpha: object = DEFAULT_ALPHA
-    name: str = field(default="halfline-roundtrips", init=False)
-
-    def plan(self, info: VisibleInfo) -> PlannedTrips:
-        if not info.line.is_halfline():
-            raise ValueError("halfline-roundtrips needs the origin at an endpoint")
-        far = info.line.b if info.line.b > 0 else info.line.a
-        return PlannedTrips(canonical_tour((far,)), RoundTripSchedule(self.alpha))
-
-
-@dataclass(frozen=True)
 class LineSweepRoundTrips(FixedPathStrategy):
     """Prediction-free fallback on a general segment: round trips over a
     zigzag that sweeps the whole line, left end first."""
@@ -359,9 +344,20 @@ class LineSweepRoundTrips(FixedPathStrategy):
     name: str = field(default="line-sweep", init=False)
 
     def plan(self, info: VisibleInfo) -> PlannedTrips:
-        return PlannedTrips(
-            canonical_tour((info.line.a, info.line.b)), RoundTripSchedule(self.alpha)
-        )
+        path = canonical_tour((info.line.a, info.line.b))
+        return PlannedTrips(path, RoundTripSchedule(self.alpha))
+
+
+@dataclass(frozen=True)
+class HalflineRoundTrips(LineSweepRoundTrips):
+    """The line sweep on a half-line, where its zigzag is one leg out to the far end."""
+
+    name: str = field(default="halfline-roundtrips", init=False)
+
+    def plan(self, info: VisibleInfo) -> PlannedTrips:
+        if not info.line.is_halfline():
+            raise ValueError("halfline-roundtrips needs the origin at an endpoint")
+        return super().plan(info)
 
 
 @dataclass(frozen=True)

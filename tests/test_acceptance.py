@@ -216,7 +216,7 @@ def test_error_threshold_switches_to_fallback():
             select_algorithm(unit, delta=FALLBACK_THRESHOLD - F(1, 10**6)), RobustPredictionTour
         ),
         isinstance(select_algorithm(wide, delta=F(133, 1000)), RobustPredictionTour),
-        isinstance(select_algorithm(wide, delta=F(134, 1000)), LineSweepRoundTrips),
+        type(select_algorithm(wide, delta=F(134, 1000))) is LineSweepRoundTrips,
     ]
     # at the threshold the robust planner itself degrades to the full sweep
     plan = RobustPredictionTour(delta=FALLBACK_THRESHOLD).plan(visible_info(unit))

@@ -18,7 +18,7 @@ from linetrp.adversary import (
     play_lowerbound_game,
     verify_witness,
 )
-from linetrp.core import LineSegment, Model, Trajectory, make_instance
+from linetrp.core import LineSegment, Trajectory, make_instance
 from linetrp.offline import Tour, distance_arrival_floor, optimal_latency_tour
 from linetrp.online import (
     AdaptiveStrategy,
@@ -115,7 +115,7 @@ def test_transcript_completions_match_the_trajectory_replay(strategy, target):
     released instance on the materialized trajectory must agree."""
     cfg = GameConfig(ratio_target=target)
     transcript = play_lowerbound_game(strategy, cfg)
-    info = VisibleInfo(cfg.line, Model.PREDICTION, cfg.bases + cfg.near_origin)
+    info = VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)
     planned = strategy.plan(info)
     requests = transcript.instance.requests
     latest = max([r.arrival for r in requests], default=F(0))
@@ -500,7 +500,7 @@ def _stepwise_game(strategy, cfg) -> GameTranscript:
     whether the server, on a trajectory built out to ``coverage_horizon``,
     stands at 1 or beyond heading outward."""
     all_predictions = cfg.bases + cfg.near_origin
-    info = VisibleInfo(cfg.line, Model.PREDICTION, all_predictions)
+    info = VisibleInfo(cfg.line, all_predictions)
     released, deadlines, comps = [], [], []
     if isinstance(strategy, FixedPathStrategy):
         planned, session = strategy.plan(info), None

@@ -119,6 +119,21 @@ def test_negative_parameters_exit_2_naming_the_parameter(args, name, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--delta", "abc"], ["--line", "5", "10"], ["--line", "x", "1"], ["--alpha=-1"],
+     ["--n=-3"], ["--max-arrival=-1"], ["--delta=-1"]],
+)
+def test_sweep_refuses_a_bad_argument_with_no_trials(flags, capsys):
+    errors = []
+    for trials in ("0", "1"):
+        assert main(["sweep", "--trials", trials] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_fewer_than_one_job(jobs, capsys):
     assert main(["sweep", "--trials", "4", "--jobs", jobs]) == 2
@@ -135,6 +150,23 @@ def test_oracle_with_cross_check(tmp_path, capsys):
     assert "optimal latency sum: 5 (5.000000)" in out
     assert "origin -> -1 -> 2" in out
     assert "cross-check ok" in out
+
+
+def test_oracle_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "inst.txt", GOOD)
+    monkeypatch.setattr(cli, "brute_force_latency", lambda points: (F(6), (F(2), F(-1))))
+    assert main(["oracle", path, "--brute"]) == 3
+    captured = capsys.readouterr()
+    assert "optimal latency sum: 5 (5.000000)" in captured.out
+    assert captured.err == "cross-check FAILED: exhaustive search got 6 via 2, -1\n"
+
+
+def test_oracle_stays_at_the_origin_when_every_request_is_there(tmp_path, capsys):
+    path = _write(tmp_path, "origin.txt", "LINE -1 2\nREQ 0 0 0\nREQ 0 0 3\n")
+    assert main(["oracle", path]) == 0
+    out = capsys.readouterr().out
+    assert "optimal latency sum: 0 (0.000000)" in out
+    assert "optimal walk: stay at origin\n" in out
 
 
 def test_oracle_brute_past_its_cap_prints_nothing(tmp_path, capsys):
@@ -256,6 +288,23 @@ def test_simulate_rejects_huge_exponents(text, flags, prefix, tmp_path):
     assert proc.stdout == ""
 
 
+def test_simulate_refuses_a_million_digit_scalar_with_no_digit_limit(tmp_path):
+    # a child process with the interpreter's digit limit off: reading a
+    # million digits would take minutes
+    path = _write(tmp_path, "long.txt", "LINE 0 10\nREQ 1 1 " + "1" * 10**6 + "\n")
+    src = os.path.dirname(os.path.dirname(linetrp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linetrp.cli", "simulate", path],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2: bad scalar '111"), proc.stderr[:80]
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("extra", [[], ["--certify", "simple"]])
 def test_simulate_rejects_negative_delta(extra, tmp_path, capsys):
     path = _write(tmp_path, "inst.txt", GOOD)
@@ -297,6 +346,15 @@ def test_adversary_catches_halfline_and_verifies(capsys):
     out = capsys.readouterr().out
     assert "outcome: witness at step 3" in out
     assert "witness verified by independent re-run" in out
+
+
+def test_adversary_failed_verification_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_witness", lambda strategy, transcript: False)
+    assert main(["adversary", "--strategy", "halfline"]) == 3
+    captured = capsys.readouterr()
+    assert "outcome: witness at step 3" in captured.out
+    assert "verified" not in captured.out
+    assert captured.err == "witness verification FAILED\n"
 
 
 def test_adversary_reports_greedy_escape(capsys):

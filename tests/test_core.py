@@ -59,7 +59,7 @@ def test_parse_scalar_forms():
     assert parse_scalar("-7/2") == F(-7, 2)
     assert parse_scalar("0.25") == F(1, 4)
     assert parse_scalar("25e-2") == F(1, 4)
-    limit = core._MAX_EXPONENT
+    limit = core._MAX_DIGITS
     assert parse_scalar(f"1e{limit}") == 10**limit
     for bad in ("abc", f"1e{limit + 1}", f"1e-{limit + 1}"):
         with pytest.raises(ValueError):
@@ -70,9 +70,9 @@ def test_parse_scalar_forms():
 
 def _assert_exponent_bounded():
     assert parse_scalar("0.25") == F(1, 4)
-    assert parse_scalar(f"1e-{core._MAX_EXPONENT}") == F(1, 10**core._MAX_EXPONENT)
+    assert parse_scalar(f"1e-{core._MAX_DIGITS}") == F(1, 10**core._MAX_DIGITS)
     # the short exponent first: a missing bound fails there instead of hanging
-    for bad in (f"1e-{core._MAX_EXPONENT + 1}", "1e-99999999"):
+    for bad in (f"1e-{core._MAX_DIGITS + 1}", "1e-99999999"):
         with pytest.raises(ValueError, match="exponent beyond 4300$"):
             parse_scalar(bad)
 
@@ -82,6 +82,25 @@ def test_parse_scalar_bounds_the_exponent_with_no_interpreter_digit_limit():
     sys.set_int_max_str_digits(0)  # 0 switches the interpreter's limit off
     try:
         _assert_exponent_bounded()
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_parse_scalar_bounds_digit_runs_with_no_interpreter_digit_limit():
+    limit = core._MAX_DIGITS
+    ok, long = "7" * limit, "7" * (limit + 1)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0 switches the interpreter's limit off
+    try:
+        assert parse_scalar(ok) == int(ok)
+        assert parse_scalar(f"-{ok}/{ok}") == -1
+        assert parse_scalar(f"7_{ok[1:]}") == int(ok)
+        # the short runs first: a missing bound fails there instead of hanging
+        split = f"{long[:2000]}_{long[2000:]}"
+        for bad in (long, f"-{long}", f"{long}/3", f"3/{long}", f"0.{long}", split, f"1e{long}",
+                    "7" * 10**6):
+            with pytest.raises(ValueError, match="^bad scalar"):
+                parse_scalar(bad)
     finally:
         sys.set_int_max_str_digits(before)
 
@@ -123,6 +142,8 @@ SCALAR_NEAR_MISSES = [
     "3\n", "3/ 4", "\u0663", "-\u0663/4", "", "-", "/4", "3/", "0x1",
     "9" * _DIGIT_LIMIT, "-" + "9" * _DIGIT_LIMIT, "1/" + "9" * _DIGIT_LIMIT,
     "9" * (_DIGIT_LIMIT + 1), "-" + "9" * (_DIGIT_LIMIT + 1), "1/" + "9" * (_DIGIT_LIMIT + 1),
+    "0." + "9" * _DIGIT_LIMIT, "0." + "9" * (_DIGIT_LIMIT + 1), "0" * (_DIGIT_LIMIT + 1),
+    "9_" + "9" * (_DIGIT_LIMIT - 1), "9_" + "9" * _DIGIT_LIMIT, "1e" + "0" * (_DIGIT_LIMIT + 1),
 ]
 
 
@@ -576,6 +597,15 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("LINE 0 1\nMODEL psychic\n")
     with pytest.raises(ParseError, match="bad scalar"):
         parse_instance("LINE 0 x\n")
+    for text, lineno, message in [
+        ("LINE 0 1 2\n", 1, "LINE takes exactly two endpoints"),
+        ("LINE 0 1\nMODEL original\nMODEL original\n", 3, "duplicate MODEL"),
+        ("LINE 0 1\nMODEL original prediction\n", 2, "MODEL takes exactly one name"),
+        ("LINE 0 1\nREQ 1 1 0\nREQ 1/2 1/2 x\n", 3, "bad scalar 'x'"),
+    ]:
+        with pytest.raises(ParseError, match=f"^line {lineno}: {message}") as err:
+            parse_instance(text)
+        assert err.value.lineno == lineno
 
 
 def test_semantic_errors_are_value_errors():
@@ -623,6 +653,11 @@ class _NoText(F):
         if isinstance(numerator, str):
             raise AssertionError(f"Fraction was given the text {numerator!r}")
         return super().__new__(cls, numerator, denominator)
+
+
+def test_perturbed_instance_refuses_a_negative_delta():
+    with pytest.raises(ValueError, match="^delta must be nonnegative$"):
+        generate.perturbed_instance(random.Random(0), (F(0), F(1)), 3, F(-1, 100))
 
 
 def test_parse_instance_reads_serialized_scalars_as_integers(monkeypatch):

@@ -5,6 +5,7 @@ of every strategy."""
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -38,6 +39,7 @@ from linetrp.online import (
     shrink_toward_origin,
     visible_info,
 )
+from linetrp.simulator import run
 
 QS = QuadraticScalar
 
@@ -477,6 +479,33 @@ def test_halfline_strategy_paths():
         HalflineRoundTrips().plan(full)
 
 
+@pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, F(3, 4), QS(F(1, 2), F(1, 4))])
+@pytest.mark.parametrize(
+    "a, b", [(F(0), F(10)), (F(-7, 2), F(0)), (F(0), QS(1, 2)), (QS(F(-1, 3), -1), F(0))]
+)
+def test_halfline_strategy_is_the_sweep_on_a_half_line(a, b, alpha):
+    line = LineSegment(a, b)
+    info = online.VisibleInfo(line, None)
+    half, sweep = HalflineRoundTrips(alpha), LineSweepRoundTrips(alpha)
+    assert isinstance(half, LineSweepRoundTrips) and half != sweep
+    assert (half.name, sweep.name) == ("halfline-roundtrips", "line-sweep")
+    assert half.plan(info) == sweep.plan(info)
+    rng = random.Random(f"{a}:{b}:{alpha}")
+    ends = [a, b, F(0)]
+    for n in range(1, 6):
+        triples = []
+        for _ in range(n):
+            loc = rng.choice(ends + [line.clamp(F(rng.randint(-60, 60), 6))])
+            triples.append((None, loc, F(rng.randint(0, 40), rng.randint(1, 3))))
+        inst = make_instance(line, triples, Model.ORIGINAL)
+        got, expected = run(inst, half).completions, run(inst, sweep).completions
+        assert got == expected
+        assert [(type(c), str(c)) for c in got] == [(type(c), str(c)) for c in expected]
+    full = online.VisibleInfo(LineSegment(-1, b if b > 0 else -a), None)
+    with pytest.raises(ValueError, match="^halfline-roundtrips needs the origin at an endpoint$"):
+        half.plan(full)
+
+
 def test_sweep_strategy_path():
     info = visible_info(make_instance(LineSegment(F(-2), F(3)), [(None, F(1), F(0))], Model.ORIGINAL))
     plan = LineSweepRoundTrips().plan(info)
@@ -727,7 +756,7 @@ def test_select_algorithm():
     blind = make_instance(line, [(None, F(5), F(0))], Model.ORIGINAL)
     assert isinstance(select_algorithm(blind), HalflineRoundTrips)
     full = make_instance(LineSegment(F(-1), F(10)), [(None, F(5), F(0))], Model.ORIGINAL)
-    assert isinstance(select_algorithm(full, delta=F(5)), LineSweepRoundTrips)
+    assert type(select_algorithm(full, delta=F(5))) is LineSweepRoundTrips
 
 
 def test_make_strategy_names():

@@ -28,6 +28,7 @@ from linetrp.online import (
     make_strategy,
     roundtrip_completions,
     roundtrip_trajectory,
+    visible_info,
 )
 from linetrp import simulator
 from linetrp.simulator import CoverageError, RunResult, evaluate, request_ratio, run
@@ -80,6 +81,24 @@ def test_greedy_serves_late_arrivals():
     )
     result = run(inst, GreedyReplan())
     assert result.completions == (F(1), F(8), F(3))
+
+
+def test_greedy_run_trajectory_is_the_session_motion_cut_at_the_last_completion():
+    inst = make_instance(
+        LineSegment(F(-2), F(3)),
+        [(F(1), F(1), F(0)), (F(-2), F(-2), F(2)), (F(3), F(3), F(0)), (F(1), F(1), F(9))],
+    )
+    result = run(inst, GreedyReplan())
+    session = GreedyReplan().start(visible_info(inst))
+    session.on_arrivals(F(0), [F(1), F(3)])
+    session.on_arrivals(F(2), [F(-2)])
+    session.on_arrivals(F(9), [F(1)])
+    last = max(result.completions)
+    assert result.trajectory.breakpoints == session.trajectory().truncated(last).breakpoints
+    assert result.trajectory.breakpoints[-1] == (last, F(1))
+    assert list(result.completions) == [
+        result.trajectory.first_service_time(r.actual, r.arrival) for r in inst.requests
+    ]
 
 
 def test_request_ratio_frozen_pairs():
@@ -177,7 +196,7 @@ def _draw_plan(data):
     # up to 26/400 of the line keeps the robust tour below its fallback threshold
     delta = line.length * data.draw(st.integers(0, 26)) / 400
     strategy = make_strategy(name, alpha, delta)
-    planned = strategy.plan(VisibleInfo(line, Model.PREDICTION, tuple(points)))
+    planned = strategy.plan(VisibleInfo(line, tuple(points)))
     return strategy, line, points, planned
 
 
@@ -274,7 +293,7 @@ def test_large_arrivals_are_served_without_walking_to_them():
     assert report.max_ratio_simple == F(8, 7)
     # on [0, 10] the full sweeps start at a surd time; shifting an arrival by
     # whole periods of 20 shifts its completion by exactly as much
-    planned = HalflineRoundTrips().plan(VisibleInfo(LineSegment(F(0), F(10)), Model.ORIGINAL, None))
+    planned = HalflineRoundTrips().plan(VisibleInfo(LineSegment(F(0), F(10)), None))
     shift = 20 * 10**30
     near, far = roundtrip_completions(planned, [(F(7), F(30)), (F(7), 30 + shift)])
     assert isinstance(near, QuadraticScalar) and near.q != 0
@@ -295,7 +314,7 @@ def test_one_huge_denominator_scales_every_request(strategy, line, predictions):
     # every value of a call is scaled to the common denominator of all of
     # them, here about 10**50 times the schedule's own; shifting the arrival
     # by whole periods still shifts each completion by exactly as much
-    planned = strategy.plan(VisibleInfo(line, Model.PREDICTION, predictions))
+    planned = strategy.plan(VisibleInfo(line, predictions))
     shift = 2 * planned.path.walk.end_time * 10**30
     arrival = 30 + F(1, 10**50 + 1)
     spots = [F(0), F(1, 3), *predictions, *planned.path.turning_points]
@@ -321,7 +340,7 @@ def test_one_huge_denominator_scales_every_request(strategy, line, predictions):
 def test_coprime_request_denominators_match_the_trajectory_replay(strategy, line, predictions, span):
     # every location and every arrival has its own prime denominator, so no
     # two requests share one; each is served over its own rescaled geometry
-    planned = strategy.plan(VisibleInfo(line, Model.PREDICTION, predictions))
+    planned = strategy.plan(VisibleInfo(line, predictions))
     primes = [p for p in range(1009, 2000) if all(p % q for q in range(2, 45))][:80]
     lo, hi = span
     pairs = [
