@@ -19,7 +19,7 @@ own, which it keeps in closed form as it replans.
 The game visits only the releases and the first violation, never the steps
 between them: between releases the completions are fixed, so each request's
 first provably late step has a closed form, and the next release is found on
-the trajectory's legs.  Its cost does not grow with ``max_steps``.
+the motion's integer moves.  Its cost does not grow with ``max_steps``.
 
 A committed game keeps one plan, so the plan's trips and legs are scaled to
 integer pairs once, however many batches it releases; ``verify_witness``
@@ -41,10 +41,11 @@ from typing import List, Optional, Tuple
 from .core import (
     Instance,
     LineSegment,
-    Trajectory,
-    _interpolate,
+    QuadraticScalar,
     _on_line,
+    _pair_sign,
     _scaled_pairs,
+    _surd_floor,
     make_instance,
 )
 from .offline import distance_arrival_floor
@@ -54,7 +55,7 @@ from .online import (
     VisibleInfo,
     coverage_horizon,  # not called here; perfbench/tracer.py wraps it under this name
     roundtrip_completions,
-    roundtrip_trajectory,
+    roundtrip_trajectory,  # not called here; perfbench/tracer.py wraps it under this name
 )
 from .simulator import _check_coverage, _first_max, _ratio, request_ratio, run
 
@@ -100,21 +101,24 @@ class GameTranscript:
     log: Tuple[str, ...]
 
 
-def _next_outward_step(traj: Trajectory, lo: int, hi) -> Optional[int]:
-    """First integer step in ``[lo, hi]`` at which the server stands at
-    position 1 or beyond, strictly heading away from the origin: on a leg
-    ``(ta, pa) -> (tb, pb)`` with ``pb > pa`` and ``ta <= t < tb``.  None
-    when there is none by ``hi`` or before the trajectory parks."""
-    pts = traj.breakpoints
-    k = max(bisect.bisect_right(traj._times, lo) - 1, 0)
-    for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
-        if ta > hi:
+def _next_outward_step(d: int, moves, lo: int, hi: int):
+    """``(step, position)`` at the first integer step in ``[lo, hi]`` at which
+    a move ``(ta, pa, tb, pb)`` with ``pb > pa`` stands at 1 or beyond, with
+    ``ta <= step < tb``; None if none comes by ``hi``.  The moves come in time
+    order, in integer pairs over ``d``.  An outward one must run at unit speed
+    (else ValueError), so it is at 1 or beyond from ``ta + max(0, 1 - pa)`` on."""
+    for (ta, ra), (pa, qa), (tb, rb), (pb, qb) in moves:
+        if _pair_sign(ta - hi * d, ra) > 0:
             return None
-        if pb > pa and pb > 1:  # outward, and past 1 before the leg ends
-            at_one = ta if pa >= 1 else _interpolate(pa, ta, pb, tb, 1)
-            t = max(lo, math.ceil(at_one))
-            if t < tb and t <= hi:
-                return t
+        if _pair_sign(pb - pa, qb - qa) > 0:
+            if (pb - pa, qb - qa) != (tb - ta, rb - ra):
+                raise ValueError("the release game needs every outward move at unit speed")
+            if _pair_sign(pa - d, qa) < 0:  # start the move where it reaches 1
+                ta, ra, pa, qa = ta + d - pa, ra - qa, d, 0
+            step = max(lo, -_surd_floor(-ta, -ra, d))
+            if step <= hi and _pair_sign(step * d - tb, -rb) < 0:
+                a, b = pa + step * d - ta, qa - ra
+                return step, QuadraticScalar(Fraction(a, d), Fraction(b, d))
     return None
 
 
@@ -122,7 +126,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     """Run the release-time game against ``strategy``.
 
     Fixed-path strategies commit their whole motion from the predictions:
-    the adversary watches their trajectory to time the releases and takes
+    the adversary watches their plan's moves to time the releases and takes
     each request's completion from ``roundtrip_completions`` at its release.
     An adaptive one is started once; each release is fed to that one
     session, and the completions are taken from its ``completions()``.
@@ -131,12 +135,13 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     completion is fixed, so a request with deadline D is first provably
     late at step ``max(ceil(D), now)``, where ``now`` is the first step not
     yet checked, and never if it is served by D.  The next release is read
-    off the trajectory's legs, and the committed trajectory is built only as
-    far as that scan looks.  So the cost grows with the releases and the
-    legs, not with ``max_steps``.  Returns the full transcript; ``witness``
-    stays None when the strategy escapes every deadline within
-    ``max_steps``.  Raises CoverageError when the strategy never serves some
-    released request.
+    off the motion's moves in integer pairs (``_next_outward_step``), a
+    committed plan's own or an adaptive session's trajectory, scaled.  So
+    the cost grows with the releases and the legs, not with ``max_steps``.
+    Returns the full transcript; ``witness`` stays None when the strategy
+    escapes every deadline within ``max_steps``.  Raises CoverageError when
+    the strategy never serves some released request, and ValueError when an
+    adaptive one moves out at another speed than 1.
     """
     cfg = config if config is not None else GameConfig()
     info = VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)
@@ -147,16 +152,11 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     late_at: List[Optional[int]] = []  # per request: the step it is late from, or None
     if isinstance(strategy, FixedPathStrategy):
         planned, session = strategy.plan(info), None
-        # the committed round trips run forever; they are built lazily, and
-        # not at all when the path never reaches 1, where nothing is released
-        grows = max(planned.path.turning_points, default=0) >= 1
-        traj = Trajectory(((Fraction(0), Fraction(0)),))
     else:
-        session, grows = strategy.start(info), False
-        traj = session.trajectory()
+        session = strategy.start(info)
 
     def release(locations, arrival) -> None:
-        nonlocal traj, comps
+        nonlocal comps
         batch = [(loc, arrival) for loc in locations]
         released.extend(batch)
         new = [distance_arrival_floor(loc, arrival) for loc in locations]
@@ -167,7 +167,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             known = len(late_at)  # a committed completion never changes
         else:
             session.on_arrivals(arrival, locations)
-            traj, comps, known = session.trajectory(), session.completions(), 0
+            comps, known = session.completions(), 0
         # late from ceil(deadline) on unless served by the deadline; this
         # holds until a release changes the completion
         late_at[known:] = [
@@ -175,9 +175,8 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             for c, d in zip(comps[known:], deadlines[known:])
         ]
 
-    def next_release(now: int, hi) -> Optional[int]:
+    def next_release(now: int, hi: int):
         # a near-origin request goes out only once the earlier ones are served
-        nonlocal traj
         lo = max(now, 1)
         for i in near_released:
             if comps[i] is None:
@@ -185,12 +184,16 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             lo = max(lo, math.ceil(comps[i]))
         if lo > hi:
             return None
-        while True:
-            step = _next_outward_step(traj, lo, hi)
-            if step is not None or not grows or traj.end_time > hi:
-                return step
-            horizon = max(2 * traj.end_time, 1)
-            traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
+        if session is not None:  # its motion so far, scaled from the leg under way at lo
+            traj = session.trajectory()
+            pts = traj.breakpoints[max(bisect.bisect_right(traj._times, lo) - 1, 0) :]
+            d, flat = _scaled_pairs([v for bp in pts for v in bp])
+            moves = zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
+        elif max(planned.path.turning_points, default=0) > 1:
+            d, moves = planned.moves(lo)
+        else:  # the committed path never goes beyond 1
+            return None
+        return _next_outward_step(d, moves, lo, hi)
 
     release(cfg.bases, Fraction(0))
     near_released: List[int] = []  # indices into `released`
@@ -210,10 +213,10 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             declared = None
         # a violation found at a step is declared before a release there
         hi = cfg.max_steps if declared is None else declared[0] - 1
-        step = next_release(now, hi) if pending else None
-        if step is None:
+        found = next_release(now, hi) if pending else None
+        if found is None:
             break
-        pos = traj.position_at(Fraction(step))
+        step, pos = found
         loc = pending.pop(0)
         near_released.append(len(released))
         release([loc], Fraction(step))

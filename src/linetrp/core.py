@@ -321,6 +321,12 @@ def _exact_sum(values):
 _MAX_DIGITS = 4300  # CPython's default limit on the digits of an integer string
 _INTEGER_SCALAR = re.compile(rf"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+_QUOTED = 40  # the most characters of a field an error message quotes
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``; past ``_QUOTED`` characters, that of its start and its length."""
+    return repr(text) if len(text) <= _QUOTED else f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -348,8 +354,8 @@ def parse_scalar(text: str) -> Fraction:
         if abs(int(text.lower().partition("e")[2] or 0)) <= _MAX_DIGITS:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad scalar {text!r}") from exc
-    raise ValueError(f"bad scalar {text!r}: exponent beyond {_MAX_DIGITS}")
+        raise ValueError(f"bad scalar {_quoted(text)}") from exc
+    raise ValueError(f"bad scalar {_quoted(text)}: exponent beyond {_MAX_DIGITS}")
 
 
 def format_scalar(value) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,6 +172,31 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
     return end + latest_arrival + 4 * total + 1
 
 
+def _sweep_at(x, y, period) -> int:
+    """The full sweep under way ``(x, y)`` after the first starts, in integer
+    pairs: ``max(floor((x, y)/period), 0)``, times the conjugate over the norm."""
+    pa, pb = period
+    return max(_surd_floor(x * pa - 3 * y * pb, y * pa - x * pb, pa * pa - 3 * pb * pb), 0)
+
+
+def _trip_moves(legs, reach):
+    """The moves ``(ta, pa, tb, pb)`` of one round trip out to arc ``reach``
+    along the path's ``legs`` (``_trip_geometry``) and back, timed from the
+    trip's start; integer pairs over the legs' denominator."""
+    out, back = [], []
+    ra, rb = reach
+    for (ca, cb), (ua, ub), (va, vb) in legs:
+        if _pair_sign(ra - ca, rb - cb) <= 0:
+            break
+        s = _pair_sign(va - ua, vb - ub)
+        ea, eb = ca + s * (va - ua), cb + s * (vb - ub)  # the arc at the leg's end
+        if _pair_sign(ea - ra, eb - rb) > 0:  # the trip turns on this leg
+            ea, eb, va, vb = ra, rb, ua + s * (ra - ca), ub + s * (rb - cb)
+        out.append(((ca, cb), (ua, ub), (ea, eb), (va, vb)))
+        back.append(((2 * ra - ea, 2 * rb - eb), (va, vb), (2 * ra - ca, 2 * rb - cb), (ua, ub)))
+    return out + back[::-1]
+
+
 def _next_pass(geometric, base, period, s, arrival):
     """Earliest time at or after ``arrival`` at which the round trips are at
     arc ``s``: out and back in each geometric trip ``(start, end, reach)``
@@ -189,10 +215,8 @@ def _next_pass(geometric, base, period, s, arrival):
             if _pair_sign(ta - ea, tb - eb) >= 0:
                 return ta + sa, tb + sb
             return na - sa, nb - sb
-    # k = floor((early - base)/period): times the period's conjugate over its norm
     (ba, bb), (pa, pb) = base, period
-    x, y = ea - ba, eb - bb
-    k = max(_surd_floor(x * pa - 3 * y * pb, y * pa - x * pb, pa * pa - 3 * pb * pb), 0)
+    k = _sweep_at(ea - ba, eb - bb, period)
     wa, wb = ba + k * pa, bb + k * pb  # the sweep of period k starts at (wa, wb)
     if _pair_sign(wa - ea, wb - eb) >= 0:
         return wa + sa, wb + sb
@@ -305,6 +329,26 @@ class PlannedTrips:
         adds each new denominator's rescale to it."""
         return _trip_geometry(self)
 
+    def moves(self, lo: int):
+        """``(d0, moves)``: the committed motion from the trip under way at
+        integer time ``lo``, as unit-speed moves ``(ta, pa, tb, pb)`` in integer
+        pairs over ``d0``: the geometric trips left, then the full sweeps.  With
+        a rational period integer steps fall alike in sweeps ``d0/gcd(pa, d0)``
+        apart, so the sweeps end after those.  The path must have positive length."""
+        d0, over = self._geometry
+        geometric, legs, (base, period) = over[d0]
+        (ba, bb), (pa, pb), at = base, period, lo * d0
+        ahead = [(t, r) for t, (na, nb), r in geometric if _pair_sign(na - at, nb) > 0]
+        first = _sweep_at(at - ba, -bb, period)
+        ks = itertools.count(first) if pb else range(first, first + 1 + d0 // math.gcd(pa, d0))
+        # a full sweep reaches the path's length, half the period
+        tail = (((ba + k * pa, bb + k * pb), (pa // 2, pb // 2)) for k in ks)
+        return d0, (
+            ((ta + sa, tb + sb), p, (ua + sa, ub + sb), q)
+            for (sa, sb), reach in itertools.chain(ahead, tail)
+            for (ta, tb), p, (ua, ub), q in _trip_moves(legs, reach)
+        )
+
 
 class Strategy(abc.ABC):
     name: str = "strategy"
@@ -326,7 +370,8 @@ class AdaptiveStrategy(Strategy):
         """A fresh session for one run.  The caller feeds it each batch of
         requests with ``on_arrivals(time, locations)``, in time order, and
         reads the motion so far from ``trajectory()`` and one completion per
-        fed request, in feed order, from ``completions()``."""
+        fed request, in feed order, from ``completions()``; the release game
+        needs each move of ``trajectory()`` to the right at unit speed."""
 
 
 def extend_tour_to_line(tour: Tour, line: LineSegment) -> Tour:

@@ -5,6 +5,8 @@ violation survives an independent re-run."""
 import bisect
 import dataclasses
 import hashlib
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +20,7 @@ from linetrp.adversary import (
     play_lowerbound_game,
     verify_witness,
 )
-from linetrp.core import LineSegment, Trajectory, make_instance
+from linetrp.core import LineSegment, Trajectory, _interpolate, _scaled_pairs, make_instance
 from linetrp.offline import Tour, distance_arrival_floor, optimal_latency_tour
 from linetrp.online import (
     AdaptiveStrategy,
@@ -604,8 +606,18 @@ _GAMES = st.builds(
 )
 
 
+# a robust path that ends exactly at 1: the server never stands beyond 1
+EXACT_ONE = GameConfig(bases=(F(99, 100),))
+# each full sweep stands beyond 1 only between two integer steps
+OFF_THE_STEPS = GameConfig(line=LineSegment(F(-1, 4), F(3, 2)), bases=(F(1),))
+
+
 @given(_STRATEGIES, _GAMES)
 @example(HalflineRoundTrips(), GameConfig(ratio_target=F(1, 2)))
+@example(LineSweepRoundTrips(), GameConfig(line=LineSegment(F(-3), F(10)), bases=(F(-3), F(5))))
+@example(PerfectPredictionTour(), GameConfig(line=LineSegment(F(-3), F(10)), ratio_target=F(7)))
+@example(RobustPredictionTour(F(1, 100)), EXACT_ONE)
+@example(LineSweepRoundTrips(), OFF_THE_STEPS)
 @example(GreedyReplan(), GameConfig(near_origin=ROSTERS["five"], ratio_target=F(4)))
 @settings(max_examples=200, deadline=None)
 def test_event_game_matches_the_stepwise_game(strategy, cfg):
@@ -634,25 +646,46 @@ _SCALE_STRATEGIES = [
 ]
 
 
+
+
+def _count_scans(monkeypatch):
+    """Count the moves the game's outward scans read and the committed
+    trajectories built while it plays: ``counts["moves"]``, ``counts["built"]``."""
+    counts = {"moves": 0, "built": 0}
+    real_scan, real_build = adversary._next_outward_step, online.roundtrip_trajectory
+
+    def counting_scan(d, moves, lo, hi):
+        def counted():
+            for move in moves:
+                counts["moves"] += 1
+                yield move
+
+        return real_scan(d, counted(), lo, hi)
+
+    def counting_build(*args):
+        counts["built"] += 1
+        return real_build(*args)
+
+    monkeypatch.setattr(adversary, "_next_outward_step", counting_scan)
+    monkeypatch.setattr(adversary, "roundtrip_trajectory", counting_build)
+    monkeypatch.setattr(online, "roundtrip_trajectory", counting_build)
+    return counts
+
+
 @pytest.mark.parametrize("strategy", _SCALE_STRATEGIES, ids=lambda s: s.name)
-@pytest.mark.parametrize("cfg", [GameConfig(), GameConfig(bases=())], ids=["default", "no-bases"])
+@pytest.mark.parametrize(
+    "cfg", [GameConfig(), GameConfig(bases=()), EXACT_ONE], ids=["default", "no-bases", "exact-1"]
+)
 def test_game_cost_does_not_grow_with_max_steps(strategy, cfg, monkeypatch):
     """A million steps play the same game as 120 where it ends early, and
-    build no more of the committed trajectory: the work follows the
-    releases and the legs, not ``max_steps``."""
-    built = []
-    real = adversary.roundtrip_trajectory
-
-    def counting(*args):
-        traj = real(*args)
-        built.append(len(traj.breakpoints))
-        return traj
-
-    monkeypatch.setattr(adversary, "roundtrip_trajectory", counting)
+    scan no more moves: the work follows the releases and the legs, not
+    ``max_steps``.  No game builds a trajectory of the committed motion."""
+    counts = _count_scans(monkeypatch)
     short = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=120))
-    short_built, built[:] = sum(built), []
+    short_scanned, counts["moves"] = counts["moves"], 0
     long = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=10**6))
-    assert sum(built) == short_built <= 100
+    assert counts["moves"] == short_scanned <= 100
+    assert counts["built"] == 0
     if short.witness is not None:
         assert (long.witness, long.log) == (short.witness, short.log)
     else:  # the same releases; what is withheld goes out at the last step
@@ -661,3 +694,174 @@ def test_game_cost_does_not_grow_with_max_steps(strategy, cfg, monkeypatch):
             return [line for line in log[:-1] if not line.endswith("(game over)")]
 
         assert long.witness is None and played(long.log) == played(short.log)
+
+
+_ENDS_AT_ONE = GameConfig(line=LineSegment(F(-1), F(1)), bases=(F(-1), F(1)), ratio_target=F(100))
+
+
+@pytest.mark.parametrize(
+    "strategy, cfg",
+    [
+        (RobustPredictionTour(F(1, 100)), EXACT_ONE),
+        (LineSweepRoundTrips(), _ENDS_AT_ONE),
+        (PerfectPredictionTour(), _ENDS_AT_ONE),
+    ],
+    ids=["robust-to-1", "sweep-on-[-1,1]", "prediction-tour-on-[-1,1]"],
+)
+def test_a_path_that_ends_at_1_is_not_scanned(strategy, cfg, monkeypatch):
+    """The server never stands beyond 1 on a path that ends there, so the
+    game releases no near-origin request before the end and scans no move,
+    however large ``max_steps`` is (it used to scan out to ``max_steps``)."""
+    counts = _count_scans(monkeypatch)
+    steps = 10**6
+    transcript = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=steps))
+    assert counts == {"moves": 0, "built": 0}
+    assert transcript.witness is None
+    assert [line for line in transcript.log if "heading out" in line] == []
+    assert f"t={steps}: released remaining 1/1000 (game over)" in transcript.log
+
+
+def test_sweeps_beyond_1_between_integer_steps_are_scanned_once(monkeypatch):
+    """A sweep stands beyond 1 only between integer steps, so nothing is
+    released.  Its period is rational, so the sweeps' integer steps repeat;
+    the scan stops after one round of them, however large ``max_steps`` is
+    (it used to scan out to ``max_steps``)."""
+    counts = _count_scans(monkeypatch)
+    scanned = []
+    for steps in (120, 10**6):
+        cfg = dataclasses.replace(OFF_THE_STEPS, max_steps=steps)
+        transcript = play_lowerbound_game(LineSweepRoundTrips(), cfg)
+        assert transcript.witness is None
+        assert [line for line in transcript.log if "heading out" in line] == []
+        scanned.append(counts["moves"])
+        counts["moves"] = 0
+    assert scanned[0] == scanned[1] <= 100
+
+
+class _HalfSpeed(AdaptiveStrategy):
+    """Walks out to 2 at half speed and stays there."""
+
+    name = "half-speed"
+
+    def start(self, info):
+        return _HalfSpeedSession()
+
+
+class _HalfSpeedSession(_ParkedSession):
+    def trajectory(self):
+        return Trajectory(((F(0), F(0)), (F(4), F(2))))
+
+    def completions(self):
+        return [F(4)] * self._fed
+
+
+def test_an_adaptive_move_out_below_unit_speed_is_refused():
+    """The outward scan reads a move as running at unit speed, so a session
+    that moves out more slowly is refused, not misread."""
+    refused = "^the release game needs every outward move at unit speed$"
+    with pytest.raises(ValueError, match=refused):
+        play_lowerbound_game(_HalfSpeed(), GameConfig(bases=(F(1),)))
+
+
+# --- the integer outward scan against the trajectory scan -------------------
+
+
+def _trajectory_outward_step(traj, lo, hi):
+    """The outward scan on a materialized ``Trajectory``, in scalar
+    arithmetic: ``(step, position)`` at the first integer step in ``[lo,
+    hi]`` at which the server stands at 1 or beyond on a leg ``(ta, pa) ->
+    (tb, pb)`` with ``pb > pa`` and ``ta <= step < tb``; None when there is
+    none by ``hi`` or before the trajectory parks."""
+    pts = traj.breakpoints
+    k = max(bisect.bisect_right(traj._times, lo) - 1, 0)
+    for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
+        if ta > hi:
+            return None
+        if pb > pa and pb > 1:  # outward, and past 1 before the leg ends
+            at_one = ta if pa >= 1 else _interpolate(pa, ta, pb, tb, 1)
+            t = max(lo, math.ceil(at_one))
+            if t < tb and t <= hi:
+                return t, traj.position_at(F(t))
+    return None
+
+
+def _committed_trajectory(planned, lo, hi):
+    """The committed motion over ``[lo, hi]`` as a ``Trajectory``, in scalar
+    arithmetic: ``roundtrip_trajectory`` out past ``hi`` when ``lo`` comes
+    before the second full sweep; otherwise a wait at the origin until the
+    full sweep under way at ``lo``, then copies of ``roundtrip_trajectory``'s
+    first full sweep, each one period later, until past ``hi``."""
+    path, schedule = planned.path, planned.schedule
+    total = path.walk.end_time
+    *_, (base, _, _) = schedule.trips(total)
+    period = 2 * total
+    k = math.floor((lo - base) / period)
+    if k < 1:
+        return roundtrip_trajectory(path, schedule, hi + 1)
+    first = roundtrip_trajectory(path, schedule, base + period).breakpoints
+    sweep = [(t - base, p) for t, p in first if t > base]
+    pts = [(F(0), F(0)), (base + k * period, F(0))]
+    while pts[-1][0] <= hi:
+        start = pts[-1][0]
+        pts += [(start + t, p) for t, p in sweep]
+    return Trajectory(tuple(pts))
+
+
+def _random_plan(rng):
+    """A committed plan on a random half or full line: the sweep, the
+    prediction tour or the robust tour, at a rational or the default alpha."""
+    alpha = rng.choice([online.DEFAULT_ALPHA, F(3, 4), F(1, 2), F(2), F(7, 5)])
+    lo_end = 0 if rng.random() < 0.4 else -rng.randint(1, 60)
+    hi_end = rng.randint(1, 60)
+    if rng.random() < 0.2:  # a half-line left of the origin
+        lo_end, hi_end = -hi_end, 0
+    line = LineSegment(F(lo_end, 4), F(hi_end, 4))
+    preds = tuple(F(rng.randint(lo_end, hi_end), 4) for _ in range(rng.randint(1, 6)))
+    info = VisibleInfo(line, preds)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return LineSweepRoundTrips(alpha).plan(info)
+    if kind == 1:
+        return PerfectPredictionTour(alpha).plan(info)
+    return RobustPredictionTour(F(rng.randint(0, 6), 100), alpha).plan(info)
+
+
+def _as_moves(traj):
+    """The legs of ``traj`` as moves in integer pairs over one ``d``, the way
+    the game feeds an adaptive session's trajectory to the scan."""
+    pts = traj.breakpoints
+    d, flat = _scaled_pairs([v for bp in pts for v in bp])
+    return d, zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
+
+
+def _scan_outcome(found):
+    return None if found is None else (found[0], str(found[1]))
+
+
+def test_integer_outward_scan_matches_the_trajectory_scan():
+    """The game's outward scan on the plan's integer moves finds the step
+    and the server's printed position that the old scan finds on the
+    materialized trajectory, on half and full lines, rational and
+    ``sqrt3/2`` alphas and robust pads, with ``lo`` near the start, among
+    the first full sweeps and deep in the periodic tail (about 10**30).  The
+    same scan on the trajectory's own legs, scaled as an adaptive session's
+    are, agrees too."""
+    rng = random.Random(20240)
+    found = deep = 0
+    for case in range(300):
+        planned = _random_plan(rng)
+        total = planned.path.walk.end_time
+        if total == 0:
+            continue
+        span = math.ceil(2 * total) + 2
+        depth = rng.choice([0, 0, span, 4 * span, 10**30 + rng.randrange(10**6)])
+        lo = max(depth + rng.randint(0, span), 1)
+        hi = lo + rng.randint(0, 2 * span)
+        traj = _committed_trajectory(planned, lo, hi)
+        expected = _scan_outcome(_trajectory_outward_step(traj, lo, hi))
+        got = _scan_outcome(adversary._next_outward_step(*planned.moves(lo), lo, hi))
+        assert got == expected, (case, planned, lo, hi)
+        assert _scan_outcome(adversary._next_outward_step(*_as_moves(traj), lo, hi)) == expected
+        found += expected is not None
+        deep += expected is not None and lo > 10**30
+    assert found > 100 and deep > 20

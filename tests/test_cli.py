@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import linetrp
-from linetrp import cli
+from linetrp import cli, core
 from linetrp.cli import main
 from linetrp.core import parse_instance
 from linetrp.online import STRATEGY_NAMES
@@ -301,7 +301,9 @@ def test_simulate_refuses_a_million_digit_scalar_with_no_digit_limit(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: line 2: bad scalar '111"), proc.stderr[:80]
+    # the message quotes the field's first characters and its length, not all of it
+    quoted = "'" + "1" * core._QUOTED + "'"
+    assert proc.stderr == f"error: line 2: bad scalar {quoted}... (1000000 characters)\n"
     assert proc.stdout == ""
 
 

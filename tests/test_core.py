@@ -105,6 +105,22 @@ def test_parse_scalar_bounds_digit_runs_with_no_interpreter_digit_limit():
         sys.set_int_max_str_digits(before)
 
 
+def test_parse_scalar_quotes_a_long_field_by_its_start_and_length():
+    """A bad field of up to ``_QUOTED`` characters is quoted whole; a longer
+    one by its first ``_QUOTED`` characters and its length, so a field of a
+    million characters gives a message of a few dozen."""
+    cut = core._QUOTED
+    with pytest.raises(ValueError) as info:
+        parse_scalar("x" * cut)
+    assert str(info.value) == f"bad scalar {'x' * cut!r}"
+    for text in ("x" * (cut + 1), "7" * 10**6, "1e" + "9" * 10**6, "1/" + "0" * 10**5):
+        with pytest.raises(ValueError) as info:
+            parse_scalar(text)
+        message = str(info.value)
+        assert message.startswith(f"bad scalar {text[:cut]!r}... ({len(text)} characters)")
+        assert len(message) < 120
+
+
 def test_parse_scalar_bounds_the_exponent_without_the_digit_limit_api(monkeypatch):
     # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits
     monkeypatch.delattr(sys, "get_int_max_str_digits")
@@ -130,7 +146,10 @@ def _assert_parses_as_fraction(text):
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ValueError) as info:
             parse_scalar(text)
-        assert str(info.value) == f"bad scalar {text!r}"
+        # an over-long field is quoted by its first characters and its length
+        cut = core._QUOTED
+        shown = repr(text) if len(text) <= cut else f"{text[:cut]!r}... ({len(text)} characters)"
+        assert str(info.value) == f"bad scalar {shown}"
         return
     got = parse_scalar(text)
     assert got == expected and type(got) is F
