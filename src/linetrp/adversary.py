@@ -41,8 +41,8 @@ from typing import List, Optional, Tuple
 from .core import (
     Instance,
     LineSegment,
-    QuadraticScalar,
     _on_line,
+    _pair_scalar,
     _pair_sign,
     _scaled_pairs,
     _surd_floor,
@@ -117,8 +117,7 @@ def _next_outward_step(d: int, moves, lo: int, hi: int):
                 ta, ra, pa, qa = ta + d - pa, ra - qa, d, 0
             step = max(lo, -_surd_floor(-ta, -ra, d))
             if step <= hi and _pair_sign(step * d - tb, -rb) < 0:
-                a, b = pa + step * d - ta, qa - ra
-                return step, QuadraticScalar(Fraction(a, d), Fraction(b, d))
+                return step, _pair_scalar(pa + step * d - ta, qa - ra, d)
     return None
 
 

@@ -30,6 +30,7 @@ from .adversary import GameConfig, play_lowerbound_game, verify_witness
 from .core import (
     LineSegment,
     Model,
+    ParseError,
     format_decimal,
     format_scalar,
     parse_instance,
@@ -175,8 +176,17 @@ def _exact_text(value) -> str:
 
 
 def _read_instance(path):
-    with open(path) as fh:
-        return parse_instance(fh.read())
+    """The instance in the UTF-8 file at ``path``.  A byte that is not UTF-8
+    raises ParseError naming its line, counted as ``parse_instance`` counts."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte is valid; the byte sits on its last line
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(lineno, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from exc
+    return parse_instance(text)
 
 
 def _knobs(alpha_text, delta_text):

@@ -276,6 +276,11 @@ def _scaled_pairs(values):
     ]
 
 
+def _pair_scalar(a: int, b: int, d: int):
+    """``(a + b*sqrt(3))/d``: a ``Fraction`` when ``b == 0``, else a ``QuadraticScalar``."""
+    return QuadraticScalar(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d)
+
+
 def _scalar_like(values, a: int, b: int, d: int):
     """``(a + b*sqrt(3))/d`` in the type that exact arithmetic on ``values``
     gives: a ``Fraction`` unless some value is a ``QuadraticScalar``, then

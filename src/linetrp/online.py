@@ -1,13 +1,15 @@
 """Online strategies: geometric round-trip schedules and prediction-guided tours.
 
 All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
-the optimal trip growth rate involves ``sqrt(3)``.  The closed-form
-completions (``roundtrip_completions``) work on the plan's trips and legs as
-integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over a common
-denominator ``d``, and convert each request's completion back once.  A
-``PlannedTrips`` scales them once, on first use, and keeps them with one
-rescale per distinct request denominator, so every call on the same plan
-reuses them.
+the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
+the committed motion: it scales the schedule's trips and the path's legs
+once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
+b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
+(``roundtrip_trajectory``) and the release game's moves
+(``PlannedTrips.moves``) read one stream of those trips; the closed-form
+completions (``roundtrip_completions``) read the same geometry, with one
+rescale kept per distinct request denominator.  Each converts its pairs
+back once (``core._pair_scalar``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     QuadraticScalar,
     Trajectory,
     _exact,
+    _pair_scalar,
     _pair_sign,
     _parts,
     _scaled_pairs,
@@ -132,32 +135,21 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
 
     Each trip walks the path from the origin out to arc ``min(reach, length)``
     and back.  Once the reach passes the path length, every further trip
-    sweeps the whole path.  An empty path parks at the origin.
+    sweeps the whole path.  An empty path parks at the origin.  Whole trips
+    of the plan (``PlannedTrips._trips``) are taken while the time is before
+    ``horizon``, each converted back from integer pairs once.
     """
-    walk = path.walk
-    total = walk.end_time
-    if total == 0 or horizon <= 0:
+    if path.walk.end_time == 0 or horizon <= 0:
         return Trajectory(((_ZERO, _ZERO),))
-    # arc marks of the path's own turning points (direction changes in space)
-    marks = walk.breakpoints[1:]
-    *geometric, _ = schedule.trips(total)
-    reaches = [reach for _, _, reach in geometric]
+    d0, legs, ahead, sweeps = PlannedTrips(path, schedule)._trips(0)
     pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
-    t = _ZERO
-    j = 0
-    while t < horizon:
-        reach = reaches[j] if j < len(reaches) else total
-        turn_pos = walk.position_at(reach)
-        for c, p in marks:
-            if c < reach:
-                pts.append((t + c, p))
-        pts.append((t + reach, turn_pos))
-        for c, p in reversed(marks):
-            if c < reach:
-                pts.append((t + 2 * reach - c, p))
-        t = t + 2 * reach
-        pts.append((t, _ZERO))
-        j += 1
+    for (sa, sb), reach in itertools.chain(ahead, sweeps):
+        if pts[-1][0] >= horizon:
+            break
+        pts += [
+            (_pair_scalar(ta + sa, tb + sb, d0), _pair_scalar(*p, d0))
+            for _, _, (ta, tb), p in _trip_moves(legs, reach)
+        ]
     return Trajectory(tuple(pts))
 
 
@@ -264,8 +256,7 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     denominators of the request)``, so pairwise coprime requests do not grow
     each other's integers, and a plan read by many calls is scaled once.
     The per-request work is integer arithmetic; each request's earliest pass
-    is converted back once, to a ``Fraction`` when ``b == 0`` and a
-    ``QuadraticScalar`` otherwise.
+    is converted back once (``core._pair_scalar``).
     """
     if planned.path.walk.end_time == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
@@ -290,12 +281,7 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
             t = _next_pass(geometric_d, base, period, s, arrival)
             if best is None or _pair_sign(t[0] - best[0], t[1] - best[1]) < 0:
                 best = t
-        if best is None:
-            out.append(None)
-        elif best[1] == 0:
-            out.append(Fraction(best[0], d))
-        else:
-            out.append(QuadraticScalar(Fraction(best[0], d), Fraction(best[1], d)))
+        out.append(None if best is None else _pair_scalar(*best, d))
     return out
 
 
@@ -329,23 +315,34 @@ class PlannedTrips:
         adds each new denominator's rescale to it."""
         return _trip_geometry(self)
 
-    def moves(self, lo: int):
-        """``(d0, moves)``: the committed motion from the trip under way at
-        integer time ``lo``, as unit-speed moves ``(ta, pa, tb, pb)`` in integer
-        pairs over ``d0``: the geometric trips left, then the full sweeps.  With
-        a rational period integer steps fall alike in sweeps ``d0/gcd(pa, d0)``
-        apart, so the sweeps end after those.  The path must have positive length."""
+    def _trips(self, lo: int):
+        """``(d0, legs, ahead, sweeps)``: the committed round trips from the
+        one under way at integer time ``lo``, in integer pairs over ``d0``:
+        the path's legs (``_trip_geometry``), the geometric trips left as
+        ``(start, reach)`` and, likewise and with no end, the full sweeps
+        from the one under way.  The path must have positive length."""
         d0, over = self._geometry
         geometric, legs, (base, period) = over[d0]
         (ba, bb), (pa, pb), at = base, period, lo * d0
         ahead = [(t, r) for t, (na, nb), r in geometric if _pair_sign(na - at, nb) > 0]
-        first = _sweep_at(at - ba, -bb, period)
-        ks = itertools.count(first) if pb else range(first, first + 1 + d0 // math.gcd(pa, d0))
         # a full sweep reaches the path's length, half the period
-        tail = (((ba + k * pa, bb + k * pb), (pa // 2, pb // 2)) for k in ks)
+        ks = itertools.count(_sweep_at(at - ba, -bb, period))
+        sweeps = (((ba + k * pa, bb + k * pb), (pa // 2, pb // 2)) for k in ks)
+        return d0, legs, ahead, sweeps
+
+    def moves(self, lo: int):
+        """``(d0, moves)``: the committed motion from the trip under way at
+        integer time ``lo`` (``_trips``), as unit-speed moves ``(ta, pa, tb,
+        pb)`` in integer pairs over ``d0``.  With a rational period integer
+        steps fall alike in sweeps ``d0/gcd(pa, d0)`` apart, so the sweeps
+        end after those.  The path must have positive length."""
+        d0, legs, ahead, sweeps = self._trips(lo)
+        _, _, (_, (pa, pb)) = self._geometry[1][d0]
+        if not pb:
+            sweeps = itertools.islice(sweeps, 1 + d0 // math.gcd(pa, d0))
         return d0, (
             ((ta + sa, tb + sb), p, (ua + sa, ub + sb), q)
-            for (sa, sb), reach in itertools.chain(ahead, tail)
+            for (sa, sb), reach in itertools.chain(ahead, sweeps)
             for (ta, tb), p, (ua, ub), q in _trip_moves(legs, reach)
         )
 

@@ -126,12 +126,15 @@ def _events(instance, traj, completions) -> Tuple[Event, ...]:
     for r, c in zip(instance.requests, completions):
         evs.append(Event(r.arrival, "arrival", r.actual, r.index))
         evs.append(Event(c, "service", r.actual, r.index))
-    bps = traj.breakpoints
-    for (t0, p0), (t1, p1), (t2, p2) in zip(bps, bps[1:], bps[2:]):
-        before = (p1 > p0) - (p1 < p0)
-        after = (p2 > p1) - (p2 < p1)
-        if before and after and before != after:
-            evs.append(Event(t1, "turnaround", p1))
+    # a moving leg against the last moving one, waits skipped: the server
+    # turns where it starts back
+    bps, last = traj.breakpoints, 0
+    for (t0, p0), (_, p1) in zip(bps, bps[1:]):
+        step = (p1 > p0) - (p1 < p0)
+        if step:
+            if step == -last:
+                evs.append(Event(t0, "turnaround", p0))
+            last = step
     evs.sort(
         key=lambda e: (
             e.time,

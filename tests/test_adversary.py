@@ -40,6 +40,8 @@ from linetrp.online import (
 )
 from linetrp.simulator import CoverageError, _check_coverage, request_ratio, run
 
+from committed_motion import random_plan, reference_trajectory
+
 QS = QuadraticScalar
 
 COMMITTED = [
@@ -787,43 +789,24 @@ def _trajectory_outward_step(traj, lo, hi):
 
 def _committed_trajectory(planned, lo, hi):
     """The committed motion over ``[lo, hi]`` as a ``Trajectory``, in scalar
-    arithmetic: ``roundtrip_trajectory`` out past ``hi`` when ``lo`` comes
-    before the second full sweep; otherwise a wait at the origin until the
-    full sweep under way at ``lo``, then copies of ``roundtrip_trajectory``'s
-    first full sweep, each one period later, until past ``hi``."""
+    arithmetic: the reference motion (``committed_motion``) out past ``hi``
+    when ``lo`` comes before the second full sweep; otherwise a wait at the
+    origin until the full sweep under way at ``lo``, then copies of the
+    reference's first full sweep, each one period later, until past ``hi``."""
     path, schedule = planned.path, planned.schedule
     total = path.walk.end_time
     *_, (base, _, _) = schedule.trips(total)
     period = 2 * total
     k = math.floor((lo - base) / period)
     if k < 1:
-        return roundtrip_trajectory(path, schedule, hi + 1)
-    first = roundtrip_trajectory(path, schedule, base + period).breakpoints
+        return reference_trajectory(path, schedule, hi + 1)
+    first = reference_trajectory(path, schedule, base + period).breakpoints
     sweep = [(t - base, p) for t, p in first if t > base]
     pts = [(F(0), F(0)), (base + k * period, F(0))]
     while pts[-1][0] <= hi:
         start = pts[-1][0]
         pts += [(start + t, p) for t, p in sweep]
     return Trajectory(tuple(pts))
-
-
-def _random_plan(rng):
-    """A committed plan on a random half or full line: the sweep, the
-    prediction tour or the robust tour, at a rational or the default alpha."""
-    alpha = rng.choice([online.DEFAULT_ALPHA, F(3, 4), F(1, 2), F(2), F(7, 5)])
-    lo_end = 0 if rng.random() < 0.4 else -rng.randint(1, 60)
-    hi_end = rng.randint(1, 60)
-    if rng.random() < 0.2:  # a half-line left of the origin
-        lo_end, hi_end = -hi_end, 0
-    line = LineSegment(F(lo_end, 4), F(hi_end, 4))
-    preds = tuple(F(rng.randint(lo_end, hi_end), 4) for _ in range(rng.randint(1, 6)))
-    info = VisibleInfo(line, preds)
-    kind = rng.randrange(3)
-    if kind == 0:
-        return LineSweepRoundTrips(alpha).plan(info)
-    if kind == 1:
-        return PerfectPredictionTour(alpha).plan(info)
-    return RobustPredictionTour(F(rng.randint(0, 6), 100), alpha).plan(info)
 
 
 def _as_moves(traj):
@@ -849,7 +832,7 @@ def test_integer_outward_scan_matches_the_trajectory_scan():
     rng = random.Random(20240)
     found = deep = 0
     for case in range(300):
-        planned = _random_plan(rng)
+        planned = random_plan(rng)
         total = planned.path.walk.end_time
         if total == 0:
             continue

@@ -195,6 +195,46 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, lineno, byte",
+    [
+        (b"LINE 0 10\nREQ 1 1 \xff\n", 2, "ff"),
+        (b"LINE 0 10\n\xffREQ 1 1 0\n", 2, "ff"),  # first on its line
+        (b"\xc3", 1, "c3"),  # a sequence cut short
+        (b"LINE 0 10\x0cREQ 1 1 0\r\nREQ 2 2 0\n\xe2\x82\n", 4, "e2"),  # \x0c ends a line too
+        ("LINE 0 10\nREQ 1 1 0 # café\n".encode() + b"\x80", 3, "80"),  # after valid UTF-8
+    ],
+    ids=["in-line", "line-start", "truncated", "form-feed", "after-multibyte"],
+)
+def test_an_instance_that_is_not_utf8_names_the_line_of_its_first_bad_byte(
+    tmp_path, capsys, data, lineno, byte
+):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    for argv in (["oracle", str(path)], ["simulate", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {lineno}: not UTF-8 text: byte 0x{byte}\n"
+        assert captured.out == ""
+
+
+def test_an_instance_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # a child process in the C locale, whose default encoding is ASCII
+    path = tmp_path / "inst.txt"
+    path.write_bytes("# café\n".encode() + GOOD.encode())
+    src = os.path.dirname(os.path.dirname(linetrp.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "linetrp.cli", "oracle", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("requests: 2\n")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("LINE 0 10\n# c\nREQ 1 1 0\nREQ 2 12 3\n", "line 4: request 1: actual location outside the line"),

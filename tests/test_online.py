@@ -41,6 +41,8 @@ from linetrp.online import (
 )
 from linetrp.simulator import run
 
+from committed_motion import random_plan, reference_trajectory
+
 QS = QuadraticScalar
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -424,6 +426,27 @@ def test_roundtrip_trajectory_clamped_trips_stay_cheap():
     traj = roundtrip_trajectory(Tour((F(1),)), RoundTripSchedule(), F(2000))
     assert len(traj.breakpoints) == 2001
     assert traj.breakpoints[-1] == (F(2000), F(0))
+
+
+def test_roundtrip_trajectory_matches_the_scalar_reference():
+    """The trajectory built from the plan's integer trips has the breakpoints
+    of the scalar round-trip loop (``committed_motion``), by ``==`` and by
+    ``str``, on sweep, prediction and robust plans on half and full lines at
+    rational and ``sqrt3/2`` alphas; each at horizons 0 and -1, a random
+    rational, ``coverage_horizon`` and three breakpoint times."""
+    rng = random.Random(2025)
+    for case in range(300):
+        planned = random_plan(rng)
+        path, schedule = planned.path, planned.schedule
+        covered = coverage_horizon(path, schedule, F(rng.randint(0, 50)))
+        probe = reference_trajectory(path, schedule, covered).breakpoints
+        horizons = [F(0), F(-1), F(rng.randint(0, 4000), rng.randint(1, 40)), covered]
+        horizons += [rng.choice(probe)[0] for _ in range(3)]
+        for horizon in horizons:
+            got = roundtrip_trajectory(path, schedule, horizon).breakpoints
+            expected = reference_trajectory(path, schedule, horizon).breakpoints
+            assert got == expected, (case, planned, horizon)
+            assert [(str(t), str(p)) for t, p in got] == [(str(t), str(p)) for t, p in expected]
 
 
 def test_coverage_horizon_frozen():

@@ -66,6 +66,20 @@ def test_event_log_is_ordered_and_complete():
     assert first_two == ["arrival", "arrival"]
 
 
+def test_a_turnaround_after_a_wait_is_logged_where_the_server_starts_back():
+    # the replanner reaches 2, waits there for the next arrival, then heads to -1
+    inst = make_instance((-5, 5), [(None, 2, 0), (None, -1, 5)], Model.ORIGINAL)
+    result = run(inst, GreedyReplan())
+    assert result.trajectory.breakpoints == ((0, 0), (2, 2), (5, 2), (8, -1))
+    assert [(e.time, e.kind, e.position) for e in result.events] == [
+        (0, "arrival", 2),
+        (2, "service", 2),
+        (5, "arrival", -1),
+        (5, "turnaround", 2),
+        (8, "service", -1),
+    ]
+
+
 def test_uncovered_request_raises():
     # a robust path below the fallback threshold only covers the error
     # neighborhoods; an actual far outside the promise is a planning bug
