@@ -10,29 +10,29 @@ growing its trips pays for the detour; a request still unserved at an integer
 time at least ``ratio_target`` times its floor ``max(|location|, arrival)`` is
 a proven violation.
 
-Against a committed schedule the adversary reads each request's completion
-off the schedule once, when it releases the request: later releases cannot
-change it.  An adaptive strategy is started once and kept live: each release
-is fed to its session as it happens, and the completions are the session's
-own, which it keeps in closed form as it replans.
+Every strategy is played the same way: it is started once
+(``Strategy.start``) and its session kept live.  Each release is fed to that
+session as it happens, and the completions are the session's own, in closed
+form (a committed plan's from ``roundtrip_completions``, the replanner's as
+it replans).  The game visits only the releases and the first violation,
+never the steps between them: between releases the completions are fixed,
+so each request's first provably late step has a closed form, and the next
+release is found on the session's integer moves.  Its cost does not grow
+with ``max_steps``.
 
-The game visits only the releases and the first violation, never the steps
-between them: between releases the completions are fixed, so each request's
-first provably late step has a closed form, and the next release is found on
-the motion's integer moves.  Its cost does not grow with ``max_steps``.
-
-A committed game keeps one plan, so the plan's trips and legs are scaled to
-integer pairs once, however many batches it releases; ``verify_witness``
-plans again and re-runs from scratch.  Each request's floor is computed once,
-at its release, and its first late step whenever its completion is set: once
-for a committed plan, at every release for an adaptive session.  The worst
-ratio is picked by cross products of integer pairs (``simulator._first_max``),
-so only it and the witness's ratio are divided out.
+A committed session keeps one plan, so the plan's trips and legs are scaled
+to integer pairs once, however many batches it releases.  Each request's
+floor is computed once, at its release, and its first late step whenever its
+completion changes: once for a committed plan, after a replan for an
+adaptive session.  The worst ratio is picked by cross products of integer
+pairs (``simulator._first_max``), so only it and the witness's ratio are
+divided out.  ``verify_witness`` reads no closed form: it feeds the released
+instance to a fresh session and replays the witness request on that
+session's motion, built out to the request's deadline.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,14 +50,15 @@ from .core import (
 )
 from .offline import distance_arrival_floor
 from .online import (
-    FixedPathStrategy,
     Strategy,
     VisibleInfo,
     coverage_horizon,  # not called here; perfbench/tracer.py wraps it under this name
-    roundtrip_completions,
     roundtrip_trajectory,  # not called here; perfbench/tracer.py wraps it under this name
+    visible_info,
 )
-from .simulator import _check_coverage, _first_max, _ratio, request_ratio, run
+from .simulator import _check_coverage, _first_max, _ratio
+from .simulator import run  # not called here; perfbench/tracer.py wraps it under this name
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -122,25 +123,16 @@ def _next_outward_step(d: int, moves, lo: int, hi: int):
 
 
 def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None) -> GameTranscript:
-    """Run the release-time game against ``strategy``.
+    """Run the release-time game against one session of ``strategy``.
 
-    Fixed-path strategies commit their whole motion from the predictions:
-    the adversary watches their plan's moves to time the releases and takes
-    each request's completion from ``roundtrip_completions`` at its release.
-    An adaptive one is started once; each release is fed to that one
-    session, and the completions are taken from its ``completions()``.
-
-    The game jumps from release to release.  Between releases every
-    completion is fixed, so a request with deadline D is first provably
-    late at step ``max(ceil(D), now)``, where ``now`` is the first step not
-    yet checked, and never if it is served by D.  The next release is read
-    off the motion's moves in integer pairs (``_next_outward_step``), a
-    committed plan's own or an adaptive session's trajectory, scaled.  So
-    the cost grows with the releases and the legs, not with ``max_steps``.
-    Returns the full transcript; ``witness`` stays None when the strategy
-    escapes every deadline within ``max_steps``.  Raises CoverageError when
-    the strategy never serves some released request, and ValueError when an
-    adaptive one moves out at another speed than 1.
+    A request with deadline D is first provably late at step ``max(ceil(D),
+    now)``, where ``now`` is the first step not yet checked, and never if it
+    is served by D.  The next release is read off the session's moves
+    (``_next_outward_step``); a motion that never goes right of 1 gives none
+    to scan.  Returns the full transcript; ``witness`` stays None when the
+    strategy escapes every deadline within ``max_steps``.  Raises
+    CoverageError when the strategy never serves some released request, and
+    ValueError when it moves out at another speed than 1.
     """
     cfg = config if config is not None else GameConfig()
     info = VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)
@@ -149,10 +141,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     deadlines: List[Fraction] = []  # likewise: ratio_target times the floor
     comps: List[object] = []
     late_at: List[Optional[int]] = []  # per request: the step it is late from, or None
-    if isinstance(strategy, FixedPathStrategy):
-        planned, session = strategy.plan(info), None
-    else:
-        session = strategy.start(info)
+    session = strategy.start(info)
 
     def release(locations, arrival) -> None:
         nonlocal comps
@@ -161,14 +150,11 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         new = [distance_arrival_floor(loc, arrival) for loc in locations]
         floors.extend(new)
         deadlines.extend([cfg.ratio_target * floor for floor in new])
-        if session is None:
-            comps += roundtrip_completions(planned, batch)
-            known = len(late_at)  # a committed completion never changes
-        else:
-            session.on_arrivals(arrival, locations)
-            comps, known = session.completions(), 0
+        session.on_arrivals(batch)
+        old, comps = comps, session.completions()
         # late from ceil(deadline) on unless served by the deadline; this
-        # holds until a release changes the completion
+        # holds while the completion stays the same object
+        known = next((i for i, (a, b) in enumerate(zip(old, comps)) if a is not b), len(old))
         late_at[known:] = [
             math.ceil(d) if c is None or c > d else None
             for c, d in zip(comps[known:], deadlines[known:])
@@ -183,16 +169,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             lo = max(lo, math.ceil(comps[i]))
         if lo > hi:
             return None
-        if session is not None:  # its motion so far, scaled from the leg under way at lo
-            traj = session.trajectory()
-            pts = traj.breakpoints[max(bisect.bisect_right(traj._times, lo) - 1, 0) :]
-            d, flat = _scaled_pairs([v for bp in pts for v in bp])
-            moves = zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
-        elif max(planned.path.turning_points, default=0) > 1:
-            d, moves = planned.moves(lo)
-        else:  # the committed path never goes beyond 1
-            return None
-        return _next_outward_step(d, moves, lo, hi)
+        return _next_outward_step(*session.moves(lo, 1), lo, hi)
 
     release(cfg.bases, Fraction(0))
     near_released: List[int] = []  # indices into `released`
@@ -247,15 +224,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         step, idx = declared
         r = instance.requests[idx]
         ratio = _ratio(comps[idx], floors[idx])
-        witness = Witness(
-            request_index=idx,
-            location=r.actual,
-            arrival=r.arrival,
-            completion=comps[idx],
-            floor=floors[idx],
-            ratio=ratio,
-            declared_step=step,
-        )
+        witness = Witness(idx, r.actual, r.arrival, comps[idx], floors[idx], ratio, step)
         log.append(
             f"witness: request {idx} at {r.actual}, arrival {r.arrival},"
             f" completed {comps[idx]} (ratio {ratio})"
@@ -263,23 +232,23 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     else:
         log.append(f"no witness within {cfg.max_steps} steps; worst ratio {max_ratio}")
     return GameTranscript(
-        strategy_name=strategy.name,
-        config=cfg,
-        instance=instance,
-        completions=tuple(comps),
-        witness=witness,
-        max_ratio=max_ratio,
-        log=tuple(log),
+        strategy.name, cfg, instance, tuple(comps), witness, max_ratio, tuple(log)
     )
 
 
 def verify_witness(strategy: Strategy, transcript: GameTranscript) -> bool:
-    """Independently re-run the transcript's instance and confirm the flagged
-    request really exceeds the target multiple of its floor."""
+    """Independently confirm that the flagged request exceeds the target
+    multiple of its floor.  A fresh session of ``strategy`` is fed the
+    transcript's instance, and the request is replayed
+    (``Trajectory.first_service_time``) on the session's motion cut at its
+    deadline, ``ratio_target`` times its floor: it is a violation when the
+    motion does not serve it by then.  No closed form is read."""
     if transcript.witness is None:
         return False
-    result = run(transcript.instance, strategy)
-    w = transcript.witness
-    r = transcript.instance.requests[w.request_index]
-    ratio = request_ratio(r.actual, r.arrival, result.completions[w.request_index])
-    return ratio > transcript.config.ratio_target
+    instance = transcript.instance
+    session = strategy.start(visible_info(instance))
+    session.on_arrivals([(r.actual, r.arrival) for r in instance.requests])
+    r = instance.requests[transcript.witness.request_index]
+    deadline = transcript.config.ratio_target * distance_arrival_floor(r.actual, r.arrival)
+    served = session.trajectory(deadline).first_service_time(r.actual, r.arrival)
+    return served is None or served > deadline

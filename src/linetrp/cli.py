@@ -17,6 +17,7 @@ cross-check.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import io
@@ -176,10 +177,11 @@ def _exact_text(value) -> str:
 
 
 def _read_instance(path):
-    """The instance in the UTF-8 file at ``path``.  A byte that is not UTF-8
+    """The instance in the UTF-8 file at ``path``, decoded as ``utf-8-sig``
+    does: a leading byte-order mark is dropped.  A byte that is not UTF-8
     raises ParseError naming its line, counted as ``parse_instance`` counts."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,20 +1,23 @@
 """Online strategies: geometric round-trip schedules and prediction-guided tours.
 
-All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
-the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
-the committed motion: it scales the schedule's trips and the path's legs
-once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
-b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
-(``roundtrip_trajectory``) and the release game's moves
-(``PlannedTrips.moves``) read one stream of those trips; the closed-form
-completions (``roundtrip_completions``) read the same geometry, with one
-rescale kept per distinct request denominator.  Each converts its pairs
-back once (``core._pair_scalar``).
+Every strategy serves the one stream of requests, each learnt when it
+arrives, through one session protocol (``Strategy.start``).  A committed
+plan's session (``CommittedSession``) reads its completions in closed form;
+the replanner's (``ReplanSession``) keeps them in closed form as it replans.
+
+All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``).
+A ``PlannedTrips`` owns the committed motion: it scales the schedule's trips
+and the path's legs once, on first use, to integer pairs ``(a, b)``, meaning
+``(a + b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
+(``PlannedTrips._motion``), the release game's moves (``PlannedTrips.moves``)
+and the closed-form completions (``roundtrip_completions``, one rescale per
+request denominator) all read that geometry.
 """
 
 from __future__ import annotations
 
 import abc
+import bisect
 import functools
 import itertools
 import math
@@ -136,21 +139,9 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     Each trip walks the path from the origin out to arc ``min(reach, length)``
     and back.  Once the reach passes the path length, every further trip
     sweeps the whole path.  An empty path parks at the origin.  Whole trips
-    of the plan (``PlannedTrips._trips``) are taken while the time is before
-    ``horizon``, each converted back from integer pairs once.
+    are taken while the time is before ``horizon`` (``PlannedTrips._motion``).
     """
-    if path.walk.end_time == 0 or horizon <= 0:
-        return Trajectory(((_ZERO, _ZERO),))
-    d0, legs, ahead, sweeps = PlannedTrips(path, schedule)._trips(0)
-    pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
-    for (sa, sb), reach in itertools.chain(ahead, sweeps):
-        if pts[-1][0] >= horizon:
-            break
-        pts += [
-            (_pair_scalar(ta + sa, tb + sb, d0), _pair_scalar(*p, d0))
-            for _, _, (ta, tb), p in _trip_moves(legs, reach)
-        ]
-    return Trajectory(tuple(pts))
+    return PlannedTrips(path, schedule)._motion(horizon)
 
 
 def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
@@ -248,15 +239,10 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     is the earliest of those times at or after the arrival, taken over all
     arcs, so the cost grows with the legs and the geometric trips, not with
     the arrival.  It equals ``roundtrip_trajectory(...).first_service_time``
-    on a trajectory long enough to serve the request.
-
-    The trips and the legs come in integer pairs from the plan's own
-    geometry (``PlannedTrips._geometry``), scaled once per plan over their
-    common denominator ``d0`` and rescaled once per distinct ``d = lcm(d0,
-    denominators of the request)``, so pairwise coprime requests do not grow
-    each other's integers, and a plan read by many calls is scaled once.
-    The per-request work is integer arithmetic; each request's earliest pass
-    is converted back once (``core._pair_scalar``).
+    on a trajectory long enough to serve the request.  The work is integer
+    arithmetic on the plan's geometry (``PlannedTrips._geometry``), rescaled
+    once per distinct ``d = lcm(d0, denominators of the request)``, so
+    coprime requests do not grow each other's integers.
     """
     if planned.path.walk.end_time == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
@@ -315,40 +301,67 @@ class PlannedTrips:
         adds each new denominator's rescale to it."""
         return _trip_geometry(self)
 
-    def _trips(self, lo: int):
-        """``(d0, legs, ahead, sweeps)``: the committed round trips from the
-        one under way at integer time ``lo``, in integer pairs over ``d0``:
-        the path's legs (``_trip_geometry``), the geometric trips left as
-        ``(start, reach)`` and, likewise and with no end, the full sweeps
-        from the one under way.  The path must have positive length."""
+    def _trips(self, lo: int, once: bool = False):
+        """``(d0, trips)``: the committed round trips from the one under way
+        at integer time ``lo``, each as its moves ``(ta, pa, tb, pb)``
+        (``_trip_moves``) in integer pairs over ``d0``: the geometric trips
+        left, then the full sweeps from the one under way, with no end.
+        With a rational period integer steps fall alike in sweeps
+        ``d0/gcd(pa, d0)`` apart; with ``once``, the sweeps end after those.
+        The path must have positive length."""
         d0, over = self._geometry
         geometric, legs, (base, period) = over[d0]
         (ba, bb), (pa, pb), at = base, period, lo * d0
         ahead = [(t, r) for t, (na, nb), r in geometric if _pair_sign(na - at, nb) > 0]
         # a full sweep reaches the path's length, half the period
         ks = itertools.count(_sweep_at(at - ba, -bb, period))
+        if once and not pb:
+            ks = itertools.islice(ks, 1 + d0 // math.gcd(pa, d0))
         sweeps = (((ba + k * pa, bb + k * pb), (pa // 2, pb // 2)) for k in ks)
-        return d0, legs, ahead, sweeps
+        return d0, (
+            [((ta + sa, tb + sb), p, (ua + sa, ub + sb), q)
+             for (ta, tb), p, (ua, ub), q in _trip_moves(legs, reach)]
+            for (sa, sb), reach in itertools.chain(ahead, sweeps)
+        )
+
+    def _motion(self, horizon) -> Trajectory:
+        """The round trips (``roundtrip_trajectory``) as a ``Trajectory``:
+        whole trips of ``_trips(0)`` while the time is before ``horizon``,
+        each converted back from integer pairs once."""
+        if self.path.walk.end_time == 0 or horizon <= 0:
+            return Trajectory(((_ZERO, _ZERO),))
+        d0, trips = self._trips(0)
+        pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
+        for trip in trips:
+            if pts[-1][0] >= horizon:
+                break
+            pts += [(_pair_scalar(*t, d0), _pair_scalar(*p, d0)) for _, _, t, p in trip]
+        return Trajectory(tuple(pts))
 
     def moves(self, lo: int):
         """``(d0, moves)``: the committed motion from the trip under way at
-        integer time ``lo`` (``_trips``), as unit-speed moves ``(ta, pa, tb,
-        pb)`` in integer pairs over ``d0``.  With a rational period integer
-        steps fall alike in sweeps ``d0/gcd(pa, d0)`` apart, so the sweeps
-        end after those.  The path must have positive length."""
-        d0, legs, ahead, sweeps = self._trips(lo)
-        _, _, (_, (pa, pb)) = self._geometry[1][d0]
-        if not pb:
-            sweeps = itertools.islice(sweeps, 1 + d0 // math.gcd(pa, d0))
-        return d0, (
-            ((ta + sa, tb + sb), p, (ua + sa, ub + sb), q)
-            for (sa, sb), reach in itertools.chain(ahead, sweeps)
-            for (ta, tb), p, (ua, ub), q in _trip_moves(legs, reach)
-        )
+        integer time ``lo`` (``_trips``, up to where its integer steps
+        repeat), as unit-speed moves ``(ta, pa, tb, pb)`` in integer pairs
+        over ``d0``.  The path must have positive length."""
+        d0, trips = self._trips(lo, once=True)
+        return d0, (move for trip in trips for move in trip)
 
 
 class Strategy(abc.ABC):
     name: str = "strategy"
+
+    @abc.abstractmethod
+    def start(self, info: VisibleInfo):
+        """A fresh session for one run.  The caller feeds it each batch of
+        requests with ``on_arrivals(pairs)``, ``(location, arrival)`` pairs
+        none earlier than one fed before, and reads one completion per fed
+        request, in feed order, from ``completions()`` (None where the
+        motion never reaches it); the motion cut and parked at ``until``
+        from ``trajectory(until)``; and ``(d, moves)`` from ``moves(lo,
+        beyond)``: the moves ``(ta, pa, tb, pb)`` in integer pairs over
+        ``d`` from the one under way at integer time ``lo``, all those that
+        take the server right of ``beyond >= 0`` included.  The release game
+        needs each move to the right at unit speed."""
 
 
 class FixedPathStrategy(Strategy):
@@ -358,17 +371,35 @@ class FixedPathStrategy(Strategy):
     def plan(self, info: VisibleInfo) -> PlannedTrips:
         ...
 
+    def start(self, info: VisibleInfo) -> "CommittedSession":
+        return CommittedSession(self.plan(info))
 
-class AdaptiveStrategy(Strategy):
-    """Reacts to arrivals as they happen."""
 
-    @abc.abstractmethod
-    def start(self, info: VisibleInfo) -> "ReplanSession":
-        """A fresh session for one run.  The caller feeds it each batch of
-        requests with ``on_arrivals(time, locations)``, in time order, and
-        reads the motion so far from ``trajectory()`` and one completion per
-        fed request, in feed order, from ``completions()``; the release game
-        needs each move of ``trajectory()`` to the right at unit speed."""
+class CommittedSession:
+    """One run of a committed plan: arrivals change no motion, so the fed
+    requests wait until ``completions()`` is read and are resolved then, in
+    one ``roundtrip_completions`` call."""
+
+    def __init__(self, planned: PlannedTrips):
+        self.planned, self._pending, self._completions = planned, [], []
+
+    def on_arrivals(self, pairs) -> None:
+        self._pending += pairs
+
+    def completions(self) -> List[Optional[object]]:
+        if self._pending:
+            self._completions += roundtrip_completions(self.planned, self._pending)
+            self._pending = []
+        return list(self._completions)
+
+    def trajectory(self, until) -> Trajectory:
+        return self.planned._motion(until).truncated(until)
+
+    def moves(self, lo: int, beyond):
+        """``PlannedTrips.moves``; none when the path never goes right of ``beyond``."""
+        if max(self.planned.path.turning_points, default=0) <= beyond:
+            return 1, ()
+        return self.planned.moves(lo)
 
 
 def extend_tour_to_line(tour: Tour, line: LineSegment) -> Tour:
@@ -485,59 +516,72 @@ class ReplanSession:
         self._completions: List[object] = []  # likewise
         self._unserved: List[int] = []  # indices of the requests unserved at ``_last``
 
-    def on_arrivals(self, time, locations: Sequence) -> None:
-        """Fold in all requests arriving at ``time`` and replan from here.
+    def on_arrivals(self, pairs) -> None:
+        """Replan at each arrival time of the batch, in time order.
 
-        Each request's completion comes in closed form.  One served by
-        ``time`` keeps its completion; a new one at the server's position
-        ``pos`` completes at ``time``; every other one is replanned and
-        completes at ``time`` plus its first visit along the new walk from
-        ``pos``.  A ``QuadraticScalar`` time with no ``sqrt(3)`` part is read
-        as its ``Fraction``, so the cut splits no leg at a surd-typed point
-        and the trajectory replays the completions in their own type.  Raises
-        ValueError, before any state changes, when ``time`` comes before an
+        Each completion comes in closed form.  At time ``time``, a request
+        served by then keeps its completion, a new one at the server's
+        position ``pos`` completes at ``time``, and every other one at
+        ``time`` plus its first visit along the new walk from ``pos``.  A
+        ``QuadraticScalar`` time with no ``sqrt(3)`` part is read as its
+        ``Fraction``, so the cut splits no leg at a surd-typed point.  Raises
+        ValueError, before any state changes, when a time comes before an
         earlier arrival or finds the server at a surd position.
         """
-        rational, surd = _parts(time)
-        if not surd:
-            time = rational
-        if time < self._last:
-            raise ValueError(f"arrival {time} comes before the earlier arrival {self._last}")
-        committed = self._trajectory.truncated(time)
-        t, at = committed.breakpoints[-1]
-        pos, surd = _parts(at)
-        if surd:
-            raise ValueError(f"arrival {time} finds the server at the surd position {at}")
         fed = len(self._locations)
-        locations = self._locations + list(locations)
-        completions = self._completions + [t if loc == pos else None for loc in locations[fed:]]
-        unserved = [i for i in self._unserved if completions[i] > time]
-        unserved += [i for i in range(fed, len(locations)) if completions[i] is None]
-        targets = [locations[i] - pos for i in unserved]
-        tour, _ = optimal_latency_tour(targets)
-        walk = tour.walk.breakpoints
-        # first visits along the walk, in integers over one denominator
-        d, scaled = _scaled_pairs([v for bp in walk for v in bp] + targets)
-        it = iter(scaled)
-        walk_d = [(next(it)[0], next(it)[0]) for _ in walk]  # rational
-        for i, (x, _) in zip(unserved, it):
-            completions[i] = t + Fraction(_first_visit(walk_d, x), d)
-        suffix = [(t + s, pos + x) for s, x in walk[1:]]
-        self._trajectory = committed.extended(suffix)
-        self._last, self._locations, self._completions = time, locations, completions
-        self._unserved = unserved
+        locations = self._locations + [loc for loc, _ in pairs]
+        completions = self._completions + [None] * len(pairs)
+        by_time: dict = {}
+        for i, (_, arrival) in enumerate(pairs, fed):
+            rational, surd = _parts(arrival)
+            by_time.setdefault(arrival if surd else rational, []).append(i)
+        traj, last, unserved = self._trajectory, self._last, self._unserved
+        for time in sorted(by_time):
+            if time < last:
+                raise ValueError(f"arrival {time} comes before the earlier arrival {last}")
+            traj = traj.truncated(time)
+            t, at = traj.breakpoints[-1]
+            pos, surd = _parts(at)
+            if surd:
+                raise ValueError(f"arrival {time} finds the server at the surd position {at}")
+            unserved = [i for i in unserved if completions[i] > time]
+            for i in by_time[time]:
+                if locations[i] == pos:
+                    completions[i] = t
+                else:
+                    unserved.append(i)
+            targets = [locations[i] - pos for i in unserved]
+            tour, _ = optimal_latency_tour(targets)
+            walk = tour.walk.breakpoints
+            # first visits along the walk, in integers over one denominator
+            d, scaled = _scaled_pairs([v for bp in walk for v in bp] + targets)
+            it = iter(scaled)
+            walk_d = [(next(it)[0], next(it)[0]) for _ in walk]  # rational
+            for i, (x, _) in zip(unserved, it):
+                completions[i] = t + Fraction(_first_visit(walk_d, x), d)
+            traj = traj.extended([(t + s, pos + x) for s, x in walk[1:]])
+            last = time
+        self._trajectory, self._last, self._unserved = traj, last, unserved
+        self._locations, self._completions = locations, completions
 
-    def trajectory(self) -> Trajectory:
-        return self._trajectory
+    def trajectory(self, until) -> Trajectory:
+        return self._trajectory.truncated(until)
+
+    def moves(self, lo: int, beyond):
+        """The motion so far from the leg under way at ``lo``, all of it."""
+        traj = self._trajectory
+        pts = traj.breakpoints[max(bisect.bisect_right(traj._times, lo) - 1, 0) :]
+        d, flat = _scaled_pairs([v for bp in pts for v in bp])
+        return d, zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
 
     def completions(self) -> List[object]:
         """The completion of every request fed so far, in feed order: the
-        first time at or after its arrival that ``trajectory()`` reaches it."""
+        first time at or after its arrival that the motion reaches it."""
         return list(self._completions)
 
 
 @dataclass(frozen=True)
-class GreedyReplan(AdaptiveStrategy):
+class GreedyReplan(Strategy):
     """On every arrival, replans a latency-optimal walk over the requests
     still unserved, from the current position.  Ignores predictions."""
 

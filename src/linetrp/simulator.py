@@ -1,22 +1,21 @@
 """Exact simulation of a strategy on an instance, and ratio evaluation.
 
-A run reads every request's completion (first visit at or after its arrival)
-off the strategy's motion.  For a fixed-path strategy the completions come in
-closed form from the round-trip schedule (``roundtrip_completions``), so no
-trajectory is built; an adaptive strategy's replanned trajectory is scanned
-instead.  The trajectory, the event log and the completion sum are built on
-first use.
+A run starts one session of the strategy (``Strategy.start``), feeds it
+every request in one batch and reads each request's completion (first visit
+at or after its arrival) from it: in closed form, for a committed plan
+(``roundtrip_completions``) and for the replanner alike.  The trajectory,
+the session's motion cut at the last completion, the event log and the
+completion sum are built on first use.
+
 Evaluation rates each completion against two per-request floors: the coarse
-``max(|location|, arrival)`` and the sharper one, the request's first visit
-along a latency-optimal walk of the actual locations (``Tour.first_visit``)
-floored by its arrival.  It scales every completion, location and arrival
-and the turning points of that walk (not the walk itself) once, in one call,
-to integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over one common
-``d``.  From those pairs it adds up the walk's arcs, finds both floors and
-both maximal ratios by integer comparison (cross-multiplied, no division),
-and adds the completion sum and the arrival sum; it divides only the two
-winning ratios and the sum ratio exactly.  The per-request rows are built
-when first read, and a row's own ratios when read.
+``max(|location|, arrival)`` and the request's first visit along a
+latency-optimal walk of the actual locations (``Tour.first_visit``), floored
+by its arrival.  Every completion, location and arrival and the walk's
+turning points are scaled once to integer pairs ``(a, b)``, meaning ``(a +
+b*sqrt(3))/d`` over one common ``d``; the floors, the worst ratios (cross
+products, no division) and the sums come from those, and only the two
+winning ratios and the sum ratio are divided out.  The per-request rows are
+built when first read, and a row's own ratios when read.
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ from typing import Callable, Optional, Tuple
 from .core import Instance, Trajectory, _exact_sum, _pair_sign, _pairs_sum, _scaled_pairs
 from .offline import _first_visit, distance_arrival_floor, optimal_latency_tour
 from .online import (
-    AdaptiveStrategy,
-    FixedPathStrategy,
     Strategy,
     coverage_horizon,  # not called here; perfbench/tracer.py wraps it under this name
-    roundtrip_completions,
-    roundtrip_trajectory,
+    roundtrip_trajectory,  # not called here; perfbench/tracer.py wraps it under this name
     visible_info,
 )
 
@@ -82,35 +78,16 @@ class RunResult:
 
 
 def run(instance: Instance, strategy: Strategy) -> RunResult:
-    """Simulate ``strategy`` on ``instance`` exactly."""
-    info = visible_info(instance)
-    if isinstance(strategy, FixedPathStrategy):
-        planned = strategy.plan(info)
-        completions = roundtrip_completions(
-            planned, [(r.actual, r.arrival) for r in instance.requests]
-        )
-
-        def build() -> Trajectory:
-            end = max(completions, default=_ZERO)
-            return roundtrip_trajectory(planned.path, planned.schedule, end).truncated(end)
-
-    elif isinstance(strategy, AdaptiveStrategy):
-        session = strategy.start(info)
-        by_time = {}
-        for r in instance.requests:
-            by_time.setdefault(r.arrival, []).append(r.actual)
-        for t in sorted(by_time):
-            session.on_arrivals(t, by_time[t])
-        traj = session.trajectory()
-        completions = [traj.first_service_time(r.actual, r.arrival) for r in instance.requests]
-
-        def build() -> Trajectory:
-            return traj.truncated(max(completions, default=_ZERO))
-
-    else:
-        raise TypeError(f"unknown strategy type {type(strategy).__name__}")
-
+    """Simulate ``strategy`` on ``instance`` exactly: one session, fed every
+    request in one batch."""
+    session = strategy.start(visible_info(instance))
+    session.on_arrivals([(r.actual, r.arrival) for r in instance.requests])
+    completions = session.completions()
     _check_coverage(instance, completions, strategy.name)
+
+    def build() -> Trajectory:
+        return session.trajectory(max(completions, default=_ZERO))
+
     return RunResult(instance, strategy.name, tuple(completions), build)
 
 

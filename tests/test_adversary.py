@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linetrp import adversary, online
+from linetrp import adversary, online, simulator
 from linetrp.adversary import (
     GameConfig,
     GameTranscript,
@@ -23,7 +23,6 @@ from linetrp.adversary import (
 from linetrp.core import LineSegment, Trajectory, _interpolate, _scaled_pairs, make_instance
 from linetrp.offline import Tour, distance_arrival_floor, optimal_latency_tour
 from linetrp.online import (
-    AdaptiveStrategy,
     FixedPathStrategy,
     GreedyReplan,
     HalflineRoundTrips,
@@ -33,6 +32,7 @@ from linetrp.online import (
     QuadraticScalar,
     RobustPredictionTour,
     RoundTripSchedule,
+    Strategy,
     VisibleInfo,
     coverage_horizon,
     roundtrip_completions,
@@ -147,6 +147,24 @@ def test_greedy_replanner_escapes():
     assert by_loc[F(3, 1000)] == F(5999, 1000)
     # the worst ratio comes from a base target pushed back by the detours
     assert by_loc[F(4)] == F(2499, 250)
+
+
+def test_verify_witness_does_not_trust_the_closed_form(monkeypatch):
+    """``verify_witness`` replays the motion: with the closed form the game
+    reads patched to report every completion 1000 late, a committed
+    strategy loses the game at a ratio target of 100, and the false
+    witness is refused."""
+    real = online.roundtrip_completions
+
+    def late(planned, requests):
+        return [None if c is None else c + 1000 for c in real(planned, requests)]
+
+    for module in (online, simulator, adversary):  # wherever a module binds the name
+        monkeypatch.setattr(module, "roundtrip_completions", late, raising=False)
+    strategy = PerfectPredictionTour()
+    transcript = play_lowerbound_game(strategy, GameConfig(ratio_target=F(100)))
+    assert transcript.witness is not None
+    assert not verify_witness(strategy, transcript)
 
 
 def test_transcript_log_is_reproducible():
@@ -335,7 +353,7 @@ class _ShortTrips(FixedPathStrategy):
         return PlannedTrips(Tour((F(5),)), RoundTripSchedule())
 
 
-class _Parked(AdaptiveStrategy):
+class _Parked(Strategy):
     name = "parked"
 
     def start(self, info):
@@ -343,14 +361,19 @@ class _Parked(AdaptiveStrategy):
 
 
 class _ParkedSession:
+    _motion = Trajectory(((F(0), F(0)),))
+
     def __init__(self):
         self._fed = 0
 
-    def on_arrivals(self, time, locations):
-        self._fed += len(locations)
+    def on_arrivals(self, pairs):
+        self._fed += len(pairs)
 
-    def trajectory(self):
-        return Trajectory(((F(0), F(0)),))
+    def trajectory(self, until):
+        return self._motion.truncated(until)
+
+    def moves(self, lo, beyond):
+        return _as_moves(self._motion)
 
     def completions(self):
         return [None] * self._fed
@@ -403,7 +426,7 @@ def test_a_committed_game_scales_its_plan_once(strategy, cfg, monkeypatch):
     legs are scaled to integer pairs once; ``verify_witness`` plans again
     and scales its own fresh plan."""
     scaled, batches = [], 0
-    real_geometry, real_completions = online._trip_geometry, adversary.roundtrip_completions
+    real_geometry, real_completions = online._trip_geometry, online.roundtrip_completions
 
     def counting_geometry(planned):
         scaled.append(planned)
@@ -415,7 +438,7 @@ def test_a_committed_game_scales_its_plan_once(strategy, cfg, monkeypatch):
         return real_completions(planned, requests)
 
     monkeypatch.setattr(online, "_trip_geometry", counting_geometry)
-    monkeypatch.setattr(adversary, "roundtrip_completions", counting_completions)
+    monkeypatch.setattr(online, "roundtrip_completions", counting_completions)
     transcript = play_lowerbound_game(strategy, cfg)
     assert batches >= 3 and len(scaled) == 1
     (game_plan,) = scaled
@@ -425,7 +448,7 @@ def test_a_committed_game_scales_its_plan_once(strategy, cfg, monkeypatch):
         assert scaled[1] is not game_plan and scaled[1] == game_plan
 
 
-class _Scripted(AdaptiveStrategy):
+class _Scripted(Strategy):
     """Completes the k-th fed request at ``script[k]`` and never moves."""
 
     name = "scripted"
@@ -512,7 +535,7 @@ def _stepwise_game(strategy, cfg) -> GameTranscript:
         traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
     else:
         session = strategy.start(info)
-        traj = session.trajectory()
+        traj = session.trajectory(F(cfg.max_steps + 1))
 
     def release(locations, arrival):
         nonlocal traj, comps
@@ -522,8 +545,9 @@ def _stepwise_game(strategy, cfg) -> GameTranscript:
         if session is None:
             comps += roundtrip_completions(planned, batch)
         else:
-            session.on_arrivals(arrival, locations)
-            traj = session.trajectory()
+            session.on_arrivals(batch)
+            # cut past every step and every completion: the motion ends by then
+            traj = session.trajectory(max([F(cfg.max_steps + 1), *session.completions()]))
             comps = [traj.first_service_time(loc, arr) for loc, arr in released]
 
     release(cfg.bases, F(0))
@@ -654,7 +678,7 @@ def _count_scans(monkeypatch):
     """Count the moves the game's outward scans read and the committed
     trajectories built while it plays: ``counts["moves"]``, ``counts["built"]``."""
     counts = {"moves": 0, "built": 0}
-    real_scan, real_build = adversary._next_outward_step, online.roundtrip_trajectory
+    real_scan, real_build = adversary._next_outward_step, PlannedTrips._motion
 
     def counting_scan(d, moves, lo, hi):
         def counted():
@@ -669,8 +693,7 @@ def _count_scans(monkeypatch):
         return real_build(*args)
 
     monkeypatch.setattr(adversary, "_next_outward_step", counting_scan)
-    monkeypatch.setattr(adversary, "roundtrip_trajectory", counting_build)
-    monkeypatch.setattr(online, "roundtrip_trajectory", counting_build)
+    monkeypatch.setattr(PlannedTrips, "_motion", counting_build)
     return counts
 
 
@@ -740,7 +763,7 @@ def test_sweeps_beyond_1_between_integer_steps_are_scanned_once(monkeypatch):
     assert scanned[0] == scanned[1] <= 100
 
 
-class _HalfSpeed(AdaptiveStrategy):
+class _HalfSpeed(Strategy):
     """Walks out to 2 at half speed and stays there."""
 
     name = "half-speed"
@@ -750,8 +773,7 @@ class _HalfSpeed(AdaptiveStrategy):
 
 
 class _HalfSpeedSession(_ParkedSession):
-    def trajectory(self):
-        return Trajectory(((F(0), F(0)), (F(4), F(2))))
+    _motion = Trajectory(((F(0), F(0)), (F(4), F(2))))
 
     def completions(self):
         return [F(4)] * self._fed

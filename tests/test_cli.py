@@ -217,6 +217,23 @@ def test_an_instance_that_is_not_utf8_names_the_line_of_its_first_bad_byte(
         assert captured.out == ""
 
 
+def test_an_instance_with_a_byte_order_mark_parses_as_without_one(tmp_path, capsys):
+    """A leading UTF-8 byte-order mark is not text: the file parses as the
+    same file without it, and a bad byte after it still names its line."""
+    outputs = []
+    for name, prefix in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + b"LINE 0 10\nREQ 1 1 0\n")
+        assert main(["oracle", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].err == ""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xef\xbb\xbfLINE 0 10\nREQ 1 1 \xff\n")
+    assert main(["oracle", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: not UTF-8 text: byte 0xff\n"
+
+
 def test_an_instance_is_read_as_utf8_whatever_the_locale(tmp_path):
     # a child process in the C locale, whose default encoding is ASCII
     path = tmp_path / "inst.txt"

@@ -607,11 +607,11 @@ def test_robust_strategy_fallback_threshold():
 def test_greedy_session_replans_from_current_position():
     info = visible_info(make_instance(LineSegment(F(-2), F(3)), [(F(2), F(2), F(0))]))
     session = GreedyReplan().start(info)
-    session.on_arrivals(F(0), [F(2)])
-    assert session.trajectory().breakpoints == ((F(0), F(0)), (F(2), F(2)))
-    session.on_arrivals(F(1), [F(-1)])
+    session.on_arrivals([(F(2), F(0))])
+    assert _whole(session, F(0)).breakpoints == ((F(0), F(0)), (F(2), F(2)))
+    session.on_arrivals([(F(-1), F(1))])
     # at time 1 the server sits at 1; serving 2 first is latency-optimal
-    assert session.trajectory().breakpoints == (
+    assert _whole(session, F(1)).breakpoints == (
         (F(0), F(0)),
         (F(1), F(1)),
         (F(2), F(2)),
@@ -625,17 +625,18 @@ def test_greedy_session_rejects_a_surd_position():
     changes, while one that finds it parked at a rational spot is served."""
     info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(3), F(3), F(0))]))
     session = GreedyReplan().start(info)
-    session.on_arrivals(F(0), [F(3)])
-    before = session.trajectory()
+    session.on_arrivals([(F(3), F(0))])
+    before = session._trajectory
     with pytest.raises(ValueError, match=r"^arrival 1 \+ 1/2\*sqrt\(3\) finds the server"):
-        session.on_arrivals(QuadraticScalar(1, F(1, 2)), [F(1)])
-    assert session.trajectory() is before
-    session.on_arrivals(QuadraticScalar(4, F(1, 2)), [F(1)])  # parked at 3
-    assert session.trajectory().breakpoints[-1] == (QuadraticScalar(6, F(1, 2)), F(1))
+        session.on_arrivals([(F(1), QuadraticScalar(1, F(1, 2)))])
+    assert session._trajectory is before
+    session.on_arrivals([(F(1), QuadraticScalar(4, F(1, 2)))])  # parked at 3
+    last = QuadraticScalar(4, F(1, 2))
+    assert _whole(session, last).breakpoints[-1] == (QuadraticScalar(6, F(1, 2)), F(1))
     late = session.completions()[-1]
     assert type(late) is QuadraticScalar and late == QuadraticScalar(6, F(1, 2))
     fed = [(F(3), F(0)), (F(1), QuadraticScalar(4, F(1, 2)))]
-    _assert_completions_match_the_trajectory(session, fed)
+    _assert_completions_match_the_trajectory(session, fed, last)
 
 
 def test_greedy_session_serves_a_request_at_its_position_on_arrival():
@@ -643,17 +644,17 @@ def test_greedy_session_serves_a_request_at_its_position_on_arrival():
     and the walk replanned around it does not go back for it."""
     info = visible_info(make_instance(LineSegment(F(-2), F(3)), [(F(2), F(2), F(0))]))
     session = GreedyReplan().start(info)
-    session.on_arrivals(F(0), [F(2), F(0)])
-    session.on_arrivals(F(1), [F(1), F(-1)])  # the server passes 1 at time 1
+    session.on_arrivals([(F(2), F(0)), (F(0), F(0))])
+    session.on_arrivals([(F(1), F(1)), (F(-1), F(1))])  # the server passes 1 at time 1
     assert session.completions() == [F(2), F(0), F(1), F(5)]
-    assert session.trajectory().breakpoints == (
+    assert _whole(session, F(1)).breakpoints == (
         (F(0), F(0)),
         (F(1), F(1)),
         (F(2), F(2)),
         (F(5), F(-1)),
     )
     _assert_completions_match_the_trajectory(
-        session, [(F(2), F(0)), (F(0), F(0)), (F(1), F(1)), (F(-1), F(1))]
+        session, [(F(2), F(0)), (F(0), F(0)), (F(1), F(1)), (F(-1), F(1))], F(1)
     )
 
 
@@ -662,12 +663,12 @@ def test_greedy_session_refuses_an_arrival_out_of_order():
     forward: an arrival before an earlier one is refused, and nothing changes."""
     info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(3), F(3), F(0))]))
     session = GreedyReplan().start(info)
-    session.on_arrivals(F(2), [F(3)])
-    before = session.trajectory(), session.completions()
+    session.on_arrivals([(F(3), F(2))])
+    before = _whole(session, F(2)), session.completions()
     with pytest.raises(ValueError, match=r"^arrival 1 comes before the earlier arrival 2$"):
-        session.on_arrivals(F(1), [F(1)])
-    assert (session.trajectory(), session.completions()) == before
-    session.on_arrivals(F(2), [F(1)])  # the same time again is fine
+        session.on_arrivals([(F(1), F(1))])
+    assert (_whole(session, F(2)), session.completions()) == before
+    session.on_arrivals([(F(1), F(2))])  # the same time again is fine
     assert session.completions() == [F(5), F(3)]  # 1 first, then 3
 
 
@@ -677,12 +678,12 @@ def test_greedy_session_reads_a_rational_surd_arrival_as_a_fraction():
     leg it splits replays to the same ``Fraction`` the closed form keeps."""
     info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(2), F(2), F(0))]))
     session = GreedyReplan().start(info)
-    session.on_arrivals(F(0), [F(2), F(4)])
-    session.on_arrivals(QuadraticScalar(3), [F(1)])
+    session.on_arrivals([(F(2), F(0)), (F(4), F(0))])
+    session.on_arrivals([(F(1), QuadraticScalar(3))])
     assert session.completions() == [F(2), F(4), F(7)]
-    assert all(type(bp[0]) is F for bp in session.trajectory().breakpoints)
+    assert all(type(bp[0]) is F for bp in _whole(session, F(3)).breakpoints)
     fed = [(F(2), F(0)), (F(4), F(0)), (F(1), QuadraticScalar(3))]
-    _assert_completions_match_the_trajectory(session, fed)
+    _assert_completions_match_the_trajectory(session, fed, F(3))
 
 
 def test_greedy_session_checks_only_the_new_breakpoints(monkeypatch):
@@ -694,20 +695,26 @@ def test_greedy_session_checks_only_the_new_breakpoints(monkeypatch):
     real = core._checked_motion
     monkeypatch.setattr(core, "_checked_motion", lambda pts: checked.append(len(pts)) or real(pts))
     for step in range(1, 25):
-        before, checked[:] = session.trajectory(), []
         time = F(step, 2)
-        session.on_arrivals(time, [F((-1) ** step * (step % 5))])
+        before, checked[:] = _whole(session, time - F(1, 2)), []
+        session.on_arrivals([(F((-1) ** step * (step % 5)), time)])
         kept = max(len([bp for bp in before.breakpoints if bp[0] < time]), 1)
         # the cut point and the suffix are new; the last kept point and the
         # cut point each begin one checked pair
-        assert sum(checked) == len(session.trajectory().breakpoints) - kept + 2
-    assert len(session.trajectory().breakpoints) > 10
+        assert sum(checked) == len(_whole(session, time).breakpoints) - kept + 2
+    assert len(_whole(session, time).breakpoints) > 10
 
 
-def _assert_completions_match_the_trajectory(session, fed):
+def _whole(session, last):
+    """A replanner's whole motion after its latest arrival ``last``: it ends
+    at the last completion, or at ``last`` when that comes later."""
+    return session.trajectory(max([last, *session.completions()]))
+
+
+def _assert_completions_match_the_trajectory(session, fed, last):
     """The session's closed-form completions are the first visits its
     trajectory makes, value, type and printed form alike."""
-    traj = session.trajectory()
+    traj = _whole(session, last)
     replay = [traj.first_service_time(loc, arrival) for loc, arrival in fed]
     closed = session.completions()
     assert closed == replay
@@ -724,7 +731,9 @@ class _RecheckAllSession:
         self._trajectory = Trajectory(((F(0), F(0)),))
         self._known = []
 
-    def on_arrivals(self, time, locations):
+    def on_arrivals(self, pairs):
+        (time,) = {arrival for _, arrival in pairs}  # one arrival time per batch
+        locations = [loc for loc, _ in pairs]
         committed = self._trajectory.truncated(time)
         self._known.extend((loc, time) for loc in locations)
         unserved = [
@@ -760,11 +769,12 @@ def test_greedy_session_matches_the_recheck_all_oracle(first, batches):
     session, oracle = GreedyReplan().start(info), _RecheckAllSession()
     time, fed = first, []
     for gap, locations in batches:
-        session.on_arrivals(time, locations)
-        oracle.on_arrivals(time, locations)
-        fed += [(loc, time) for loc in locations]
-        assert session.trajectory().breakpoints == oracle._trajectory.breakpoints
-        _assert_completions_match_the_trajectory(session, fed)
+        batch = [(loc, time) for loc in locations]
+        session.on_arrivals(batch)
+        oracle.on_arrivals(batch)
+        fed += batch
+        assert _whole(session, time).breakpoints == oracle._trajectory.breakpoints
+        _assert_completions_match_the_trajectory(session, fed, time)
         time += gap
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from linetrp.core import LineSegment, Model, make_instance
 from linetrp.generate import perturbed_instance, random_instance
-from linetrp import core, offline
+from linetrp import core, offline, online
 from linetrp.offline import opt_sum_floor, optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
@@ -104,15 +104,51 @@ def test_greedy_run_trajectory_is_the_session_motion_cut_at_the_last_completion(
     )
     result = run(inst, GreedyReplan())
     session = GreedyReplan().start(visible_info(inst))
-    session.on_arrivals(F(0), [F(1), F(3)])
-    session.on_arrivals(F(2), [F(-2)])
-    session.on_arrivals(F(9), [F(1)])
+    session.on_arrivals([(F(1), F(0)), (F(3), F(0))])
+    session.on_arrivals([(F(-2), F(2))])
+    session.on_arrivals([(F(1), F(9))])
     last = max(result.completions)
-    assert result.trajectory.breakpoints == session.trajectory().truncated(last).breakpoints
+    assert result.trajectory.breakpoints == session.trajectory(last).breakpoints
     assert result.trajectory.breakpoints[-1] == (last, F(1))
     assert list(result.completions) == [
         result.trajectory.first_service_time(r.actual, r.arrival) for r in inst.requests
     ]
+
+
+@given(st.integers(0, 10**9), st.integers(1, 8), st.sampled_from([0, 3, 20]))
+@settings(max_examples=100, deadline=None)
+def test_greedy_run_completions_are_its_trajectory_replayed(seed, n, max_arrival):
+    """``run`` reads the replanner's closed-form completions, fed in one
+    batch; its trajectory, replayed, serves every request at that
+    completion, value, type and printed form alike."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, LineSegment(F(-3), F(5)), n, max_arrival=max_arrival, denom=8)
+    result = run(inst, GreedyReplan())
+    replay = [result.trajectory.first_service_time(r.actual, r.arrival) for r in inst.requests]
+    assert list(result.completions) == replay
+    assert [type(c) for c in result.completions] == [type(c) for c in replay]
+    assert [str(c) for c in result.completions] == [str(c) for c in replay]
+
+
+def test_a_committed_run_scales_its_plan_once(monkeypatch):
+    """A run, its trajectory and its evaluation read one plan, whose trips
+    and legs are scaled to integer pairs once, and the run resolves every
+    request in one closed-form call."""
+    scaled, calls = [], []
+    real, real_completions = online._trip_geometry, online.roundtrip_completions
+    monkeypatch.setattr(online, "_trip_geometry", lambda planned: scaled.append(planned) or real(planned))
+    monkeypatch.setattr(
+        online, "roundtrip_completions", lambda p, pairs: calls.append(pairs) or real_completions(p, pairs)
+    )
+    inst = make_instance(
+        LineSegment(F(-1), F(2)),
+        [(F(-1), F(-1), F(0)), (F(2), F(2), F(0)), (F(1), F(1), F(3))],
+    )
+    result = run(inst, PerfectPredictionTour())
+    assert result.trajectory.breakpoints[-1][0] == max(result.completions)
+    evaluate(result)
+    assert len(scaled) == 1
+    assert [len(pairs) for pairs in calls] == [3]
 
 
 def test_request_ratio_frozen_pairs():
