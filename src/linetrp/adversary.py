@@ -59,7 +59,6 @@ from .online import (
 from .simulator import _check_coverage, _first_max, _ratio
 from .simulator import run  # not called here; perfbench/tracer.py wraps it under this name
 
-
 @dataclass(frozen=True)
 class GameConfig:
     line: LineSegment = LineSegment(Fraction(0), Fraction(10))
@@ -123,16 +122,23 @@ def _next_outward_step(d: int, moves, lo: int, hi: int):
 
 
 def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None) -> GameTranscript:
-    """Run the release-time game against one session of ``strategy``.
+    """Run the release-time game against ``strategy``.
 
-    A request with deadline D is first provably late at step ``max(ceil(D),
-    now)``, where ``now`` is the first step not yet checked, and never if it
-    is served by D.  The next release is read off the session's moves
-    (``_next_outward_step``); a motion that never goes right of 1 gives none
-    to scan.  Returns the full transcript; ``witness`` stays None when the
-    strategy escapes every deadline within ``max_steps``.  Raises
-    CoverageError when the strategy never serves some released request, and
-    ValueError when it moves out at another speed than 1.
+    The strategy is started once; each release is fed to that one session,
+    and the completions are taken from its ``completions()``.
+
+    The game jumps from release to release.  Between releases every
+    completion is fixed, so a request with deadline D is first provably
+    late at step ``max(ceil(D), now)``, where ``now`` is the first step not
+    yet checked, and never if it is served by D.  The next release is read
+    off the session's moves in integer pairs (``_next_outward_step``): a
+    committed plan's own, or the replanner's motion so far, scaled; a
+    motion that never goes right of 1 gives none to scan.  So the cost
+    grows with the releases and the legs, not with ``max_steps``.  Returns
+    the full transcript; ``witness`` stays None when the strategy escapes
+    every deadline within ``max_steps``.  Raises CoverageError when the
+    strategy never serves some released request, and ValueError when it
+    moves out at another speed than 1.
     """
     cfg = config if config is not None else GameConfig()
     info = VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)
@@ -224,7 +230,15 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
         step, idx = declared
         r = instance.requests[idx]
         ratio = _ratio(comps[idx], floors[idx])
-        witness = Witness(idx, r.actual, r.arrival, comps[idx], floors[idx], ratio, step)
+        witness = Witness(
+            request_index=idx,
+            location=r.actual,
+            arrival=r.arrival,
+            completion=comps[idx],
+            floor=floors[idx],
+            ratio=ratio,
+            declared_step=step,
+        )
         log.append(
             f"witness: request {idx} at {r.actual}, arrival {r.arrival},"
             f" completed {comps[idx]} (ratio {ratio})"
@@ -232,17 +246,25 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     else:
         log.append(f"no witness within {cfg.max_steps} steps; worst ratio {max_ratio}")
     return GameTranscript(
-        strategy.name, cfg, instance, tuple(comps), witness, max_ratio, tuple(log)
+        strategy_name=strategy.name,
+        config=cfg,
+        instance=instance,
+        completions=tuple(comps),
+        witness=witness,
+        max_ratio=max_ratio,
+        log=tuple(log),
     )
 
 
 def verify_witness(strategy: Strategy, transcript: GameTranscript) -> bool:
-    """Independently confirm that the flagged request exceeds the target
-    multiple of its floor.  A fresh session of ``strategy`` is fed the
-    transcript's instance, and the request is replayed
-    (``Trajectory.first_service_time``) on the session's motion cut at its
-    deadline, ``ratio_target`` times its floor: it is a violation when the
-    motion does not serve it by then.  No closed form is read."""
+    """Independently re-run the transcript's instance and confirm the flagged
+    request really exceeds the target multiple of its floor.
+
+    A fresh session of ``strategy`` is fed the instance, and the request is
+    replayed (``Trajectory.first_service_time``) on the session's motion cut
+    at the request's deadline, ``ratio_target`` times its floor: it is a
+    violation when the motion does not serve it by then.  No closed form is
+    read."""
     if transcript.witness is None:
         return False
     instance = transcript.instance

@@ -539,14 +539,10 @@ def _checked_motion(breakpoints) -> tuple:
     unless each one comes strictly after the one before and is reached from
     it at speed at most 1."""
     pts = tuple([(_exact(t, "time"), _exact(p, "position")) for t, p in breakpoints])
-    _, pairs = _scaled_pairs([v for bp in pts for v in bp])  # compared as integer pairs
-    for (ta, tb), (pa, pb), (ua, ub), (qa, qb) in zip(
-        pairs[::2], pairs[1::2], pairs[2::2], pairs[3::2]
-    ):
-        ra, rb, wa, wb = ua - ta, ub - tb, qa - pa, qb - pb  # the step in time and in position
-        if _pair_sign(ra, rb) <= 0:
+    for (ta, pa), (tb, pb) in zip(pts, pts[1:]):
+        if tb <= ta:
             raise ValueError("breakpoint times must strictly increase")
-        if _pair_sign(ra - wa, rb - wb) < 0 or _pair_sign(ra + wa, rb + wb) < 0:
+        if abs(pb - pa) > tb - ta:
             raise ValueError("speed exceeds 1 between breakpoints")
     return pts
 
@@ -610,22 +606,20 @@ class Trajectory:
         """Earliest t >= not_before with position_at(t) == loc, or None.
 
         Bisects to the segment in progress at ``not_before`` and scans the
-        segments from there in time order, all in exact arithmetic; each
-        breakpoint's side of ``loc`` is compared once.
+        segments from there in time order, all in exact arithmetic.
         """
         pts = self.breakpoints
         k = max(bisect.bisect_right(self._times, not_before) - 1, 0)
-        side = (loc > pts[k][1]) - (loc < pts[k][1])
         for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
-            start, side = side, (loc > pb) - (loc < pb)
-            if start == side == 0:  # waiting at loc
-                return ta if ta >= not_before else not_before
-            if start * side <= 0:
-                # Moving across loc, or onto it: unique crossing time.
+            if pa == pb:
+                if pa == loc:
+                    return ta if ta >= not_before else not_before
+            elif min(pa, pb) <= loc <= max(pa, pb):
+                # Monotone segment: unique crossing time.
                 tc = _interpolate(pa, ta, pb, tb, loc)
                 if tc >= not_before:
                     return tc
-        if side == 0:
+        if pts[-1][1] == loc:
             tail = pts[-1][0]
             return tail if tail >= not_before else not_before
         return None

@@ -5,13 +5,16 @@ arrives, through one session protocol (``Strategy.start``).  A committed
 plan's session (``CommittedSession``) reads its completions in closed form;
 the replanner's (``ReplanSession``) keeps them in closed form as it replans.
 
-All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``).
-A ``PlannedTrips`` owns the committed motion: it scales the schedule's trips
-and the path's legs once, on first use, to integer pairs ``(a, b)``, meaning
-``(a + b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
-(``PlannedTrips._motion``), the release game's moves (``PlannedTrips.moves``)
-and the closed-form completions (``roundtrip_completions``, one rescale per
-request denominator) all read that geometry.
+All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
+the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
+the committed motion: it scales the schedule's trips and the path's legs
+once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
+b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
+(``PlannedTrips._motion``) and the release game's moves
+(``PlannedTrips.moves``) read one stream of those trips; the closed-form
+completions (``roundtrip_completions``) read the same geometry, with one
+rescale kept per distinct request denominator.  Each converts its pairs
+back once (``core._pair_scalar``).
 """
 
 from __future__ import annotations
@@ -239,10 +242,15 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     is the earliest of those times at or after the arrival, taken over all
     arcs, so the cost grows with the legs and the geometric trips, not with
     the arrival.  It equals ``roundtrip_trajectory(...).first_service_time``
-    on a trajectory long enough to serve the request.  The work is integer
-    arithmetic on the plan's geometry (``PlannedTrips._geometry``), rescaled
-    once per distinct ``d = lcm(d0, denominators of the request)``, so
-    coprime requests do not grow each other's integers.
+    on a trajectory long enough to serve the request.
+
+    The trips and the legs come in integer pairs from the plan's own
+    geometry (``PlannedTrips._geometry``), scaled once per plan over their
+    common denominator ``d0`` and rescaled once per distinct ``d = lcm(d0,
+    denominators of the request)``, so pairwise coprime requests do not grow
+    each other's integers, and a plan read by many calls is scaled once.
+    The per-request work is integer arithmetic; each request's earliest pass
+    is converted back once (``core._pair_scalar``).
     """
     if planned.path.walk.end_time == 0:  # parked at the origin
         return [arrival if loc == 0 else None for loc, arrival in requests]
@@ -327,16 +335,19 @@ class PlannedTrips:
     def _motion(self, horizon) -> Trajectory:
         """The round trips (``roundtrip_trajectory``) as a ``Trajectory``:
         whole trips of ``_trips(0)`` while the time is before ``horizon``,
-        each converted back from integer pairs once."""
+        each converted back from integer pairs once.  Every move walks one
+        of the path's legs, each of positive length, at unit speed, and each
+        trip starts where the one before ends, at the origin; so the motion
+        is valid by construction and is not checked again."""
         if self.path.walk.end_time == 0 or horizon <= 0:
             return Trajectory(((_ZERO, _ZERO),))
         d0, trips = self._trips(0)
         pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
         for trip in trips:
+            pts += [(_pair_scalar(*t, d0), _pair_scalar(*p, d0)) for _, _, t, p in trip]
             if pts[-1][0] >= horizon:
                 break
-            pts += [(_pair_scalar(*t, d0), _pair_scalar(*p, d0)) for _, _, t, p in trip]
-        return Trajectory(tuple(pts))
+        return Trajectory._unchecked(tuple(pts))
 
     def moves(self, lo: int):
         """``(d0, moves)``: the committed motion from the trip under way at
@@ -524,7 +535,8 @@ class ReplanSession:
         position ``pos`` completes at ``time``, and every other one at
         ``time`` plus its first visit along the new walk from ``pos``.  A
         ``QuadraticScalar`` time with no ``sqrt(3)`` part is read as its
-        ``Fraction``, so the cut splits no leg at a surd-typed point.  Raises
+        ``Fraction``, so the cut splits no leg at a surd-typed point and the
+        trajectory replays the completions in their own type.  Raises
         ValueError, before any state changes, when a time comes before an
         earlier arrival or finds the server at a surd position.
         """

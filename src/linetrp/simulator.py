@@ -3,19 +3,21 @@
 A run starts one session of the strategy (``Strategy.start``), feeds it
 every request in one batch and reads each request's completion (first visit
 at or after its arrival) from it: in closed form, for a committed plan
-(``roundtrip_completions``) and for the replanner alike.  The trajectory,
-the session's motion cut at the last completion, the event log and the
-completion sum are built on first use.
+(``roundtrip_completions``) and for the replanner alike, so no trajectory is
+built.  The trajectory, the session's motion cut at the last completion, the
+event log and the completion sum are built on first use.
 
 Evaluation rates each completion against two per-request floors: the coarse
-``max(|location|, arrival)`` and the request's first visit along a
-latency-optimal walk of the actual locations (``Tour.first_visit``), floored
-by its arrival.  Every completion, location and arrival and the walk's
-turning points are scaled once to integer pairs ``(a, b)``, meaning ``(a +
-b*sqrt(3))/d`` over one common ``d``; the floors, the worst ratios (cross
-products, no division) and the sums come from those, and only the two
-winning ratios and the sum ratio are divided out.  The per-request rows are
-built when first read, and a row's own ratios when read.
+``max(|location|, arrival)`` and the sharper one, the request's first visit
+along a latency-optimal walk of the actual locations (``Tour.first_visit``)
+floored by its arrival.  It scales every completion, location and arrival
+and the turning points of that walk (not the walk itself) once, in one call,
+to integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over one common
+``d``.  From those pairs it adds up the walk's arcs, finds both floors and
+both maximal ratios by integer comparison (cross-multiplied, no division),
+and adds the completion sum and the arrival sum; it divides only the two
+winning ratios and the sum ratio exactly.  The per-request rows are built
+when first read, and a row's own ratios when read.
 """
 
 from __future__ import annotations
