@@ -28,7 +28,10 @@ adaptive session.  The worst ratio is picked by cross products of integer
 pairs (``simulator._first_max``), so only it and the witness's ratio are
 divided out.  ``verify_witness`` reads no closed form: it feeds the released
 instance to a fresh session and replays the witness request on that
-session's motion, built out to the request's deadline.
+session's motion cut at the request's deadline, in integer pairs
+(``motion(deadline)``), by the crossing rule ``Trajectory.first_service_time``
+also applies (``core._pair_visit``).  A committed session cuts its plan's own
+moves, so the replay builds no scalar per breakpoint.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .core import (
     LineSegment,
     _on_line,
     _pair_scalar,
+    _pair_visit,
     _pair_sign,
     _scaled_pairs,
     _surd_floor,
@@ -261,10 +265,11 @@ def verify_witness(strategy: Strategy, transcript: GameTranscript) -> bool:
     request really exceeds the target multiple of its floor.
 
     A fresh session of ``strategy`` is fed the instance, and the request is
-    replayed (``Trajectory.first_service_time``) on the session's motion cut
-    at the request's deadline, ``ratio_target`` times its floor: it is a
+    replayed on the session's motion cut at the request's deadline,
+    ``ratio_target`` times its floor (``motion(deadline)``, in integer
+    pairs), by the one crossing rule (``core._pair_visit``): it is a
     violation when the motion does not serve it by then.  No closed form is
-    read."""
+    read, and no scalar is built per breakpoint."""
     if transcript.witness is None:
         return False
     instance = transcript.instance
@@ -272,5 +277,14 @@ def verify_witness(strategy: Strategy, transcript: GameTranscript) -> bool:
     session.on_arrivals([(r.actual, r.arrival) for r in instance.requests])
     r = instance.requests[transcript.witness.request_index]
     deadline = transcript.config.ratio_target * distance_arrival_floor(r.actual, r.arrival)
-    served = session.trajectory(deadline).first_service_time(r.actual, r.arrival)
-    return served is None or served > deadline
+    d, pts = session.motion(deadline)
+    e, request = _scaled_pairs([r.actual, r.arrival, deadline])
+    f = math.lcm(d, e)  # the motion and the request over one denominator
+    g, h = f // d, f // e
+    pts = [((ta * g, tb * g), (pa * g, pb * g)) for (ta, tb), (pa, pb) in pts]
+    x, arrival, (ca, cb) = [(a * h, b * h) for a, b in request]
+    found = _pair_visit(pts, x, arrival)
+    if found is None:
+        return True
+    a, b, m = found[1] or (*arrival, 1)  # None: served at the arrival itself
+    return _pair_sign(a - m * ca, b - m * cb) > 0

@@ -83,7 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--certify",
         choices=("simple", "tour"),
         default=None,
-        help="exit 3 unless the worst per-request ratio stays within the certified bound",
+        help=(
+            "exit 3 unless the worst per-request ratio stays within the certified bound;"
+            " the bounds assume integer arrival times (time unit 1), see the README"
+        ),
     )
     sim.add_argument("--out", default=None, help="write per-request CSV")
     sim.set_defaults(run=_cmd_simulate)

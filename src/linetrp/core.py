@@ -547,6 +547,46 @@ def _checked_motion(breakpoints) -> tuple:
     return pts
 
 
+def _pair_visit(pts, x, not_before):
+    """The first time at or after ``not_before`` at which the motion ``pts``
+    is at ``x``: the one crossing rule, in integer pairs.
+
+    ``pts`` are the breakpoints ``(time, position)`` from the start, with the
+    server parked after the last one; every value, ``x`` and ``not_before``
+    included, is a pair ``(a, b)`` meaning ``(a + b*sqrt(3))/d`` over one
+    ``d``.  The scan starts on the segment under way at ``not_before`` (from
+    the last breakpoint at or before it).  Returns None when the motion is
+    not at ``x`` from then on, else ``(k, t)``: the visit is on the segment
+    from breakpoint ``k``, the parked tail when ``k`` is the last, at time
+    ``t``.  ``t`` is None for ``not_before`` itself (a wait at ``x`` under
+    way then), else ``(a, b, m)``, meaning ``(a + b*sqrt(3))/(m*d)`` with
+    ``m > 0``: the breakpoint's own time on a wait or the tail, the
+    crossing on a moving segment."""
+    (xa, xb), (na, nb) = x, not_before
+    k, last = 0, len(pts) - 1
+    while k < last and _pair_sign(pts[k + 1][0][0] - na, pts[k + 1][0][1] - nb) <= 0:
+        k += 1
+    for k in range(k, last + 1):
+        (ta, tb), (pa, pb) = pts[k]
+        if k == last or pts[k + 1][1] == (pa, pb):  # the parked tail, or a wait
+            if (pa, pb) == (xa, xb):
+                return k, ((ta, tb, 1) if _pair_sign(ta - na, tb - nb) >= 0 else None)
+            continue
+        (ua, ub), (qa, qb) = pts[k + 1]
+        if _pair_sign(xa - pa, xb - pb) * _pair_sign(xa - qa, xb - qb) > 0:
+            continue  # x is not between the ends
+        # t = ta + run*step/rise, the division through the rise's conjugate
+        wa, wb, sa, sb, ra, rb = ua - ta, ub - tb, xa - pa, xb - pb, qa - pa, qb - pb
+        ma, mb = wa * sa + 3 * wb * sb, wa * sb + wb * sa
+        m = ra * ra - 3 * rb * rb  # nonzero: sqrt(3) is irrational
+        a, b = ta * m + ma * ra - 3 * mb * rb, tb * m + mb * ra - ma * rb
+        if m < 0:
+            a, b, m = -a, -b, -m
+        if _pair_sign(a - m * na, b - m * nb) >= 0:
+            return k, (a, b, m)
+    return None
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Piecewise-linear server motion, as (time, position) breakpoints.
@@ -605,24 +645,25 @@ class Trajectory:
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
 
-        Bisects to the segment in progress at ``not_before`` and scans the
-        segments from there in time order, all in exact arithmetic.
+        Bisects to the segment in progress at ``not_before``, scales the
+        breakpoints from there, ``loc`` and ``not_before`` to integer pairs
+        and applies the crossing rule (``_pair_visit``).  The time comes
+        back as a breakpoint's own time, ``not_before`` itself, or
+        ``_interpolate`` for a crossing on a moving segment.
         """
-        pts = self.breakpoints
-        k = max(bisect.bisect_right(self._times, not_before) - 1, 0)
-        for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
-            if pa == pb:
-                if pa == loc:
-                    return ta if ta >= not_before else not_before
-            elif min(pa, pb) <= loc <= max(pa, pb):
-                # Monotone segment: unique crossing time.
-                tc = _interpolate(pa, ta, pb, tb, loc)
-                if tc >= not_before:
-                    return tc
-        if pts[-1][1] == loc:
-            tail = pts[-1][0]
-            return tail if tail >= not_before else not_before
-        return None
+        pts = self.breakpoints[max(bisect.bisect_right(self._times, not_before) - 1, 0) :]
+        _, flat = _scaled_pairs([loc, not_before] + [v for bp in pts for v in bp])
+        found = _pair_visit(list(zip(flat[2::2], flat[3::2])), flat[0], flat[1])
+        if found is None:
+            return None
+        k, t = found
+        if t is None:
+            return not_before
+        ta, pa = pts[k]
+        if k + 1 < len(pts) and pts[k + 1][1] != pa:  # a crossing on a moving segment
+            tb, pb = pts[k + 1]
+            return _interpolate(pa, ta, pb, tb, loc)
+        return ta
 
     def truncated(self, t_end) -> "Trajectory":
         """The same motion cut off (and parked) at time ``t_end``."""

@@ -10,11 +10,13 @@ the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
 the committed motion: it scales the schedule's trips and the path's legs
 once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
 b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
-(``PlannedTrips._motion``) and the release game's moves
-(``PlannedTrips.moves``) read one stream of those trips; the closed-form
+(``PlannedTrips._motion``), the release game's moves (``PlannedTrips.moves``)
+and a session's motion in pairs (``CommittedSession.motion``, which the
+witness replay reads) come from one stream of those trips; the closed-form
 completions (``roundtrip_completions``) read the same geometry, with one
-rescale kept per distinct request denominator.  Each converts its pairs
-back once (``core._pair_scalar``).
+rescale kept per distinct request denominator.  The trajectory and the
+completions convert their pairs back once (``core._pair_scalar``); the
+moves and the motion in pairs stay integers.
 """
 
 from __future__ import annotations
@@ -368,11 +370,15 @@ class Strategy(abc.ABC):
         none earlier than one fed before, and reads one completion per fed
         request, in feed order, from ``completions()`` (None where the
         motion never reaches it); the motion cut and parked at ``until``
-        from ``trajectory(until)``; and ``(d, moves)`` from ``moves(lo,
-        beyond)``: the moves ``(ta, pa, tb, pb)`` in integer pairs over
-        ``d`` from the one under way at integer time ``lo``, all those that
-        take the server right of ``beyond >= 0`` included.  The release game
-        needs each move to the right at unit speed."""
+        from ``trajectory(until)``; the same motion in integer pairs from
+        ``motion(until)``: ``(d, pts)``, the breakpoints ``(time,
+        position)`` from ``(0, 0)`` up to ``until >= 0``, each value a pair
+        ``(a, b)`` meaning ``(a + b*sqrt(3))/d``, with the server parked
+        after the last one; and ``(d, moves)`` from ``moves(lo, beyond)``:
+        the moves ``(ta, pa, tb, pb)`` in integer pairs over ``d`` from the
+        one under way at integer time ``lo``, all those that take the
+        server right of ``beyond >= 0`` included.  The release game needs
+        each move to the right at unit speed."""
 
 
 class FixedPathStrategy(Strategy):
@@ -405,6 +411,31 @@ class CommittedSession:
 
     def trajectory(self, until) -> Trajectory:
         return self.planned._motion(until).truncated(until)
+
+    def motion(self, until):
+        """The plan's own moves (``PlannedTrips._trips(0)``) cut at ``until``,
+        in integer pairs.  Every move runs at unit speed, so the cut falls
+        where the move under way at ``until`` has run ``until`` minus its
+        start; an empty path parks at the origin."""
+        d0, moves = 1, ()
+        if self.planned.path.walk.end_time != 0:
+            d0, trips = self.planned._trips(0)
+            moves = (move for trip in trips for move in trip)
+        du, [(ca, cb)] = _scaled_pairs([until])
+        d = math.lcm(d0, du)
+        f, ca, cb = d // d0, ca * (d // du), cb * (d // du)
+        pts = [((0, 0), (0, 0))]
+        if _pair_sign(ca, cb) <= 0:
+            return d, pts
+        for (ta, tb), (pa, pb), (ua, ub), (qa, qb) in moves:
+            if _pair_sign(ua * f - ca, ub * f - cb) < 0:  # the move ends before the cut
+                pts.append(((ua * f, ub * f), (qa * f, qb * f)))
+                continue
+            s = _pair_sign(qa - pa, qb - pb)
+            pts.append(((ca, cb), (pa * f + s * (ca - ta * f), pb * f + s * (cb - tb * f))))
+            return d, pts
+        pts.append(((ca, cb), pts[-1][1]))  # an empty path, parked at the origin
+        return d, pts
 
     def moves(self, lo: int, beyond):
         """``PlannedTrips.moves``; none when the path never goes right of ``beyond``."""
@@ -578,6 +609,12 @@ class ReplanSession:
 
     def trajectory(self, until) -> Trajectory:
         return self._trajectory.truncated(until)
+
+    def motion(self, until):
+        """``trajectory(until)``, scaled to integer pairs."""
+        pts = self.trajectory(until).breakpoints
+        d, flat = _scaled_pairs([v for bp in pts for v in bp])
+        return d, list(zip(flat[::2], flat[1::2]))
 
     def moves(self, lo: int, beyond):
         """The motion so far from the leg under way at ``lo``, all of it."""

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linetrp import adversary, online, simulator
+from linetrp import adversary, core, online, simulator
 from linetrp.adversary import (
     GameConfig,
     GameTranscript,
@@ -20,7 +20,14 @@ from linetrp.adversary import (
     play_lowerbound_game,
     verify_witness,
 )
-from linetrp.core import LineSegment, Trajectory, _interpolate, _scaled_pairs, make_instance
+from linetrp.core import (
+    LineSegment,
+    Trajectory,
+    _interpolate,
+    _pair_scalar,
+    _scaled_pairs,
+    make_instance,
+)
 from linetrp.offline import Tour, distance_arrival_floor, optimal_latency_tour
 from linetrp.online import (
     FixedPathStrategy,
@@ -165,6 +172,68 @@ def test_verify_witness_does_not_trust_the_closed_form(monkeypatch):
     transcript = play_lowerbound_game(strategy, GameConfig(ratio_target=F(100)))
     assert transcript.witness is not None
     assert not verify_witness(strategy, transcript)
+
+
+@pytest.mark.parametrize("strategy", COMMITTED, ids=lambda s: f"{s.name}-{s.alpha}")
+def test_a_committed_witness_replay_builds_no_scalar(strategy, monkeypatch):
+    """``verify_witness`` replays a committed witness on the plan's own
+    moves in integer pairs: it builds no trajectory (``PlannedTrips._motion``),
+    cuts none (``Trajectory.truncated``) and converts no pair back to a
+    scalar (``core._pair_scalar``)."""
+    transcript = play_lowerbound_game(strategy)
+    assert transcript.witness is not None
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(PlannedTrips, "_motion", counted("_motion", PlannedTrips._motion))
+    monkeypatch.setattr(Trajectory, "truncated", counted("truncated", Trajectory.truncated))
+    to_scalar = counted("_pair_scalar", core._pair_scalar)
+    for module in (core, online, adversary):  # wherever a module binds the name
+        monkeypatch.setattr(module, "_pair_scalar", to_scalar, raising=False)
+    assert verify_witness(strategy, transcript)
+    assert calls == []
+
+
+def _in_scalars(d, pts):
+    return [(_pair_scalar(*t, d), _pair_scalar(*p, d)) for t, p in pts]
+
+
+def test_a_committed_motion_is_its_trajectory_in_pairs():
+    """A committed session's ``motion(until)`` cuts the plan's moves in
+    integer pairs; its breakpoints are those of ``trajectory(until)``, value
+    for value, on random plans, cut at 0, at a breakpoint, between two and
+    at a surd time.  An empty path parks at the origin."""
+    rng = random.Random(2027)
+    for case in range(300):
+        planned = random_plan(rng) if case else PlannedTrips(Tour(()), RoundTripSchedule())
+        session = online.CommittedSession(planned)
+        pts = session.trajectory(4 * planned.path.walk.end_time + 10).breakpoints
+        until = rng.choice([
+            F(0),
+            F(rng.randint(0, 400), rng.randint(1, 12)),
+            rng.choice(pts)[0],
+            QS(F(rng.randint(0, 40), 4), F(rng.randint(1, 8), 4)),
+        ])
+        motion = _in_scalars(*session.motion(until))
+        assert motion == list(session.trajectory(until).breakpoints), (case, planned, until)
+
+
+def test_a_replan_motion_is_its_trajectory_in_pairs():
+    """The replanner's ``motion(until)`` is its ``trajectory(until)`` scaled,
+    waits, surd cut points and the parked end included."""
+    session = GreedyReplan().start(VisibleInfo(LineSegment(F(-3), F(10)), None))
+    session.on_arrivals([(F(2), F(0)), (F(-1, 3), F(0))])
+    session.on_arrivals([(F(5), F(9)), (F(5), F(20))])
+    last = max(session.completions())
+    for until in (F(0), F(1, 3), F(7), F(9), QS(F(1), F(2)), last, last + 5):
+        motion = _in_scalars(*session.motion(until))
+        assert motion == list(session.trajectory(until).breakpoints), until
 
 
 def test_transcript_log_is_reproducible():
@@ -372,6 +441,9 @@ class _ParkedSession:
     def trajectory(self, until):
         return self._motion.truncated(until)
 
+    def motion(self, until):
+        return _as_motion(self.trajectory(until))
+
     def moves(self, lo, beyond):
         return _as_moves(self._motion)
 
@@ -390,6 +462,46 @@ def test_a_request_never_reached_raises_coverage_error(strategy, missed):
     fails a fresh run of the released instance."""
     with pytest.raises(CoverageError, match=f"^{missed}$"):
         play_lowerbound_game(strategy, GameConfig(max_steps=5))
+
+
+class _EmptyPath(FixedPathStrategy):
+    """A committed plan over no path: it parks at the origin."""
+
+    name = "empty-path"
+
+    def plan(self, info):
+        return PlannedTrips(Tour(()), RoundTripSchedule())
+
+
+def _claimed(strategy, requests, index, target):
+    """A transcript that claims request ``index`` of ``requests``, each
+    ``(location, arrival)``, as its witness at ``ratio_target`` ``target``.
+    ``verify_witness`` reads only the instance, the index and the target."""
+    cfg = GameConfig(ratio_target=target)
+    instance = make_instance(cfg.line, [(loc, loc, arr) for loc, arr in requests])
+    loc, arr = requests[index]
+    witness = Witness(index, loc, arr, None, distance_arrival_floor(loc, arr), None, 0)
+    return GameTranscript(strategy.name, cfg, instance, (), witness, F(1), ())
+
+
+@pytest.mark.parametrize(
+    "strategy, requests",
+    [
+        (_Parked(), [(F(0), F(2))]),
+        (_EmptyPath(), [(F(0), F(2))]),
+        (GreedyReplan(), [(F(2), F(0)), (F(2), F(5))]),
+    ],
+    ids=["parked", "empty-path", "greedy"],
+)
+@pytest.mark.parametrize("target, late", [(F(3), False), (F(1), False), (F(1, 2), True)])
+def test_a_witness_where_the_motion_parks(strategy, requests, target, late):
+    """The claimed request is released where the motion has parked, so it
+    is served on arrival, at its floor: the claim holds exactly when the
+    deadline, ``target`` times the floor, comes before it.  With a target
+    of 1 or below the motion is cut at or before the arrival, so only its
+    parked tail can serve the request."""
+    transcript = _claimed(strategy, requests, len(requests) - 1, target)
+    assert verify_witness(strategy, transcript) is late
 
 
 @pytest.mark.parametrize("strategy", [GreedyReplan(), HalflineRoundTrips()], ids=["greedy", "halfline"])
@@ -837,6 +949,14 @@ def _as_moves(traj):
     pts = traj.breakpoints
     d, flat = _scaled_pairs([v for bp in pts for v in bp])
     return d, zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
+
+
+def _as_motion(traj):
+    """The breakpoints of ``traj`` in integer pairs over one ``d``, as
+    ``motion(until)`` gives them."""
+    pts = traj.breakpoints
+    d, flat = _scaled_pairs([v for bp in pts for v in bp])
+    return d, list(zip(flat[::2], flat[1::2]))
 
 
 def _scan_outcome(found):

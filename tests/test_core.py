@@ -26,6 +26,8 @@ from linetrp.core import (
 from linetrp.offline import canonical_tour
 from linetrp.online import QuadraticScalar, RoundTripSchedule, roundtrip_trajectory
 
+from scalar_service import reference_first_service_time
+
 
 def _oracle_first_service(breakpoints, loc, not_before=F(0)):
     """Independent reference for Trajectory.first_service_time.
@@ -380,6 +382,74 @@ def test_first_service_time_matches_oracle_on_surd_round_trips(line, rel, start)
     if got is not None:
         assert str(got) == str(expected)
         assert traj.position_at(got) == loc
+
+
+_STEPS = st.one_of(
+    st.fractions(min_value=F(1, 4), max_value=F(3), max_denominator=8),
+    st.builds(
+        QuadraticScalar,
+        st.fractions(min_value=0, max_value=2, max_denominator=4),
+        st.fractions(min_value=F(1, 4), max_value=1, max_denominator=4),
+    ),
+)
+_SPEEDS = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1)]),  # waits and unit-speed moves
+    st.fractions(min_value=-1, max_value=1, max_denominator=4),
+)
+
+
+@st.composite
+def _visits(draw):
+    """A motion with rational and surd breakpoints, waits and moves at
+    any speed up to 1; a location at a breakpoint, at the parked end, on a
+    segment or anywhere; and a not-before time at 0, at a breakpoint,
+    inside a segment or after the end."""
+    t = p = F(0)
+    pts = [(t, p)]
+    for _ in range(draw(st.integers(0, 5))):
+        dt = draw(_STEPS)
+        t, p = t + dt, p + draw(_SPEEDS) * dt
+        pts.append((t, p))
+    traj = Trajectory(tuple(pts))
+    k = draw(st.integers(0, len(pts) - 1))
+    (tk, pk), (tn, _) = pts[k], pts[min(k + 1, len(pts) - 1)]
+    part = draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+    loc = draw(st.sampled_from([
+        pk,
+        pts[-1][1],
+        traj.position_at(tk + part * (tn - tk)),
+        draw(st.fractions(min_value=-4, max_value=4, max_denominator=4)),
+    ]))
+    k = draw(st.integers(0, len(pts) - 1))
+    (tk, _), (tn, _) = pts[k], pts[min(k + 1, len(pts) - 1)]
+    not_before = draw(st.sampled_from([0, F(0), tk, tk + part * (tn - tk), pts[-1][0] + part + 1]))
+    return traj, loc, not_before
+
+
+@given(_visits())
+@settings(max_examples=300, deadline=None)
+def test_the_pair_crossing_rule_is_the_scalar_scan(case):
+    """``first_service_time`` (the pair rule ``_pair_visit`` and its
+    wrapper) equals the old scalar scan in value, type and printed form, and
+    returns the same object where that is a breakpoint's time or
+    ``not_before``.  The rule itself, on the whole motion in pairs, finds
+    the same time on a segment that holds it."""
+    traj, loc, not_before = case
+    expected = reference_first_service_time(traj, loc, not_before)
+    got = traj.first_service_time(loc, not_before)
+    assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
+    pts = traj.breakpoints
+    if any(expected is t for t in [not_before] + [t for t, _ in pts]):
+        assert got is expected
+    d, flat = core._scaled_pairs([loc, not_before] + [v for bp in pts for v in bp])
+    found = core._pair_visit(list(zip(flat[2::2], flat[3::2])), flat[0], flat[1])
+    if expected is None:
+        assert found is None
+    else:
+        k, t = found
+        at = not_before if t is None else QuadraticScalar(F(t[0], t[2] * d), F(t[1], t[2] * d))
+        assert at == expected
+        assert pts[k][0] <= expected and (k + 1 == len(pts) or expected <= pts[k + 1][0])
 
 
 _sum_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
