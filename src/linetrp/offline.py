@@ -7,10 +7,15 @@ visit list into one in a single pass.  ``Tour.first_visit`` reads a
 point's first-visit arc length off the tour's walk, with no division.  The
 latency optimum is computed two independent ways: an interval dynamic
 program (used everywhere) and a Held-Karp exhaustive search over every
-service order (used as a cross-check oracle on small inputs).  Both scale the
-rational locations once to integers over their common denominator; they
-share no other code.  The DP counts repeats and sorts those integers, so it
-never hashes or orders a ``Fraction``.  Its states are (interval around the
+service order (used as a cross-check oracle on small inputs).  Both refuse a
+surd location with the same ``TypeError`` (``_rational_locations``) and
+scale the rational locations once to integers over their common
+denominator; they share no other code.  The search runs in pull form over
+(set of served points, last point served): a set's full row of costs by last
+point is filled member by member, each with one C-level minimum over the row
+of the set without it, and the walk back recomputes predecessors instead of
+storing them.  The DP counts repeats and sorts those integers, so it never
+hashes or orders a ``Fraction``.  Its states are (interval around the
 origin, end it stands at), each holding one int key that orders exactly as
 its (cost, turns, first move) tuple.  The origin's own row and column, where
 one end is unreachable, are filled apart, so the loop over the other
@@ -28,6 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
+from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import Request, Scalar, Trajectory, _exact, _exact_sum
@@ -126,6 +132,15 @@ def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
 # --- exact latency optimum ----------------------------------------------------
 
 
+def _rational_locations(points: Iterable[Scalar]) -> List[Fraction]:
+    """The points as exact locations; a surd raises ``TypeError``."""
+    locations = [_exact(p, "location") for p in points]
+    for p in locations:
+        if not isinstance(p, Fraction):
+            raise TypeError(f"location must be rational, got {p!r}")
+    return locations
+
+
 def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     """Minimum-latency service walk over the given rational locations (with
     repeats).
@@ -149,10 +164,7 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     column (to the left) are filled before the other intervals; the end a
     walk cannot stand at there holds an int larger than every key.
     """
-    locations = [_exact(p, "location") for p in points]
-    for p in locations:
-        if not isinstance(p, Fraction):
-            raise TypeError(f"location must be rational, got {p!r}")
+    locations = _rational_locations(points)
     scale = lcm(*[p.denominator for p in locations])
     weights = Counter([p.numerator * (scale // p.denominator) for p in locations])
     del weights[0]  # a Counter ignores a missing key
@@ -228,49 +240,61 @@ def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scala
     """Exhaustive latency optimum over every service order (Held-Karp).
 
     Independent of the dynamic program above: its states are (set of served
-    points, last point served), not intervals around the origin.  Positions
-    are scaled to integers over a common denominator; each move costs its
-    distance times the number of requests still waiting, the one it reaches
-    included.  The winning order is then re-costed exactly.  Returns
-    (total, order).
+    points, last point served), not intervals around the origin.  Locations
+    must be rational; they are scaled to integers over a common denominator.
+    A move costs its distance times the number of requests still waiting,
+    the one it reaches included.  The search pulls: each set holds a full
+    row of costs by last point, ``never`` (above every real cost) for the
+    points outside it, and each member's cost is one C-level minimum of the
+    row of the set without it plus the cost of each move into the member.
+    No predecessor table is kept: the walk back takes, at each state, the
+    first predecessor that gives its cost, so ties go to the smallest index,
+    as does the choice of the last point.  The order found is then re-costed
+    exactly.  Returns (total, order).
     """
-    pts = sorted(p for p in (_exact(q, "location") for q in points) if p != 0)
+    pts = sorted([p for p in _rational_locations(points) if p != 0])
     n = len(pts)
     if n == 0:
         return _ZERO, ()
     if n > max_n:
         raise ValueError(f"brute force capped at {max_n} non-origin points, got {n}")
 
-    scale = lcm(*(p.denominator for p in pts))
-    ints = [int(p * scale) for p in pts]
+    scale = lcm(*[p.denominator for p in pts])
+    ints = [p.numerator * (scale // p.denominator) for p in pts]
+    # step[w][j][i]: the cost of moving from point i to point j with w
+    # requests waiting
+    dist = [[abs(xi - xj) for xi in ints] for xj in ints]
+    step = [None] + [[[w * d for d in row] for row in dist] for w in range(1, n + 1)]
+    # n moves: the first costs at most n*|x|, each other at most n*span
+    never = n * sum(map(abs, ints)) + n * n * (ints[-1] - ints[0]) + 1
     # cost[mask][last]: cheapest way to serve exactly the points in `mask`,
-    # ending at `last`; back[mask][last]: the point served just before it
-    cost: List[List[Optional[int]]] = [[None] * n for _ in range(1 << n)]
-    back = [[-1] * n for _ in range(1 << n)]
-    for i, x in enumerate(ints):
-        cost[1 << i][i] = abs(x) * n
-    for mask in range(1, 1 << n):
-        waiting = n - bin(mask).count("1")
-        for last, c in enumerate(cost[mask]):
-            if c is None:
-                continue
-            x = ints[last]
-            for nxt in range(n):
-                bit = 1 << nxt
-                if mask & bit:
-                    continue
-                step = c + abs(ints[nxt] - x) * waiting
-                cur = cost[mask | bit][nxt]
-                if cur is None or step < cur:
-                    cost[mask | bit][nxt] = step
-                    back[mask | bit][nxt] = last
+    # ending at `last`; members[mask]: the points in `mask`, in index order
+    full = (1 << n) - 1
+    cost = [None] * (full + 1)
+    members = [[]] + [None] * full
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        mem = members[mask] = [low.bit_length() - 1, *members[rest]]
+        row = [never] * n
+        if rest:
+            moves = step[n + 1 - len(mem)]
+            for j in mem:
+                row[j] = min(map(add, cost[mask ^ (1 << j)], moves[j]))
+        else:
+            row[mem[0]] = abs(ints[mem[0]]) * n
+        cost[mask] = row
 
-    mask = (1 << n) - 1
-    best_scaled, last = min((c, i) for i, c in enumerate(cost[mask]))
-    rev: List[Scalar] = []
-    while mask:
+    # walk back from the cheapest full state: before each state, the first
+    # point whose cost plus the move into the state gives the state's cost
+    mask, best_scaled = full, min(cost[full])
+    last = cost[full].index(best_scaled)
+    key, rev = best_scaled, [pts[last]]
+    for w in range(1, n):
+        mask ^= 1 << last
+        last = list(map(add, cost[mask], step[w][last])).index(key)
+        key = cost[mask][last]
         rev.append(pts[last])
-        mask, last = mask ^ (1 << last), back[mask][last]
     order = tuple(reversed(rev))
 
     t = _ZERO

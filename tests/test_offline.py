@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +300,78 @@ def test_dp_matches_brute_force_on_larger_sets():
         _, dp_total = optimal_latency_tour(pts)
         brute_total, _ = brute_force_latency(pts, max_n=12)
         assert dp_total == brute_total, pts
+
+
+def test_brute_force_refuses_a_surd_like_the_dp():
+    for solve in (optimal_latency_tour, brute_force_latency):
+        with pytest.raises(TypeError, match="location must be rational"):
+            solve([SQRT3, F(1)])
+
+
+def _latency(order):
+    """Sum of completion times of serving ``order`` from the origin, in Fractions."""
+    t = pos = total = F(0)
+    for p in order:
+        t += abs(p - pos)
+        pos = p
+        total += t
+    return total
+
+
+def test_brute_force_matches_every_permutation():
+    """Seeded sets of up to 7 points on both sides of the origin, with
+    repeats and points at 0, and a few with magnitudes and denominators up
+    to 10**40 (a cap on costs that is too small picks a wrong order there):
+    the total is the permutation minimum, and the order serves every
+    non-origin point once and re-costs to the total."""
+    rng = random.Random(20261021)
+    sets = []
+    for k in range(64):
+        n = k % 8
+        denom = (1, 3, 16, 1000)[k % 4]
+        pts = [F(rng.randint(-6 * denom, 6 * denom), denom) for _ in range(n)]
+        for i in range(1, n):
+            if rng.random() < 0.2:
+                pts[i] = rng.choice(pts[:i])
+        sets.append(pts)
+    for n in (2, 4, 6, 7):
+        sets.append([F(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40)) for _ in range(n)])
+    sets.append([F(10**40), F(-(10**40), 3), F(1, 10**40), F(0), F(10**40)])
+    for pts in sets:
+        total, order = brute_force_latency(pts)
+        assert total == min(map(_latency, permutations(pts))), pts
+        assert sorted(order) == sorted(p for p in pts if p != 0)
+        assert _latency(order) == total
+
+
+def _tie_sets():
+    """300 seeded sets built to tie: mirror pairs +-x, repeated locations
+    and points at the origin, with n = 1-9 non-origin points, and six sets
+    of 10-12 searched with ``max_n=12``."""
+    rng = random.Random(20261020)
+    for k in range(300):
+        denom = (1, 3, 16, 1000)[k % 4]
+        n = 10 + k // 100 if k % 50 == 0 else 1 + k % 9
+        xs = [rng.randint(1, rng.choice((2, 3, 5)) * denom) for _ in range((n + 1) // 2)]
+        pts = [F(s * x, denom) for x in xs for s in (1, -1)][:n]
+        for i in range(1, n):
+            if rng.random() < 0.2:
+                pts[i] = rng.choice(pts[:i])
+        pts += [F(0)] * rng.choice((0, 0, 1, 2))
+        rng.shuffle(pts)
+        yield pts, max(n, 9)
+
+
+def test_brute_force_orders_digest():
+    """Totals and orders, type and printed form, over sets built to tie hash
+    to a constant recorded before the search took its pull form: `oracle
+    --brute` prints the order when its cross-check fails, so how ties break
+    is part of the interface."""
+    digest = hashlib.sha256()
+    for pts, max_n in _tie_sets():
+        total, order = brute_force_latency(pts, max_n=max_n)
+        digest.update(repr([(type(v).__name__, str(v)) for v in (total, *order)]).encode())
+    assert digest.hexdigest() == "c38ec05e62a5f1e62441b60378e8cbf118bdf5d64051f35173b50a4e3845c186"
 
 
 def test_import_loads_no_third_party_module():
