@@ -645,23 +645,34 @@ class Trajectory:
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
 
-        Bisects to the segment in progress at ``not_before``, scales the
-        breakpoints from there, ``loc`` and ``not_before`` to integer pairs
-        and applies the crossing rule (``_pair_visit``).  The time comes
-        back as a breakpoint's own time, ``not_before`` itself, or
-        ``_interpolate`` for a crossing on a moving segment.
+        Bisects to the segment in progress at ``not_before`` and scans on
+        from there in windows of 2, 4, 8, ... breakpoints, each overlapping
+        the next by one: a window, ``loc`` and ``not_before`` are scaled to
+        integer pairs and the crossing rule (``_pair_visit``) runs on it, so
+        an early visit scales only the breakpoints near it.  The rule reads
+        a window's last breakpoint as parked, and that is still a true visit:
+        it lies after ``not_before``, and a segment ending there is tested
+        first.  The time comes back as a breakpoint's own time,
+        ``not_before`` itself, or ``_interpolate`` for a crossing on a
+        moving segment.
         """
-        pts = self.breakpoints[max(bisect.bisect_right(self._times, not_before) - 1, 0) :]
-        _, flat = _scaled_pairs([loc, not_before] + [v for bp in pts for v in bp])
-        found = _pair_visit(list(zip(flat[2::2], flat[3::2])), flat[0], flat[1])
-        if found is None:
-            return None
+        pts, size = self.breakpoints, 2
+        start = max(bisect.bisect_right(self._times, not_before) - 1, 0)
+        while True:
+            window = pts[start : start + size]
+            _, flat = _scaled_pairs([loc, not_before] + [v for bp in window for v in bp])
+            found = _pair_visit(list(zip(flat[2::2], flat[3::2])), flat[0], flat[1])
+            if found is not None:
+                break
+            if start + size >= len(pts):
+                return None
+            start, size = start + size - 1, 2 * size
         k, t = found
         if t is None:
             return not_before
-        ta, pa = pts[k]
-        if k + 1 < len(pts) and pts[k + 1][1] != pa:  # a crossing on a moving segment
-            tb, pb = pts[k + 1]
+        ta, pa = window[k]
+        if k + 1 < len(window) and window[k + 1][1] != pa:  # a crossing on a moving segment
+            tb, pb = window[k + 1]
             return _interpolate(pa, ta, pb, tb, loc)
         return ta
 

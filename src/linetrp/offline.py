@@ -16,12 +16,11 @@ point is filled member by member, each with one C-level minimum over the row
 of the set without it, and the walk back recomputes predecessors instead of
 storing them.  The DP counts repeats and sorts those integers, so it never
 hashes or orders a ``Fraction``.  Its states are (interval around the
-origin, end it stands at), each holding one int key that orders exactly as
-its (cost, turns, first move) tuple.  The origin's own row and column, where
-one end is unreachable, are filled apart, so the loop over the other
-intervals relaxes both ends with no test for a missing state.  The table
-holds keys only: the walk back finds each turn by recomputing the state's
-straight-on key, and the DP's tour is the walk it found, its turns alone.
+origin, end it stands at), each keyed by one int that orders exactly as its
+(cost, turns, first move) tuple and stored less a potential that makes going
+straight on free: a relaxation costs one multiply, and the walk back turns
+where a stored value differs from its straight-on predecessor's.  The DP's
+tour is the walk it found, its turns alone.
 """
 
 from __future__ import annotations
@@ -158,11 +157,22 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
 
     Each state's (cost, turns, first_move_right) is packed into the int
     ``(cost*(m+1) + turns)*2 + first`` over the ``m`` distinct positions, the
-    origin included.  A walk makes fewer than ``m`` turns and ``first`` is 0
-    or 1, so comparing keys compares the tuples: one int comparison per
-    relaxation.  The origin's row (walks that left it to the right) and its
-    column (to the left) are filled before the other intervals; the end a
-    walk cannot stand at there holds an int larger than every key.
+    origin included; a step adds its length times the requests still waiting
+    (the one it reaches included) times ``unit = 2*(m+1)``, a turn 2.  The
+    table stores keys in potential form: over the sorted positions ``x``
+    (origin at ``o``), with ``P_i``, ``O_j`` the requests waiting left of
+    ``x_i`` and right of ``x_j`` times ``unit``, a walk over ``x_i..x_j``
+    stores its key less ``D_i - x_i*O_j`` standing at ``x_i`` and less
+    ``C_j + x_j*P_i`` at ``x_j`` (``D``, ``C``: what walking straight out
+    there costs the requests on that side, 0 at ``o``).  Going straight on
+    keeps the stored value; a turn back costs one multiply:
+    ``L(i,j) = min(L(i+1,j), R(i+1,j) + 2*P_{i+1}*x_j + HL_j + gL_i)`` and
+    ``R(i,j) = min(R(i,j-1), L(i,j-1) - 2*x_i*O_{j-1} + HR_j + gR_i)``, with
+    ``HL_j = C_j + x_j*O_j + 2``, ``HR_j = x_j*O_{j-1} - C_j + 2``,
+    ``gL_i = -x_i*P_{i+1} - D_i`` and ``gR_i = D_i - x_i*P_i``.  Potentials
+    are multiples of ``unit``, shared by a state's candidates and at least 0
+    (``x <= 0`` left of the origin), so stored values compare as the keys do
+    and none exceeds its key.
     """
     locations = _rational_locations(points)
     scale = lcm(*[p.denominator for p in locations])
@@ -174,66 +184,56 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     at = sorted([0, *weights])
     prefix = list(accumulate([weights[x] for x in at], initial=0))
     m, o = len(at), at.index(0)
-    # best[side][i][j - o] is the key of the cheapest walk that has covered
-    # at[i..j] and stands at at[i] (side 0) or at[j] (side 1).  A step adds
-    # its length times the requests still waiting (the one it reaches
-    # included) times `unit`; a turn adds 2.  No walk stands at the origin's
-    # end after leaving it: those states hold `never`, above every key (fewer
-    # than m steps, none longer than the span, at most prefix[m] waiting).
     unit = 2 * (m + 1)
+    # above every key (fewer than m steps, none longer than the span, at most
+    # prefix[m] waiting), so above every stored value: an end no walk stands at
     never = (prefix[m] * (at[-1] - at[0]) * m + 1) * unit
-    out = [(prefix[m] - prefix[j + 1]) * unit for j in range(o, m)]  # waiting right of at[j]
-    best = [[None] * (o + 1) for _ in (0, 1)]
-    # the origin's row: the first move goes straight on from the origin's side
-    # of its direction, which records that direction (key 1 is first move
-    # right); turning back out of the origin loses on turns
-    row = [1]
+    # the columns right of the origin, in one pass: (x_j, O_{j-1}, HL_j, HR_j)
+    cols, c = [], 0
+    wait = (prefix[m] - prefix[o + 1]) * unit
     for j in range(o + 1, m):
-        row.append(row[-1] + (at[j] - at[j - 1]) * (prefix[o] * unit + out[j - o - 1]))
-    best[0][o], best[1][o] = [0] + [never] * (m - o - 1), row
-    cols = list(zip(at[o + 1 :], [at[j] - at[j - 1] for j in range(o + 1, m)], out[1:], out))
+        xj, wait_before = at[j], wait
+        c += (xj - at[j - 1]) * wait_before
+        wait = (prefix[m] - prefix[j + 1]) * unit
+        cols.append((xj, wait_before, c + xj * wait + 2, xj * wait_before - c + 2))
+    # best[side][i][j - o]: the cheapest walk over at[i..j] standing at at[i]
+    # (side 0) or at[j] (side 1); the origin's row is 1 (first move right), its column 0
+    best = [[None] * o + [[0] + [never] * (m - o - 1)], [None] * o + [[1] * (m - o)]]
+    d = 0
     for i in range(o - 1, -1, -1):
-        xi, dl = at[i], at[i + 1] - at[i]
-        here, before = prefix[i + 1] * unit, prefix[i] * unit  # waiting left of at[i+1], at[i]
-        ln, rn = best[0][i + 1], best[1][i + 1]
-        # the origin's column: straight on from the right, standing at at[i]
-        left, right = ln[0] + dl * (here + out[0]), never
-        lrow, rrow = [left], [never]
-        for (xj, gap, wait, wait_before), lnj, rnj in zip(cols, ln[1:], rn[1:]):
-            span = xj - xi
-            # right end at[j]: straight on from at[j-1] unless turning back from at[i] is cheaper
-            w = before + wait_before
-            step, turn = right + gap * w, left + span * w + 2
-            right = turn if turn < step else step
-            # left end at[i]: straight on from at[i+1] unless turning back from at[j] is cheaper
-            w = here + wait
-            step, turn = lnj + dl * w, rnj + span * w + 2
-            left = turn if turn < step else step
+        xi = at[i]
+        here, before = prefix[i + 1] * unit, prefix[i] * unit  # P_{i+1}, P_i
+        d += (at[i + 1] - xi) * here
+        g_left, g_right, twice_here, twice_x = -xi * here - d, d - xi * before, 2 * here, 2 * xi
+        left, right = 0, never
+        lrow, rrow = [0], [never]
+        for (xj, wait_before, hl, hr), lnj, rnj in zip(cols, best[0][i + 1][1:], best[1][i + 1][1:]):
+            turn = left - twice_x * wait_before + hr + g_right
+            if turn < right:
+                right = turn
+            turn = rnj + twice_here * xj + hl + g_left
+            left = turn if turn < lnj else lnj
             lrow.append(left)
             rrow.append(right)
         best[0][i], best[1][i] = lrow, rrow
 
-    key, side = min((best[0][0][-1], 0), (best[1][0][-1], 1))
-    cost = key // unit
-    # walk back towards the origin, keeping the final end and each end turned
-    # back from.  A state's key differs from the key of going straight on
-    # into it exactly when turning back was cheaper, so the walk turns there.
-    # In the origin's row and column the walk goes straight on, so the walk
-    # back stops when it reaches either.
+    # the corners back in keys: add D_0 at the left end, C_{m-1} at the right
+    key, side = min((best[0][0][-1] + d, 0), (best[1][0][-1] + c, 1))
+    # walk back to the origin's row or column, keeping the final end and each end
+    # turned back from: where a stored value differs from its straight-on predecessor's
     i, j = 0, m - 1
+    value = best[side][i][j - o]
     turns = [at[j] if side else at[i]]
     while i < o < j:
         if side:
             j -= 1
-            dist = at[j + 1] - at[j]
         else:
             i += 1
-            dist = at[i] - at[i - 1]
-        if key != best[side][i][j - o] + dist * (prefix[i] * unit + out[j - o]):
+        if best[side][i][j - o] != value:
             side ^= 1
             turns.append(at[j] if side else at[i])
-        key = best[side][i][j - o]
-    return Tour(tuple([Fraction(x, scale) for x in reversed(turns)])), Fraction(cost, scale)
+            value = best[side][i][j - o]
+    return Tour(tuple([Fraction(x, scale) for x in reversed(turns)])), Fraction(key // unit, scale)
 
 
 def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scalar, Tuple[Scalar, ...]]:

@@ -274,6 +274,32 @@ def test_first_service_time_from_a_breakpoint_a_wait_and_past_the_end():
     assert traj.first_service_time(F(1), F(9)) is None
 
 
+def test_an_early_visit_scales_only_the_breakpoints_near_it(monkeypatch):
+    """The scan scales its motion in doubling windows, so a visit near
+    ``not_before`` on a long motion scales a few breakpoints, not the whole
+    tail, and a query that finds no visit scales each breakpoint about once."""
+    traj = roundtrip_trajectory(canonical_tour((F(-5), F(7))), RoundTripSchedule(), F(2000))
+    pts = traj.breakpoints
+    assert len(pts) == 243
+    scaled, real = [], core._scaled_pairs
+
+    def counting(values):
+        scaled.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(core, "_scaled_pairs", counting)
+    for loc, not_before in ((F(1, 3), 0), (F(1, 3), pts[120][0]), (F(7), pts[200][0])):
+        scaled.clear()
+        got = traj.first_service_time(loc, not_before)
+        # windows of 2, 4 and 8 breakpoints at most, where the whole tail is 2 * 243 values
+        assert sum(scaled) <= 50
+        assert got == reference_first_service_time(traj, loc, not_before)
+    scaled.clear()
+    assert traj.first_service_time(F(100)) is None
+    # every breakpoint once, the one each window shares with the next twice
+    assert sum(scaled) == 2 * len(scaled) + 2 * (len(pts) + len(scaled) - 1)
+
+
 def test_truncated():
     traj = Trajectory(((F(0), F(0)), (F(2), F(2)), (F(4), F(0))))
     cut = traj.truncated(F(3))

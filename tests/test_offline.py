@@ -207,6 +207,32 @@ def test_optimal_latency_digest_large():
     assert digest.hexdigest() == "4db0be6b7f12ff0ee3d5a05061e18055b15bfc54b2d7da574fbe6518ad57c441"
 
 
+def test_dp_scales_and_reflects_with_its_input():
+    """Metamorphic relations that need no recorded value, on 400 seeded sets
+    of n = 1-200 (a third on one side of the origin, repeats, denominators
+    1/3/1000).  Scaling every location by a positive rational c scales every
+    cost by c and changes no turn count or first move, so the tour's turning
+    points and the total scale by exactly c.  Reflecting x to -x maps every
+    walk to its mirror, so the total stays (the tie-break towards a first
+    move left may pick another tour)."""
+    rng = random.Random(20261020)
+    for k in range(400):
+        n = 1 + k * 199 // 399
+        denom = (1, 3, 1000)[k % 3]
+        span = rng.choice((4, 30, 400)) * denom
+        lo, hi = {1: (0, span), 2: (-span, 0)}.get(k % 6, (-span, span))
+        pts = [F(rng.randint(lo, hi), denom) for _ in range(n)]
+        for i in range(1, n):
+            if rng.random() < 0.1:
+                pts[i] = rng.choice(pts[:i])
+        tour, total = optimal_latency_tour(pts)
+        c = F(rng.randint(1, 60), rng.randint(1, 60))
+        scaled_tour, scaled_total = optimal_latency_tour([c * p for p in pts])
+        assert scaled_tour.turning_points == tuple([c * t for t in tour.turning_points]), k
+        assert scaled_total == c * total, k
+        assert optimal_latency_tour([-p for p in pts])[1] == total, k
+
+
 def test_dp_returns_the_walk_it_found(monkeypatch):
     """The walk back through the table keeps the turns as it finds them; the
     tour is never re-collapsed."""

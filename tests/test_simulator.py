@@ -228,6 +228,33 @@ def test_greedy_is_latency_optimal_when_everything_arrives_at_zero(seed, n):
     assert result.on_sum == dp_total
 
 
+def test_permuting_the_requests_permutes_the_completions():
+    """A metamorphic relation that needs no recorded value: every strategy
+    sees the requests as a set, so feeding them in another order gives each
+    request the same completion, value and printed form.  240 seeded
+    instances with repeated locations and arrivals, 108 of them on a half
+    line (the only ones ``halfline`` serves); robust runs with the
+    instance's own error bound."""
+    rng = random.Random(20261020)
+    for k in range(240):
+        halfline = k % 20 < 9
+        line = LineSegment(F(0), F(6)) if halfline else LineSegment(F(-4), F(5))
+        delta = F(rng.randint(0, 4), 8)
+        denom = rng.choice((1, 2, 8))
+        inst = perturbed_instance(rng, line, rng.randint(1, 7), delta, max_arrival=12, denom=denom)
+        order = list(range(len(inst.requests)))
+        rng.shuffle(order)
+        reqs = inst.requests
+        shuffled = make_instance(line, [(reqs[i].predicted, reqs[i].actual, reqs[i].arrival) for i in order])
+        for name in online.STRATEGY_NAMES:
+            if name == "halfline" and not halfline:
+                continue
+            strategy = make_strategy(name, delta=delta)
+            before = run(inst, strategy).completions
+            got = run(shuffled, strategy).completions
+            assert [(c, str(c)) for c in got] == [(before[i], str(before[i])) for i in order], (k, name)
+
+
 # --- closed-form completions against the trajectory replay ------------------
 
 
