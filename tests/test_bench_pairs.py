@@ -62,7 +62,7 @@ def test_pairs_alternate_and_summarise(no_subprocess):
     calls = []
     results = bench_pairs.run_pairs("dp-oracle", 0, 4, ("parent", "change"), _canned(calls))
     assert calls == ["parent", "change", "change", "parent", "parent", "change", "change", "parent"]
-    entry = bench_pairs.summarise("dp-oracle", 0, 20, results, BENCHMARK)
+    entry = bench_pairs.summarise("dp-oracle", 0, results, BENCHMARK)
     assert (entry["pairs"], entry["all_correct"]) == (4, True)
     assert entry["attempted"] == {"parent": 1200, "change": 1200}
     ups = entry["metrics"]["units_per_s"]
@@ -93,14 +93,28 @@ def test_a_metric_past_its_bound_fails_the_claim():
 
 def test_the_written_file_passes_the_evidence_checks(no_subprocess, tmp_path):
     results = bench_pairs.run_pairs("dp-oracle", 0, 4, ("parent", "change"), _canned([]))
-    entries = [bench_pairs.summarise("dp-oracle", 0, 20, results, BENCHMARK)]
-    args = SimpleNamespace(seconds=20, note="a canned change", claim=("dp-oracle", "units_per_s"))
-    doc = bench_pairs.document(args, "f15d7aa", entries, "canned machine")
+    entries = [bench_pairs.summarise("dp-oracle", 0, results, BENCHMARK)]
+    args = SimpleNamespace(note="a canned change", claim=("dp-oracle", "units_per_s"))
+    doc = bench_pairs.document(args, "f15d7aa", entries, "canned machine", BENCHMARK)
     assert doc["claim_met"] is False
     path = tmp_path / "BENCH_canned.json"
     path.write_text(json.dumps(doc))
     evidence.test_bench_file_records_how_it_was_measured(path)
     evidence.test_bench_file_has_both_sides_of_every_end_to_end_metric(path)
+
+
+def test_runs_take_the_benchmarks_command_and_length(no_subprocess):
+    """The tool has no run setting of its own: the argv is BENCHMARK.json's
+    command at its ``run_seconds``, and there is no option to change it."""
+    seconds = f"{BENCHMARK['run_seconds']:g}"
+    argv = bench_pairs.perfbench_argv(BENCHMARK, "dp-oracle", 4242)
+    assert argv == [*BENCHMARK["command"], "--workload", "dp-oracle", "--seed", "4242",
+                    "--seconds", seconds, "--trace", "0"]
+    results = bench_pairs.run_pairs("dp-oracle", 0, 1, ("parent", "change"), _canned([]))
+    assert bench_pairs.summarise("dp-oracle", 0, results, BENCHMARK)["seconds"] == BENCHMARK["run_seconds"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD~1", "--slug", "x", "--note", "n", "--run", "dp-oracle,0,1",
+                          "--seconds", "5"])
 
 
 def test_a_run_without_a_result_line_is_refused():

@@ -1,12 +1,14 @@
 """Run perfbench in alternating parent/change pairs and write the evidence file.
 
     python3 tools/bench_pairs.py --parent f15d7aa --change HEAD --slug dp_potentials \\
-        --note "what the change does" --seconds 20 \\
+        --note "what the change does" \\
         --run dp-oracle,0,10 --run dp-oracle,4242,3 --claim dp-oracle:units_per_s
 
 Each side is exported with ``git archive`` into its own temporary directory
-and ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs
-there, so both sides build from their committed files alone.  For each
+and ``BENCHMARK.json``'s ``command`` runs there untraced, as ``command
+--workload W --seed S --seconds T --trace 0`` with ``T`` the benchmark's
+``run_seconds``, so both sides build from their committed files alone and
+the tool has no run setting of its own.  For each
 ``--run workload,seed,pairs`` the pairs alternate which side goes first: the
 parent on even pairs, the change on odd ones.  The last stdout line of each
 run is its JSON result.
@@ -34,7 +36,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 ORDER = (
     "pairs alternate which side runs first (even pairs: parent first); each side runs from "
     "a clean git archive export of its commit"
@@ -89,13 +90,20 @@ def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
     }
 
 
-def summarise(workload: str, seed: int, seconds: float, results, benchmark) -> dict:
+def perfbench_argv(benchmark, workload, seed) -> list:
+    """``benchmark``'s command for one untraced run of ``workload`` on
+    ``seed``, at the benchmark's ``run_seconds``."""
+    return [*benchmark["command"], "--workload", str(workload), "--seed", str(seed),
+            "--seconds", f"{benchmark['run_seconds']:g}", "--trace", "0"]
+
+
+def summarise(workload: str, seed: int, results, benchmark) -> dict:
     """One run spec's entry: ``results`` holds ``(parent, change)`` parsed
     results, one per pair, in pair order."""
     entry = {
         "workload": workload,
         "seed": seed,
-        "seconds": seconds,
+        "seconds": benchmark["run_seconds"],
         "pairs": len(results),
         "all_correct": all(r["correct"] for pair in results for r in pair),
         "failed": {side: sum(pair[k]["failed"] for pair in results) for k, side in enumerate(("parent", "change"))},
@@ -160,25 +168,24 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def perfbench_runner(seconds: float):
-    """A runner that starts ``perfbench/run.py`` in the exported tree."""
+def perfbench_runner(benchmark):
+    """A runner that starts ``benchmark``'s command in the exported tree."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
 
     def run(tree: Path, workload: str, seed: int) -> str:
-        argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", "0"]
+        argv = perfbench_argv(benchmark, workload, seed)
         done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            raise RuntimeError(f"{' '.join(argv[1:])} in {tree} exited {done.returncode}:\n{done.stderr}")
+            raise RuntimeError(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr}")
         return done.stdout
 
     return run
 
 
-def document(args, parent: str, entries, machine: str) -> dict:
+def document(args, parent: str, entries, machine: str, benchmark) -> dict:
     doc = {
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": " ".join(perfbench_argv(benchmark, "W", "S")),
         "machine": machine,
         "parent": parent,
         "change": args.note,
@@ -211,7 +218,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", default="HEAD", help="the commit with the change (default HEAD)")
     p.add_argument("--slug", required=True, help="writes BENCH_<slug>.json at the repository root")
     p.add_argument("--note", required=True, help="what the change does, for the file's 'change' field")
-    p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--run", type=_run_spec, action="append", required=True, metavar="WORKLOAD,SEED,PAIRS")
     p.add_argument("--claim", type=_claim, metavar="WORKLOAD:METRIC")
     p.add_argument("--workdir", help="where the exports go (default: the system's temporary directory)")
@@ -231,7 +237,7 @@ def main(argv=None) -> int:
         "PYTHONDONTWRITEBYTECODE=1"
     )
     out = ROOT / f"BENCH_{args.slug}.json"
-    runner = perfbench_runner(args.seconds)
+    runner = perfbench_runner(benchmark)
     entries = []
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         trees = (Path(tmp) / "parent", Path(tmp) / "change")
@@ -240,8 +246,8 @@ def main(argv=None) -> int:
             export(rev, tree)
         for workload, seed, pairs in args.run:
             results = run_pairs(workload, seed, pairs, trees, runner)
-            entries.append(summarise(workload, seed, args.seconds, results, benchmark))
-            out.write_text(json.dumps(document(args, parent, entries, machine), indent=1) + "\n")
+            entries.append(summarise(workload, seed, results, benchmark))
+            out.write_text(json.dumps(document(args, parent, entries, machine, benchmark), indent=1) + "\n")
             e = entries[-1]
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{name} {m['parent']['median']:.4g} -> {m['change']['median']:.4g} ({m['change_wins']})"
