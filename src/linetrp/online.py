@@ -14,15 +14,17 @@ b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
 and a session's motion in pairs (``CommittedSession.motion``, which the
 witness replay reads) come from one stream of those trips; the closed-form
 completions (``roundtrip_completions``) read the same geometry, with one
-rescale kept per distinct request denominator.  The trajectory and the
-completions convert their pairs back once (``core._pair_scalar``); the
-moves and the motion in pairs stay integers.
+rescale kept per distinct request denominator.  The replanner keeps its
+motion in the same form: breakpoints in integer pairs over one denominator,
+cut and extended as it replans (``_cut``), and handed out as they are by
+its ``motion`` and ``moves``.  The trajectories and the completions convert
+their pairs back once (``core._pair_scalar``); the moves and the motion in
+pairs stay integers.
 """
 
 from __future__ import annotations
 
 import abc
-import bisect
 import functools
 import itertools
 import math
@@ -548,80 +550,115 @@ class RobustPredictionTour(FixedPathStrategy):
         return PlannedTrips(path, RoundTripSchedule(self.alpha, pad=4 * self.delta))
 
 
+def _cut(pts, time) -> None:
+    """Cut the motion ``pts``, breakpoints ``(time, position)`` from ``(0,
+    0)`` in integer pairs with unit-speed moves or waits between them, at
+    ``time`` and park it there, in place: the breakpoints before ``time``
+    stay, and the server stands where the move under way has run ``time``
+    minus its start."""
+    (ca, cb), k = time, len(pts) - 1
+    while k and _pair_sign(pts[k][0][0] - ca, pts[k][0][1] - cb) >= 0:
+        k -= 1
+    (ta, tb), (pa, pb) = pts[k]
+    if k + 1 < len(pts):
+        s = _pair_sign(pts[k + 1][1][0] - pa, pts[k + 1][1][1] - pb)
+        pa, pb = pa + s * (ca - ta), pb + s * (cb - tb)
+    del pts[k + 1 :]
+    if _pair_sign(ca - ta, cb - tb) > 0:
+        pts.append((time, (pa, pb)))
+
+
 class ReplanSession:
-    """Mutable state of one adaptive run; see GreedyReplan."""
+    """Mutable state of one adaptive run; see GreedyReplan.
+
+    The motion is kept as its breakpoints ``(time, position)`` in integer
+    pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over one denominator
+    ``d``, as ``motion`` and ``moves`` hand it out; so is each fed location
+    and each completion, the latter beside its scalar.  They are rescaled
+    only when a batch brings a new denominator."""
 
     def __init__(self):
-        self._trajectory = Trajectory(((_ZERO, _ZERO),))
+        self._d = 1
+        self._pts = [((0, 0), (0, 0))]  # the motion's breakpoints, over ``_d``
         self._last = _ZERO  # the latest arrival time fed
-        self._locations: List[object] = []  # one per fed request, in feed order
-        self._completions: List[object] = []  # likewise
+        self._at: List[tuple] = []  # one location per fed request, in feed order
+        self._done: List[tuple] = []  # likewise, its completion
+        self._completions: List[object] = []  # likewise, as a scalar
         self._unserved: List[int] = []  # indices of the requests unserved at ``_last``
 
     def on_arrivals(self, pairs) -> None:
         """Replan at each arrival time of the batch, in time order.
 
-        Each completion comes in closed form.  At time ``time``, a request
-        served by then keeps its completion, a new one at the server's
-        position ``pos`` completes at ``time``, and every other one at
-        ``time`` plus its first visit along the new walk from ``pos``.  A
-        ``QuadraticScalar`` time with no ``sqrt(3)`` part is read as its
-        ``Fraction``, so the cut splits no leg at a surd-typed point and the
-        trajectory replays the completions in their own type.  Raises
-        ValueError, before any state changes, when a time comes before an
-        earlier arrival or finds the server at a surd position.
+        At time ``time`` the motion is cut (``_cut``) at the server's
+        position ``pos``.  Each completion comes in closed form: a request
+        served by then keeps it, a new one at ``pos`` completes at ``time``,
+        and every other one at ``time`` plus its first visit along the new
+        walk from ``pos``, whose moves are appended; each is converted to a
+        scalar once.  A ``QuadraticScalar`` time or location with no
+        ``sqrt(3)`` part is read as its ``Fraction``.  Raises ValueError,
+        before any state changes, when a time comes before an earlier
+        arrival or finds the server at a surd position.
         """
-        fed = len(self._locations)
-        locations = self._locations + [loc for loc, _ in pairs]
+        e, scaled = _scaled_pairs([v for pair in pairs for v in pair])
+        d = math.lcm(self._d, e)
+        f, new = d // self._d, _times(zip(scaled[::2], scaled[1::2]), d // e)
+        pts, (at, done) = _times(self._pts, f), _times([self._at, self._done], f)
+        at, done = [*at, *[loc for loc, _ in new]], [*done, *[None] * len(pairs)]
         completions = self._completions + [None] * len(pairs)
-        by_time: dict = {}
-        for i, (_, arrival) in enumerate(pairs, fed):
+        by_time: dict = {}  # each arrival time: its pair and the requests fed at it
+        for i, ((_, arrival), (_, when)) in enumerate(zip(pairs, new), len(self._at)):
             rational, surd = _parts(arrival)
-            by_time.setdefault(arrival if surd else rational, []).append(i)
-        traj, last, unserved = self._trajectory, self._last, self._unserved
+            by_time.setdefault(arrival if surd else rational, (when, []))[1].append(i)
+        last, unserved = self._last, self._unserved
         for time in sorted(by_time):
             if time < last:
                 raise ValueError(f"arrival {time} comes before the earlier arrival {last}")
-            traj = traj.truncated(time)
-            t, at = traj.breakpoints[-1]
-            pos, surd = _parts(at)
-            if surd:
-                raise ValueError(f"arrival {time} finds the server at the surd position {at}")
-            unserved = [i for i in unserved if completions[i] > time]
-            for i in by_time[time]:
-                if locations[i] == pos:
-                    completions[i] = t
+            (ca, cb), batch = by_time[time]
+            _cut(pts, (ca, cb))
+            pa, pb = pts[-1][1]
+            if pb:
+                pos = _pair_scalar(pa, pb, d)
+                raise ValueError(f"arrival {time} finds the server at the surd position {pos}")
+            unserved = [
+                i for i in unserved if _pair_sign(done[i][0] - ca, done[i][1] - cb) > 0
+            ]
+            for i in batch:
+                if at[i] == (pa, 0):
+                    done[i], completions[i] = (ca, cb), _pair_scalar(ca, cb, d)
                 else:
                     unserved.append(i)
-            targets = [locations[i] - pos for i in unserved]
-            tour, _ = optimal_latency_tour(targets)
-            walk = tour.walk.breakpoints
-            # first visits along the walk, in integers over one denominator
-            d, scaled = _scaled_pairs([v for bp in walk for v in bp] + targets)
-            it = iter(scaled)
-            walk_d = [(next(it)[0], next(it)[0]) for _ in walk]  # rational
-            for i, (x, _) in zip(unserved, it):
-                completions[i] = t + Fraction(_first_visit(walk_d, x), d)
-            traj = traj.extended([(t + s, pos + x) for s, x in walk[1:]])
+            targets = [_pair_scalar(at[i][0] - pa, at[i][1], d) for i in unserved]
+            walk = [(0, 0)]  # (arc, position) from ``pos``, in integers over ``d``
+            for tp in optimal_latency_tour(targets)[0].turning_points:
+                x = tp.numerator * (d // tp.denominator)
+                walk.append((walk[-1][0] + abs(x - walk[-1][1]), x))
+            pts += [((ca + s, cb), (pa + x, 0)) for s, x in walk[1:]]
+            for i in unserved:
+                s = ca + _first_visit(walk, at[i][0] - pa)
+                done[i], completions[i] = (s, cb), _pair_scalar(s, cb, d)
             last = time
-        self._trajectory, self._last, self._unserved = traj, last, unserved
-        self._locations, self._completions = locations, completions
+        self._d, self._pts, self._last, self._unserved = d, pts, last, unserved
+        self._at, self._done, self._completions = at, done, completions
 
     def trajectory(self, until) -> Trajectory:
-        return self._trajectory.truncated(until)
+        """The motion cut at ``until``, its pairs converted back as it is read."""
+        pts = [(_pair_scalar(*t, self._d), _pair_scalar(*p, self._d)) for t, p in self._pts]
+        return Trajectory._unchecked(tuple(pts)).truncated(until)
 
     def motion(self, until):
-        """``trajectory(until)``, scaled to integer pairs."""
-        pts = self.trajectory(until).breakpoints
-        d, flat = _scaled_pairs([v for bp in pts for v in bp])
-        return d, list(zip(flat[::2], flat[1::2]))
+        """The motion cut at ``until`` (``_cut``), in integer pairs."""
+        e, [(ca, cb)] = _scaled_pairs([until])
+        d = math.lcm(self._d, e)
+        pts = _times(self._pts, d // self._d)
+        _cut(pts, (ca * (d // e), cb * (d // e)))
+        return d, pts
 
     def moves(self, lo: int, beyond):
-        """The motion so far from the leg under way at ``lo``, all of it."""
-        traj = self._trajectory
-        pts = traj.breakpoints[max(bisect.bisect_right(traj._times, lo) - 1, 0) :]
-        d, flat = _scaled_pairs([v for bp in pts for v in bp])
-        return d, zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
+        """The motion so far from the move under way at ``lo``, all of it."""
+        pts, k = self._pts, len(self._pts) - 1
+        while k and _pair_sign(pts[k][0][0] - lo * self._d, pts[k][0][1]) > 0:
+            k -= 1
+        return self._d, ((t, p, u, q) for (t, p), (u, q) in zip(pts[k:], pts[k + 1 :]))
 
     def completions(self) -> List[object]:
         """The completion of every request fed so far, in feed order: the

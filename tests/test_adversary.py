@@ -183,21 +183,69 @@ def test_a_committed_witness_replay_builds_no_scalar(strategy, monkeypatch):
     transcript = play_lowerbound_game(strategy)
     assert transcript.witness is not None
     calls = []
-
-    def counted(name, real):
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-
-        return call
-
-    monkeypatch.setattr(PlannedTrips, "_motion", counted("_motion", PlannedTrips._motion))
-    monkeypatch.setattr(Trajectory, "truncated", counted("truncated", Trajectory.truncated))
-    to_scalar = counted("_pair_scalar", core._pair_scalar)
+    monkeypatch.setattr(PlannedTrips, "_motion", _counted(calls, "_motion", PlannedTrips._motion))
+    monkeypatch.setattr(Trajectory, "truncated", _counted(calls, "truncated", Trajectory.truncated))
+    to_scalar = _counted(calls, "_pair_scalar", core._pair_scalar)
     for module in (core, online, adversary):  # wherever a module binds the name
         monkeypatch.setattr(module, "_pair_scalar", to_scalar, raising=False)
     assert verify_witness(strategy, transcript)
     assert calls == []
+
+
+def _counted(calls, name, real):
+    """``real``, appending ``name`` to ``calls`` on every call."""
+
+    def call(*args):
+        calls.append(name)
+        return real(*args)
+
+    return call
+
+
+def test_a_greedy_witness_replay_builds_no_scalar_trajectory(monkeypatch):
+    """``verify_witness`` replays the replanner's witness on the session's
+    motion in integer pairs: on the five-release roster that traps it, the
+    witness holds, and no ``ReplanSession.trajectory`` is read and no
+    ``Trajectory`` cut or extended, neither by the replay nor by the
+    session it feeds."""
+    transcript = play_lowerbound_game(GreedyReplan(), GameConfig(near_origin=ROSTERS["five"]))
+    assert transcript.witness is not None
+    calls = []
+    reads = online.ReplanSession.trajectory
+    monkeypatch.setattr(online.ReplanSession, "trajectory", _counted(calls, "trajectory", reads))
+    monkeypatch.setattr(Trajectory, "truncated", _counted(calls, "truncated", Trajectory.truncated))
+    monkeypatch.setattr(Trajectory, "extended", _counted(calls, "extended", Trajectory.extended))
+    assert verify_witness(GreedyReplan(), transcript)
+    assert calls == []
+
+
+@pytest.mark.parametrize("roster", ["default", "five"])
+def test_a_greedy_completion_served_before_a_release_is_kept(roster, monkeypatch):
+    """The game scans the session's completions with ``is not`` for the
+    first one a release changed: a request served by the time of a release
+    keeps the same completion object in the next ``completions()``."""
+    batches, reads = [], []
+    feed, read = online.ReplanSession.on_arrivals, online.ReplanSession.completions
+
+    def on_arrivals(self, pairs):
+        batches.append(pairs[0][1])  # every release is one arrival time
+        return feed(self, pairs)
+
+    def completions(self):
+        reads.append(read(self))
+        return reads[-1]
+
+    monkeypatch.setattr(online.ReplanSession, "on_arrivals", on_arrivals)
+    monkeypatch.setattr(online.ReplanSession, "completions", completions)
+    play_lowerbound_game(GreedyReplan(), GameConfig(near_origin=ROSTERS[roster]))
+    assert len(reads) == len(batches) > 2
+    kept = 0
+    for time, before, after in zip(batches[1:], reads, reads[1:]):
+        for old, new in zip(before, after):
+            if old <= time:
+                assert new is old, (time, old)
+                kept += 1
+    assert kept > len(batches)
 
 
 def _in_scalars(d, pts):

@@ -622,14 +622,28 @@ def test_greedy_session_replans_from_current_position():
 def test_greedy_session_rejects_a_surd_position():
     """The replanner plans from rational positions: an arrival that finds the
     server mid-leg at a surd position is refused by name, before any state
-    changes, while one that finds it parked at a rational spot is served."""
+    changes, while one that finds it parked at a rational spot is served.
+    A refused batch leaves everything a reader sees as it was, even when an
+    earlier time of the batch replanned and its values bring a new
+    denominator."""
     info = visible_info(make_instance(LineSegment(F(0), F(4)), [(F(3), F(3), F(0))]))
     session = GreedyReplan().start(info)
     session.on_arrivals([(F(3), F(0))])
-    before = session._trajectory
-    with pytest.raises(ValueError, match=r"^arrival 1 \+ 1/2\*sqrt\(3\) finds the server"):
-        session.on_arrivals([(F(1), QuadraticScalar(1, F(1, 2)))])
-    assert session._trajectory is before
+
+    def seen():
+        d, moves = session.moves(0, 1)
+        return _whole(session, F(0)), session.motion(F(5, 2)), session.motion(F(9)), d, list(moves)
+
+    before, kept = seen(), session.completions()
+    refused = [
+        [(F(1), QuadraticScalar(1, F(1, 2)))],
+        [(F(2, 7), F(1, 3)), (F(1), QuadraticScalar(1, F(1, 2)))],  # 1/3 replans first
+    ]
+    for batch in refused:
+        with pytest.raises(ValueError, match=r"^arrival 1 \+ 1/2\*sqrt\(3\) finds the server"):
+            session.on_arrivals(batch)
+        assert seen() == before
+        assert all(a is b for a, b in zip(session.completions(), kept, strict=True))
     session.on_arrivals([(F(1), QuadraticScalar(4, F(1, 2)))])  # parked at 3
     last = QuadraticScalar(4, F(1, 2))
     assert _whole(session, last).breakpoints[-1] == (QuadraticScalar(6, F(1, 2)), F(1))
@@ -686,22 +700,43 @@ def test_greedy_session_reads_a_rational_surd_arrival_as_a_fraction():
     _assert_completions_match_the_trajectory(session, fed, F(3))
 
 
-def test_greedy_session_checks_only_the_new_breakpoints(monkeypatch):
-    """A replan checks the cut and the replanned suffix, never the committed
-    motion before the cut again, so its checking does not grow with the run."""
+def test_greedy_session_reads_a_rational_surd_location_as_a_fraction():
+    """A location that is a ``QuadraticScalar`` with no ``sqrt(3)`` part is
+    planned for as its ``Fraction``, as such an arrival time is read; one
+    with a ``sqrt(3)`` part is refused by the rational walk, by name."""
+    session = GreedyReplan().start(None)
+    session.on_arrivals([(QuadraticScalar(3), F(0))])
+    session.on_arrivals([(F(-1), F(3))])
+    assert session.completions() == [F(3), F(7)]
+    assert all(type(c) is F for c in session.completions())
+    with pytest.raises(TypeError, match=r"^location must be rational, got QuadraticScalar\(0, 1\)$"):
+        session.on_arrivals([(QuadraticScalar(-1, 1), F(8))])  # parked at -1
+
+
+def test_greedy_session_replans_without_a_scalar_trajectory(monkeypatch):
+    """A replan cuts and extends the motion in integer pairs: over 24
+    arrivals it cuts no ``Trajectory``, extends none and checks no
+    breakpoint (``core._checked_motion``), so its work does not grow with the
+    run, and the motion it keeps still passes the checked constructor."""
     info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
     session = GreedyReplan().start(info)
-    checked = []
-    real = core._checked_motion
-    monkeypatch.setattr(core, "_checked_motion", lambda pts: checked.append(len(pts)) or real(pts))
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(Trajectory, "truncated", counted("truncated", Trajectory.truncated))
+    monkeypatch.setattr(Trajectory, "extended", counted("extended", Trajectory.extended))
+    monkeypatch.setattr(core, "_checked_motion", counted("_checked_motion", core._checked_motion))
     for step in range(1, 25):
-        time = F(step, 2)
-        before, checked[:] = _whole(session, time - F(1, 2)), []
+        time, calls[:] = F(step, 2), []
         session.on_arrivals([(F((-1) ** step * (step % 5)), time)])
-        kept = max(len([bp for bp in before.breakpoints if bp[0] < time]), 1)
-        # the cut point and the suffix are new; the last kept point and the
-        # cut point each begin one checked pair
-        assert sum(checked) == len(_whole(session, time).breakpoints) - kept + 2
+        assert calls == []
+        Trajectory(_whole(session, time).breakpoints)
     assert len(_whole(session, time).breakpoints) > 10
 
 
@@ -775,6 +810,60 @@ def test_greedy_session_matches_the_recheck_all_oracle(first, batches):
         fed += batch
         assert _whole(session, time).breakpoints == oracle._trajectory.breakpoints
         _assert_completions_match_the_trajectory(session, fed, time)
+        time += gap
+
+
+def _over(d, pts, common):
+    """Integer pairs over ``d`` (tuples of pairs) as pairs over ``common``."""
+    f = common // d
+    return [tuple([(a * f, b * f) for a, b in row]) for row in pts]
+
+
+def _same_pairs(ours, theirs):
+    """Two ``(d, rows)`` of integer pairs stand for the same values."""
+    (d, a), (e, b) = ours, theirs
+    common = math.lcm(d, e)
+    return _over(d, a, common) == _over(e, b, common)
+
+
+@given(
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+    arrival_batches,
+    st.lists(st.booleans(), min_size=7, max_size=7),
+    st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_greedy_session_motion_is_its_trajectory_in_pairs(first, batches, parked, q):
+    """A second path for the replanner's motion in pairs: after every batch,
+    its trajectory passes the checked constructor, ``motion(until)`` is that
+    trajectory scaled (``core._scaled_pairs``), cut at every breakpoint,
+    between every two, at 0 and after the end, and ``moves(lo, 1)`` is the
+    whole motion's tail from the leg under way at ``lo``, scaled alike.  A
+    batch drawn ``parked`` arrives after the motion ends, at a time moved by
+    ``q*sqrt(3)``: a surd time that finds the server parked, from which
+    later times keep that surd part, so they never cut at a surd position."""
+    info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
+    session, time = GreedyReplan().start(info), first
+    for (gap, locations), park in zip(batches, parked):
+        if park:
+            time = max([time, *session.completions()]) + gap + QS(0, q)
+        session.on_arrivals([(loc, time) for loc in locations])
+        whole = _whole(session, time)
+        Trajectory(whole.breakpoints)
+        times = [t for t, _ in whole.breakpoints]
+        untils = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [times[-1] + 1]
+        for until in untils:
+            cut = session.trajectory(until).breakpoints
+            Trajectory(cut)
+            d, flat = core._scaled_pairs([v for bp in cut for v in bp])
+            assert _same_pairs(session.motion(until), (d, list(zip(flat[::2], flat[1::2])))), until
+        pts = whole.breakpoints
+        for lo in range(0, math.ceil(times[-1]) + 2):
+            tail = pts[max(len([t for t in times if t <= lo]) - 1, 0) :]
+            d, flat = core._scaled_pairs([v for bp in tail for v in bp])
+            expected = list(zip(flat[::2], flat[1::2], flat[2::2], flat[3::2]))
+            e, moves = session.moves(lo, 1)
+            assert _same_pairs((e, list(moves)), (d, expected)), lo
         time += gap
 
 
