@@ -31,7 +31,8 @@ instance to a fresh session and replays the witness request on that
 session's motion cut at the request's deadline, in integer pairs
 (``motion(deadline)``), by the crossing rule ``Trajectory.first_service_time``
 also applies (``core._pair_visit``).  A committed session cuts its plan's own
-moves, so the replay builds no scalar per breakpoint.
+moves and the replanner's session its own breakpoints, both kept in integer
+pairs, so the replay builds no scalar per breakpoint.
 """
 
 from __future__ import annotations
@@ -136,13 +137,13 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     late at step ``max(ceil(D), now)``, where ``now`` is the first step not
     yet checked, and never if it is served by D.  The next release is read
     off the session's moves in integer pairs (``_next_outward_step``): a
-    committed plan's own, or the replanner's motion so far, scaled; a
-    motion that never goes right of 1 gives none to scan.  So the cost
-    grows with the releases and the legs, not with ``max_steps``.  Returns
-    the full transcript; ``witness`` stays None when the strategy escapes
-    every deadline within ``max_steps``.  Raises CoverageError when the
-    strategy never serves some released request, and ValueError when it
-    moves out at another speed than 1.
+    committed plan's own, or the replanner's motion so far, which it keeps
+    in those pairs; a motion that never goes right of 1 gives none to scan.
+    So the cost grows with the releases and the legs, not with
+    ``max_steps``.  Returns the full transcript; ``witness`` stays None when
+    the strategy escapes every deadline within ``max_steps``.  Raises
+    CoverageError when the strategy never serves some released request, and
+    ValueError when it moves out at another speed than 1.
     """
     cfg = config if config is not None else GameConfig()
     info = VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)

@@ -16,8 +16,9 @@ witness replay reads) come from one stream of those trips; the closed-form
 completions (``roundtrip_completions``) read the same geometry, with one
 rescale kept per distinct request denominator.  The replanner keeps its
 motion in the same form: breakpoints in integer pairs over one denominator,
-cut and extended as it replans (``_cut``), and handed out as they are by
-its ``motion`` and ``moves``.  The trajectories and the completions convert
+cut (``_cut``, which ``CommittedSession.motion`` applies to the plan's
+moves too) and extended as it replans, and handed out as they are by its
+``motion`` and ``moves``.  The trajectories and the completions convert
 their pairs back once (``core._pair_scalar``); the moves and the motion in
 pairs stay integers.
 """
@@ -394,6 +395,24 @@ class FixedPathStrategy(Strategy):
         return CommittedSession(self.plan(info))
 
 
+def _cut(pts, time) -> None:
+    """Cut the motion ``pts``, breakpoints ``(time, position)`` from ``(0,
+    0)`` in integer pairs with unit-speed moves or waits between them, at
+    ``time`` and park it there, in place: the breakpoints before ``time``
+    stay, and the server stands where the move under way has run ``time``
+    minus its start."""
+    (ca, cb), k = time, len(pts) - 1
+    while k and _pair_sign(pts[k][0][0] - ca, pts[k][0][1] - cb) >= 0:
+        k -= 1
+    (ta, tb), (pa, pb) = pts[k]
+    if k + 1 < len(pts):
+        s = _pair_sign(pts[k + 1][1][0] - pa, pts[k + 1][1][1] - pb)
+        pa, pb = pa + s * (ca - ta), pb + s * (cb - tb)
+    del pts[k + 1 :]
+    if _pair_sign(ca - ta, cb - tb) > 0:
+        pts.append((time, (pa, pb)))
+
+
 class CommittedSession:
     """One run of a committed plan: arrivals change no motion, so the fed
     requests wait until ``completions()`` is read and are resolved then, in
@@ -415,10 +434,9 @@ class CommittedSession:
         return self.planned._motion(until).truncated(until)
 
     def motion(self, until):
-        """The plan's own moves (``PlannedTrips._trips(0)``) cut at ``until``,
-        in integer pairs.  Every move runs at unit speed, so the cut falls
-        where the move under way at ``until`` has run ``until`` minus its
-        start; an empty path parks at the origin."""
+        """The plan's own moves (``PlannedTrips._trips(0)``) up to the one
+        under way at ``until``, cut there (``_cut``), in integer pairs; an
+        empty path parks at the origin."""
         d0, moves = 1, ()
         if self.planned.path.walk.end_time != 0:
             d0, trips = self.planned._trips(0)
@@ -427,16 +445,11 @@ class CommittedSession:
         d = math.lcm(d0, du)
         f, ca, cb = d // d0, ca * (d // du), cb * (d // du)
         pts = [((0, 0), (0, 0))]
-        if _pair_sign(ca, cb) <= 0:
-            return d, pts
-        for (ta, tb), (pa, pb), (ua, ub), (qa, qb) in moves:
-            if _pair_sign(ua * f - ca, ub * f - cb) < 0:  # the move ends before the cut
-                pts.append(((ua * f, ub * f), (qa * f, qb * f)))
-                continue
-            s = _pair_sign(qa - pa, qb - pb)
-            pts.append(((ca, cb), (pa * f + s * (ca - ta * f), pb * f + s * (cb - tb * f))))
-            return d, pts
-        pts.append(((ca, cb), pts[-1][1]))  # an empty path, parked at the origin
+        for _, _, (ua, ub), (qa, qb) in moves:
+            pts.append(((ua * f, ub * f), (qa * f, qb * f)))
+            if _pair_sign(ua * f - ca, ub * f - cb) >= 0:  # the move under way at the cut
+                break
+        _cut(pts, (ca, cb))
         return d, pts
 
     def moves(self, lo: int, beyond):
@@ -550,24 +563,6 @@ class RobustPredictionTour(FixedPathStrategy):
         return PlannedTrips(path, RoundTripSchedule(self.alpha, pad=4 * self.delta))
 
 
-def _cut(pts, time) -> None:
-    """Cut the motion ``pts``, breakpoints ``(time, position)`` from ``(0,
-    0)`` in integer pairs with unit-speed moves or waits between them, at
-    ``time`` and park it there, in place: the breakpoints before ``time``
-    stay, and the server stands where the move under way has run ``time``
-    minus its start."""
-    (ca, cb), k = time, len(pts) - 1
-    while k and _pair_sign(pts[k][0][0] - ca, pts[k][0][1] - cb) >= 0:
-        k -= 1
-    (ta, tb), (pa, pb) = pts[k]
-    if k + 1 < len(pts):
-        s = _pair_sign(pts[k + 1][1][0] - pa, pts[k + 1][1][1] - pb)
-        pa, pb = pa + s * (ca - ta), pb + s * (cb - tb)
-    del pts[k + 1 :]
-    if _pair_sign(ca - ta, cb - tb) > 0:
-        pts.append((time, (pa, pb)))
-
-
 class ReplanSession:
     """Mutable state of one adaptive run; see GreedyReplan.
 
@@ -602,8 +597,9 @@ class ReplanSession:
         e, scaled = _scaled_pairs([v for pair in pairs for v in pair])
         d = math.lcm(self._d, e)
         f, new = d // self._d, _times(zip(scaled[::2], scaled[1::2]), d // e)
-        pts, (at, done) = _times(self._pts, f), _times([self._at, self._done], f)
-        at, done = [*at, *[loc for loc, _ in new]], [*done, *[None] * len(pairs)]
+        pts = _times(self._pts, f)
+        at = [(a * f, b * f) for a, b in self._at] + [loc for loc, _ in new]
+        done = [(a * f, b * f) for a, b in self._done] + [None] * len(pairs)
         completions = self._completions + [None] * len(pairs)
         by_time: dict = {}  # each arrival time: its pair and the requests fed at it
         for i, ((_, arrival), (_, when)) in enumerate(zip(pairs, new), len(self._at)):
