@@ -3,7 +3,10 @@
 Positions, times, and line endpoints are exact numbers (``fractions.Fraction``
 or ``QuadraticScalar``), so simulation results and ratio certificates never
 depend on float rounding.  Server motion is a piecewise-linear trajectory with
-speed at most 1, starting at the origin at time 0.
+speed at most 1, starting at the origin at time 0; its service queries run
+one crossing rule (``_pair_visit``) on its breakpoints as integer pairs.
+Floats are refused wherever a value enters: ``_exact`` checks each one, and
+the pair converters (``_scaled_pairs``) raise the same TypeError.
 
 The online schedules' optimal trip growth rate involves ``sqrt(3)``, so times
 live in the quadratic extension Q[sqrt(3)]: ``QuadraticScalar`` is an exact
@@ -268,9 +271,15 @@ def _scaled_pairs(values):
     """``(d, pairs)``: the lcm ``d`` of the denominators of every rational
     part of ``values``, and each value as the integers ``(a, b)`` with
     ``value == (a + b*sqrt(3))/d``, in order.  Each value is split into its
-    parts once."""
+    parts once.  A float raises ``_exact``'s TypeError, checked only once
+    it has turned out to have no denominator."""
     parts = [_parts(v) for v in values]
-    d = math.lcm(*[x.denominator for pq in parts for x in pq])
+    try:
+        d = math.lcm(*[x.denominator for pq in parts for x in pq])
+    except AttributeError:  # a float has no denominator: refuse it as _exact does
+        for p, _ in parts:
+            _exact(p)
+        raise
     return d, [
         (p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)) for p, q in parts
     ]
@@ -534,19 +543,6 @@ def make_instance(line, triples, model: Model = Model.PREDICTION) -> Instance:
     return Instance(_as_line(line), model, reqs)
 
 
-def _checked_motion(breakpoints) -> tuple:
-    """``breakpoints`` as exact ``(time, position)`` pairs; raises ValueError
-    unless each one comes strictly after the one before and is reached from
-    it at speed at most 1."""
-    pts = tuple([(_exact(t, "time"), _exact(p, "position")) for t, p in breakpoints])
-    for (ta, pa), (tb, pb) in zip(pts, pts[1:]):
-        if tb <= ta:
-            raise ValueError("breakpoint times must strictly increase")
-        if abs(pb - pa) > tb - ta:
-            raise ValueError("speed exceeds 1 between breakpoints")
-    return pts
-
-
 def _pair_visit(pts, x, not_before):
     """The first time at or after ``not_before`` at which the motion ``pts``
     is at ``x``: the one crossing rule, in integer pairs.
@@ -593,13 +589,19 @@ class Trajectory:
 
     Starts at (0, 0); breakpoint times strictly increase; speed never exceeds
     1.  After the final breakpoint the server parks at the final position
-    forever.
+    forever.  The constructor checks the breakpoints a caller gives; the
+    service queries read them as integer pairs, scaled on first use.
     """
 
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        pts = _checked_motion(self.breakpoints)
+        pts = tuple([(_exact(t, "time"), _exact(p, "position")) for t, p in self.breakpoints])
+        for (ta, pa), (tb, pb) in zip(pts, pts[1:]):
+            if tb <= ta:
+                raise ValueError("breakpoint times must strictly increase")
+            if abs(pb - pa) > tb - ta:
+                raise ValueError("speed exceeds 1 between breakpoints")
         object.__setattr__(self, "breakpoints", pts)
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
@@ -607,22 +609,26 @@ class Trajectory:
             raise ValueError("trajectory must start at the origin at time 0")
 
     @classmethod
-    def _unchecked(cls, pts) -> "Trajectory":
-        # breakpoints already checked, or valid by construction
+    def _unchecked(cls, pts, d=None) -> "Trajectory":
+        """A trajectory of breakpoints already checked or valid by
+        construction; with ``d``, ``pts`` are integer pairs over ``d``, each
+        converted back once (``_pair_scalar``)."""
+        if d is not None:
+            pts = tuple([(_pair_scalar(*t, d), _pair_scalar(*p, d)) for t, p in pts])
         traj = object.__new__(cls)
         object.__setattr__(traj, "breakpoints", pts)
         return traj
 
-    def extended(self, suffix) -> "Trajectory":
-        """This motion followed by the breakpoints of ``suffix``.  They are
-        checked as the constructor checks them, from the joint breakpoint
-        on; the breakpoints already here are not checked again."""
-        pts = self.breakpoints
-        return Trajectory._unchecked(pts + _checked_motion(pts[-1:] + tuple(suffix))[1:])
-
     @cached_property
     def _times(self) -> list:
         return [t for t, _ in self.breakpoints]
+
+    @cached_property
+    def _pairs(self):
+        """``(d, pts)``: the breakpoints as integer pairs ``(a, b)``, meaning
+        ``(a + b*sqrt(3))/d`` over one ``d`` (``_scaled_pairs``)."""
+        d, flat = _scaled_pairs([v for bp in self.breakpoints for v in bp])
+        return d, list(zip(flat[::2], flat[1::2]))
 
     @property
     def end_time(self) -> Fraction:
@@ -645,46 +651,40 @@ class Trajectory:
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
 
-        Bisects to the segment in progress at ``not_before`` and scans on
-        from there in windows of 2, 4, 8, ... breakpoints, each overlapping
-        the next by one: a window, ``loc`` and ``not_before`` are scaled to
-        integer pairs and the crossing rule (``_pair_visit``) runs on it, so
-        an early visit scales only the breakpoints near it.  The rule reads
-        a window's last breakpoint as parked, and that is still a true visit:
-        it lies after ``not_before``, and a segment ending there is tested
-        first.  The time comes back as a breakpoint's own time,
-        ``not_before`` itself, or ``_interpolate`` for a crossing on a
-        moving segment.
+        The crossing rule (``_pair_visit``) runs on the breakpoints' pairs,
+        brought with ``loc`` and ``not_before`` to one denominator.  The time
+        comes back as a breakpoint's own time, ``not_before`` itself, or a
+        crossing on a moving segment, in the type ``_interpolate`` gives
+        (``_scalar_like``).
         """
-        pts, size = self.breakpoints, 2
-        start = max(bisect.bisect_right(self._times, not_before) - 1, 0)
-        while True:
-            window = pts[start : start + size]
-            _, flat = _scaled_pairs([loc, not_before] + [v for bp in window for v in bp])
-            found = _pair_visit(list(zip(flat[2::2], flat[3::2])), flat[0], flat[1])
-            if found is not None:
-                break
-            if start + size >= len(pts):
-                return None
-            start, size = start + size - 1, 2 * size
+        d, pts = self._pairs
+        e, [(xa, xb), (na, nb)] = _scaled_pairs([loc, not_before])
+        f = math.lcm(d, e)
+        g, h = f // d, f // e
+        if g > 1:
+            pts = [((ta * g, tb * g), (pa * g, pb * g)) for (ta, tb), (pa, pb) in pts]
+        found = _pair_visit(pts, (xa * h, xb * h), (na * h, nb * h))
+        if found is None:
+            return None
         k, t = found
         if t is None:
             return not_before
-        ta, pa = window[k]
-        if k + 1 < len(window) and window[k + 1][1] != pa:  # a crossing on a moving segment
-            tb, pb = window[k + 1]
-            return _interpolate(pa, ta, pb, tb, loc)
+        ta, pa = self.breakpoints[k]
+        if k + 1 < len(pts) and pts[k + 1][1] != pts[k][1]:  # a crossing on a moving segment
+            tb, pb = self.breakpoints[k + 1]
+            return _scalar_like((pa, ta, pb, tb, loc), t[0], t[1], t[2] * f)
         return ta
 
     def truncated(self, t_end) -> "Trajectory":
         """The same motion cut off (and parked) at time ``t_end``."""
+        t_end = _exact(t_end, "cut-off time")
         if t_end < 0:
             raise ValueError("cut-off time must be nonnegative")
         before = max(bisect.bisect_left(self._times, t_end), 1)  # at least the start
-        kept = Trajectory._unchecked(self.breakpoints[:before])
-        if kept.end_time < t_end:
-            return kept.extended(((t_end, self.position_at(t_end)),))
-        return kept
+        pts = self.breakpoints[:before]
+        if pts[-1][0] < t_end:
+            pts += ((t_end, self.position_at(t_end)),)
+        return Trajectory._unchecked(pts)
 
 
 # --- instance text format ---------------------------------------------------

@@ -9,18 +9,18 @@ All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
 the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
 the committed motion: it scales the schedule's trips and the path's legs
 once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
-b*sqrt(3))/d`` over a common denominator ``d``.  The trajectory
-(``PlannedTrips._motion``), the release game's moves (``PlannedTrips.moves``)
-and a session's motion in pairs (``CommittedSession.motion``, which the
-witness replay reads) come from one stream of those trips; the closed-form
-completions (``roundtrip_completions``) read the same geometry, with one
-rescale kept per distinct request denominator.  The replanner keeps its
-motion in the same form: breakpoints in integer pairs over one denominator,
-cut (``_cut``, which ``CommittedSession.motion`` applies to the plan's
-moves too) and extended as it replans, and handed out as they are by its
-``motion`` and ``moves``.  The trajectories and the completions convert
-their pairs back once (``core._pair_scalar``); the moves and the motion in
-pairs stay integers.
+b*sqrt(3))/d`` over a common denominator ``d``.  A session's motion
+(``CommittedSession.motion``, the one motion a session gives), the release
+game's moves (``PlannedTrips.moves``) and ``roundtrip_trajectory`` come
+from one stream of those trips; the closed-form completions
+(``roundtrip_completions``) read the same geometry, with one rescale kept
+per distinct request denominator.  The replanner keeps its motion in the
+same form: breakpoints in integer pairs over one denominator, cut
+(``_cut``, which ``CommittedSession.motion`` applies to the plan's moves
+too) and extended as it replans, and handed out as they are by its
+``motion`` and ``moves``.  ``roundtrip_trajectory`` and the completions
+convert their pairs back once (``core._pair_scalar``); the moves and the
+motion stay integers.
 """
 
 from __future__ import annotations
@@ -147,9 +147,20 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     Each trip walks the path from the origin out to arc ``min(reach, length)``
     and back.  Once the reach passes the path length, every further trip
     sweeps the whole path.  An empty path parks at the origin.  Whole trips
-    are taken while the time is before ``horizon`` (``PlannedTrips._motion``).
+    of the plan's moves (``PlannedTrips._trips``) are taken while the time
+    is before ``horizon``.  Every move walks one of the path's legs at unit
+    speed, and each trip starts where the one before ends, at the origin;
+    so the motion is valid by construction and is not checked again.
     """
-    return PlannedTrips(path, schedule)._motion(horizon)
+    if path.walk.end_time == 0 or horizon <= 0:
+        return Trajectory(((_ZERO, _ZERO),))
+    d0, trips = PlannedTrips(path, schedule)._trips(0)
+    pts = [((0, 0), (0, 0))]
+    for trip in trips:
+        pts += [(t, p) for _, _, t, p in trip]
+        if _pair_scalar(*pts[-1][0], d0) >= horizon:
+            break
+    return Trajectory._unchecked(pts, d0)
 
 
 def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
@@ -263,7 +274,12 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     out: List[Optional[object]] = []
     for loc, arrival in requests:
         (lp, lq), (ap, aq) = _parts(loc), _parts(arrival)
-        d = math.lcm(d0, lp.denominator, lq.denominator, ap.denominator, aq.denominator)
+        try:
+            d = math.lcm(d0, lp.denominator, lq.denominator, ap.denominator, aq.denominator)
+        except AttributeError:  # a float has no denominator: refuse it as _exact does
+            _exact(loc, "location")
+            _exact(arrival, "arrival")
+            raise
         if d not in over:
             f, (geometric, legs, sweeps) = d // d0, over[d0]
             over[d] = (_times(geometric, f), _times(legs, f), _times([sweeps], f)[0])
@@ -337,23 +353,6 @@ class PlannedTrips:
             for (sa, sb), reach in itertools.chain(ahead, sweeps)
         )
 
-    def _motion(self, horizon) -> Trajectory:
-        """The round trips (``roundtrip_trajectory``) as a ``Trajectory``:
-        whole trips of ``_trips(0)`` while the time is before ``horizon``,
-        each converted back from integer pairs once.  Every move walks one
-        of the path's legs, each of positive length, at unit speed, and each
-        trip starts where the one before ends, at the origin; so the motion
-        is valid by construction and is not checked again."""
-        if self.path.walk.end_time == 0 or horizon <= 0:
-            return Trajectory(((_ZERO, _ZERO),))
-        d0, trips = self._trips(0)
-        pts: List[Tuple[object, object]] = [(_ZERO, _ZERO)]
-        for trip in trips:
-            pts += [(_pair_scalar(*t, d0), _pair_scalar(*p, d0)) for _, _, t, p in trip]
-            if pts[-1][0] >= horizon:
-                break
-        return Trajectory._unchecked(tuple(pts))
-
     def moves(self, lo: int):
         """``(d0, moves)``: the committed motion from the trip under way at
         integer time ``lo`` (``_trips``, up to where its integer steps
@@ -372,8 +371,7 @@ class Strategy(abc.ABC):
         requests with ``on_arrivals(pairs)``, ``(location, arrival)`` pairs
         none earlier than one fed before, and reads one completion per fed
         request, in feed order, from ``completions()`` (None where the
-        motion never reaches it); the motion cut and parked at ``until``
-        from ``trajectory(until)``; the same motion in integer pairs from
+        motion never reaches it); the motion, in integer pairs, from
         ``motion(until)``: ``(d, pts)``, the breakpoints ``(time,
         position)`` from ``(0, 0)`` up to ``until >= 0``, each value a pair
         ``(a, b)`` meaning ``(a + b*sqrt(3))/d``, with the server parked
@@ -381,7 +379,8 @@ class Strategy(abc.ABC):
         the moves ``(ta, pa, tb, pb)`` in integer pairs over ``d`` from the
         one under way at integer time ``lo``, all those that take the
         server right of ``beyond >= 0`` included.  The release game needs
-        each move to the right at unit speed."""
+        each move to the right at unit speed.  These four are all a
+        session has."""
 
 
 class FixedPathStrategy(Strategy):
@@ -429,9 +428,6 @@ class CommittedSession:
             self._completions += roundtrip_completions(self.planned, self._pending)
             self._pending = []
         return list(self._completions)
-
-    def trajectory(self, until) -> Trajectory:
-        return self.planned._motion(until).truncated(until)
 
     def motion(self, until):
         """The plan's own moves (``PlannedTrips._trips(0)``) up to the one
@@ -635,11 +631,6 @@ class ReplanSession:
             last = time
         self._d, self._pts, self._last, self._unserved = d, pts, last, unserved
         self._at, self._done, self._completions = at, done, completions
-
-    def trajectory(self, until) -> Trajectory:
-        """The motion cut at ``until``, its pairs converted back as it is read."""
-        pts = [(_pair_scalar(*t, self._d), _pair_scalar(*p, self._d)) for t, p in self._pts]
-        return Trajectory._unchecked(tuple(pts)).truncated(until)
 
     def motion(self, until):
         """The motion cut at ``until`` (``_cut``), in integer pairs."""

@@ -4,8 +4,8 @@ A run starts one session of the strategy (``Strategy.start``), feeds it
 every request in one batch and reads each request's completion (first visit
 at or after its arrival) from it: in closed form, for a committed plan
 (``roundtrip_completions``) and for the replanner alike, so no trajectory is
-built.  The trajectory, the session's motion cut at the last completion, the
-event log and the completion sum are built on first use.
+built.  The trajectory, the session's motion cut at the last completion
+(``motion``), the event log and the completion sum are built on first use.
 
 Evaluation rates each completion against two per-request floors: the coarse
 ``max(|location|, arrival)`` and the sharper one, the request's first visit
@@ -71,7 +71,7 @@ class RunResult:
 
     @cached_property
     def trajectory(self) -> Trajectory:
-        """The motion, built on first use and cut at the last completion."""
+        """The session's motion cut at the last completion, built on first use."""
         return self.build_trajectory()
 
     @cached_property
@@ -88,7 +88,8 @@ def run(instance: Instance, strategy: Strategy) -> RunResult:
     _check_coverage(instance, completions, strategy.name)
 
     def build() -> Trajectory:
-        return session.trajectory(max(completions, default=_ZERO))
+        d, pts = session.motion(max(completions, default=_ZERO))
+        return Trajectory._unchecked(pts, d)
 
     return RunResult(instance, strategy.name, tuple(completions), build)
 

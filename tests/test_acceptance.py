@@ -9,13 +9,21 @@ worst ratio of 2499/1000 (pinned in test_adversary), and four releases reach
 exactly 2999/1000; see the test docstring for the arithmetic.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction as F
 
 from linetrp.adversary import GameConfig, play_lowerbound_game, verify_witness
 from linetrp.cli import main
-from linetrp.core import LineSegment, Model, make_instance, parse_instance, serialize_instance
+from linetrp.core import (
+    LineSegment,
+    Model,
+    QuadraticScalar,
+    make_instance,
+    parse_instance,
+    serialize_instance,
+)
 from linetrp.generate import perturbed_instance, random_instance
 from linetrp.offline import brute_force_latency, canonical_tour, optimal_latency_tour
 from linetrp.online import (
@@ -175,6 +183,46 @@ def test_prediction_tour_certified_ratio():
         "prediction tour stays within the certified ratio",
         ok,
         f"5000 instances, worst {float(worst):.6f} <= {float(CERT_RATIO):.6f}",
+    )
+
+
+def test_known_gap_perfect_predictions_exceed_the_paper_bound_on_a_full_line():
+    """Known gap (ROADMAP item 15): with exact predictions on a full line,
+    the strategy ``auto`` picks breaks the paper's sum-ratio bound.  On
+    ``[-10, 10]`` with requests at 7 (arrival 2) and -7 (arrival 21) the
+    tie sends the path left first, so 7 waits for trip 4 and -7, arriving
+    just after trip 3 passes it going out, waits for that trip's return.
+    The completions are ``47 + 15*sqrt(3)`` and ``19 + 15*sqrt(3)``; OPT,
+    by every service order with release waits, is 28 (7 at 7, -7 at 21);
+    so on/OPT is ``33/14 + 15/14*sqrt(3)`` (about 4.2129), above both 4 and
+    ``2 + sqrt(3)``.  The per-request certificate against the tour floor
+    still holds: that floor does not bound the sum ratio on a full line."""
+    inst = parse_instance("LINE -10 10\nMODEL prediction\nREQ 7 7 2\nREQ -7 -7 21\n")
+    strategy = select_algorithm(inst)
+    assert type(strategy) is PerfectPredictionTour
+    result = run(inst, strategy)
+    assert result.completions == (QuadraticScalar(47, 15), QuadraticScalar(19, 15))
+    assert result.on_sum == QuadraticScalar(66, 30)
+
+    def order_sum(order):
+        t = pos = total = F(0)
+        for r in order:
+            t, pos = max(t + abs(r.actual - pos), r.arrival), r.actual
+            total += t
+        return total
+
+    opt = min(order_sum(order) for order in itertools.permutations(inst.requests))
+    assert opt == 28
+    ratio = result.on_sum / opt
+    assert ratio == QuadraticScalar(F(33, 14), F(15, 14))
+    assert ratio > 4 and ratio > CERT_RATIO
+    report = evaluate(result)
+    assert report.opt_sum_bound == opt and report.max_ratio_tour <= CERT_RATIO
+    tour_ratio = float(report.max_ratio_tour)
+    assert _report(
+        "known gap: perfect predictions on a full line exceed 2+sqrt(3) in the sum ratio",
+        True,
+        f"on/OPT = {ratio} ~ {float(ratio):.4f}, per-request tour ratio {tour_ratio:.4f}",
     )
 
 

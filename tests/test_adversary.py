@@ -44,10 +44,12 @@ from linetrp.online import (
     coverage_horizon,
     roundtrip_completions,
     roundtrip_trajectory,
+    visible_info,
 )
 from linetrp.simulator import CoverageError, _check_coverage, request_ratio, run
 
 from committed_motion import random_plan, reference_trajectory
+from session_motion import RecheckAllSession, checked_trajectory, count_trajectories, scalar_cut
 
 QS = QuadraticScalar
 
@@ -177,19 +179,21 @@ def test_verify_witness_does_not_trust_the_closed_form(monkeypatch):
 @pytest.mark.parametrize("strategy", COMMITTED, ids=lambda s: f"{s.name}-{s.alpha}")
 def test_a_committed_witness_replay_builds_no_scalar(strategy, monkeypatch):
     """``verify_witness`` replays a committed witness on the plan's own
-    moves in integer pairs: it builds no trajectory (``PlannedTrips._motion``),
+    moves in integer pairs: the one ``Trajectory`` it builds, checked or
+    not, is its fresh plan's path walk (``Tour.walk``), never the motion; it
     cuts none (``Trajectory.truncated``) and converts no pair back to a
     scalar (``core._pair_scalar``)."""
     transcript = play_lowerbound_game(strategy)
     assert transcript.witness is not None
-    calls = []
-    monkeypatch.setattr(PlannedTrips, "_motion", _counted(calls, "_motion", PlannedTrips._motion))
+    walk = strategy.plan(visible_info(transcript.instance)).path.walk
+    calls, built = [], count_trajectories(monkeypatch)
     monkeypatch.setattr(Trajectory, "truncated", _counted(calls, "truncated", Trajectory.truncated))
     to_scalar = _counted(calls, "_pair_scalar", core._pair_scalar)
     for module in (core, online, adversary):  # wherever a module binds the name
         monkeypatch.setattr(module, "_pair_scalar", to_scalar, raising=False)
     assert verify_witness(strategy, transcript)
     assert calls == []
+    assert built == [walk]
 
 
 def _counted(calls, name, real):
@@ -205,18 +209,14 @@ def _counted(calls, name, real):
 def test_a_greedy_witness_replay_builds_no_scalar_trajectory(monkeypatch):
     """``verify_witness`` replays the replanner's witness on the session's
     motion in integer pairs: on the five-release roster that traps it, the
-    witness holds, and no ``ReplanSession.trajectory`` is read and no
-    ``Trajectory`` cut or extended, neither by the replay nor by the
-    session it feeds."""
+    witness holds, and no ``Trajectory`` is built, checked or not, or cut,
+    neither by the replay nor by the session it feeds."""
     transcript = play_lowerbound_game(GreedyReplan(), GameConfig(near_origin=ROSTERS["five"]))
     assert transcript.witness is not None
-    calls = []
-    reads = online.ReplanSession.trajectory
-    monkeypatch.setattr(online.ReplanSession, "trajectory", _counted(calls, "trajectory", reads))
+    calls, built = [], count_trajectories(monkeypatch)
     monkeypatch.setattr(Trajectory, "truncated", _counted(calls, "truncated", Trajectory.truncated))
-    monkeypatch.setattr(Trajectory, "extended", _counted(calls, "extended", Trajectory.extended))
     assert verify_witness(GreedyReplan(), transcript)
-    assert calls == []
+    assert calls == [] and built == []
 
 
 @pytest.mark.parametrize("roster", ["default", "five"])
@@ -254,34 +254,43 @@ def _in_scalars(d, pts):
 
 def test_a_committed_motion_is_its_trajectory_in_pairs():
     """A committed session's ``motion(until)`` cuts the plan's moves in
-    integer pairs; its breakpoints are those of ``trajectory(until)``, value
-    for value, on random plans, cut at 0, at a breakpoint, between two and
-    at a surd time.  An empty path parks at the origin."""
+    integer pairs; its breakpoints are those of the scalar round-trip loop
+    (``committed_motion.reference_trajectory``) cut in scalar arithmetic
+    (``scalar_cut``), value for value, on random plans, cut at 0, at a
+    breakpoint, between two and at a surd time.  An empty path parks at the
+    origin."""
     rng = random.Random(2027)
     for case in range(300):
         planned = random_plan(rng) if case else PlannedTrips(Tour(()), RoundTripSchedule())
         session = online.CommittedSession(planned)
-        pts = session.trajectory(4 * planned.path.walk.end_time + 10).breakpoints
+        path, schedule = planned.path, planned.schedule
+        pts = reference_trajectory(path, schedule, 4 * path.walk.end_time + 10).breakpoints
         until = rng.choice([
             F(0),
             F(rng.randint(0, 400), rng.randint(1, 12)),
             rng.choice(pts)[0],
             QS(F(rng.randint(0, 40), 4), F(rng.randint(1, 8), 4)),
         ])
-        motion = _in_scalars(*session.motion(until))
-        assert motion == list(session.trajectory(until).breakpoints), (case, planned, until)
+        expected = scalar_cut(reference_trajectory(path, schedule, until + 1), until)
+        assert _in_scalars(*session.motion(until)) == expected, (case, planned, until)
 
 
 def test_a_replan_motion_is_its_trajectory_in_pairs():
-    """The replanner's ``motion(until)`` is its ``trajectory(until)`` scaled,
-    waits, surd cut points and the parked end included."""
+    """The replanner's ``motion(until)`` is the motion of the plain
+    replanner (``RecheckAllSession``) cut in scalar arithmetic
+    (``scalar_cut``), value for value: waits, surd cut points and the
+    parked end included."""
     session = GreedyReplan().start(VisibleInfo(LineSegment(F(-3), F(10)), None))
+    oracle = RecheckAllSession()
     session.on_arrivals([(F(2), F(0)), (F(-1, 3), F(0))])
+    oracle.on_arrivals([(F(2), F(0)), (F(-1, 3), F(0))])
     session.on_arrivals([(F(5), F(9)), (F(5), F(20))])
+    oracle.on_arrivals([(F(5), F(9))])
+    oracle.on_arrivals([(F(5), F(20))])
     last = max(session.completions())
     for until in (F(0), F(1, 3), F(7), F(9), QS(F(1), F(2)), last, last + 5):
-        motion = _in_scalars(*session.motion(until))
-        assert motion == list(session.trajectory(until).breakpoints), until
+        expected = scalar_cut(oracle._trajectory, until)
+        assert _in_scalars(*session.motion(until)) == expected, until
 
 
 def test_transcript_log_is_reproducible():
@@ -486,11 +495,8 @@ class _ParkedSession:
     def on_arrivals(self, pairs):
         self._fed += len(pairs)
 
-    def trajectory(self, until):
-        return self._motion.truncated(until)
-
     def motion(self, until):
-        return _as_motion(self.trajectory(until))
+        return _as_motion(self._motion.truncated(until))
 
     def moves(self, lo, beyond):
         return _as_moves(self._motion)
@@ -695,7 +701,7 @@ def _stepwise_game(strategy, cfg) -> GameTranscript:
         traj = roundtrip_trajectory(planned.path, planned.schedule, horizon)
     else:
         session = strategy.start(info)
-        traj = session.trajectory(F(cfg.max_steps + 1))
+        traj = checked_trajectory(session, F(cfg.max_steps + 1))
 
     def release(locations, arrival):
         nonlocal traj, comps
@@ -707,7 +713,7 @@ def _stepwise_game(strategy, cfg) -> GameTranscript:
         else:
             session.on_arrivals(batch)
             # cut past every step and every completion: the motion ends by then
-            traj = session.trajectory(max([F(cfg.max_steps + 1), *session.completions()]))
+            traj = checked_trajectory(session, max([F(cfg.max_steps + 1), *session.completions()]))
             comps = [traj.first_service_time(loc, arr) for loc, arr in released]
 
     release(cfg.bases, F(0))
@@ -835,10 +841,11 @@ _SCALE_STRATEGIES = [
 
 
 def _count_scans(monkeypatch):
-    """Count the moves the game's outward scans read and the committed
-    trajectories built while it plays: ``counts["moves"]``, ``counts["built"]``."""
-    counts = {"moves": 0, "built": 0}
-    real_scan, real_build = adversary._next_outward_step, PlannedTrips._motion
+    """Count the moves the game's outward scans read while it plays,
+    ``counts["moves"]``, and keep every ``Trajectory`` built, checked or
+    not, in ``counts["built"]``."""
+    counts = {"moves": 0, "built": count_trajectories(monkeypatch)}
+    real_scan = adversary._next_outward_step
 
     def counting_scan(d, moves, lo, hi):
         def counted():
@@ -848,13 +855,17 @@ def _count_scans(monkeypatch):
 
         return real_scan(d, counted(), lo, hi)
 
-    def counting_build(*args):
-        counts["built"] += 1
-        return real_build(*args)
-
     monkeypatch.setattr(adversary, "_next_outward_step", counting_scan)
-    monkeypatch.setattr(PlannedTrips, "_motion", counting_build)
     return counts
+
+
+def _path_walks(strategy, cfg, games: int) -> list:
+    """The trajectories ``games`` games against ``strategy`` may build: its
+    plan's path walk (``Tour.walk``) once per game for a committed strategy,
+    none for the replanner."""
+    if not isinstance(strategy, FixedPathStrategy):
+        return []
+    return [strategy.plan(VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)).path.walk] * games
 
 
 @pytest.mark.parametrize("strategy", _SCALE_STRATEGIES, ids=lambda s: s.name)
@@ -864,13 +875,15 @@ def _count_scans(monkeypatch):
 def test_game_cost_does_not_grow_with_max_steps(strategy, cfg, monkeypatch):
     """A million steps play the same game as 120 where it ends early, and
     scan no more moves: the work follows the releases and the legs, not
-    ``max_steps``.  No game builds a trajectory of the committed motion."""
+    ``max_steps``.  No game builds a trajectory of the motion: the only one
+    a committed game builds is its plan's path walk."""
+    walks = _path_walks(strategy, cfg, 2)
     counts = _count_scans(monkeypatch)
     short = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=120))
     short_scanned, counts["moves"] = counts["moves"], 0
     long = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=10**6))
     assert counts["moves"] == short_scanned <= 100
-    assert counts["built"] == 0
+    assert counts["built"] == walks
     if short.witness is not None:
         assert (long.witness, long.log) == (short.witness, short.log)
     else:  # the same releases; what is withheld goes out at the last step
@@ -897,10 +910,11 @@ def test_a_path_that_ends_at_1_is_not_scanned(strategy, cfg, monkeypatch):
     """The server never stands beyond 1 on a path that ends there, so the
     game releases no near-origin request before the end and scans no move,
     however large ``max_steps`` is (it used to scan out to ``max_steps``)."""
+    walks = _path_walks(strategy, cfg, 1)
     counts = _count_scans(monkeypatch)
     steps = 10**6
     transcript = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=steps))
-    assert counts == {"moves": 0, "built": 0}
+    assert counts == {"moves": 0, "built": walks}
     assert transcript.witness is None
     assert [line for line in transcript.log if "heading out" in line] == []
     assert f"t={steps}: released remaining 1/1000 (game over)" in transcript.log

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linetrp import core, generate
+from linetrp import core, generate, online
 from linetrp.core import (
     Instance,
     LineSegment,
@@ -23,7 +23,7 @@ from linetrp.core import (
     parse_scalar,
     serialize_instance,
 )
-from linetrp.offline import canonical_tour
+from linetrp.offline import canonical_tour, optimal_latency_tour
 from linetrp.online import QuadraticScalar, RoundTripSchedule, roundtrip_trajectory
 
 from scalar_service import reference_first_service_time
@@ -204,12 +204,35 @@ def test_line_segment_clamp_and_contains():
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        LineSegment(-1.0, 2)
-    with pytest.raises(TypeError):
-        Request(0, None, 0.5, F(0))
-    with pytest.raises(TypeError):
-        Trajectory(((0, 0), (1.0, 1),))
+    """Every entry point refuses a float with ``_exact``'s TypeError, the
+    pair ones (which scale values to integer pairs) included."""
+    exact = "must be exact \\(int/Fraction\\), got float"
+    traj = Trajectory(((F(0), F(0)), (F(2), F(2)), (F(3), F(2))))
+    planned = online.PerfectPredictionTour().plan(online.VisibleInfo(LineSegment(F(-1), F(2)), (F(1),)))
+    committed, replan = online.CommittedSession(planned), online.ReplanSession()
+    replan.on_arrivals([(F(1), F(0))])
+    for call in [
+        lambda: LineSegment(-1.0, 2),
+        lambda: Request(0, None, 0.5, F(0)),
+        lambda: Trajectory(((0, 0), (1.0, 1),)),
+        lambda: Trajectory(((0, 0), (F(3), 1.0),)),
+        lambda: make_instance((F(0), F(1)), [(F(1), 0.5, F(0))]),
+        lambda: optimal_latency_tour([F(1), 1.0]),
+        lambda: canonical_tour([F(1), 1.0]),
+        lambda: traj.first_service_time(1.0),
+        lambda: traj.first_service_time(F(1), 0.5),
+        lambda: traj.position_at(1.0),
+        lambda: traj.truncated(1.5),
+        lambda: traj.truncated(2.5),  # inside a wait: nothing to interpolate
+        lambda: online.roundtrip_completions(planned, [(1.0, F(0))]),
+        lambda: online.roundtrip_completions(planned, [(F(1), 0.0)]),
+        lambda: committed.motion(2.5),
+        lambda: replan.on_arrivals([(1.0, F(0))]),
+        lambda: replan.motion(0.5),
+    ]:
+        with pytest.raises(TypeError, match=exact):
+            call()
+    assert replan.completions() == [F(1)]  # the refused batch changed nothing
 
 
 # --- trajectories ------------------------------------------------------------
@@ -224,6 +247,16 @@ def test_trajectory_validation():
         Trajectory(((F(0), F(0)), (F(1), F(2))))  # speed 2
     with pytest.raises(ValueError):
         Trajectory(((F(0), F(0)), (F(0), F(0))))  # times not increasing
+    start = ((F(0), F(0)), (F(2), F(2)))
+    with pytest.raises(ValueError, match="^breakpoint times must strictly increase$"):
+        Trajectory(start + ((F(2), F(2)),))  # an equal time after the first segment
+    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
+        Trajectory(start + ((F(3), F(0)),))
+    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
+        Trajectory(start + ((F(3), F(1)), (F(4), F(3))))  # two segments on
+    longer = Trajectory(start + ((3, 1), (F(7, 2), F(1))))
+    assert longer.breakpoints == ((F(0), F(0)), (F(2), F(2)), (F(3), F(1)), (F(7, 2), F(1)))
+    assert [type(v) for bp in longer.breakpoints for v in bp] == [F] * 8
 
 
 def test_position_at_interpolates_exactly():
@@ -274,30 +307,30 @@ def test_first_service_time_from_a_breakpoint_a_wait_and_past_the_end():
     assert traj.first_service_time(F(1), F(9)) is None
 
 
-def test_an_early_visit_scales_only_the_breakpoints_near_it(monkeypatch):
-    """The scan scales its motion in doubling windows, so a visit near
-    ``not_before`` on a long motion scales a few breakpoints, not the whole
-    tail, and a query that finds no visit scales each breakpoint about once."""
+def test_a_second_service_query_scales_only_its_location_and_time(monkeypatch):
+    """A trajectory scales its breakpoints to integer pairs once: a second
+    ``first_service_time`` call passes only ``loc`` and ``not_before`` to
+    ``core._scaled_pairs``, visit or none, and gives the scalar scan's
+    answer."""
     traj = roundtrip_trajectory(canonical_tour((F(-5), F(7))), RoundTripSchedule(), F(2000))
     pts = traj.breakpoints
     assert len(pts) == 243
     scaled, real = [], core._scaled_pairs
 
     def counting(values):
-        scaled.append(len(values))
+        scaled.append(list(values))
         return real(values)
 
     monkeypatch.setattr(core, "_scaled_pairs", counting)
-    for loc, not_before in ((F(1, 3), 0), (F(1, 3), pts[120][0]), (F(7), pts[200][0])):
+    got = traj.first_service_time(F(1, 3))
+    assert [len(values) for values in scaled] == [2 * len(pts), 2]
+    assert got == reference_first_service_time(traj, F(1, 3))
+    queries = [(F(1, 3), pts[120][0]), (F(7), pts[200][0]), (F(100), 0), (F(-5, 7), F(9, 11))]
+    for loc, not_before in queries:
         scaled.clear()
         got = traj.first_service_time(loc, not_before)
-        # windows of 2, 4 and 8 breakpoints at most, where the whole tail is 2 * 243 values
-        assert sum(scaled) <= 50
+        assert scaled == [[loc, not_before]]
         assert got == reference_first_service_time(traj, loc, not_before)
-    scaled.clear()
-    assert traj.first_service_time(F(100)) is None
-    # every breakpoint once, the one each window shares with the next twice
-    assert sum(scaled) == 2 * len(scaled) + 2 * (len(pts) + len(scaled) - 1)
 
 
 def test_truncated():
@@ -307,29 +340,6 @@ def test_truncated():
     assert traj.truncated(F(0)).breakpoints == ((F(0), F(0)),)
     # cutting beyond the end just appends the parked position
     assert traj.truncated(F(5)).breakpoints[-1] == (F(5), F(0))
-
-
-def test_extended_checks_the_joint_and_the_suffix(monkeypatch):
-    traj = Trajectory(((F(0), F(0)), (F(2), F(2))))
-    longer = traj.extended([(3, 1), (F(7, 2), F(1))])
-    assert longer.breakpoints == ((F(0), F(0)), (F(2), F(2)), (F(3), F(1)), (F(7, 2), F(1)))
-    assert [type(v) for bp in longer.breakpoints for v in bp] == [F] * 8
-    assert traj.extended(()).breakpoints == traj.breakpoints
-    with pytest.raises(ValueError, match="^breakpoint times must strictly increase$"):
-        traj.extended([(F(2), F(2))])  # at the joint
-    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
-        traj.extended([(F(3), F(0))])  # at the joint
-    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
-        traj.extended([(F(3), F(1)), (F(4), F(3))])  # inside the suffix
-    with pytest.raises(TypeError):
-        traj.extended([(F(3), 1.0)])
-    # the breakpoints already checked are not checked again
-    checked = []
-    real = core._checked_motion
-    monkeypatch.setattr(core, "_checked_motion", lambda pts: checked.append(len(pts)) or real(pts))
-    longer.extended([(F(4), F(3, 2))])
-    longer.truncated(F(5, 2))
-    assert checked == [2, 2]
 
 
 @st.composite
@@ -354,17 +364,12 @@ def test_speed_bounded_by_one(traj, t2):
     assert abs(traj.position_at(t1) - traj.position_at(t2)) <= abs(t1 - t2)
 
 
-@given(
-    trajectories(),
-    st.integers(min_value=1, max_value=7),
-    st.fractions(min_value=F(0), max_value=F(20), max_denominator=6),
-)
+@given(trajectories(), st.fractions(min_value=F(0), max_value=F(20), max_denominator=6))
 @settings(max_examples=100)
-def test_extended_and_truncated_match_the_constructor(traj, k, t_end):
-    """Joining a prefix and the rest gives the whole; a cut gives the
-    breakpoints before it and the position there, as rebuilt from scratch."""
+def test_truncated_matches_the_constructor(traj, t_end):
+    """A cut gives the breakpoints before it and the position there, as
+    rebuilt from scratch by the checked constructor."""
     pts = traj.breakpoints
-    assert Trajectory(pts[:k]).extended(pts[k:]).breakpoints == pts
     kept = [bp for bp in pts if bp[0] < t_end] or [pts[0]]
     if kept[-1][0] < t_end:
         kept.append((t_end, traj.position_at(t_end)))

@@ -6,14 +6,15 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linetrp import core, online
-from linetrp.core import LineSegment, Model, Trajectory, make_instance
-from linetrp.offline import Direction, Tour, optimal_latency_tour
+from linetrp.core import LineSegment, Model, make_instance
+from linetrp.offline import Direction, Tour
 from linetrp.online import (
     CERT_RATIO,
     DEFAULT_ALPHA,
@@ -42,6 +43,7 @@ from linetrp.online import (
 from linetrp.simulator import run
 
 from committed_motion import random_plan, reference_trajectory
+from session_motion import RecheckAllSession, checked_trajectory, count_trajectories, scalar_cut
 
 QS = QuadraticScalar
 
@@ -604,6 +606,23 @@ def test_robust_strategy_fallback_threshold():
         RobustPredictionTour(delta=F(1, 100)).plan(blind)
 
 
+def test_every_session_has_exactly_the_methods_strategy_start_names():
+    """The session protocol is the four methods the ``Strategy.start``
+    docstring names: ``on_arrivals``, ``completions``, ``motion`` and
+    ``moves``.  Both sessions expose exactly those public methods, so a
+    second motion accessor cannot grow back unnoticed, and every strategy
+    starts one of them."""
+    named = set(re.findall(r"``(\w+)\(", online.Strategy.start.__doc__))
+    assert named == {"on_arrivals", "completions", "motion", "moves"}
+    sessions = (online.CommittedSession, online.ReplanSession)
+    for session in sessions:
+        public = {n for n in dir(session) if not n.startswith("_") and callable(getattr(session, n))}
+        assert public == named, session.__name__
+    info = online.VisibleInfo(LineSegment(F(0), F(4)), (F(1),))
+    for name in online.STRATEGY_NAMES:
+        assert type(make_strategy(name).start(info)) in sessions, name
+
+
 def test_greedy_session_replans_from_current_position():
     info = visible_info(make_instance(LineSegment(F(-2), F(3)), [(F(2), F(2), F(0))]))
     session = GreedyReplan().start(info)
@@ -715,35 +734,27 @@ def test_greedy_session_reads_a_rational_surd_location_as_a_fraction():
 
 def test_greedy_session_replans_without_a_scalar_trajectory(monkeypatch):
     """A replan cuts and extends the motion in integer pairs: over 24
-    arrivals it cuts no ``Trajectory``, extends none and checks no
-    breakpoint (``core._checked_motion``), so its work does not grow with the
-    run, and the motion it keeps still passes the checked constructor."""
+    arrivals it builds no ``Trajectory``, checked or not, so its work does
+    not grow with the run, and the motion it keeps still passes the checked
+    constructor."""
     info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
     session = GreedyReplan().start(info)
-    calls = []
-
-    def counted(name, real):
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-
-        return call
-
-    monkeypatch.setattr(Trajectory, "truncated", counted("truncated", Trajectory.truncated))
-    monkeypatch.setattr(Trajectory, "extended", counted("extended", Trajectory.extended))
-    monkeypatch.setattr(core, "_checked_motion", counted("_checked_motion", core._checked_motion))
+    built = count_trajectories(monkeypatch)
     for step in range(1, 25):
-        time, calls[:] = F(step, 2), []
+        time = F(step, 2)
         session.on_arrivals([(F((-1) ** step * (step % 5)), time)])
-        assert calls == []
-        Trajectory(_whole(session, time).breakpoints)
-    assert len(_whole(session, time).breakpoints) > 10
+        assert built == []
+        whole = _whole(session, time)
+        assert built == [whole]
+        built.clear()
+    assert len(whole.breakpoints) > 10
 
 
 def _whole(session, last):
-    """A replanner's whole motion after its latest arrival ``last``: it ends
-    at the last completion, or at ``last`` when that comes later."""
-    return session.trajectory(max([last, *session.completions()]))
+    """A replanner's whole motion after its latest arrival ``last``, through
+    the checked constructor (``checked_trajectory``): it ends at the last
+    completion, or at ``last`` when that comes later."""
+    return checked_trajectory(session, max([last, *session.completions()]))
 
 
 def _assert_completions_match_the_trajectory(session, fed, last):
@@ -755,36 +766,6 @@ def _assert_completions_match_the_trajectory(session, fed, last):
     assert closed == replay
     assert [type(c) for c in closed] == [type(c) for c in replay]
     assert [str(c) for c in closed] == [str(c) for c in replay]
-
-
-class _RecheckAllSession:
-    """Oracle for ``ReplanSession``: the replanner as it was written before it
-    kept only the unserved requests.  It re-checks every known request
-    against the committed motion on every arrival."""
-
-    def __init__(self):
-        self._trajectory = Trajectory(((F(0), F(0)),))
-        self._known = []
-
-    def on_arrivals(self, pairs):
-        (time,) = {arrival for _, arrival in pairs}  # one arrival time per batch
-        locations = [loc for loc, _ in pairs]
-        committed = self._trajectory.truncated(time)
-        self._known.extend((loc, time) for loc in locations)
-        unserved = [
-            loc
-            for loc, arrival in self._known
-            if committed.first_service_time(loc, arrival) is None
-        ]
-        t, pos = committed.breakpoints[-1]
-        tour, _ = optimal_latency_tour(loc - pos for loc in unserved)
-        points = list(committed.breakpoints)
-        prev = F(0)
-        for v in tour.turning_points:
-            t += abs(v - prev)
-            points.append((t, pos + v))
-            prev = v
-        self._trajectory = Trajectory(tuple(points))
 
 
 arrival_batches = st.lists(
@@ -801,7 +782,7 @@ arrival_batches = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_greedy_session_matches_the_recheck_all_oracle(first, batches):
     info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
-    session, oracle = GreedyReplan().start(info), _RecheckAllSession()
+    session, oracle = GreedyReplan().start(info), RecheckAllSession()
     time, fed = first, []
     for gap, locations in batches:
         batch = [(loc, time) for loc in locations]
@@ -835,31 +816,32 @@ def _same_pairs(ours, theirs):
 @settings(max_examples=200, deadline=None)
 def test_greedy_session_motion_is_its_trajectory_in_pairs(first, batches, parked, q):
     """A second path for the replanner's motion in pairs: after every batch,
-    its trajectory passes the checked constructor, ``motion(until)`` is that
-    trajectory scaled (``core._scaled_pairs``), cut at every breakpoint,
-    between every two, at 0 and after the end, and ``moves(lo, 1)`` is the
-    whole motion's tail from the leg under way at ``lo``, scaled alike.  A
-    batch drawn ``parked`` arrives after the motion ends, at a time moved by
-    ``q*sqrt(3)``: a surd time that finds the server parked, from which
-    later times keep that surd part, so they never cut at a surd position."""
+    ``motion(until)`` is the motion of the plain replanner
+    (``RecheckAllSession``), cut in scalar arithmetic (``scalar_cut``) and
+    scaled (``core._scaled_pairs``), at every breakpoint, between every two,
+    at 0 and after the end; it passes the checked constructor; and
+    ``moves(lo, 1)`` is that motion's tail from the leg under way at ``lo``,
+    scaled alike.  A batch drawn ``parked`` arrives after the motion ends,
+    at a time moved by ``q*sqrt(3)``: a surd time that finds the server
+    parked, from which later times keep that surd part, so they never cut
+    at a surd position."""
     info = visible_info(make_instance(LineSegment(F(-5), F(5)), [(None, F(0), F(0))], Model.ORIGINAL))
-    session, time = GreedyReplan().start(info), first
+    session, oracle, time = GreedyReplan().start(info), RecheckAllSession(), first
     for (gap, locations), park in zip(batches, parked):
         if park:
             time = max([time, *session.completions()]) + gap + QS(0, q)
         session.on_arrivals([(loc, time) for loc in locations])
-        whole = _whole(session, time)
-        Trajectory(whole.breakpoints)
+        oracle.on_arrivals([(loc, time) for loc in locations])
+        whole = oracle._trajectory
         times = [t for t, _ in whole.breakpoints]
         untils = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [times[-1] + 1]
         for until in untils:
-            cut = session.trajectory(until).breakpoints
-            Trajectory(cut)
+            checked_trajectory(session, until)
+            cut = scalar_cut(whole, until)
             d, flat = core._scaled_pairs([v for bp in cut for v in bp])
             assert _same_pairs(session.motion(until), (d, list(zip(flat[::2], flat[1::2])))), until
-        pts = whole.breakpoints
         for lo in range(0, math.ceil(times[-1]) + 2):
-            tail = pts[max(len([t for t in times if t <= lo]) - 1, 0) :]
+            tail = whole.breakpoints[max(len([t for t in times if t <= lo]) - 1, 0) :]
             d, flat = core._scaled_pairs([v for bp in tail for v in bp])
             expected = list(zip(flat[::2], flat[1::2], flat[2::2], flat[3::2]))
             e, moves = session.moves(lo, 1)

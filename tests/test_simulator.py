@@ -33,6 +33,8 @@ from linetrp.online import (
 from linetrp import simulator
 from linetrp.simulator import CoverageError, RunResult, evaluate, request_ratio, run
 
+from session_motion import checked_trajectory
+
 QS = QuadraticScalar
 
 
@@ -108,7 +110,11 @@ def test_greedy_run_trajectory_is_the_session_motion_cut_at_the_last_completion(
     session.on_arrivals([(F(-2), F(2))])
     session.on_arrivals([(F(1), F(9))])
     last = max(result.completions)
-    assert result.trajectory.breakpoints == session.trajectory(last).breakpoints
+    cut = checked_trajectory(session, last).breakpoints
+    assert result.trajectory.breakpoints == cut
+    assert [type(v) for bp in result.trajectory.breakpoints for v in bp] == [
+        type(v) for bp in cut for v in bp
+    ]
     assert result.trajectory.breakpoints[-1] == (last, F(1))
     assert list(result.completions) == [
         result.trajectory.first_service_time(r.actual, r.arrival) for r in inst.requests
