@@ -5,8 +5,9 @@ or ``QuadraticScalar``), so simulation results and ratio certificates never
 depend on float rounding.  Server motion is a piecewise-linear trajectory with
 speed at most 1, starting at the origin at time 0; its service queries run
 one crossing rule (``_pair_visit``) on its breakpoints as integer pairs.
-Floats are refused wherever a value enters: ``_exact`` checks each one, and
-the pair converters (``_scaled_pairs``) raise the same TypeError.
+Floats are refused: ``_exact`` checks the values the constructors take, and
+a float that reaches the pair converter (``_scaled_pairs``) raises the same
+TypeError.
 
 The online schedules' optimal trip growth rate involves ``sqrt(3)``, so times
 live in the quadratic extension Q[sqrt(3)]: ``QuadraticScalar`` is an exact
