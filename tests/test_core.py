@@ -247,6 +247,11 @@ def test_trajectory_validation():
         Trajectory(((F(0), F(0)), (F(1), F(2))))  # speed 2
     with pytest.raises(ValueError):
         Trajectory(((F(0), F(0)), (F(0), F(0))))  # times not increasing
+
+
+def test_trajectory_checks_every_segment_after_the_first():
+    """Each later breakpoint is checked against the one before it, and ints
+    become Fractions."""
     start = ((F(0), F(0)), (F(2), F(2)))
     with pytest.raises(ValueError, match="^breakpoint times must strictly increase$"):
         Trajectory(start + ((F(2), F(2)),))  # an equal time after the first segment
