@@ -276,7 +276,13 @@ def _cmd_simulate(args) -> int:
         if worst > bound:
             print(f"certification FAILED: {worst} > {bound}", file=sys.stderr)
             return 3
-        print(f"certified: worst ratio within {bound}")
+        scope = ""
+        if args.certify == "tour" and not inst.line.is_halfline():
+            scope = (
+                " (per request, against the tour-prefix floor; on a full line that floor"
+                " does not bound the sum ratio against OPT)"
+            )
+        print(f"certified: worst ratio within {bound}{scope}")
     return 0
 
 

@@ -637,6 +637,7 @@ class Trajectory:
 
     def position_at(self, t) -> Fraction:
         """Exact server position at time ``t >= 0``."""
+        t = _exact(t, "time")
         if t < 0:
             raise ValueError("time must be nonnegative")
         pts = self.breakpoints

@@ -10,13 +10,18 @@ program (used everywhere) and a Held-Karp exhaustive search over every
 service order (used as a cross-check oracle on small inputs).  Both refuse a
 surd location with the same ``TypeError`` (``_rational_locations``) and
 scale the rational locations once to integers over their common
-denominator; they share no other code.  The search runs in pull form over
-(set of served points, last point served): a set's full row of costs by last
-point is filled member by member, each with one C-level minimum over the row
-of the set without it, and the walk back recomputes predecessors instead of
-storing them.  The DP counts repeats and sorts those integers, so it never
-hashes or orders a ``Fraction``.  Its states are (interval around the
-origin, end it stands at), each keyed by one int that orders exactly as its
+denominator; they share no other code.  The DP's own entry,
+``_latency_walk``, takes integer positions and gives its turns and total
+as integers in their scale: ``optimal_latency_tour`` wraps it in that
+scaling and a ``Tour``, and the callers that already hold integers (the
+ratio evaluation, the replanner and the robust plan) call it directly.
+The search runs in pull form over (set of served points, last point
+served): a set's full row of costs by last point is filled member by
+member, each with one C-level minimum over the row of the set without it,
+and the walk back recomputes predecessors instead of storing them.  The DP
+counts repeats and sorts those integers, so it never hashes or orders a
+``Fraction``.  Its states are (interval around the origin, end it stands
+at), each keyed by one int that orders exactly as its
 (cost, turns, first move) tuple and stored less a potential that makes going
 straight on free: a relaxation costs one multiply, and the walk back turns
 where a stored value differs from its straight-on predecessor's.  The DP's
@@ -147,13 +152,30 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     Returns the optimal tour, as the walk back through the table finds its
     turns, and the exact minimal sum of first-visit times.  Locations at the
     origin are served at time 0 and do not influence the walk.  Ties prefer
-    fewer direction changes, then a first move to the left.  That does not
-    pin the walk down: every state then keeps its straight-on predecessor
-    unless turning back is strictly cheaper, and the walk ends at the left
-    end unless the right end is strictly better (turns and first move
-    already fix the end, so this last rule never decides).  Locations must
-    be rational: the walk is solved over integer positions scaled by their
-    common denominator.
+    fewer direction changes, then a first move to the left (see
+    ``_latency_walk``, which this scales the locations for: integers over
+    their common denominator, and its turns and total back over it).
+    Locations must be rational.
+    """
+    locations = _rational_locations(points)
+    scale = lcm(*[p.denominator for p in locations])
+    turns, total = _latency_walk([p.numerator * (scale // p.denominator) for p in locations])
+    return Tour(tuple([Fraction(x, scale) for x in turns])), Fraction(total, scale)
+
+
+def _latency_walk(positions: Sequence[int]) -> Tuple[List[int], int]:
+    """The interval DP over integer ``positions`` (repeats allowed, those at
+    the origin ignored): ``(turns, total)``, the turning points of a
+    minimum-latency walk from the origin and its sum of first-visit times,
+    integers in the positions' own scale.  ``optimal_latency_tour`` wraps it;
+    callers that already hold integers (``evaluate``, the replanner and the
+    robust plan) call it directly.
+
+    Ties prefer fewer direction changes, then a first move to the left.
+    That does not pin the walk down: every state then keeps its straight-on
+    predecessor unless turning back is strictly cheaper, and the walk ends
+    at the left end unless the right end is strictly better (turns and first
+    move already fix the end, so this last rule never decides).
 
     Each state's (cost, turns, first_move_right) is packed into the int
     ``(cost*(m+1) + turns)*2 + first`` over the ``m`` distinct positions, the
@@ -174,12 +196,10 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     (``x <= 0`` left of the origin), so stored values compare as the keys do
     and none exceeds its key.
     """
-    locations = _rational_locations(points)
-    scale = lcm(*[p.denominator for p in locations])
-    weights = Counter([p.numerator * (scale // p.denominator) for p in locations])
+    weights = Counter(positions)
     del weights[0]  # a Counter ignores a missing key
     if not weights:
-        return Tour(()), _ZERO
+        return [], 0
 
     at = sorted([0, *weights])
     prefix = list(accumulate([weights[x] for x in at], initial=0))
@@ -233,7 +253,9 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
             side ^= 1
             turns.append(at[j] if side else at[i])
             value = best[side][i][j - o]
-    return Tour(tuple([Fraction(x, scale) for x in reversed(turns)])), Fraction(key // unit, scale)
+    return turns[::-1], key // unit
+
+
 
 
 def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scalar, Tuple[Scalar, ...]]:

@@ -7,9 +7,11 @@ the replanner's (``ReplanSession``) keeps them in closed form as it replans.
 
 All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
 the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
-the committed motion: it scales the schedule's trips and the path's legs
-once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
-b*sqrt(3))/d`` over a common denominator ``d``.  A session's motion
+the committed motion: it scales the schedule's trips and the path's turning
+points once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
+b*sqrt(3))/d`` over a common denominator ``d``, and adds up the legs' arcs
+in those integers (``_trip_geometry``; no ``Trajectory`` of the path is
+built).  A session's motion
 (``CommittedSession.motion``, the one motion a session gives), the release
 game's moves (``PlannedTrips.moves``) and ``roundtrip_trajectory`` come
 from one stream of those trips; the closed-form completions
@@ -18,9 +20,13 @@ per distinct request denominator.  The replanner keeps its motion in the
 same form: breakpoints in integer pairs over one denominator, cut
 (``_cut``, which ``CommittedSession.motion`` applies to the plan's moves
 too) and extended as it replans, and handed out as they are by its
-``motion`` and ``moves``.  ``roundtrip_trajectory`` and the completions
-convert their pairs back once (``core._pair_scalar``); the moves and the
-motion stay integers.
+``motion`` and ``moves``; each replan's walk is the interval DP's integer
+entry (``offline._latency_walk``) over the targets less the server's
+position, on that denominator.  ``roundtrip_trajectory`` and the
+completions convert their pairs back once (``core._pair_scalar``); the
+moves and the motion stay integers.  The robust plan (``padded_robust_path``)
+pulls, solves, pads and clamps in integers too, and builds one scalar per
+waypoint.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .core import (
     _surd_floor,
     parse_scalar,
 )
-from .offline import Tour, _first_visit, canonical_tour, optimal_latency_tour
+from .offline import Tour, _first_visit, _latency_walk, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -152,7 +158,7 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     speed, and each trip starts where the one before ends, at the origin;
     so the motion is valid by construction and is not checked again.
     """
-    if path.walk.end_time == 0 or horizon <= 0:
+    if not path.turning_points or horizon <= 0:
         return Trajectory(((_ZERO, _ZERO),))
     d0, trips = PlannedTrips(path, schedule)._trips(0)
     pts = [((0, 0), (0, 0))]
@@ -167,9 +173,9 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
     """A time by which every on-path location has surely been visited after
     every arrival: full-coverage trips repeat every round after the reach
     first exceeds the path length."""
-    total = path.walk.end_time
-    if total == 0:
+    if not path.turning_points:
         return _ZERO
+    total = _path_length(path)
     *_, (_, end, _) = schedule.trips(total)
     return end + latest_arrival + 4 * total + 1
 
@@ -228,6 +234,14 @@ def _next_pass(geometric, base, period, s, arrival):
     return wa + sa, wb + sb
 
 
+def _path_length(path: Tour):
+    """The length of the path's walk from the origin.  Its turning points
+    alternate sides of the origin, so a leg is as long as its ends are far
+    from the origin, and every turning point but the last ends two legs."""
+    tps = path.turning_points
+    return 2 * sum([abs(tp) for tp in tps]) - abs(tps[-1])
+
+
 def _trip_geometry(planned: PlannedTrips):
     """``(d0, over)``: the round trips of ``planned`` in integer pairs
     ``(a, b)``, meaning ``(a + b*sqrt(3))/d0`` over their common
@@ -235,15 +249,20 @@ def _trip_geometry(planned: PlannedTrips):
     rescaled to so far (``d0`` first) to ``(geometric, legs, sweeps)`` over
     ``d``: the geometric trips as ``(start, end, reach)``, the path's legs as
     ``(arc at start, start, end)`` and the full sweeps as ``(base,
-    period)``.  The path must have positive length."""
-    pts, total = planned.path.walk.breakpoints, planned.path.walk.end_time
-    trips = list(planned.schedule.trips(total))
-    d0, scaled = _scaled_pairs([v for row in trips + list(pts) for v in row] + [2 * total])
+    period)``.  The trips and the path's turning points are scaled once;
+    the legs' arcs and the period, twice the path's length, are added up
+    in integers.  The path must have positive length."""
+    tps = planned.path.turning_points
+    trips = list(planned.schedule.trips(_path_length(planned.path)))
+    d0, scaled = _scaled_pairs([v for trip in trips for v in trip] + list(tps))
     it = iter(scaled)
     *geometric, (base, _, _) = [(next(it), next(it), next(it)) for _ in trips]
-    walk = [(next(it), next(it)) for _ in pts]
-    legs = [(at, u, v) for (at, u), (_, v) in zip(walk, walk[1:])]
-    return d0, {d0: (geometric, legs, (base, next(it)))}
+    legs, (ca, cb), (ua, ub) = [], (0, 0), (0, 0)
+    for va, vb in it:  # the turning points: each leg runs from (ua, ub) at arc (ca, cb)
+        legs.append(((ca, cb), (ua, ub), (va, vb)))
+        s = _pair_sign(va - ua, vb - ub)
+        ca, cb, ua, ub = ca + s * (va - ua), cb + s * (vb - ub), va, vb
+    return d0, {d0: (geometric, legs, (base, (2 * ca, 2 * cb)))}
 
 
 def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[object]]:
@@ -268,8 +287,11 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     The per-request work is integer arithmetic; each request's earliest pass
     is converted back once (``core._pair_scalar``).
     """
-    if planned.path.walk.end_time == 0:  # parked at the origin
-        return [arrival if loc == 0 else None for loc, arrival in requests]
+    if not planned.path.turning_points:  # parked at the origin
+        return [
+            _exact(arrival, "arrival") if _exact(loc, "location") == 0 else None
+            for loc, arrival in requests
+        ]
     d0, over = planned._geometry
     out: List[Optional[object]] = []
     for loc, arrival in requests:
@@ -434,7 +456,7 @@ class CommittedSession:
         under way at ``until``, cut there (``_cut``), in integer pairs; an
         empty path parks at the origin."""
         d0, moves = 1, ()
-        if self.planned.path.walk.end_time != 0:
+        if self.planned.path.turning_points:
             d0, trips = self.planned._trips(0)
             moves = (move for trip in trips for move in trip)
         du, [(ca, cb)] = _scaled_pairs([until])
@@ -501,34 +523,49 @@ class PerfectPredictionTour(FixedPathStrategy):
         return PlannedTrips(extend_tour_to_line(tour, info.line), RoundTripSchedule(self.alpha))
 
 
-def shrink_toward_origin(p, delta):
-    """Move a location ``delta`` toward the origin, stopping there."""
-    if p >= 0:
-        return max(p - delta, _ZERO)
-    return min(p + delta, _ZERO)
-
-
 def padded_robust_path(predictions: Sequence, delta, line: LineSegment) -> Tour:
     """Error-tolerant walk for predictions off by at most ``delta``.
 
     Plans the latency-optimal tour of the predictions pulled ``delta`` toward
-    the origin, pushes each turning point ``2*delta`` outward (clamped to the
-    line), and finally guarantees coverage of every point within ``delta`` of
-    a prediction -- the pull can flatten near-origin predictions onto 0, which
-    would otherwise leave their error neighborhoods uncovered.
+    the origin (stopping there), pushes each turning point ``2*delta``
+    outward (clamped to the line), and finally guarantees coverage of every
+    point within ``delta`` of a prediction -- the pull can flatten
+    near-origin predictions onto 0, which would otherwise leave their error
+    neighborhoods uncovered.
+
+    ``delta``, the predictions and the line's ends are scaled once to
+    integers over one denominator ``d``; the pull, the tour
+    (``offline._latency_walk``), the push and the clamps run in integers.
+    Each waypoint handed to ``canonical_tour`` is one ``Fraction``, or the
+    line's own end where it is clamped, so a line end may have a
+    ``sqrt(3)`` part; ``delta`` and the predictions must be rational.
     """
     delta = _exact(delta, "delta")
-    shrunk = [shrink_toward_origin(p, delta) for p in predictions]
-    tour, _ = optimal_latency_tour(shrunk)
-    padded = [
-        min(tp + 2 * delta, line.b) if tp > 0 else max(tp - 2 * delta, line.a)
-        for tp in tour.turning_points
-    ]
-    if predictions:
-        lo_req = max(min(predictions) - delta, line.a)
-        hi_req = min(max(predictions) + delta, line.b)
-        padded += [lo_req, hi_req]
-    return canonical_tour(padded)
+    d, [(da, db), lo, hi, *preds] = _scaled_pairs([delta, line.a, line.b, *predictions])
+    for value, (_, surd) in zip([delta, *predictions], [(da, db), *preds]):
+        if surd:
+            raise TypeError(f"delta and predictions must be rational, got {value!r}")
+    xs = [x for x, _ in preds]
+    shrunk = [max(x - da, 0) if x >= 0 else min(x + da, 0) for x in xs]
+    # each waypoint with the side it is clamped on: the turning points pushed out, then
+    # the ends of the predictions' error neighborhoods
+    ends = [(x + 2 * da, 1) if x > 0 else (x - 2 * da, -1) for x in _latency_walk(shrunk)[0]]
+    if xs:
+        ends += [(min(xs) - da, -1), (max(xs) + da, 1)]
+    waypoints = []
+    for x, side in ends:
+        (ea, eb), end = (hi, line.b) if side > 0 else (lo, line.a)
+        waypoints.append(end if _pair_sign(side * (x - ea), -side * eb) > 0 else Fraction(x, d))
+    return canonical_tour(waypoints)
+
+
+def _too_noisy(delta, line: LineSegment) -> bool:
+    """Whether ``delta`` is at least ``FALLBACK_THRESHOLD`` times the line's
+    length, ``(2 - sqrt(3))/4`` of it: the sign of ``4*delta - (2 -
+    sqrt(3))*length`` in integer pairs."""
+    _, [(da, db), (aa, ab), (ba, bb)] = _scaled_pairs([delta, line.a, line.b])
+    la, lb = ba - aa, bb - ab
+    return _pair_sign(4 * da - 2 * la + 3 * lb, 4 * db - 2 * lb + la) >= 0
 
 
 @dataclass(frozen=True)
@@ -553,7 +590,7 @@ class RobustPredictionTour(FixedPathStrategy):
     def plan(self, info: VisibleInfo) -> PlannedTrips:
         if info.predictions is None:
             raise ModelMismatchError(f"{self.name} needs predicted locations")
-        if self.delta >= FALLBACK_THRESHOLD * info.line.length:
+        if _too_noisy(self.delta, info.line):
             return LineSweepRoundTrips(self.alpha).plan(info)
         path = padded_robust_path(info.predictions, self.delta, info.line)
         return PlannedTrips(path, RoundTripSchedule(self.alpha, pad=4 * self.delta))
@@ -585,10 +622,13 @@ class ReplanSession:
         served by then keeps it, a new one at ``pos`` completes at ``time``,
         and every other one at ``time`` plus its first visit along the new
         walk from ``pos``, whose moves are appended; each is converted to a
-        scalar once.  A ``QuadraticScalar`` time or location with no
+        scalar once.  The walk is ``offline._latency_walk`` over the
+        unserved locations less ``pos``, integers over the session's
+        denominator.  A ``QuadraticScalar`` time or location with no
         ``sqrt(3)`` part is read as its ``Fraction``.  Raises ValueError,
         before any state changes, when a time comes before an earlier
-        arrival or finds the server at a surd position.
+        arrival or finds the server at a surd position, and TypeError,
+        likewise, when a location to walk to has a ``sqrt(3)`` part.
         """
         e, scaled = _scaled_pairs([v for pair in pairs for v in pair])
         d = math.lcm(self._d, e)
@@ -619,10 +659,12 @@ class ReplanSession:
                     done[i], completions[i] = (ca, cb), _pair_scalar(ca, cb, d)
                 else:
                     unserved.append(i)
-            targets = [_pair_scalar(at[i][0] - pa, at[i][1], d) for i in unserved]
+            for i in unserved:
+                if at[i][1]:
+                    target = _pair_scalar(at[i][0] - pa, at[i][1], d)
+                    raise TypeError(f"location must be rational, got {target!r}")
             walk = [(0, 0)]  # (arc, position) from ``pos``, in integers over ``d``
-            for tp in optimal_latency_tour(targets)[0].turning_points:
-                x = tp.numerator * (d // tp.denominator)
+            for x in _latency_walk([at[i][0] - pa for i in unserved])[0]:
                 walk.append((walk[-1][0] + abs(x - walk[-1][1]), x))
             pts += [((ca + s, cb), (pa + x, 0)) for s, x in walk[1:]]
             for i in unserved:
@@ -675,7 +717,7 @@ def select_algorithm(instance: Instance, delta=None, alpha=DEFAULT_ALPHA) -> Str
     if instance.model is Model.PREDICTION:
         if delta is None or delta == 0:
             return PerfectPredictionTour(alpha)
-        if delta < FALLBACK_THRESHOLD * instance.line.length:
+        if not _too_noisy(delta, instance.line):
             return RobustPredictionTour(_exact(delta, "delta"), alpha)
     if instance.line.is_halfline():
         return HalflineRoundTrips(alpha)

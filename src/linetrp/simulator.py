@@ -9,26 +9,31 @@ built.  The trajectory, the session's motion cut at the last completion
 
 Evaluation rates each completion against two per-request floors: the coarse
 ``max(|location|, arrival)`` and the sharper one, the request's first visit
-along a latency-optimal walk of the actual locations (``Tour.first_visit``)
-floored by its arrival.  It scales every completion, location and arrival
-and the turning points of that walk (not the walk itself) once, in one call,
-to integer pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over one common
-``d``.  From those pairs it adds up the walk's arcs, finds both floors and
-both maximal ratios by integer comparison (cross-multiplied, no division),
-and adds the completion sum and the arrival sum; it divides only the two
-winning ratios and the sum ratio exactly.  The per-request rows are built
-when first read, and a row's own ratios when read.
+along a latency-optimal walk of the actual locations (the rule of
+``Tour.first_visit``) floored by its arrival.  It scales every completion,
+location and arrival once, in one call, to integer pairs ``(a, b)``,
+meaning ``(a + b*sqrt(3))/d`` over one common ``d``.  The walk and its
+total come from the interval DP's integer entry (``offline._latency_walk``)
+on the locations over their own common denominator, so the completions'
+denominators do not grow the DP's integers; no ``Tour`` is built.  From
+those integers it adds up the walk's arcs, finds both floors and both
+maximal ratios by integer comparison (cross-multiplied, no division), and
+adds the completion sum and the arrival sum; it divides only the DP total,
+the two winning ratios and the sum ratio exactly.  The per-request rows are
+built when first read, and a row's own ratios when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .core import Instance, Trajectory, _exact_sum, _pair_sign, _pairs_sum, _scaled_pairs
-from .offline import _first_visit, distance_arrival_floor, optimal_latency_tour
+from .offline import _first_visit, _latency_walk, distance_arrival_floor
+from .offline import optimal_latency_tour  # not called here; perfbench/tracer.py wraps it under this name
 from .online import (
     Strategy,
     coverage_horizon,  # not called here; perfbench/tracer.py wraps it under this name
@@ -200,15 +205,22 @@ def evaluate(result: RunResult) -> EvaluationReport:
     arrival, and each maximum is the first maximal row's ratio, as with
     ``max()``; no rows give 1."""
     requests, completions = result.instance.requests, result.completions
-    tour, dp_total = optimal_latency_tour(r.actual for r in requests)
     values = [v for r, c in zip(requests, completions) for v in (r.actual, r.arrival, c)]
-    d, pairs = _scaled_pairs(values + list(tour.turning_points))
-    it = iter(pairs)
-    scaled = [(next(it)[0], next(it), next(it)) for _ in requests]  # actual is rational
-    # the tour walked at unit speed, as (arc, position) pairs: turning points are rational
+    d, pairs = _scaled_pairs(values)
+    it, scaled = iter(pairs), []
+    for r in requests:
+        (x, surd), t, num = next(it), next(it), next(it)
+        if surd:
+            raise TypeError(f"location must be rational, got {r.actual!r}")
+        scaled.append((x, t, num))
+    # the DP runs over the locations' own common denominator, d/g, so the
+    # completions' denominators do not grow its integers
+    g = math.gcd(d, *[x for x, _, _ in scaled])
+    turns, total = _latency_walk([x // g for x, _, _ in scaled])
+    # the latency-optimal walk at unit speed, as (arc, position) pairs over d
     walk, arc, pos = [(0, 0)], 0, 0
-    for x, _ in it:
-        arc, pos = arc + abs(x - pos), x
+    for x in turns:
+        arc, pos = arc + abs(x * g - pos), x * g
         walk.append((arc, pos))
     reaches, simple, tour_ratios = [], [], []
     for x, t, num in scaled:
@@ -234,7 +246,7 @@ def evaluate(result: RunResult) -> EvaluationReport:
 
     on_sum = _pairs_sum(completions, d, [num for _, _, num in scaled])
     arrivals = _pairs_sum([r.arrival for r in requests], d, [t for _, t, _ in scaled])
-    opt_bound = max(dp_total, arrivals)
+    opt_bound = max(Fraction(total * g, d), arrivals)
     return EvaluationReport(
         on_sum=on_sum,
         opt_sum_bound=opt_bound,

@@ -28,7 +28,7 @@ from linetrp.core import (
     _scaled_pairs,
     make_instance,
 )
-from linetrp.offline import Tour, distance_arrival_floor, optimal_latency_tour
+from linetrp.offline import Tour, _latency_walk, distance_arrival_floor, optimal_latency_tour
 from linetrp.online import (
     FixedPathStrategy,
     GreedyReplan,
@@ -179,13 +179,12 @@ def test_verify_witness_does_not_trust_the_closed_form(monkeypatch):
 @pytest.mark.parametrize("strategy", COMMITTED, ids=lambda s: f"{s.name}-{s.alpha}")
 def test_a_committed_witness_replay_builds_no_scalar(strategy, monkeypatch):
     """``verify_witness`` replays a committed witness on the plan's own
-    moves in integer pairs: the one ``Trajectory`` it builds, checked or
-    not, is its fresh plan's path walk (``Tour.walk``), never the motion; it
-    cuts none (``Trajectory.truncated``) and converts no pair back to a
-    scalar (``core._pair_scalar``)."""
+    moves in integer pairs: it builds no ``Trajectory``, checked or not,
+    neither of the motion nor of its fresh plan's path (whose geometry
+    comes from the turning points); it cuts none (``Trajectory.truncated``)
+    and converts no pair back to a scalar (``core._pair_scalar``)."""
     transcript = play_lowerbound_game(strategy)
     assert transcript.witness is not None
-    walk = strategy.plan(visible_info(transcript.instance)).path.walk
     calls, built = [], count_trajectories(monkeypatch)
     monkeypatch.setattr(Trajectory, "truncated", _counted(calls, "truncated", Trajectory.truncated))
     to_scalar = _counted(calls, "_pair_scalar", core._pair_scalar)
@@ -193,7 +192,7 @@ def test_a_committed_witness_replay_builds_no_scalar(strategy, monkeypatch):
         monkeypatch.setattr(module, "_pair_scalar", to_scalar, raising=False)
     assert verify_witness(strategy, transcript)
     assert calls == []
-    assert built == [walk]
+    assert built == []
 
 
 def _counted(calls, name, real):
@@ -429,17 +428,17 @@ def test_adaptive_strategy_is_probed_once_per_release(monkeypatch):
         runs += 1
         return run(*args, **kwargs)
 
-    def counting_dp(points):
+    def counting_dp(positions):
         nonlocal replans
         replans += 1
-        return optimal_latency_tour(points)
+        return _latency_walk(positions)
 
     monkeypatch.setattr(adversary, "run", counting_run)
-    monkeypatch.setattr(online, "optimal_latency_tour", counting_dp)
+    monkeypatch.setattr(online, "_latency_walk", counting_dp)
     cfg = GameConfig(max_steps=120)
     play_lowerbound_game(GreedyReplan(), cfg)
     assert runs == 0
-    assert replans <= 1 + len(cfg.near_origin)
+    assert 1 <= replans <= 1 + len(cfg.near_origin)
 
 
 def test_adaptive_completions_come_from_the_session(monkeypatch):
@@ -859,15 +858,6 @@ def _count_scans(monkeypatch):
     return counts
 
 
-def _path_walks(strategy, cfg, games: int) -> list:
-    """The trajectories ``games`` games against ``strategy`` may build: its
-    plan's path walk (``Tour.walk``) once per game for a committed strategy,
-    none for the replanner."""
-    if not isinstance(strategy, FixedPathStrategy):
-        return []
-    return [strategy.plan(VisibleInfo(cfg.line, cfg.bases + cfg.near_origin)).path.walk] * games
-
-
 @pytest.mark.parametrize("strategy", _SCALE_STRATEGIES, ids=lambda s: s.name)
 @pytest.mark.parametrize(
     "cfg", [GameConfig(), GameConfig(bases=()), EXACT_ONE], ids=["default", "no-bases", "exact-1"]
@@ -875,15 +865,14 @@ def _path_walks(strategy, cfg, games: int) -> list:
 def test_game_cost_does_not_grow_with_max_steps(strategy, cfg, monkeypatch):
     """A million steps play the same game as 120 where it ends early, and
     scan no more moves: the work follows the releases and the legs, not
-    ``max_steps``.  No game builds a trajectory of the motion: the only one
-    a committed game builds is its plan's path walk."""
-    walks = _path_walks(strategy, cfg, 2)
+    ``max_steps``.  No game builds a ``Trajectory``, of the motion or of
+    its plan's path."""
     counts = _count_scans(monkeypatch)
     short = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=120))
     short_scanned, counts["moves"] = counts["moves"], 0
     long = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=10**6))
     assert counts["moves"] == short_scanned <= 100
-    assert counts["built"] == walks
+    assert counts["built"] == []
     if short.witness is not None:
         assert (long.witness, long.log) == (short.witness, short.log)
     else:  # the same releases; what is withheld goes out at the last step
@@ -909,12 +898,12 @@ _ENDS_AT_ONE = GameConfig(line=LineSegment(F(-1), F(1)), bases=(F(-1), F(1)), ra
 def test_a_path_that_ends_at_1_is_not_scanned(strategy, cfg, monkeypatch):
     """The server never stands beyond 1 on a path that ends there, so the
     game releases no near-origin request before the end and scans no move,
-    however large ``max_steps`` is (it used to scan out to ``max_steps``)."""
-    walks = _path_walks(strategy, cfg, 1)
+    however large ``max_steps`` is (it used to scan out to ``max_steps``),
+    and builds no ``Trajectory``."""
     counts = _count_scans(monkeypatch)
     steps = 10**6
     transcript = play_lowerbound_game(strategy, dataclasses.replace(cfg, max_steps=steps))
-    assert counts == {"moves": 0, "built": walks}
+    assert counts == {"moves": 0, "built": []}
     assert transcript.witness is None
     assert [line for line in transcript.log if "heading out" in line] == []
     assert f"t={steps}: released remaining 1/1000 (game over)" in transcript.log

@@ -387,6 +387,30 @@ def test_simulate_certifies_committed_schedules(tmp_path, capsys):
     assert "certified" in capsys.readouterr().out
 
 
+GAP = "LINE -10 10\nMODEL prediction\nREQ 7 7 2\nREQ -7 -7 21\n"  # the README's known gap
+
+
+@pytest.mark.parametrize(
+    "text, certify, scope",
+    [
+        (GAP, "tour", " (per request, against the tour-prefix floor; on a full line"
+                      " that floor does not bound the sum ratio against OPT)"),
+        ("LINE 0 10\nREQ 7 7 2\n", "tour", ""),  # a half-line
+        ("LINE -10 10\nREQ 7 7 0\n", "simple", ""),  # the distance floor bounds OPT's too
+    ],
+    ids=["full-line-tour", "half-line-tour", "full-line-simple"],
+)
+def test_tour_certificate_on_a_full_line_names_its_floor(text, certify, scope, tmp_path, capsys):
+    """On a full line, ``--certify tour`` says what it certified: each
+    request against the tour-prefix floor, which does not bound the sum
+    ratio against OPT there (the known gap: sum ratio 4.2129 passes).
+    Half-lines and the distance/arrival floor keep their bare line."""
+    path = _write(tmp_path, "inst.txt", text)
+    assert main(["simulate", path, "--certify", certify]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"certified: worst ratio within 2 + 1*sqrt(3){scope}"
+
+
 def test_simulate_certification_failure_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "drag.txt", DRAG)
     assert main(["simulate", path, "--strategy", "greedy", "--certify", "simple"]) == 3
@@ -522,7 +546,8 @@ def test_sweep_output_is_pinned(argv, digest, capsys):
         (
             PREDICTED,
             ["--delta", "1/100", "--certify", "tour"],
-            "c1bd5a26c0707cd5f064f11858d363178e3b331f71ed84ef6b6d786df774ed94",
+            # a full line: the certified line names the tour-prefix floor
+            "a42b979add804050c11c9abcd5826b4977d3d3814b31e6cda6b6a31a82ab95d3",
             "e18de54eb503a47c7c20b98110c7f01c5d54c516bdb3ecbf034b0f90ca64482c",
         ),
         (

@@ -23,7 +23,7 @@ from linetrp.core import (
     parse_scalar,
     serialize_instance,
 )
-from linetrp.offline import canonical_tour, optimal_latency_tour
+from linetrp.offline import Tour, canonical_tour, optimal_latency_tour
 from linetrp.online import QuadraticScalar, RoundTripSchedule, roundtrip_trajectory
 
 from scalar_service import reference_first_service_time
@@ -209,6 +209,7 @@ def test_floats_rejected():
     exact = "must be exact \\(int/Fraction\\), got float"
     traj = Trajectory(((F(0), F(0)), (F(2), F(2)), (F(3), F(2))))
     planned = online.PerfectPredictionTour().plan(online.VisibleInfo(LineSegment(F(-1), F(2)), (F(1),)))
+    parked = online.PlannedTrips(Tour(()), RoundTripSchedule())
     committed, replan = online.CommittedSession(planned), online.ReplanSession()
     replan.on_arrivals([(F(1), F(0))])
     for call in [
@@ -222,10 +223,14 @@ def test_floats_rejected():
         lambda: traj.first_service_time(1.0),
         lambda: traj.first_service_time(F(1), 0.5),
         lambda: traj.position_at(1.0),
+        lambda: traj.position_at(2.5),  # inside a wait: nothing to interpolate
+        lambda: traj.position_at(4.0),  # parked after the last breakpoint
         lambda: traj.truncated(1.5),
         lambda: traj.truncated(2.5),  # inside a wait: nothing to interpolate
         lambda: online.roundtrip_completions(planned, [(1.0, F(0))]),
         lambda: online.roundtrip_completions(planned, [(F(1), 0.0)]),
+        lambda: online.roundtrip_completions(parked, [(F(0), 1.5)]),  # an empty path
+        lambda: online.roundtrip_completions(parked, [(0.0, F(1))]),
         lambda: committed.motion(2.5),
         lambda: replan.on_arrivals([(1.0, F(0))]),
         lambda: replan.motion(0.5),

@@ -233,6 +233,33 @@ def test_dp_scales_and_reflects_with_its_input():
         assert optimal_latency_tour([-p for p in pts])[1] == total, k
 
 
+def test_integer_entry_is_the_tour_scaled():
+    """``_latency_walk`` on integer positions over any ``d`` (not only the
+    lcm of their denominators) gives the turns and the total of
+    ``optimal_latency_tour`` on the positions over ``d``, times ``d``, as
+    ints; on small sets the total is also the exhaustive search's.  The sets
+    hold repeats, the origin, one-sided and mirrored positions."""
+    rng = random.Random(32)
+    for k in range(300):
+        n = rng.randint(0, 12)
+        span = rng.choice((3, 40, 1000))
+        lo, hi = [(-span, span), (0, span), (-span, 0)][k % 3]
+        xs = [rng.randint(lo, hi) for _ in range(n)]
+        xs += rng.sample(xs, min(len(xs), rng.randint(0, 3))) + [0] * rng.randint(0, 2)
+        if k % 4 == 3:
+            xs = [-x for x in xs]
+        d = rng.choice((1, 2, 6, 1000))
+        xs = [x * rng.choice((1, d)) for x in xs]  # over d, with a common factor or not
+        turns, total = offline._latency_walk(xs)
+        tour, expected = optimal_latency_tour([F(x, d) for x in xs])
+        assert turns == [tp * d for tp in tour.turning_points], k
+        assert total == expected * d, k
+        assert all(type(v) is int for v in (*turns, total)), k
+        if len([x for x in xs if x]) <= 7:
+            assert total == brute_force_latency([F(x, d) for x in xs])[0] * d, k
+    assert offline._latency_walk([]) == offline._latency_walk([0, 0]) == ([], 0)
+
+
 def test_dp_returns_the_walk_it_found(monkeypatch):
     """The walk back through the table keeps the turns as it finds them; the
     tour is never re-collapsed."""

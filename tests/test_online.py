@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from linetrp import core, online
 from linetrp.core import LineSegment, Model, make_instance
-from linetrp.offline import Direction, Tour
+from linetrp.offline import Direction, Tour, canonical_tour, optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
     DEFAULT_ALPHA,
@@ -37,7 +37,6 @@ from linetrp.online import (
     parse_alpha,
     roundtrip_trajectory,
     select_algorithm,
-    shrink_toward_origin,
     visible_info,
 )
 from linetrp.simulator import run
@@ -550,6 +549,29 @@ def test_perfect_strategy_path():
         PerfectPredictionTour().plan(blind)
 
 
+def shrink_toward_origin(p, delta):
+    """Move a location ``delta`` toward the origin, stopping there."""
+    if p >= 0:
+        return max(p - delta, F(0))
+    return min(p + delta, F(0))
+
+
+def scalar_padded_robust_path(predictions, delta, line) -> Tour:
+    """``online.padded_robust_path`` written in scalar arithmetic, the
+    reference for its integer form: the tour of the pulled predictions, its
+    turning points pushed ``2*delta`` out and clamped, then both ends of the
+    predictions' error neighborhoods, collapsed by ``canonical_tour``."""
+    shrunk = [shrink_toward_origin(p, delta) for p in predictions]
+    tour, _ = optimal_latency_tour(shrunk)
+    padded = [
+        min(tp + 2 * delta, line.b) if tp > 0 else max(tp - 2 * delta, line.a)
+        for tp in tour.turning_points
+    ]
+    if predictions:
+        padded += [max(min(predictions) - delta, line.a), min(max(predictions) + delta, line.b)]
+    return canonical_tour(padded)
+
+
 def test_shrink_toward_origin():
     assert shrink_toward_origin(F(5), F(1)) == 4
     assert shrink_toward_origin(F(-5), F(1)) == -4
@@ -584,6 +606,61 @@ def test_padded_robust_path_covers_all_error_neighborhoods(line, rel, delta):
     for p in preds:
         for x in (max(p - delta, line.a), p, min(p + delta, line.b)):
             assert path.first_visit(x) is not None
+
+
+def test_integer_robust_path_is_the_scalar_one():
+    """The integer robust path equals the scalar reference, value and type,
+    on seeded predictions: full lines and both half-lines, repeats, the
+    origin, predictions the pull flattens onto it, deltas from 0 up to the
+    line's length, and no predictions at all."""
+    rng = random.Random(20261020)
+    lines = [LineSegment(F(a), F(b)) for a, b in [(-10, 10), (0, 10), (-10, 0), (-3, 7), (-1, 1)]]
+    cases = 0
+    for trial in range(600):
+        line = rng.choice(lines)
+        den = rng.choice([1, 2, 7, 12, 100])
+        grid = [F(k, den) for k in range(int(line.a * den), int(line.b * den) + 1)]
+        near = [x for x in grid if abs(x) <= F(1, 2)]  # within reach of the pull
+        preds = tuple(rng.choice(near if rng.random() < 0.3 else grid) for _ in range(rng.randint(0, 7)))
+        delta = rng.choice([F(0), F(1, 100), F(1, 7), F(1, 2), F(3, 2), line.length])
+        path, expected = padded_robust_path(preds, delta, line), scalar_padded_robust_path(preds, delta, line)
+        assert path.turning_points == expected.turning_points, (preds, delta, line)
+        assert [type(tp) for tp in path.turning_points] == [F] * len(expected.turning_points)
+        cases += any(p != 0 and shrink_toward_origin(p, delta) == 0 for p in preds)
+    assert cases > 50  # the flattening ran
+
+
+def test_integer_robust_path_clamps_to_surd_line_ends():
+    """Line ends with a ``sqrt(3)`` part are compared in integer pairs and
+    kept as the line's own ends where a waypoint is clamped, as the scalar
+    reference's ``min`` and ``max`` keep them; a surd ``delta`` or
+    prediction is refused, by name."""
+    line = LineSegment(QS(-1, -1), QS(2, 1))  # about [-2.73, 3.73]
+    for preds, delta in [((F(7, 2), F(-2)), F(1, 2)), ((F(1, 2),), F(1, 100)), ((), F(1))]:
+        path = padded_robust_path(preds, delta, line)
+        expected = scalar_padded_robust_path(preds, delta, line).turning_points
+        assert path.turning_points == expected
+        assert [type(tp) for tp in path.turning_points] == [type(tp) for tp in expected]
+    assert padded_robust_path((F(7, 2),), F(1, 2), line).turning_points == (line.b,)
+    for preds, delta, surd in [((F(3),), QS(0, F(1, 100)), "0, 1/100"), ((QS(1, 1),), F(1), "1, 1")]:
+        with pytest.raises(TypeError, match=rf"^delta and predictions must be rational, got QuadraticScalar\({surd}\)$"):
+            padded_robust_path(preds, delta, LineSegment(F(0), F(10)))
+
+
+@pytest.mark.parametrize("line", [LineSegment(F(-1), F(1)), LineSegment(F(0), F(10)), LineSegment(QS(-1, -1), F(3))])
+def test_the_fallback_test_is_the_threshold_product(line):
+    """Robust plans and ``select_algorithm`` fall back exactly where
+    ``delta >= FALLBACK_THRESHOLD * length``, the product the integer test
+    stands for: at the threshold, on either side of it, and far from it."""
+    info = visible_info(make_instance(line, [(F(0), F(0), F(0))]))
+    threshold = FALLBACK_THRESHOLD * line.length
+    below = F(math.floor(threshold * 10**6), 10**6)  # rational, as a robust plan's delta must be
+    for delta in [F(0), F(1, 1000), below, threshold, below + F(1, 10**6), line.length]:
+        sweep = RobustPredictionTour(delta).plan(info) == LineSweepRoundTrips().plan(info)
+        assert sweep is (delta >= threshold), delta
+        if delta:
+            picked = select_algorithm(make_instance(line, [(F(0), F(0), F(0))]), delta)
+            assert isinstance(picked, RobustPredictionTour) is (delta < threshold), delta
 
 
 def test_robust_strategy_fallback_threshold():

@@ -569,6 +569,69 @@ def test_maxima_and_sum_ratio_match_the_row_ratios(result):
         assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
 
 
+def _reference_report(result):
+    """``evaluate``'s floors written the plain way, in scalars: the
+    latency-optimal tour of the actual locations and its total
+    (``optimal_latency_tour``), each request's first visit along it
+    (``Tour.first_visit``), ``max`` against the arrival (the reach kept on
+    a tie) and the first largest row ratio."""
+    requests, completions = result.instance.requests, result.completions
+    tour, dp_total = optimal_latency_tour([r.actual for r in requests])
+    rows = [
+        simulator.RequestReport(
+            r.index, r.predicted, r.actual, r.arrival, c,
+            max(abs(r.actual), r.arrival), max(tour.first_visit(r.actual), r.arrival),
+        )
+        for r, c in zip(requests, completions)
+    ]
+    worst = max([row.ratio_tour for row in rows], default=F(1))
+    return opt_sum_floor(requests, dp_total), worst, rows
+
+
+def test_evaluate_matches_the_scalar_reference():
+    """On seeded runs of all five strategies (full lines, half-lines, surd
+    arrivals for the committed ones), ``evaluate``'s integer DP and walk
+    give the reference's optimal-sum floor, worst tour ratio and rows, value
+    and type."""
+    rng = random.Random("evaluate-reference")
+    runs = 0
+    for trial in range(150):
+        name = ["halfline", "sweep", "perfect", "robust", "greedy"][trial % 5]
+        line = (0, rng.choice([1, 4, 10])) if name == "halfline" else rng.choice([(-2, 3), (-10, 10), (-5, 0)])
+        delta = F(rng.randint(1, 5), 100) if name == "robust" else F(0)
+        n = rng.randint(0, 9)
+        if name == "robust":
+            inst = perturbed_instance(rng, line, n, delta, 30, rng.choice([1, 8, 1000]))
+        else:
+            inst = random_instance(rng, line, n, 30, rng.choice([1, 8, 1000]))
+        if name != "greedy" and inst.requests and rng.random() < 0.3:  # a surd arrival
+            first = inst.requests[0]
+            triples = [(r.predicted, r.actual, r.arrival) for r in inst.requests]
+            triples[0] = (first.predicted, first.actual, first.arrival + SQRT3 / 2)
+            inst = make_instance(inst.line, triples)
+        strategy = make_strategy(name, rng.choice([DEFAULT_ALPHA, F(1, 2)]), delta)
+        report = evaluate(run(inst, strategy))
+        floor, worst, rows = _reference_report(run(inst, strategy))
+        for got, expected in ((report.opt_sum_bound, floor), (report.max_ratio_tour, worst)):
+            assert (got, type(got)) == (expected, type(expected)), trial
+        assert report.rows == tuple(rows), trial
+        for row, ref in zip(report.rows, rows):
+            assert [type(getattr(row, f)) for f in _ROW_FIELDS] == [type(getattr(ref, f)) for f in _ROW_FIELDS]
+        runs += bool(rows)
+    assert runs > 100
+
+
+def test_evaluate_refuses_a_surd_location_by_name():
+    """The DP takes rational locations: a run whose request sits at a surd
+    location is served, but not rated, with the DP's ``TypeError``."""
+    line = LineSegment(F(0), F(4))
+    inst = make_instance(line, [(None, F(1), F(0)), (None, 1 + SQRT3, F(0))], Model.ORIGINAL)
+    result = run(inst, HalflineRoundTrips())
+    assert None not in result.completions
+    with pytest.raises(TypeError, match=r"^location must be rational, got QuadraticScalar\(1, 1\)$"):
+        evaluate(result)
+
+
 def test_evaluate_divides_only_the_winning_ratios(monkeypatch):
     # the rows' ratios are compared in integers: only the two maxima and the
     # sum ratio are ever divided out
