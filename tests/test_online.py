@@ -623,7 +623,8 @@ def test_integer_robust_path_is_the_scalar_one():
         near = [x for x in grid if abs(x) <= F(1, 2)]  # within reach of the pull
         preds = tuple(rng.choice(near if rng.random() < 0.3 else grid) for _ in range(rng.randint(0, 7)))
         delta = rng.choice([F(0), F(1, 100), F(1, 7), F(1, 2), F(3, 2), line.length])
-        path, expected = padded_robust_path(preds, delta, line), scalar_padded_robust_path(preds, delta, line)
+        path = padded_robust_path(preds, delta, line)
+        expected = scalar_padded_robust_path(preds, delta, line)
         assert path.turning_points == expected.turning_points, (preds, delta, line)
         assert [type(tp) for tp in path.turning_points] == [F] * len(expected.turning_points)
         cases += any(p != 0 and shrink_toward_origin(p, delta) == 0 for p in preds)
@@ -642,12 +643,15 @@ def test_integer_robust_path_clamps_to_surd_line_ends():
         assert path.turning_points == expected
         assert [type(tp) for tp in path.turning_points] == [type(tp) for tp in expected]
     assert padded_robust_path((F(7, 2),), F(1, 2), line).turning_points == (line.b,)
+    refused = r"^delta and predictions must be rational, got QuadraticScalar\({}\)$"
     for preds, delta, surd in [((F(3),), QS(0, F(1, 100)), "0, 1/100"), ((QS(1, 1),), F(1), "1, 1")]:
-        with pytest.raises(TypeError, match=rf"^delta and predictions must be rational, got QuadraticScalar\({surd}\)$"):
+        with pytest.raises(TypeError, match=refused.format(surd)):
             padded_robust_path(preds, delta, LineSegment(F(0), F(10)))
 
 
-@pytest.mark.parametrize("line", [LineSegment(F(-1), F(1)), LineSegment(F(0), F(10)), LineSegment(QS(-1, -1), F(3))])
+@pytest.mark.parametrize(
+    "line", [LineSegment(F(-1), F(1)), LineSegment(F(0), F(10)), LineSegment(QS(-1, -1), F(3))]
+)
 def test_the_fallback_test_is_the_threshold_product(line):
     """Robust plans and ``select_algorithm`` fall back exactly where
     ``delta >= FALLBACK_THRESHOLD * length``, the product the integer test

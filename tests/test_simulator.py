@@ -590,33 +590,40 @@ def _reference_report(result):
 
 def test_evaluate_matches_the_scalar_reference():
     """On seeded runs of all five strategies (full lines, half-lines, surd
-    arrivals for the committed ones), ``evaluate``'s integer DP and walk
-    give the reference's optimal-sum floor, worst tour ratio and rows, value
-    and type."""
+    arrivals for the committed ones, arrivals with a denominator the
+    locations lack), ``evaluate``'s integer DP and walk give the
+    reference's optimal-sum floor, worst tour ratio and rows, value and
+    type."""
     rng = random.Random("evaluate-reference")
     runs = 0
     for trial in range(150):
         name = ["halfline", "sweep", "perfect", "robust", "greedy"][trial % 5]
-        line = (0, rng.choice([1, 4, 10])) if name == "halfline" else rng.choice([(-2, 3), (-10, 10), (-5, 0)])
+        if name == "halfline":
+            line = (0, rng.choice([1, 4, 10]))
+        else:
+            line = rng.choice([(-2, 3), (-10, 10), (-5, 0)])
         delta = F(rng.randint(1, 5), 100) if name == "robust" else F(0)
         n = rng.randint(0, 9)
         if name == "robust":
             inst = perturbed_instance(rng, line, n, delta, 30, rng.choice([1, 8, 1000]))
         else:
             inst = random_instance(rng, line, n, 30, rng.choice([1, 8, 1000]))
-        if name != "greedy" and inst.requests and rng.random() < 0.3:  # a surd arrival
+        if inst.requests and rng.random() < 0.5:
+            # a surd arrival, or one whose denominator the locations do not have
+            late = SQRT3 / 2 if name != "greedy" and rng.random() < 0.5 else F(1, 7)
             first = inst.requests[0]
             triples = [(r.predicted, r.actual, r.arrival) for r in inst.requests]
-            triples[0] = (first.predicted, first.actual, first.arrival + SQRT3 / 2)
+            triples[0] = (first.predicted, first.actual, first.arrival + late)
             inst = make_instance(inst.line, triples)
         strategy = make_strategy(name, rng.choice([DEFAULT_ALPHA, F(1, 2)]), delta)
-        report = evaluate(run(inst, strategy))
-        floor, worst, rows = _reference_report(run(inst, strategy))
+        result = run(inst, strategy)
+        report, (floor, worst, rows) = evaluate(result), _reference_report(result)
         for got, expected in ((report.opt_sum_bound, floor), (report.max_ratio_tour, worst)):
             assert (got, type(got)) == (expected, type(expected)), trial
         assert report.rows == tuple(rows), trial
         for row, ref in zip(report.rows, rows):
-            assert [type(getattr(row, f)) for f in _ROW_FIELDS] == [type(getattr(ref, f)) for f in _ROW_FIELDS]
+            types = [(type(getattr(row, f)), type(getattr(ref, f))) for f in _ROW_FIELDS]
+            assert all(got is expected for got, expected in types), trial
         runs += bool(rows)
     assert runs > 100
 
