@@ -42,7 +42,7 @@ from .online import (
     roundtrip_trajectory,
     select_algorithm,
 )
-from .simulator import CoverageError, EvaluationReport, RunResult, evaluate, request_ratio, run
+from .simulator import CoverageError, EvaluationReport, RunResult, evaluate, run
 from .adversary import GameConfig, GameTranscript, Witness, play_lowerbound_game, verify_witness
 from .generate import perturbed_instance, random_instance
 

@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 from .core import (
     Instance,
     LineSegment,
+    _common_scale,
     _on_line,
     _pair_scalar,
     _pair_visit,
@@ -270,7 +271,8 @@ def verify_witness(strategy: Strategy, transcript: GameTranscript) -> bool:
     ``ratio_target`` times its floor (``motion(deadline)``, in integer
     pairs), by the one crossing rule (``core._pair_visit``): it is a
     violation when the motion does not serve it by then.  No closed form is
-    read, and no scalar is built per breakpoint."""
+    read, and no scalar is built per breakpoint.  Raises ValueError when a
+    move that crosses the request's location runs slower than unit speed."""
     if transcript.witness is None:
         return False
     instance = transcript.instance
@@ -278,14 +280,11 @@ def verify_witness(strategy: Strategy, transcript: GameTranscript) -> bool:
     session.on_arrivals([(r.actual, r.arrival) for r in instance.requests])
     r = instance.requests[transcript.witness.request_index]
     deadline = transcript.config.ratio_target * distance_arrival_floor(r.actual, r.arrival)
-    d, pts = session.motion(deadline)
-    e, request = _scaled_pairs([r.actual, r.arrival, deadline])
-    f = math.lcm(d, e)  # the motion and the request over one denominator
-    g, h = f // d, f // e
-    pts = [((ta * g, tb * g), (pa * g, pb * g)) for (ta, tb), (pa, pb) in pts]
-    x, arrival, (ca, cb) = [(a * h, b * h) for a, b in request]
+    _, pts, [x, arrival, (ca, cb)] = _common_scale(
+        *session.motion(deadline), [r.actual, r.arrival, deadline]
+    )
     found = _pair_visit(pts, x, arrival)
     if found is None:
         return True
-    a, b, m = found[1] or (*arrival, 1)  # None: served at the arrival itself
-    return _pair_sign(a - m * ca, b - m * cb) > 0
+    a, b = found[1] or arrival  # None: served at the arrival itself
+    return _pair_sign(a - ca, b - cb) > 0

@@ -2,8 +2,8 @@
 
 Positions, times, and line endpoints are exact numbers (``fractions.Fraction``
 or ``QuadraticScalar``), so simulation results and ratio certificates never
-depend on float rounding.  Server motion is a piecewise-linear trajectory with
-speed at most 1, starting at the origin at time 0; its service queries run
+depend on float rounding.  Server motion is a trajectory of waits and
+unit-speed moves, starting at the origin at time 0; its service queries run
 one crossing rule (``_pair_visit``) on its breakpoints as integer pairs.
 Floats are refused: ``_exact`` checks the values the constructors take, and
 a float that reaches the pair converter (``_scaled_pairs``) raises the same
@@ -307,23 +307,20 @@ def _pairs_sum(values, d, pairs):
     return _scalar_like(values, sum([x for x, _ in pairs]), sum([y for _, y in pairs]), d)
 
 
-def _interpolate(x0, y0, x1, y1, x):
-    """``y0 + (y1 - y0)*(x - x0)/(x1 - x0)`` for ``x1 != x0``: the value at
-    ``x`` of the leg through ``(x0, y0)`` and ``(x1, y1)``, with the value
-    and type that expression gives (``_scalar_like``).
+def _times(rows, f: int):
+    """Every integer pair ``(a, b)`` of ``rows`` (tuples of pairs) times ``f``."""
+    return [tuple([(a * f, b * f) for a, b in row]) for row in rows]
 
-    The five values are scaled once to integer pairs over one denominator
-    (``_scaled_pairs``) and divided by the run ``x1 - x0`` through its
-    conjugate, so the only scalar built is the result."""
-    values = (x0, y0, x1, y1, x)
-    d, [(xa, xb), (ya, yb), (ua, ub), (va, vb), (za, zb)] = _scaled_pairs(values)
-    ra, rb, wa, wb, sa, sb = va - ya, vb - yb, ua - xa, ub - xb, za - xa, zb - xb
-    ma, mb = ra * sa + 3 * rb * sb, ra * sb + rb * sa  # rise times step, over d*d
-    # rise*step/run == rise*step*conj(run)/norm(run); norm != 0 as sqrt(3) is irrational
-    n = wa * wa - 3 * wb * wb
-    a = ya * n + ma * wa - 3 * mb * wb
-    b = yb * n + mb * wa - ma * wb
-    return _scalar_like(values, a, b, d * n)
+
+def _common_scale(d: int, pts, values):
+    """``(f, pts, pairs)``: the motion ``pts``, rows of integer pairs over
+    ``d``, and ``values`` (``_scaled_pairs``) brought to one denominator
+    ``f``, their lcm.  ``pts`` comes back as a new list, so the caller's
+    is untouched when the result is cut in place (``online._cut``)."""
+    e, pairs = _scaled_pairs(values)
+    f = math.lcm(d, e)
+    g, h = f // d, f // e
+    return f, (_times(pts, g) if g > 1 else list(pts)), [(a * h, b * h) for a, b in pairs]
 
 
 def _exact_sum(values):
@@ -556,9 +553,9 @@ def _pair_visit(pts, x, not_before):
     not at ``x`` from then on, else ``(k, t)``: the visit is on the segment
     from breakpoint ``k``, the parked tail when ``k`` is the last, at time
     ``t``.  ``t`` is None for ``not_before`` itself (a wait at ``x`` under
-    way then), else ``(a, b, m)``, meaning ``(a + b*sqrt(3))/(m*d)`` with
-    ``m > 0``: the breakpoint's own time on a wait or the tail, the
-    crossing on a moving segment."""
+    way then), else a pair over ``d``: the breakpoint's own time on a wait
+    or the tail, the crossing ``start + |x - p|`` on a move from ``p``.  A
+    move that crosses ``x`` must run at unit speed, else ValueError."""
     (xa, xb), (na, nb) = x, not_before
     k, last = 0, len(pts) - 1
     while k < last and _pair_sign(pts[k + 1][0][0] - na, pts[k + 1][0][1] - nb) <= 0:
@@ -567,31 +564,31 @@ def _pair_visit(pts, x, not_before):
         (ta, tb), (pa, pb) = pts[k]
         if k == last or pts[k + 1][1] == (pa, pb):  # the parked tail, or a wait
             if (pa, pb) == (xa, xb):
-                return k, ((ta, tb, 1) if _pair_sign(ta - na, tb - nb) >= 0 else None)
+                return k, ((ta, tb) if _pair_sign(ta - na, tb - nb) >= 0 else None)
             continue
         (ua, ub), (qa, qb) = pts[k + 1]
         if _pair_sign(xa - pa, xb - pb) * _pair_sign(xa - qa, xb - qb) > 0:
             continue  # x is not between the ends
-        # t = ta + run*step/rise, the division through the rise's conjugate
-        wa, wb, sa, sb, ra, rb = ua - ta, ub - tb, xa - pa, xb - pb, qa - pa, qb - pb
-        ma, mb = wa * sa + 3 * wb * sb, wa * sb + wb * sa
-        m = ra * ra - 3 * rb * rb  # nonzero: sqrt(3) is irrational
-        a, b = ta * m + ma * ra - 3 * mb * rb, tb * m + mb * ra - ma * rb
-        if m < 0:
-            a, b, m = -a, -b, -m
-        if _pair_sign(a - m * na, b - m * nb) >= 0:
-            return k, (a, b, m)
+        s = _pair_sign(qa - pa, qb - pb)
+        if (s * (qa - pa), s * (qb - pb)) != (ua - ta, ub - tb):
+            raise ValueError("the crossing rule needs every move at unit speed")
+        a, b = ta + s * (xa - pa), tb + s * (xb - pb)
+        if _pair_sign(a - na, b - nb) >= 0:
+            return k, (a, b)
     return None
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear server motion, as (time, position) breakpoints.
+    """Server motion, as (time, position) breakpoints.
 
-    Starts at (0, 0); breakpoint times strictly increase; speed never exceeds
-    1.  After the final breakpoint the server parks at the final position
-    forever.  The constructor checks the breakpoints a caller gives; the
-    service queries read them as integer pairs, scaled on first use.
+    Starts at (0, 0); breakpoint times strictly increase; between two
+    breakpoints the server waits or moves at unit speed, as the one server
+    of the model does (a slower move is never needed: moving at full speed
+    and then waiting reaches every point on the way no later).  After the
+    final breakpoint the server parks at the final position forever.  The
+    constructor checks the breakpoints a caller gives; the service queries
+    read them as integer pairs, scaled on first use.
     """
 
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
@@ -601,8 +598,8 @@ class Trajectory:
         for (ta, pa), (tb, pb) in zip(pts, pts[1:]):
             if tb <= ta:
                 raise ValueError("breakpoint times must strictly increase")
-            if abs(pb - pa) > tb - ta:
-                raise ValueError("speed exceeds 1 between breakpoints")
+            if pb != pa and abs(pb - pa) != tb - ta:
+                raise ValueError("the server waits or moves at unit speed between breakpoints")
         object.__setattr__(self, "breakpoints", pts)
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
@@ -648,33 +645,27 @@ class Trajectory:
         tb, pb = pts[i + 1]
         if pa == pb:
             return pa
-        return _interpolate(ta, pa, tb, pb, t)
+        return pa + (t - ta) if pb > pa else pa - (t - ta)
 
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
 
         The crossing rule (``_pair_visit``) runs on the breakpoints' pairs,
-        brought with ``loc`` and ``not_before`` to one denominator.  The time
-        comes back as a breakpoint's own time, ``not_before`` itself, or a
-        crossing on a moving segment, in the type ``_interpolate`` gives
-        (``_scalar_like``).
+        brought with ``loc`` and ``not_before`` to one denominator
+        (``_common_scale``).  The time comes back as a breakpoint's own time,
+        ``not_before`` itself, or a crossing on a move, in the type ``ta +
+        abs(loc - pa)`` gives (``_scalar_like``).
         """
-        d, pts = self._pairs
-        e, [(xa, xb), (na, nb)] = _scaled_pairs([loc, not_before])
-        f = math.lcm(d, e)
-        g, h = f // d, f // e
-        if g > 1:
-            pts = [((ta * g, tb * g), (pa * g, pb * g)) for (ta, tb), (pa, pb) in pts]
-        found = _pair_visit(pts, (xa * h, xb * h), (na * h, nb * h))
+        f, pts, [x, start] = _common_scale(*self._pairs, [loc, not_before])
+        found = _pair_visit(pts, x, start)
         if found is None:
             return None
         k, t = found
         if t is None:
             return not_before
         ta, pa = self.breakpoints[k]
-        if k + 1 < len(pts) and pts[k + 1][1] != pts[k][1]:  # a crossing on a moving segment
-            tb, pb = self.breakpoints[k + 1]
-            return _scalar_like((pa, ta, pb, tb, loc), t[0], t[1], t[2] * f)
+        if k + 1 < len(pts) and pts[k + 1][1] != pts[k][1]:  # a crossing on a move
+            return _scalar_like((pa, ta, loc), *t, f)
         return ta
 
     def truncated(self, t_end) -> "Trajectory":

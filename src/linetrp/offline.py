@@ -11,10 +11,11 @@ service order (used as a cross-check oracle on small inputs).  Both refuse a
 surd location with the same ``TypeError`` (``_rational_locations``) and
 scale the rational locations once to integers over their common
 denominator; they share no other code.  The DP's own entry,
-``_latency_walk``, takes integer positions and gives its turns and total
-as integers in their scale: ``optimal_latency_tour`` wraps it in that
-scaling and a ``Tour``, and the callers that already hold integers (the
-ratio evaluation, the replanner and the robust plan) call it directly.
+``_latency_walk``, takes integer positions and gives its walk, as ``(arc,
+position)`` pairs from ``(0, 0)``, and its total, integers in their scale:
+``optimal_latency_tour`` wraps it in that scaling and a ``Tour``, and the
+callers that already hold integers (the ratio evaluation, the replanner and
+the robust plan) call it directly.
 The search runs in pull form over (set of served points, last point
 served): a set's full row of costs by last point is filled member by
 member, each with one C-level minimum over the row of the set without it,
@@ -40,7 +41,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Request, Scalar, Trajectory, _exact, _exact_sum
+from .core import Scalar, Trajectory, _exact
 
 _ZERO = Fraction(0)
 
@@ -159,17 +160,18 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     """
     locations = _rational_locations(points)
     scale = lcm(*[p.denominator for p in locations])
-    turns, total = _latency_walk([p.numerator * (scale // p.denominator) for p in locations])
-    return Tour(tuple([Fraction(x, scale) for x in turns])), Fraction(total, scale)
+    walk, total = _latency_walk([p.numerator * (scale // p.denominator) for p in locations])
+    return Tour(tuple([Fraction(x, scale) for _, x in walk[1:]])), Fraction(total, scale)
 
 
-def _latency_walk(positions: Sequence[int]) -> Tuple[List[int], int]:
+def _latency_walk(positions: Sequence[int]) -> Tuple[List[Tuple[int, int]], int]:
     """The interval DP over integer ``positions`` (repeats allowed, those at
-    the origin ignored): ``(turns, total)``, the turning points of a
-    minimum-latency walk from the origin and its sum of first-visit times,
-    integers in the positions' own scale.  ``optimal_latency_tour`` wraps it;
-    callers that already hold integers (``evaluate``, the replanner and the
-    robust plan) call it directly.
+    the origin ignored): ``(walk, total)``, a minimum-latency walk from the
+    origin at unit speed, as ``(arc, position)`` pairs from ``(0, 0)`` to
+    each turning point, and its sum of first-visit times, integers in the
+    positions' own scale.  ``optimal_latency_tour`` wraps it; callers that
+    already hold integers (``evaluate``, the replanner and the robust plan)
+    call it directly.
 
     Ties prefer fewer direction changes, then a first move to the left.
     That does not pin the walk down: every state then keeps its straight-on
@@ -199,7 +201,7 @@ def _latency_walk(positions: Sequence[int]) -> Tuple[List[int], int]:
     weights = Counter(positions)
     del weights[0]  # a Counter ignores a missing key
     if not weights:
-        return [], 0
+        return [(0, 0)], 0
 
     at = sorted([0, *weights])
     prefix = list(accumulate([weights[x] for x in at], initial=0))
@@ -253,7 +255,10 @@ def _latency_walk(positions: Sequence[int]) -> Tuple[List[int], int]:
             side ^= 1
             turns.append(at[j] if side else at[i])
             value = best[side][i][j - o]
-    return turns[::-1], key // unit
+    walk = [(0, 0)]
+    for x in reversed(turns):
+        walk.append((walk[-1][0] + abs(x - walk[-1][1]), x))
+    return walk, key // unit
 
 
 
@@ -330,7 +335,7 @@ def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scala
     return total, order
 
 
-# --- per-request and aggregate reference values -------------------------------
+# --- per-request reference value ---------------------------------------------
 
 
 def distance_arrival_floor(location, arrival) -> Scalar:
@@ -338,11 +343,3 @@ def distance_arrival_floor(location, arrival) -> Scalar:
     origin or before its arrival."""
     return max(abs(location), arrival)
 
-
-def opt_sum_floor(requests: Sequence[Request], dp_total) -> Scalar:
-    """The larger of two lower bounds on the optimal total completion time:
-    ``dp_total``, the latency optimum over the actual locations, which
-    ignores arrivals, and the arrival sum, which ignores geometry.  The
-    arrival sum is ``sum(arrivals, Fraction(0))``, type included, added in
-    integers by ``core._exact_sum``."""
-    return max(dp_total, _exact_sum([r.arrival for r in requests]))

@@ -46,23 +46,20 @@ from .core import (
     Model,
     QuadraticScalar,
     Trajectory,
+    _common_scale,
     _exact,
     _pair_scalar,
     _pair_sign,
     _parts,
     _scaled_pairs,
     _surd_floor,
+    _times,
     parse_scalar,
 )
 from .offline import Tour, _first_visit, _latency_walk, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
-
-
-def _times(rows, f: int):
-    """Every integer pair ``(a, b)`` of ``rows`` (tuples of pairs) times ``f``."""
-    return [tuple([(a * f, b * f) for a, b in row]) for row in rows]
 
 
 class ModelMismatchError(ValueError):
@@ -400,9 +397,10 @@ class Strategy(abc.ABC):
         after the last one; and ``(d, moves)`` from ``moves(lo, beyond)``:
         the moves ``(ta, pa, tb, pb)`` in integer pairs over ``d`` from the
         one under way at integer time ``lo``, all those that take the
-        server right of ``beyond >= 0`` included.  The release game needs
-        each move to the right at unit speed.  These four are all a
-        session has."""
+        server right of ``beyond >= 0`` included.  Between breakpoints the
+        server waits or moves at unit speed, as a ``Trajectory`` does; the
+        release game and its witness replay refuse a slower move where they
+        read one.  These four are all a session has."""
 
 
 class FixedPathStrategy(Strategy):
@@ -452,22 +450,21 @@ class CommittedSession:
         return list(self._completions)
 
     def motion(self, until):
-        """The plan's own moves (``PlannedTrips._trips(0)``) up to the one
-        under way at ``until``, cut there (``_cut``), in integer pairs; an
-        empty path parks at the origin."""
+        """The plan's own moves (``PlannedTrips._trips(0)``) up to the first
+        that ends at or after ``ceil(until)``, brought to one denominator
+        with ``until`` (``core._common_scale``) and cut there (``_cut``), in
+        integer pairs; an empty path parks at the origin."""
         d0, moves = 1, ()
         if self.planned.path.turning_points:
             d0, trips = self.planned._trips(0)
             moves = (move for trip in trips for move in trip)
-        du, [(ca, cb)] = _scaled_pairs([until])
-        d = math.lcm(d0, du)
-        f, ca, cb = d // d0, ca * (d // du), cb * (d // du)
-        pts = [((0, 0), (0, 0))]
-        for _, _, (ua, ub), (qa, qb) in moves:
-            pts.append(((ua * f, ub * f), (qa * f, qb * f)))
-            if _pair_sign(ua * f - ca, ub * f - cb) >= 0:  # the move under way at the cut
+        pts, past = [((0, 0), (0, 0))], math.ceil(until) * d0
+        for _, _, u, q in moves:
+            pts.append((u, q))
+            if _pair_sign(u[0] - past, u[1]) >= 0:  # a move under way at the cut, or later
                 break
-        _cut(pts, (ca, cb))
+        d, pts, [cut] = _common_scale(d0, pts, [until])
+        _cut(pts, cut)
         return d, pts
 
     def moves(self, lo: int, beyond):
@@ -549,7 +546,8 @@ def padded_robust_path(predictions: Sequence, delta, line: LineSegment) -> Tour:
     shrunk = [max(x - da, 0) if x >= 0 else min(x + da, 0) for x in xs]
     # each waypoint with the side it is clamped on: the turning points pushed out, then
     # the ends of the predictions' error neighborhoods
-    ends = [(x + 2 * da, 1) if x > 0 else (x - 2 * da, -1) for x in _latency_walk(shrunk)[0]]
+    turns = [x for _, x in _latency_walk(shrunk)[0][1:]]
+    ends = [(x + 2 * da, 1) if x > 0 else (x - 2 * da, -1) for x in turns]
     if xs:
         ends += [(min(xs) - da, -1), (max(xs) + da, 1)]
     waypoints = []
@@ -630,10 +628,8 @@ class ReplanSession:
         arrival or finds the server at a surd position, and TypeError,
         likewise, when a location to walk to has a ``sqrt(3)`` part.
         """
-        e, scaled = _scaled_pairs([v for pair in pairs for v in pair])
-        d = math.lcm(self._d, e)
-        f, new = d // self._d, _times(zip(scaled[::2], scaled[1::2]), d // e)
-        pts = _times(self._pts, f)
+        d, pts, scaled = _common_scale(self._d, self._pts, [v for pair in pairs for v in pair])
+        f, new = d // self._d, list(zip(scaled[::2], scaled[1::2]))
         at = [(a * f, b * f) for a, b in self._at] + [loc for loc, _ in new]
         done = [(a * f, b * f) for a, b in self._done] + [None] * len(pairs)
         completions = self._completions + [None] * len(pairs)
@@ -663,9 +659,7 @@ class ReplanSession:
                 if at[i][1]:
                     target = _pair_scalar(at[i][0] - pa, at[i][1], d)
                     raise TypeError(f"location must be rational, got {target!r}")
-            walk = [(0, 0)]  # (arc, position) from ``pos``, in integers over ``d``
-            for x in _latency_walk([at[i][0] - pa for i in unserved])[0]:
-                walk.append((walk[-1][0] + abs(x - walk[-1][1]), x))
+            walk = _latency_walk([at[i][0] - pa for i in unserved])[0]  # from ``pos``, over ``d``
             pts += [((ca + s, cb), (pa + x, 0)) for s, x in walk[1:]]
             for i in unserved:
                 s = ca + _first_visit(walk, at[i][0] - pa)
@@ -676,10 +670,8 @@ class ReplanSession:
 
     def motion(self, until):
         """The motion cut at ``until`` (``_cut``), in integer pairs."""
-        e, [(ca, cb)] = _scaled_pairs([until])
-        d = math.lcm(self._d, e)
-        pts = _times(self._pts, d // self._d)
-        _cut(pts, (ca * (d // e), cb * (d // e)))
+        d, pts, [cut] = _common_scale(self._d, self._pts, [until])
+        _cut(pts, cut)
         return d, pts
 
     def moves(self, lo: int, beyond):

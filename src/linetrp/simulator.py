@@ -16,7 +16,7 @@ meaning ``(a + b*sqrt(3))/d`` over one common ``d``.  The walk and its
 total come from the interval DP's integer entry (``offline._latency_walk``)
 on the locations over their own common denominator, so the completions'
 denominators do not grow the DP's integers; no ``Tour`` is built.  From
-those integers it adds up the walk's arcs, finds both floors and both
+those integers, the walk scaled to ``d``, it finds both floors and both
 maximal ratios by integer comparison (cross-multiplied, no division), and
 adds the completion sum and the arrival sum; it divides only the DP total,
 the two winning ratios and the sum ratio exactly.  The per-request rows are
@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .core import Instance, Trajectory, _exact_sum, _pair_sign, _pairs_sum, _scaled_pairs
-from .offline import _first_visit, _latency_walk, distance_arrival_floor
+from .offline import _first_visit, _latency_walk
 from .offline import optimal_latency_tour  # not called here; perfbench/tracer.py wraps it under this name
 from .online import (
     Strategy,
@@ -136,11 +136,6 @@ def _ratio(completion, floor):
     return _ONE if floor == 0 else completion / floor
 
 
-def request_ratio(actual, arrival, completion):
-    """Completion over the distance/arrival floor; 1 when both are zero."""
-    return _ratio(completion, distance_arrival_floor(actual, arrival))
-
-
 @dataclass(frozen=True)
 class RequestReport:
     index: int
@@ -216,12 +211,8 @@ def evaluate(result: RunResult) -> EvaluationReport:
     # the DP runs over the locations' own common denominator, d/g, so the
     # completions' denominators do not grow its integers
     g = math.gcd(d, *[x for x, _, _ in scaled])
-    turns, total = _latency_walk([x // g for x, _, _ in scaled])
-    # the latency-optimal walk at unit speed, as (arc, position) pairs over d
-    walk, arc, pos = [(0, 0)], 0, 0
-    for x in turns:
-        arc, pos = arc + abs(x * g - pos), x * g
-        walk.append((arc, pos))
+    walk, total = _latency_walk([x // g for x, _, _ in scaled])
+    walk = [(arc * g, pos * g) for arc, pos in walk]  # over d
     reaches, simple, tour_ratios = [], [], []
     for x, t, num in scaled:
         near, visit = abs(x), _first_visit(walk, x)

@@ -3,7 +3,7 @@
 ``motion(until)`` is the one motion a session gives, in integer pairs.
 ``checked_trajectory`` converts it back and passes it through the checked
 ``Trajectory`` constructor, so every replay of it re-checks the motion: it
-starts at the origin, its times increase and its speed stays at most 1.
+starts at the origin, its times increase and it waits or moves at unit speed.
 ``count_trajectories`` records every ``Trajectory`` built, checked or not.
 ``RecheckAllSession`` is the replanner written the plain way, in scalar
 arithmetic, as a reference for ``online.ReplanSession``.

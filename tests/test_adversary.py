@@ -23,7 +23,6 @@ from linetrp.adversary import (
 from linetrp.core import (
     LineSegment,
     Trajectory,
-    _interpolate,
     _pair_scalar,
     _scaled_pairs,
     make_instance,
@@ -46,7 +45,7 @@ from linetrp.online import (
     roundtrip_trajectory,
     visible_info,
 )
-from linetrp.simulator import CoverageError, _check_coverage, request_ratio, run
+from linetrp.simulator import CoverageError, _check_coverage, run
 
 from committed_motion import random_plan, reference_trajectory
 from session_motion import RecheckAllSession, checked_trajectory, count_trajectories, scalar_cut
@@ -634,12 +633,18 @@ class _ScriptedSession(_ParkedSession):
         return list(self._script[: self._fed])
 
 
+def _scalar_ratio(r, completion):
+    """A request's completion over ``max(|location|, arrival)``, in scalar
+    arithmetic; 1 when that floor is 0."""
+    floor = max(abs(r.actual), r.arrival)
+    return completion / floor if floor else F(1)
+
+
 def _assert_max_ratio_is_the_first_max(transcript):
     """``max_ratio`` is ``max()`` of every released request's ratio, type
     and ``repr`` included: the first maximal one."""
     ratios = [
-        request_ratio(r.actual, r.arrival, c)
-        for r, c in zip(transcript.instance.requests, transcript.completions)
+        _scalar_ratio(r, c) for r, c in zip(transcript.instance.requests, transcript.completions)
     ]
     expected, got = max(ratios, default=F(1)), transcript.max_ratio
     assert (got, type(got), repr(got)) == (expected, type(expected), repr(expected))
@@ -750,7 +755,7 @@ def _stepwise_game(strategy, cfg) -> GameTranscript:
 
     instance = make_instance(cfg.line, [(loc, loc, arr) for loc, arr in released])
     _check_coverage(instance, comps, strategy.name)
-    ratios = [request_ratio(r.actual, r.arrival, c) for r, c in zip(instance.requests, comps)]
+    ratios = [_scalar_ratio(r, c) for r, c in zip(instance.requests, comps)]
     max_ratio = max(ratios, default=F(1))
     witness = None
     if declared is not None:
@@ -936,7 +941,18 @@ class _HalfSpeed(Strategy):
 
 
 class _HalfSpeedSession(_ParkedSession):
-    _motion = Trajectory(((F(0), F(0)), (F(4), F(2))))
+    """Its one move, to 2 by time 4, in integer pairs over 1: no
+    ``Trajectory`` holds a move at half speed."""
+
+    _pts = [((0, 0), (0, 0)), ((4, 0), (2, 0))]
+
+    def motion(self, until):
+        assert until >= 4  # parked from 4 on: no cut to make
+        return 1, list(self._pts)
+
+    def moves(self, lo, beyond):
+        (t, p), (u, q) = self._pts
+        return 1, iter([(t, p, u, q)])
 
     def completions(self):
         return [F(4)] * self._fed
@@ -948,6 +964,16 @@ def test_an_adaptive_move_out_below_unit_speed_is_refused():
     refused = "^the release game needs every outward move at unit speed$"
     with pytest.raises(ValueError, match=refused):
         play_lowerbound_game(_HalfSpeed(), GameConfig(bases=(F(1),)))
+
+
+def test_a_witness_replay_refuses_a_slow_crossing_move():
+    """The replay reads a move that crosses the request as running at unit
+    speed, so a session whose motion crosses it more slowly is refused, not
+    misread: the request at 1, deadline 6, is crossed at time 2 of a move
+    to 2 by time 4."""
+    transcript = _claimed(_HalfSpeed(), [(F(1), F(2))], 0, F(3))
+    with pytest.raises(ValueError, match="^the crossing rule needs every move at unit speed$"):
+        verify_witness(_HalfSpeed(), transcript)
 
 
 # --- the integer outward scan against the trajectory scan -------------------
@@ -965,7 +991,7 @@ def _trajectory_outward_step(traj, lo, hi):
         if ta > hi:
             return None
         if pb > pa and pb > 1:  # outward, and past 1 before the leg ends
-            at_one = ta if pa >= 1 else _interpolate(pa, ta, pb, tb, 1)
+            at_one = ta if pa >= 1 else ta + (1 - pa)
             t = max(lo, math.ceil(at_one))
             if t < tb and t <= hi:
                 return t, traj.position_at(F(t))

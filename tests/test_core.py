@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrp import core, generate, online
@@ -243,15 +243,27 @@ def test_floats_rejected():
 # --- trajectories ------------------------------------------------------------
 
 
+_UNIT_SPEED = "the server waits or moves at unit speed between breakpoints"
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(((F(1), F(0)),))  # does not start at time 0
     with pytest.raises(ValueError):
         Trajectory(((F(0), F(1)),))  # does not start at the origin
     with pytest.raises(ValueError):
-        Trajectory(((F(0), F(0)), (F(1), F(2))))  # speed 2
-    with pytest.raises(ValueError):
         Trajectory(((F(0), F(0)), (F(0), F(0))))  # times not increasing
+    # a segment waits or moves at unit speed: any other speed, faster or
+    # slower, rational or surd, is refused with one message
+    for end in [
+        (F(1), F(2)),  # speed 2
+        (F(4), F(2)),  # speed 1/2
+        (F(2), F(-1)),  # speed 1/2, leftward
+        (QuadraticScalar(0, 1), F(1)),  # speed 1/sqrt(3)
+        (F(2), QuadraticScalar(-1, 1)),  # speed (sqrt(3) - 1)/2
+    ]:
+        with pytest.raises(ValueError, match=f"^{_UNIT_SPEED}$"):
+            Trajectory(((F(0), F(0)), end))
 
 
 def test_trajectory_checks_every_segment_after_the_first():
@@ -260,9 +272,9 @@ def test_trajectory_checks_every_segment_after_the_first():
     start = ((F(0), F(0)), (F(2), F(2)))
     with pytest.raises(ValueError, match="^breakpoint times must strictly increase$"):
         Trajectory(start + ((F(2), F(2)),))  # an equal time after the first segment
-    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
+    with pytest.raises(ValueError, match=f"^{_UNIT_SPEED}$"):
         Trajectory(start + ((F(3), F(0)),))
-    with pytest.raises(ValueError, match="^speed exceeds 1 between breakpoints$"):
+    with pytest.raises(ValueError, match=f"^{_UNIT_SPEED}$"):
         Trajectory(start + ((F(3), F(1)), (F(4), F(3))))  # two segments on
     longer = Trajectory(start + ((3, 1), (F(7, 2), F(1))))
     assert longer.breakpoints == ((F(0), F(0)), (F(2), F(2)), (F(3), F(1)), (F(7, 2), F(1)))
@@ -360,7 +372,7 @@ def trajectories(draw):
     pts = [(t, p)]
     for _ in range(n):
         dt = draw(st.fractions(min_value=F(1, 4), max_value=F(3), max_denominator=8))
-        speed = draw(st.fractions(min_value=F(-1), max_value=F(1), max_denominator=4))
+        speed = draw(st.sampled_from([F(0), F(1), F(-1)]))  # a wait or a unit-speed move
         t += dt
         p += speed * dt
         pts.append((t, p))
@@ -433,16 +445,13 @@ _STEPS = st.one_of(
         st.fractions(min_value=F(1, 4), max_value=1, max_denominator=4),
     ),
 )
-_SPEEDS = st.one_of(
-    st.sampled_from([F(0), F(1), F(-1)]),  # waits and unit-speed moves
-    st.fractions(min_value=-1, max_value=1, max_denominator=4),
-)
+_SPEEDS = st.sampled_from([F(0), F(1), F(-1)])  # waits and unit-speed moves
 
 
 @st.composite
 def _visits(draw):
-    """A motion with rational and surd breakpoints, waits and moves at
-    any speed up to 1; a location at a breakpoint, at the parked end, on a
+    """A motion with rational and surd breakpoints, waits and unit-speed
+    moves; a location at a breakpoint, at the parked end, on a
     segment or anywhere; and a not-before time at 0, at a breakpoint,
     inside a segment or after the end."""
     t = p = F(0)
@@ -488,7 +497,7 @@ def test_the_pair_crossing_rule_is_the_scalar_scan(case):
         assert found is None
     else:
         k, t = found
-        at = not_before if t is None else QuadraticScalar(F(t[0], t[2] * d), F(t[1], t[2] * d))
+        at = not_before if t is None else QuadraticScalar(F(t[0], d), F(t[1], d))
         assert at == expected
         assert pts[k][0] <= expected and (k + 1 == len(pts) or expected <= pts[k + 1][0])
 
@@ -515,30 +524,6 @@ def test_exact_sum_of_nothing_and_of_cancelled_surds():
     assert (_exact_sum([]), type(_exact_sum([]))) == (0, F)
     total = _exact_sum([QuadraticScalar(F(1, 2), 1), QuadraticScalar(F(1, 3), -1)])
     assert type(total) is QuadraticScalar and (total.p, total.q) == (F(5, 6), 0)
-
-
-_leg_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=60)
-# breakpoints are exact scalars; a query point may also be an int
-_leg_points = st.one_of(_leg_fractions, st.builds(QuadraticScalar, _leg_fractions, _leg_fractions))
-_leg_values = st.one_of(_leg_points, st.integers(-9, 9))
-# speed 1 and -1, in between (rational and surd), and parked
-_leg_slopes = st.sampled_from(
-    [1, -1, F(1, 2), F(-2, 3), QuadraticScalar(-1, 1), QuadraticScalar(1, F(-1, 2)), 0, F(0)]
-)
-
-
-@given(_leg_points, _leg_points, _leg_values.filter(lambda run: run != 0), _leg_slopes, _leg_values)
-@example(F(0), F(0), F(2), 1, F(1))  # the midpoint of a unit-speed leg
-@example(F(1), QuadraticScalar(0, 1), F(3), 0, F(2))  # parked at a surd
-@example(QuadraticScalar(1, 1), F(0), QuadraticScalar(2, 1), -1, 1)  # a surd run, an int x
-@settings(max_examples=200)
-def test_interpolate_matches_the_division_formula(x0, y0, run, slope, x):
-    """``core._interpolate`` gives what the division formula gives on a leg
-    from ``(x0, y0)`` over ``run`` at ``slope``: value, type and text."""
-    x1, y1 = x0 + run, y0 + slope * run
-    got = core._interpolate(x0, y0, x1, y1, x)
-    expected = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
 
 
 # --- instances ---------------------------------------------------------------

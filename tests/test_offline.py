@@ -22,10 +22,10 @@ from linetrp.offline import (
     brute_force_latency,
     canonical_tour,
     distance_arrival_floor,
-    opt_sum_floor,
     optimal_latency_tour,
 )
-from linetrp.online import SQRT3
+from linetrp.online import SQRT3, PerfectPredictionTour
+from linetrp.simulator import evaluate, run
 
 fractions_8 = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 point_lists = st.lists(fractions_8, min_size=0, max_size=6)
@@ -235,9 +235,9 @@ def test_dp_scales_and_reflects_with_its_input():
 
 def test_integer_entry_is_the_tour_scaled():
     """``_latency_walk`` on integer positions over any ``d`` (not only the
-    lcm of their denominators) gives the turns and the total of
-    ``optimal_latency_tour`` on the positions over ``d``, times ``d``, as
-    ints; on small sets the total is also the exhaustive search's.  The sets
+    lcm of their denominators) gives the walk (``Tour.walk``'s breakpoints)
+    and the total of ``optimal_latency_tour`` on the positions over ``d``,
+    times ``d``, as ints; on small sets the total is also the exhaustive search's.  The sets
     hold repeats, the origin, one-sided and mirrored positions."""
     rng = random.Random(32)
     for k in range(300):
@@ -250,14 +250,14 @@ def test_integer_entry_is_the_tour_scaled():
             xs = [-x for x in xs]
         d = rng.choice((1, 2, 6, 1000))
         xs = [x * rng.choice((1, d)) for x in xs]  # over d, with a common factor or not
-        turns, total = offline._latency_walk(xs)
+        walk, total = offline._latency_walk(xs)
         tour, expected = optimal_latency_tour([F(x, d) for x in xs])
-        assert turns == [tp * d for tp in tour.turning_points], k
+        assert walk == [(arc * d, pos * d) for arc, pos in tour.walk.breakpoints], k
         assert total == expected * d, k
-        assert all(type(v) is int for v in (*turns, total)), k
+        assert all(type(v) is int for v in (*[v for bp in walk for v in bp], total)), k
         if len([x for x in xs if x]) <= 7:
             assert total == brute_force_latency([F(x, d) for x in xs])[0] * d, k
-    assert offline._latency_walk([]) == offline._latency_walk([0, 0]) == ([], 0)
+    assert offline._latency_walk([]) == offline._latency_walk([0, 0]) == ([(0, 0)], 0)
 
 
 def test_dp_returns_the_walk_it_found(monkeypatch):
@@ -465,9 +465,12 @@ def test_per_request_bounds():
 
 
 def test_opt_sum_lower_bound_takes_the_larger_floor():
+    """A run's ``opt_sum_bound`` is the larger of the latency optimum over
+    the actual locations and the arrival sum."""
     line = LineSegment(F(-2), F(3))
     geometric = make_instance(line, [(F(-1), F(-1), F(0)), (F(2), F(2), F(0))])
     late = make_instance(line, [(F(-1), F(-1), F(9)), (F(2), F(2), F(0))])
     for inst, floor in ((geometric, 5), (late, 9)):
         _, dp_total = optimal_latency_tour(r.actual for r in inst.requests)
-        assert opt_sum_floor(inst.requests, dp_total) == floor
+        assert max(dp_total, sum([r.arrival for r in inst.requests], F(0))) == floor
+        assert evaluate(run(inst, PerfectPredictionTour())).opt_sum_bound == floor

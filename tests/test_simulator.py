@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from linetrp.core import LineSegment, Model, make_instance
 from linetrp.generate import perturbed_instance, random_instance
 from linetrp import core, offline, online
-from linetrp.offline import opt_sum_floor, optimal_latency_tour
+from linetrp.offline import optimal_latency_tour
 from linetrp.online import (
     CERT_RATIO,
     DEFAULT_ALPHA,
@@ -31,7 +31,7 @@ from linetrp.online import (
     visible_info,
 )
 from linetrp import simulator
-from linetrp.simulator import CoverageError, RunResult, evaluate, request_ratio, run
+from linetrp.simulator import CoverageError, RunResult, evaluate, run
 
 from session_motion import checked_trajectory
 
@@ -158,10 +158,17 @@ def test_a_committed_run_scales_its_plan_once(monkeypatch):
 
 
 def test_request_ratio_frozen_pairs():
-    assert request_ratio(F(1), F(0), F(4)) == 4
-    assert request_ratio(F(1, 1000), F(2), F(7)) == F(7, 2)
-    assert request_ratio(F(0), F(0), F(0)) == 1  # served instantly at the origin
-    assert request_ratio(F(0), F(3), F(3)) == 1
+    """A row's simple ratio is its completion over ``max(|location|,
+    arrival)``, and 1 when that floor is 0."""
+    for actual, arrival, completion, ratio in [
+        (F(1), F(0), F(4), 4),
+        (F(1, 1000), F(2), F(7), F(7, 2)),
+        (F(0), F(0), F(0), 1),  # served instantly at the origin
+        (F(0), F(3), F(3), 1),
+    ]:
+        floor = max(abs(actual), arrival)
+        row = simulator.RequestReport(0, None, actual, arrival, completion, floor, floor)
+        assert row.ratio_simple == ratio
 
 
 def test_evaluate_frozen_report():
@@ -564,7 +571,8 @@ def test_maxima_and_sum_ratio_match_the_row_ratios(result):
     assert (report.on_sum, type(report.on_sum)) == (total, type(total))
     # the sums from evaluate's one scaling against their own public paths
     requests = result.instance.requests
-    floor = opt_sum_floor(requests, optimal_latency_tour([r.actual for r in requests])[1])
+    dp_total = optimal_latency_tour([r.actual for r in requests])[1]
+    floor = max(dp_total, sum([r.arrival for r in requests], F(0)))
     for got, expected in ((report.opt_sum_bound, floor), (report.on_sum, result.on_sum)):
         assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
 
@@ -585,7 +593,7 @@ def _reference_report(result):
         for r, c in zip(requests, completions)
     ]
     worst = max([row.ratio_tour for row in rows], default=F(1))
-    return opt_sum_floor(requests, dp_total), worst, rows
+    return max(dp_total, sum([r.arrival for r in requests], F(0))), worst, rows
 
 
 def test_evaluate_matches_the_scalar_reference():
@@ -670,14 +678,14 @@ def test_evaluate_builds_rows_on_first_read(monkeypatch):
 
 
 def test_evaluate_scales_the_turning_points_not_the_walk(monkeypatch):
-    # both sums come from evaluate's own integer pairs, and the walk's arcs
-    # are added up from its scaled turning points
+    # both sums come from evaluate's own integer pairs, and the walk is the
+    # DP's integer walk scaled, not ``Tour.walk``
     rng = random.Random(21)
     inst = random_instance(rng, (-3, 5), 12, 20, 8)
     result = run(inst, GreedyReplan())
     calls = []
     exact_sum = core._exact_sum
-    for module in (core, offline, simulator):
+    for module in (core, simulator):
         monkeypatch.setattr(module, "_exact_sum", lambda v: calls.append("_exact_sum") or exact_sum(v))
     walk = offline.Tour.walk
     monkeypatch.setattr(
