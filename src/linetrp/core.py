@@ -307,20 +307,20 @@ def _pairs_sum(values, d, pairs):
     return _scalar_like(values, sum([x for x, _ in pairs]), sum([y for _, y in pairs]), d)
 
 
-def _times(rows, f: int):
-    """Every integer pair ``(a, b)`` of ``rows`` (tuples of pairs) times ``f``."""
-    return [tuple([(a * f, b * f) for a, b in row]) for row in rows]
-
-
 def _common_scale(d: int, pts, values):
-    """``(f, pts, pairs)``: the motion ``pts``, rows of integer pairs over
-    ``d``, and ``values`` (``_scaled_pairs``) brought to one denominator
-    ``f``, their lcm.  ``pts`` comes back as a new list, so the caller's
-    is untouched when the result is cut in place (``online._cut``)."""
+    """``(f, pts, pairs)``: the motion ``pts``, breakpoints ``(time,
+    position)`` in integer pairs over ``d``, and ``values``
+    (``_scaled_pairs``) brought to one denominator ``f``, their lcm.
+    ``pts`` comes back as a new list, so the caller's is untouched when the
+    result is cut in place (``online._cut``)."""
     e, pairs = _scaled_pairs(values)
     f = math.lcm(d, e)
     g, h = f // d, f // e
-    return f, (_times(pts, g) if g > 1 else list(pts)), [(a * h, b * h) for a, b in pairs]
+    if g > 1:
+        pts = [((ta * g, tb * g), (pa * g, pb * g)) for (ta, tb), (pa, pb) in pts]
+    else:
+        pts = list(pts)
+    return f, pts, [(a * h, b * h) for a, b in pairs]
 
 
 def _exact_sum(values):

@@ -53,13 +53,17 @@ from .core import (
     _parts,
     _scaled_pairs,
     _surd_floor,
-    _times,
     parse_scalar,
 )
 from .offline import Tour, _first_visit, _latency_walk, canonical_tour, optimal_latency_tour
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+
+def _times(rows, f: int):
+    """Every integer pair ``(a, b)`` of ``rows`` (tuples of pairs) times ``f``."""
+    return [tuple([(a * f, b * f) for a, b in row]) for row in rows]
 
 
 class ModelMismatchError(ValueError):

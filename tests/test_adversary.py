@@ -966,14 +966,18 @@ def test_an_adaptive_move_out_below_unit_speed_is_refused():
         play_lowerbound_game(_HalfSpeed(), GameConfig(bases=(F(1),)))
 
 
-def test_a_witness_replay_refuses_a_slow_crossing_move():
-    """The replay reads a move that crosses the request as running at unit
-    speed, so a session whose motion crosses it more slowly is refused, not
-    misread: the request at 1, deadline 6, is crossed at time 2 of a move
-    to 2 by time 4."""
+def test_a_slow_session_motion_is_refused_where_it_is_read():
+    """The witness replay reads a move that crosses the request as running
+    at unit speed, so a session whose motion crosses it more slowly is
+    refused, not misread: the request at 1, deadline 6, is crossed at time
+    2 of a move to 2 by time 4.  A run's trajectory of that motion is
+    refused by the checked constructor."""
     transcript = _claimed(_HalfSpeed(), [(F(1), F(2))], 0, F(3))
     with pytest.raises(ValueError, match="^the crossing rule needs every move at unit speed$"):
         verify_witness(_HalfSpeed(), transcript)
+    result = run(transcript.instance, _HalfSpeed())
+    with pytest.raises(ValueError, match="^the server waits or moves at unit speed between"):
+        result.trajectory
 
 
 # --- the integer outward scan against the trajectory scan -------------------
