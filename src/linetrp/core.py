@@ -642,7 +642,7 @@ class Trajectory:
         if i >= len(pts) - 1:
             return pts[-1][1]
         ta, pa = pts[i]
-        tb, pb = pts[i + 1]
+        _, pb = pts[i + 1]
         if pa == pb:
             return pa
         return pa + (t - ta) if pb > pa else pa - (t - ta)
