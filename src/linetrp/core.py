@@ -6,15 +6,17 @@ depend on float rounding.  Server motion is a trajectory of waits and
 unit-speed moves, starting at the origin at time 0; its service queries run
 one crossing rule (``_pair_visit``) on its breakpoints as integer pairs.
 Floats are refused: ``_exact`` checks the values the constructors take, and
-a float that reaches the pair converter (``_scaled_pairs``) raises the same
+a float that reaches the triple reader (``_triples``) raises the same
 TypeError.
 
 The online schedules' optimal trip growth rate involves ``sqrt(3)``, so times
 live in the quadratic extension Q[sqrt(3)]: ``QuadraticScalar`` is an exact
-pair ``p + q*sqrt(3)`` of rationals; it orders by the sign of integer cross
-products of its parts' numerators and denominators, building no ``Fraction``.
-Everything downstream (trajectories, service times, ratios) stays exact in
-that field.
+``(a + b*sqrt(3))/d``, three integers in lowest terms with ``d > 0``, the
+form the engine's integer pairs take over their denominator.  Its
+arithmetic and ordering are integer cross products of the triples, each
+result reduced by one gcd (``_make``); the rational parts ``p`` and ``q``
+are built only when read.  Everything downstream (trajectories, service
+times, ratios) stays exact in that field.
 """
 
 from __future__ import annotations
@@ -78,14 +80,17 @@ def _surd_floor(x: int, y: int, d: int) -> int:
 
 
 class QuadraticScalar:
-    """Exact element p + q*sqrt(3) of Q[sqrt(3)].
+    """Exact element ``(a + b*sqrt(3))/d`` of Q[sqrt(3)], kept as three
+    integers in lowest terms with ``d > 0``.
 
     Supports field arithmetic and total ordering, mixes freely with int and
-    Fraction, and refuses floats.  Rational values (q == 0) compare and hash
-    consistently with the equal Fraction.
+    Fraction, and refuses floats.  Every operation is integer arithmetic on
+    the triples, ending in one gcd (``_make``).  Rational values (b == 0)
+    compare and hash consistently with the equal Fraction.  The rational
+    parts ``p + q*sqrt(3)`` are read-only properties, built on each read.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, p, q=0):
         if type(p) is not Fraction:  # hot path: components usually arrive exact
@@ -96,8 +101,13 @@ class QuadraticScalar:
             if isinstance(q, float):
                 raise TypeError("QuadraticScalar components must be exact")
             q = Fraction(q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        # both parts are in lowest terms, so over the lcm of their
+        # denominators no prime divides all three integers
+        pd, qd = p.denominator, q.denominator
+        d = math.lcm(pd, qd)
+        _SET_A(self, p.numerator * (d // pd))
+        _SET_B(self, q.numerator * (d // qd))
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticScalar is immutable")
@@ -106,66 +116,75 @@ class QuadraticScalar:
         # rebuild through __init__: the default slot restore would hit __setattr__
         return QuadraticScalar, (self.p, self.q)
 
+    @property
+    def p(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def q(self) -> Fraction:
+        """The coefficient of ``sqrt(3)``."""
+        return Fraction(self._b, self._d)
+
     # -- coercion ----------------------------------------------------------
 
     @staticmethod
-    def _coerce(other) -> "QuadraticScalar":
+    def _operand(other, use: str):
+        """``other`` as ``(a, b, d)``, or None for a type it does not mix
+        with; a float raises TypeError, naming ``use``."""
         if isinstance(other, QuadraticScalar):
-            return other
-        if isinstance(other, float):
-            raise TypeError("refusing float arithmetic with QuadraticScalar")
+            return other._a, other._b, other._d
         if isinstance(other, (int, Fraction)):
-            return QuadraticScalar(other)
-        return NotImplemented  # type: ignore[return-value]
+            return other.numerator, 0, other.denominator
+        if isinstance(other, float):
+            raise TypeError(f"refusing float {use} with QuadraticScalar")
+        return None
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other, "arithmetic")
+        if o is None:
             return NotImplemented
-        return QuadraticScalar(self.p + o.p, self.q + o.q)
+        (u, v, e), a, b, d = o, self._a, self._b, self._d
+        return _make(a * e + u * d, b * e + v * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other, "arithmetic")
+        if o is None:
             return NotImplemented
-        return QuadraticScalar(self.p - o.p, self.q - o.q)
+        (u, v, e), a, b, d = o, self._a, self._b, self._d
+        return _make(a * e - u * d, b * e - v * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other, "arithmetic")
+        if o is None:
             return NotImplemented
-        return QuadraticScalar(o.p - self.p, o.q - self.q)
+        (u, v, e), a, b, d = o, self._a, self._b, self._d
+        return _make(u * d - a * e, v * d - b * e, d * e)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other, "arithmetic")
+        if o is None:
             return NotImplemented
-        return QuadraticScalar(self.p * o.p + 3 * self.q * o.q, self.p * o.q + self.q * o.p)
+        (u, v, e), a, b, d = o, self._a, self._b, self._d
+        return _make(a * u + 3 * b * v, a * v + b * u, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other, "arithmetic")
+        if o is None:
             return NotImplemented
-        if o.q == 0:
-            return QuadraticScalar(self.p / o.p, self.q / o.p)
-        # p^2 == 3 q^2 has no rational solution with q != 0, so d != 0
-        d = o.p * o.p - 3 * o.q * o.q
-        return QuadraticScalar(
-            (self.p * o.p - 3 * self.q * o.q) / d,
-            (self.q * o.p - self.p * o.q) / d,
-        )
+        return _quotient((self._a, self._b, self._d), o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._operand(other, "arithmetic")
+        if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _quotient(o, (self._a, self._b, self._d))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -181,7 +200,7 @@ class QuadraticScalar:
         return out
 
     def __neg__(self):
-        return QuadraticScalar(-self.p, -self.q)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -192,24 +211,15 @@ class QuadraticScalar:
     # -- ordering ----------------------------------------------------------
 
     def _sign(self) -> int:
-        return _pair_sign(self.p, self.q)
+        return _pair_sign(self._a, self._b)
 
     def _cmp(self, other) -> Optional[int]:
-        # comparisons dominate simulation time: the sign of (p - u) + (q - v)*sqrt(3)
-        # times the positive p.den*q.den*u.den*v.den, in integers, builds no Fraction
-        if isinstance(other, QuadraticScalar):
-            u, v = other.p, other.q
-        elif isinstance(other, (int, Fraction)):
-            u, v = other, 0
-        elif isinstance(other, float):
-            raise TypeError("refusing float comparison with QuadraticScalar")
-        else:
+        # the sign of the difference times the positive d*e, in integers
+        o = self._operand(other, "comparison")
+        if o is None:
             return None
-        p, q = self.p, self.q
-        pd, qd, ud, vd = p.denominator, q.denominator, u.denominator, v.denominator
-        x = p.numerator * ud - u.numerator * pd
-        y = q.numerator * vd - v.numerator * qd
-        return _pair_sign(x * qd * vd, y * pd * ud)
+        (u, v, e), a, b, d = o, self._a, self._b, self._d
+        return _pair_sign(a * e - u * d, b * e - v * d)
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -232,63 +242,98 @@ class QuadraticScalar:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        return hash(self.p) if self.q == 0 else hash((self.p, self.q))
+        return hash(self.p) if self._b == 0 else hash((self.p, self.q))
 
     # -- conversions -------------------------------------------------------
 
     def __bool__(self):
-        return self.p != 0 or self.q != 0
+        return self._a != 0 or self._b != 0
 
     def __float__(self):
         return float(self.p) + float(self.q) * math.sqrt(3.0)
 
     def __floor__(self) -> int:
-        d, [(a, b)] = _scaled_pairs([self])
-        return _surd_floor(a, b, d)
+        return _surd_floor(self._a, self._b, self._d)
 
     def __ceil__(self) -> int:
-        return -math.floor(-self)
+        return -_surd_floor(-self._a, -self._b, self._d)
 
     def __repr__(self):
         return f"QuadraticScalar({self.p}, {self.q})"
 
     def __str__(self):
-        if self.q == 0:
+        if self._b == 0:
             return str(self.p)
-        sign = "+" if self.q > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.p} {sign} {abs(self.q)}*sqrt(3)"
+
+
+_SET_A, _SET_B, _SET_D = [
+    slot.__set__ for slot in (QuadraticScalar._a, QuadraticScalar._b, QuadraticScalar._d)
+]
+_NEW = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> QuadraticScalar:
+    """The ``QuadraticScalar`` ``(a + b*sqrt(3))/d`` for integers, ``d``
+    nonzero: the sign moved onto ``a`` and ``b`` and the triple divided by
+    its gcd.  ``d == 0`` raises ZeroDivisionError."""
+    if d <= 0:
+        if d == 0:
+            raise ZeroDivisionError("QuadraticScalar division by zero")
+        a, b, d = -a, -b, -d
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _NEW(QuadraticScalar)
+    _SET_A(x, a)
+    _SET_B(x, b)
+    _SET_D(x, d)
+    return x
+
+
+def _quotient(x, y) -> QuadraticScalar:
+    """``x / y`` for triples ``(a, b, d)``: times the conjugate of ``y``'s
+    numerator over its norm ``u^2 - 3 v^2``, nonzero unless ``y`` is 0
+    (``sqrt(3)`` is irrational)."""
+    (a, b, d), (u, v, e) = x, y
+    if v == 0:
+        return _make(a * e, b * e, d * u)
+    return _make(e * (a * u - 3 * b * v), e * (b * u - a * v), d * (u * u - 3 * v * v))
 
 
 SQRT3 = QuadraticScalar(0, 1)
 
 
-def _parts(value):
-    """The rational parts ``(p, q)`` of ``p + q*sqrt(3)``: those of a
-    ``QuadraticScalar``, else ``(value, 0)`` for an int or ``Fraction``."""
-    return (value.p, value.q) if isinstance(value, QuadraticScalar) else (value, 0)
+def _triples(values) -> list:
+    """Each of ``values`` as the integers ``(a, b, d)``, ``d > 0``, with
+    ``value == (a + b*sqrt(3))/d``: a ``QuadraticScalar``'s own triple, else
+    ``(numerator, 0, denominator)`` of an int or ``Fraction``.  A float
+    raises ``_exact``'s TypeError, checked only once it has turned out to
+    have no denominator."""
+    try:
+        return [
+            (v._a, v._b, v._d) if isinstance(v, QuadraticScalar) else (v.numerator, 0, v.denominator)
+            for v in values
+        ]
+    except AttributeError:  # a float has no denominator: refuse it as _exact does
+        for v in values:
+            _exact(v)
+        raise
 
 
 def _scaled_pairs(values):
-    """``(d, pairs)``: the lcm ``d`` of the denominators of every rational
-    part of ``values``, and each value as the integers ``(a, b)`` with
-    ``value == (a + b*sqrt(3))/d``, in order.  Each value is split into its
-    parts once.  A float raises ``_exact``'s TypeError, checked only once
-    it has turned out to have no denominator."""
-    parts = [_parts(v) for v in values]
-    try:
-        d = math.lcm(*[x.denominator for pq in parts for x in pq])
-    except AttributeError:  # a float has no denominator: refuse it as _exact does
-        for p, _ in parts:
-            _exact(p)
-        raise
-    return d, [
-        (p.numerator * (d // p.denominator), q.numerator * (d // q.denominator)) for p, q in parts
-    ]
+    """``(d, pairs)``: the lcm ``d`` of the denominators of ``values``
+    (``_triples``), and each value as the integers ``(a, b)`` with
+    ``value == (a + b*sqrt(3))/d``, in order."""
+    triples = _triples(values)
+    d = math.lcm(*[e for _, _, e in triples])
+    return d, [(a * f, b * f) for a, b, e in triples for f in [d // e]]
 
 
 def _pair_scalar(a: int, b: int, d: int):
     """``(a + b*sqrt(3))/d``: a ``Fraction`` when ``b == 0``, else a ``QuadraticScalar``."""
-    return QuadraticScalar(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d)
+    return _make(a, b, d) if b else Fraction(a, d)
 
 
 def _scalar_like(values, a: int, b: int, d: int):
@@ -296,7 +341,7 @@ def _scalar_like(values, a: int, b: int, d: int):
     gives: a ``Fraction`` unless some value is a ``QuadraticScalar``, then
     one, even when ``b == 0``."""
     if any(isinstance(v, QuadraticScalar) for v in values):
-        return QuadraticScalar(Fraction(a, d), Fraction(b, d))
+        return _make(a, b, d)
     return Fraction(a, d)
 
 

@@ -9,9 +9,10 @@ All schedule arithmetic is exact, in Q[sqrt(3)] (``core.QuadraticScalar``):
 the optimal trip growth rate involves ``sqrt(3)``.  A ``PlannedTrips`` owns
 the committed motion: it scales the schedule's trips and the path's turning
 points once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
-b*sqrt(3))/d`` over a common denominator ``d``, and adds up the legs' arcs
-in those integers (``_trip_geometry``; no ``Trajectory`` of the path is
-built).  A session's motion
+b*sqrt(3))/d`` over a common denominator ``d``, adds up the legs' arcs
+in those integers and ends the geometric trips, compared in integers too,
+at the first that reaches the path's length (``_trip_geometry``; no
+``Trajectory`` of the path is built).  A session's motion
 (``CommittedSession.motion``, the one motion a session gives), the release
 game's moves (``PlannedTrips.moves``) and ``roundtrip_trajectory`` come
 from one stream of those trips; the closed-form completions
@@ -23,8 +24,11 @@ too) and extended as it replans, and handed out as they are by its
 ``motion`` and ``moves``; each replan's walk is the interval DP's integer
 entry (``offline._latency_walk``) over the targets less the server's
 position, on that denominator.  ``roundtrip_trajectory`` and the
-completions convert their pairs back once (``core._pair_scalar``); the
-moves and the motion stay integers.  The robust plan (``padded_robust_path``)
+completions convert their pairs back once (``core._pair_scalar``): a pair
+with a ``sqrt(3)`` part over ``d`` is already a ``QuadraticScalar``'s own
+triple, reduced by one gcd, and the scalars they are given are read back as
+triples (``core._triples``) with no ``Fraction`` built; the moves and the
+motion stay integers.  The robust plan (``padded_robust_path``)
 pulls, solves, pads and clamps in integers too, and builds one scalar per
 waypoint.
 """
@@ -50,9 +54,9 @@ from .core import (
     _exact,
     _pair_scalar,
     _pair_sign,
-    _parts,
     _scaled_pairs,
     _surd_floor,
+    _triples,
     parse_scalar,
 )
 from .offline import Tour, _first_visit, _latency_walk, canonical_tour, optimal_latency_tour
@@ -126,19 +130,22 @@ class RoundTripSchedule:
         one trip at a time as a caller walks past its end, so each trip is
         built once; a call yields a prefix of that list.
         """
+        for trip in self._memo_trips():
+            yield trip
+            if trip[2] >= until:
+                return
+
+    def _memo_trips(self):
+        """Every trip, without end: the memoized list of ``trips``, extended
+        as the caller walks past its end."""
         trips = _trip_memo(self.alpha, self.pad)
-        j = 0
-        while True:
+        for j in itertools.count():
             if j == len(trips):  # trip j ends at growth**j + j*pad; trip j+1 starts there
                 start = trips[-1][1] if trips else _ZERO
                 power = (start - j * self.pad) * self.growth if trips else self.growth
                 end = power + (j + 1) * self.pad
                 trips.append((start, end, (end - start) / 2))
-            trip = trips[j]
-            yield trip
-            if trip[2] >= until:
-                return
-            j += 1
+            yield trips[j]
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -250,20 +257,31 @@ def _trip_geometry(planned: PlannedTrips):
     rescaled to so far (``d0`` first) to ``(geometric, legs, sweeps)`` over
     ``d``: the geometric trips as ``(start, end, reach)``, the path's legs as
     ``(arc at start, start, end)`` and the full sweeps as ``(base,
-    period)``.  The trips and the path's turning points are scaled once;
-    the legs' arcs and the period, twice the path's length, are added up
-    in integers.  The path must have positive length."""
-    tps = planned.path.turning_points
-    trips = list(planned.schedule.trips(_path_length(planned.path)))
-    d0, scaled = _scaled_pairs([v for trip in trips for v in trip] + list(tps))
-    it = iter(scaled)
-    *geometric, (base, _, _) = [(next(it), next(it), next(it)) for _ in trips]
+    period)``.  The path's turning points and the trips are scaled once
+    each: the legs' arcs and the period, twice the path's length, are added
+    up in integers over the turning points' denominator, and the trips are
+    taken from the schedule's memo up to the first whose reach, read as its
+    integer triple, is at least that length.  The path must have positive
+    length."""
+    e, turns = _scaled_pairs(planned.path.turning_points)
     legs, (ca, cb), (ua, ub) = [], (0, 0), (0, 0)
-    for va, vb in it:  # the turning points: each leg runs from (ua, ub) at arc (ca, cb)
+    for va, vb in turns:  # each leg runs from (ua, ub) at arc (ca, cb)
         legs.append(((ca, cb), (ua, ub), (va, vb)))
         s = _pair_sign(va - ua, vb - ub)
         ca, cb, ua, ub = ca + s * (va - ua), cb + s * (vb - ub), va, vb
-    return d0, {d0: (geometric, legs, (base, (2 * ca, 2 * cb)))}
+    trips = []  # up to the first that reaches the path's length, (ca, cb) over e
+    for trip in planned.schedule._memo_trips():
+        trips.append(trip)
+        [(ra, rb, rd)] = _triples([trip[2]])
+        if _pair_sign(ra * e - ca * rd, rb * e - cb * rd) >= 0:
+            break
+    d, scaled = _scaled_pairs([v for trip in trips for v in trip])
+    d0 = math.lcm(d, e)
+    f, g = d0 // d, d0 // e
+    it = iter([(a * f, b * f) for a, b in scaled])
+    *geometric, (base, _, _) = [(next(it), next(it), next(it)) for _ in trips]
+    period = (2 * ca * g, 2 * cb * g)
+    return d0, {d0: (geometric, _times(legs, g), (base, period))}
 
 
 def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[object]]:
@@ -285,8 +303,10 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
     common denominator ``d0`` and rescaled once per distinct ``d = lcm(d0,
     denominators of the request)``, so pairwise coprime requests do not grow
     each other's integers, and a plan read by many calls is scaled once.
-    The per-request work is integer arithmetic; each request's earliest pass
-    is converted back once (``core._pair_scalar``).
+    Every location and arrival is read as its integer triple in one pass
+    (``core._triples``), so a request's ``d`` is one lcm over its two
+    denominators.  The per-request work is integer arithmetic; each
+    request's earliest pass is converted back once (``core._pair_scalar``).
     """
     if not planned.path.turning_points:  # parked at the origin
         return [
@@ -295,20 +315,15 @@ def roundtrip_completions(planned: PlannedTrips, requests) -> List[Optional[obje
         ]
     d0, over = planned._geometry
     out: List[Optional[object]] = []
-    for loc, arrival in requests:
-        (lp, lq), (ap, aq) = _parts(loc), _parts(arrival)
-        try:
-            d = math.lcm(d0, lp.denominator, lq.denominator, ap.denominator, aq.denominator)
-        except AttributeError:  # a float has no denominator: refuse it as _exact does
-            _exact(loc, "location")
-            _exact(arrival, "arrival")
-            raise
+    triples = iter(_triples([v for pair in requests for v in pair]))
+    for (xa, xb, xd), (ta, tb, td) in zip(triples, triples):  # location, arrival
+        d = math.lcm(d0, xd, td)
         if d not in over:
             f, (geometric, legs, sweeps) = d // d0, over[d0]
             over[d] = (_times(geometric, f), _times(legs, f), _times([sweeps], f)[0])
         geometric_d, legs_d, (base, period) = over[d]
-        xa, xb = lp.numerator * (d // lp.denominator), lq.numerator * (d // lq.denominator)
-        arrival = ap.numerator * (d // ap.denominator), aq.numerator * (d // aq.denominator)
+        f, g = d // xd, d // td
+        xa, xb, arrival = xa * f, xb * f, (ta * g, tb * g)
         arcs = set()
         for (ca, cb), (ua, ub), (va, vb) in legs_d:
             from_u, from_v = _pair_sign(xa - ua, xb - ub), _pair_sign(xa - va, xb - vb)
@@ -637,10 +652,11 @@ class ReplanSession:
         at = [(a * f, b * f) for a, b in self._at] + [loc for loc, _ in new]
         done = [(a * f, b * f) for a, b in self._done] + [None] * len(pairs)
         completions = self._completions + [None] * len(pairs)
-        by_time: dict = {}  # each arrival time: its pair and the requests fed at it
+        # each arrival time: its pair and the requests fed at it; a rational
+        # QuadraticScalar equals and hashes as its Fraction, so they share a key
+        by_time: dict = {}
         for i, ((_, arrival), (_, when)) in enumerate(zip(pairs, new), len(self._at)):
-            rational, surd = _parts(arrival)
-            by_time.setdefault(arrival if surd else rational, (when, []))[1].append(i)
+            by_time.setdefault(arrival, (when, []))[1].append(i)
         last, unserved = self._last, self._unserved
         for time in sorted(by_time):
             if time < last:
