@@ -178,13 +178,17 @@ class QuadraticScalar:
         o = self._operand(other, "arithmetic")
         if o is None:
             return NotImplemented
-        return _quotient((self._a, self._b, self._d), o)
+        (u, v, e), a, b, d = o, self._a, self._b, self._d
+        if v == 0:  # u == 0 gives d*u == 0: _make raises ZeroDivisionError
+            return _make(a * e, b * e, d * u)
+        # times the conjugate over the norm u^2 - 3 v^2, nonzero as sqrt(3) is irrational
+        return _make(e * (a * u - 3 * b * v), e * (b * u - a * v), d * (u * u - 3 * v * v))
 
     def __rtruediv__(self, other):
         o = self._operand(other, "arithmetic")
         if o is None:
             return NotImplemented
-        return _quotient(o, (self._a, self._b, self._d))
+        return _make(*o) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -268,6 +272,7 @@ class QuadraticScalar:
         return f"{self.p} {sign} {abs(self.q)}*sqrt(3)"
 
 
+# the slots' own setters, since QuadraticScalar.__setattr__ refuses every write
 _SET_A, _SET_B, _SET_D = [
     slot.__set__ for slot in (QuadraticScalar._a, QuadraticScalar._b, QuadraticScalar._d)
 ]
@@ -290,16 +295,6 @@ def _make(a: int, b: int, d: int) -> QuadraticScalar:
     _SET_B(x, b)
     _SET_D(x, d)
     return x
-
-
-def _quotient(x, y) -> QuadraticScalar:
-    """``x / y`` for triples ``(a, b, d)``: times the conjugate of ``y``'s
-    numerator over its norm ``u^2 - 3 v^2``, nonzero unless ``y`` is 0
-    (``sqrt(3)`` is irrational)."""
-    (a, b, d), (u, v, e) = x, y
-    if v == 0:
-        return _make(a * e, b * e, d * u)
-    return _make(e * (a * u - 3 * b * v), e * (b * u - a * v), d * (u * u - 3 * v * v))
 
 
 SQRT3 = QuadraticScalar(0, 1)
