@@ -3,8 +3,10 @@
 Positions, times, and line endpoints are exact numbers (``fractions.Fraction``
 or ``QuadraticScalar``), so simulation results and ratio certificates never
 depend on float rounding.  Server motion is a trajectory of waits and
-unit-speed moves, starting at the origin at time 0; its service queries run
-one crossing rule (``_pair_visit``) on its breakpoints as integer pairs.
+unit-speed moves, starting at the origin at time 0.  Every motion is read
+in integer pairs by one rule each: the segment under way (``_segment_at``),
+the cut (``_cut``) and the crossing (``_pair_visit``); ``_rational_ints`` is
+the one check that a location is rational.
 Floats are refused: ``_exact`` checks the values the constructors take, and
 a float that reaches the triple reader (``_triples``) raises the same
 TypeError.
@@ -21,7 +23,6 @@ times, ratios) stays exact in that field.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import re
@@ -300,12 +301,12 @@ def _make(a: int, b: int, d: int) -> QuadraticScalar:
 SQRT3 = QuadraticScalar(0, 1)
 
 
-def _triples(values) -> list:
+def _triples(values, what: str = "value") -> list:
     """Each of ``values`` as the integers ``(a, b, d)``, ``d > 0``, with
     ``value == (a + b*sqrt(3))/d``: a ``QuadraticScalar``'s own triple, else
     ``(numerator, 0, denominator)`` of an int or ``Fraction``.  A float
-    raises ``_exact``'s TypeError, checked only once it has turned out to
-    have no denominator."""
+    raises ``_exact``'s TypeError, naming ``what``, checked only once it has
+    turned out to have no denominator."""
     try:
         return [
             (v._a, v._b, v._d) if isinstance(v, QuadraticScalar) else (v.numerator, 0, v.denominator)
@@ -313,15 +314,15 @@ def _triples(values) -> list:
         ]
     except AttributeError:  # a float has no denominator: refuse it as _exact does
         for v in values:
-            _exact(v)
+            _exact(v, what)
         raise
 
 
-def _scaled_pairs(values):
+def _scaled_pairs(values, what: str = "value"):
     """``(d, pairs)``: the lcm ``d`` of the denominators of ``values``
-    (``_triples``), and each value as the integers ``(a, b)`` with
-    ``value == (a + b*sqrt(3))/d``, in order."""
-    triples = _triples(values)
+    (``_triples``, which names a float ``what``), and each value as the
+    integers ``(a, b)`` with ``value == (a + b*sqrt(3))/d``, in order."""
+    triples = _triples(values, what)
     d = math.lcm(*[e for _, _, e in triples])
     return d, [(a * f, b * f) for a, b, e in triples for f in [d // e]]
 
@@ -329,6 +330,15 @@ def _scaled_pairs(values):
 def _pair_scalar(a: int, b: int, d: int):
     """``(a + b*sqrt(3))/d``: a ``Fraction`` when ``b == 0``, else a ``QuadraticScalar``."""
     return _make(a, b, d) if b else Fraction(a, d)
+
+
+def _rational_ints(d: int, pairs, what: str = "location") -> list:
+    """The ``a`` of each integer pair ``(a, b)`` over ``d``; the first with
+    ``b != 0`` raises TypeError, naming ``what`` and the value it stands for."""
+    for a, b in pairs:
+        if b:
+            raise TypeError(f"{what} must be rational, got {_pair_scalar(a, b, d)!r}")
+    return [a for a, _ in pairs]
 
 
 def _scalar_like(values, a: int, b: int, d: int):
@@ -352,7 +362,7 @@ def _common_scale(d: int, pts, values):
     position)`` in integer pairs over ``d``, and ``values``
     (``_scaled_pairs``) brought to one denominator ``f``, their lcm.
     ``pts`` comes back as a new list, so the caller's is untouched when the
-    result is cut in place (``online._cut``)."""
+    result is cut in place (``_cut``)."""
     e, pairs = _scaled_pairs(values)
     f = math.lcm(d, e)
     g, h = f // d, f // e
@@ -581,6 +591,31 @@ def make_instance(line, triples, model: Model = Model.PREDICTION) -> Instance:
     return Instance(_as_line(line), model, reqs)
 
 
+def _segment_at(pts, time) -> int:
+    """The index of the last breakpoint ``(time, position)`` of ``pts`` at or
+    before ``time`` (0 when none is), all integer pairs over one ``d``: the
+    segment under way then.  It scans back from the end, where most reads fall."""
+    (ca, cb), k = time, len(pts) - 1
+    while k and _pair_sign(pts[k][0][0] - ca, pts[k][0][1] - cb) > 0:
+        k -= 1
+    return k
+
+
+def _cut(pts, time) -> None:
+    """Cut the motion ``pts`` (integer pairs, unit-speed moves or waits) at
+    ``time`` and park it there, in place: the breakpoints up to the segment
+    under way (``_segment_at``) stay, then unless one is at ``time`` the
+    position that segment has reached."""
+    k = _segment_at(pts, time)
+    (ca, cb), ((ta, tb), (pa, pb)) = time, pts[k]
+    if k + 1 < len(pts):
+        s = _pair_sign(pts[k + 1][1][0] - pa, pts[k + 1][1][1] - pb)
+        pa, pb = pa + s * (ca - ta), pb + s * (cb - tb)
+    del pts[k + 1 :]
+    if _pair_sign(ca - ta, cb - tb) > 0:
+        pts.append((time, (pa, pb)))
+
+
 def _pair_visit(pts, x, not_before):
     """The first time at or after ``not_before`` at which the motion ``pts``
     is at ``x``: the one crossing rule, in integer pairs.
@@ -588,19 +623,15 @@ def _pair_visit(pts, x, not_before):
     ``pts`` are the breakpoints ``(time, position)`` from the start, with the
     server parked after the last one; every value, ``x`` and ``not_before``
     included, is a pair ``(a, b)`` meaning ``(a + b*sqrt(3))/d`` over one
-    ``d``.  The scan starts on the segment under way at ``not_before`` (from
-    the last breakpoint at or before it).  Returns None when the motion is
-    not at ``x`` from then on, else ``(k, t)``: the visit is on the segment
-    from breakpoint ``k``, the parked tail when ``k`` is the last, at time
-    ``t``.  ``t`` is None for ``not_before`` itself (a wait at ``x`` under
+    ``d``.  The scan starts on the segment under way at ``not_before``
+    (``_segment_at``).  Returns None when the motion is not at ``x`` from
+    then on, else ``(k, t)``: the visit is on the segment from breakpoint
+    ``k``, the parked tail when ``k`` is the last, at time ``t``.  ``t`` is None for ``not_before`` itself (a wait at ``x`` under
     way then), else a pair over ``d``: the breakpoint's own time on a wait
     or the tail, the crossing ``start + |x - p|`` on a move from ``p``.  A
     move that crosses ``x`` must run at unit speed, else ValueError."""
-    (xa, xb), (na, nb) = x, not_before
-    k, last = 0, len(pts) - 1
-    while k < last and _pair_sign(pts[k + 1][0][0] - na, pts[k + 1][0][1] - nb) <= 0:
-        k += 1
-    for k in range(k, last + 1):
+    (xa, xb), (na, nb), last = x, not_before, len(pts) - 1
+    for k in range(_segment_at(pts, not_before), last + 1):
         (ta, tb), (pa, pb) = pts[k]
         if k == last or pts[k + 1][1] == (pa, pb):  # the parked tail, or a wait
             if (pa, pb) == (xa, xb):
@@ -627,8 +658,10 @@ class Trajectory:
     of the model does (a slower move is never needed: moving at full speed
     and then waiting reaches every point on the way no later).  After the
     final breakpoint the server parks at the final position forever.  The
-    constructor checks the breakpoints a caller gives; the service queries
-    read them as integer pairs, scaled on first use.
+    constructor checks the breakpoints a caller gives; the queries read
+    them as integer pairs, scaled on first use: ``position_at`` and
+    ``truncated`` cut them (``_cut``), ``first_service_time`` runs the
+    crossing rule on them (``_pair_visit``).
     """
 
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
@@ -658,10 +691,6 @@ class Trajectory:
         return traj
 
     @cached_property
-    def _times(self) -> list:
-        return [t for t, _ in self.breakpoints]
-
-    @cached_property
     def _pairs(self):
         """``(d, pts)``: the breakpoints as integer pairs ``(a, b)``, meaning
         ``(a + b*sqrt(3))/d`` over one ``d`` (``_scaled_pairs``)."""
@@ -672,20 +701,19 @@ class Trajectory:
     def end_time(self) -> Fraction:
         return self.breakpoints[-1][0]
 
-    def position_at(self, t) -> Fraction:
-        """Exact server position at time ``t >= 0``."""
-        t = _exact(t, "time")
+    def _cut_at(self, t, what: str):
+        """``(f, pts)``: the breakpoints' pairs cut at ``t >= 0`` (``_cut``), over ``f``."""
+        t = _exact(t, what)
         if t < 0:
-            raise ValueError("time must be nonnegative")
-        pts = self.breakpoints
-        i = bisect.bisect_right(self._times, t) - 1
-        if i >= len(pts) - 1:
-            return pts[-1][1]
-        ta, pa = pts[i]
-        _, pb = pts[i + 1]
-        if pa == pb:
-            return pa
-        return pa + (t - ta) if pb > pa else pa - (t - ta)
+            raise ValueError(f"{what} must be nonnegative")
+        f, pts, [cut] = _common_scale(*self._pairs, [t])
+        _cut(pts, cut)
+        return f, pts
+
+    def position_at(self, t) -> Fraction:
+        """Exact server position at time ``t >= 0``: where the motion cut there parks."""
+        f, pts = self._cut_at(t, "time")
+        return _pair_scalar(*pts[-1][1], f)
 
     def first_service_time(self, loc, not_before=0) -> Optional[Fraction]:
         """Earliest t >= not_before with position_at(t) == loc, or None.
@@ -710,14 +738,8 @@ class Trajectory:
 
     def truncated(self, t_end) -> "Trajectory":
         """The same motion cut off (and parked) at time ``t_end``."""
-        t_end = _exact(t_end, "cut-off time")
-        if t_end < 0:
-            raise ValueError("cut-off time must be nonnegative")
-        before = max(bisect.bisect_left(self._times, t_end), 1)  # at least the start
-        pts = self.breakpoints[:before]
-        if pts[-1][0] < t_end:
-            pts += ((t_end, self.position_at(t_end)),)
-        return Trajectory._unchecked(pts)
+        f, pts = self._cut_at(t_end, "cut-off time")
+        return Trajectory._unchecked(pts, f)
 
 
 # --- instance text format ---------------------------------------------------

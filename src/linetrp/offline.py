@@ -7,12 +7,13 @@ visit list into one in a single pass.  ``Tour.first_visit`` reads a
 point's first-visit arc length off the tour's walk, with no division.  The
 latency optimum is computed two independent ways: an interval dynamic
 program (used everywhere) and a Held-Karp exhaustive search over every
-service order (used as a cross-check oracle on small inputs).  Both refuse a
-surd location with the same ``TypeError`` (``_rational_locations``) and
-scale the rational locations once to integers over their common
-denominator; they share no other code.  The DP's own entry,
-``_latency_walk``, takes integer positions and gives its walk, as ``(arc,
-position)`` pairs from ``(0, 0)``, and its total, integers in their scale:
+service order (used as a cross-check oracle on small inputs).  Both scale
+the locations once to integer pairs over their common denominator and
+refuse a surd one with the same ``TypeError`` (``core._rational_ints``), so
+a ``QuadraticScalar`` with no ``sqrt(3)`` part counts as its ``Fraction``;
+they share no other code.  The DP's own entry, ``_latency_walk``, takes
+integer positions and gives its walk, as ``(arc, position)`` pairs from
+``(0, 0)``, and its total, integers in their scale:
 ``optimal_latency_tour`` wraps it in that scaling and a ``Tour``, and the
 callers that already hold integers (the ratio evaluation, the replanner and
 the robust plan) call it directly.
@@ -37,11 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
 from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Scalar, Trajectory, _exact
+from .core import Scalar, Trajectory, _exact, _rational_ints, _scaled_pairs
 
 _ZERO = Fraction(0)
 
@@ -137,15 +137,6 @@ def canonical_tour(waypoints: Iterable[Scalar]) -> Tour:
 # --- exact latency optimum ----------------------------------------------------
 
 
-def _rational_locations(points: Iterable[Scalar]) -> List[Fraction]:
-    """The points as exact locations; a surd raises ``TypeError``."""
-    locations = [_exact(p, "location") for p in points]
-    for p in locations:
-        if not isinstance(p, Fraction):
-            raise TypeError(f"location must be rational, got {p!r}")
-    return locations
-
-
 def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     """Minimum-latency service walk over the given rational locations (with
     repeats).
@@ -155,12 +146,11 @@ def optimal_latency_tour(points: Iterable[Scalar]) -> Tuple[Tour, Scalar]:
     origin are served at time 0 and do not influence the walk.  Ties prefer
     fewer direction changes, then a first move to the left (see
     ``_latency_walk``, which this scales the locations for: integers over
-    their common denominator, and its turns and total back over it).
-    Locations must be rational.
+    their common denominator, and its turns and total back over it).  A
+    location with a ``sqrt(3)`` part is refused (``core._rational_ints``).
     """
-    locations = _rational_locations(points)
-    scale = lcm(*[p.denominator for p in locations])
-    walk, total = _latency_walk([p.numerator * (scale // p.denominator) for p in locations])
+    scale, pairs = _scaled_pairs(list(points), "location")
+    walk, total = _latency_walk(_rational_ints(scale, pairs))
     return Tour(tuple([Fraction(x, scale) for _, x in walk[1:]])), Fraction(total, scale)
 
 
@@ -267,8 +257,9 @@ def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scala
     """Exhaustive latency optimum over every service order (Held-Karp).
 
     Independent of the dynamic program above: its states are (set of served
-    points, last point served), not intervals around the origin.  Locations
-    must be rational; they are scaled to integers over a common denominator.
+    points, last point served), not intervals around the origin.  The
+    locations are scaled to integers over a common denominator; one with a
+    ``sqrt(3)`` part is refused, as the DP refuses it.
     A move costs its distance times the number of requests still waiting,
     the one it reaches included.  The search pulls: each set holds a full
     row of costs by last point, ``never`` (above every real cost) for the
@@ -279,15 +270,15 @@ def brute_force_latency(points: Iterable[Scalar], max_n: int = 9) -> Tuple[Scala
     as does the choice of the last point.  The order found is then re-costed
     exactly.  Returns (total, order).
     """
-    pts = sorted([p for p in _rational_locations(points) if p != 0])
-    n = len(pts)
+    scale, pairs = _scaled_pairs(list(points), "location")
+    ints = sorted([x for x in _rational_ints(scale, pairs) if x])
+    n = len(ints)
     if n == 0:
         return _ZERO, ()
     if n > max_n:
         raise ValueError(f"brute force capped at {max_n} non-origin points, got {n}")
 
-    scale = lcm(*[p.denominator for p in pts])
-    ints = [p.numerator * (scale // p.denominator) for p in pts]
+    pts = [Fraction(x, scale) for x in ints]
     # step[w][j][i]: the cost of moving from point i to point j with w
     # requests waiting
     dist = [[abs(xi - xj) for xi in ints] for xj in ints]

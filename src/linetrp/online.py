@@ -14,13 +14,13 @@ in those integers and ends the geometric trips, compared in integers too,
 at the first that reaches the path's length (``_trip_geometry``; no
 ``Trajectory`` of the path is built).  A session's motion
 (``CommittedSession.motion``, the one motion a session gives), the release
-game's moves (``PlannedTrips.moves``) and ``roundtrip_trajectory`` come
+game's moves (``CommittedSession.moves``) and ``roundtrip_trajectory`` come
 from one stream of those trips; the closed-form completions
 (``roundtrip_completions``) read the same geometry, with one rescale kept
 per distinct request denominator.  The replanner keeps its motion in the
 same form: breakpoints in integer pairs over one denominator, cut
-(``_cut``, which ``CommittedSession.motion`` applies to the plan's moves
-too) and extended as it replans, and handed out as they are by its
+(``core._cut``, which ``CommittedSession.motion`` and a ``Trajectory``
+apply too) and extended as it replans, and handed out as they are by its
 ``motion`` and ``moves``; each replan's walk is the interval DP's integer
 entry (``offline._latency_walk``) over the targets less the server's
 position, on that denominator.  ``roundtrip_trajectory`` and the
@@ -51,10 +51,13 @@ from .core import (
     QuadraticScalar,
     Trajectory,
     _common_scale,
+    _cut,
     _exact,
     _pair_scalar,
     _pair_sign,
+    _rational_ints,
     _scaled_pairs,
+    _segment_at,
     _surd_floor,
     _triples,
     parse_scalar,
@@ -183,7 +186,7 @@ def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
     first exceeds the path length."""
     if not path.turning_points:
         return _ZERO
-    total = _path_length(path)
+    total = path.walk.end_time
     *_, (_, end, _) = schedule.trips(total)
     return end + latest_arrival + 4 * total + 1
 
@@ -240,14 +243,6 @@ def _next_pass(geometric, base, period, s, arrival):
     if _pair_sign(wa - la, wb - lb) >= 0:
         return wa - sa, wb - sb
     return wa + sa, wb + sb
-
-
-def _path_length(path: Tour):
-    """The length of the path's walk from the origin.  Its turning points
-    alternate sides of the origin, so a leg is as long as its ends are far
-    from the origin, and every turning point but the last ends two legs."""
-    tps = path.turning_points
-    return 2 * sum([abs(tp) for tp in tps]) - abs(tps[-1])
 
 
 def _trip_geometry(planned: PlannedTrips):
@@ -391,14 +386,6 @@ class PlannedTrips:
             for (sa, sb), reach in itertools.chain(ahead, sweeps)
         )
 
-    def moves(self, lo: int):
-        """``(d0, moves)``: the committed motion from the trip under way at
-        integer time ``lo`` (``_trips``, up to where its integer steps
-        repeat), as unit-speed moves ``(ta, pa, tb, pb)`` in integer pairs
-        over ``d0``.  The path must have positive length."""
-        d0, trips = self._trips(lo, once=True)
-        return d0, (move for trip in trips for move in trip)
-
 
 class Strategy(abc.ABC):
     name: str = "strategy"
@@ -433,24 +420,6 @@ class FixedPathStrategy(Strategy):
         return CommittedSession(self.plan(info))
 
 
-def _cut(pts, time) -> None:
-    """Cut the motion ``pts``, breakpoints ``(time, position)`` from ``(0,
-    0)`` in integer pairs with unit-speed moves or waits between them, at
-    ``time`` and park it there, in place: the breakpoints before ``time``
-    stay, and the server stands where the move under way has run ``time``
-    minus its start."""
-    (ca, cb), k = time, len(pts) - 1
-    while k and _pair_sign(pts[k][0][0] - ca, pts[k][0][1] - cb) >= 0:
-        k -= 1
-    (ta, tb), (pa, pb) = pts[k]
-    if k + 1 < len(pts):
-        s = _pair_sign(pts[k + 1][1][0] - pa, pts[k + 1][1][1] - pb)
-        pa, pb = pa + s * (ca - ta), pb + s * (cb - tb)
-    del pts[k + 1 :]
-    if _pair_sign(ca - ta, cb - tb) > 0:
-        pts.append((time, (pa, pb)))
-
-
 class CommittedSession:
     """One run of a committed plan: arrivals change no motion, so the fed
     requests wait until ``completions()`` is read and are resolved then, in
@@ -471,8 +440,8 @@ class CommittedSession:
     def motion(self, until):
         """The plan's own moves (``PlannedTrips._trips(0)``) up to the first
         that ends at or after ``ceil(until)``, brought to one denominator
-        with ``until`` (``core._common_scale``) and cut there (``_cut``), in
-        integer pairs; an empty path parks at the origin."""
+        with ``until`` (``core._common_scale``) and cut there (``core._cut``),
+        in integer pairs; an empty path parks at the origin."""
         d0, moves = 1, ()
         if self.planned.path.turning_points:
             d0, trips = self.planned._trips(0)
@@ -487,10 +456,13 @@ class CommittedSession:
         return d, pts
 
     def moves(self, lo: int, beyond):
-        """``PlannedTrips.moves``; none when the path never goes right of ``beyond``."""
+        """The plan's moves from the trip under way at ``lo``, up to where
+        their integer steps repeat (``PlannedTrips._trips``); none when the
+        path never goes right of ``beyond``."""
         if max(self.planned.path.turning_points, default=0) <= beyond:
             return 1, ()
-        return self.planned.moves(lo)
+        d0, trips = self.planned._trips(lo, once=True)
+        return d0, (move for trip in trips for move in trip)
 
 
 def extend_tour_to_line(tour: Tour, line: LineSegment) -> Tour:
@@ -554,14 +526,12 @@ def padded_robust_path(predictions: Sequence, delta, line: LineSegment) -> Tour:
     (``offline._latency_walk``), the push and the clamps run in integers.
     Each waypoint handed to ``canonical_tour`` is one ``Fraction``, or the
     line's own end where it is clamped, so a line end may have a
-    ``sqrt(3)`` part; ``delta`` and the predictions must be rational.
+    ``sqrt(3)`` part; a ``delta`` or prediction with one is refused
+    (``core._rational_ints``).
     """
     delta = _exact(delta, "delta")
-    d, [(da, db), lo, hi, *preds] = _scaled_pairs([delta, line.a, line.b, *predictions])
-    for value, (_, surd) in zip([delta, *predictions], [(da, db), *preds]):
-        if surd:
-            raise TypeError(f"delta and predictions must be rational, got {value!r}")
-    xs = [x for x, _ in preds]
+    d, [lo, hi, *pairs] = _scaled_pairs([line.a, line.b, delta, *predictions])
+    da, *xs = _rational_ints(d, pairs, "delta and predictions")
     shrunk = [max(x - da, 0) if x >= 0 else min(x + da, 0) for x in xs]
     # each waypoint with the side it is clamped on: the turning points pushed out, then
     # the ends of the predictions' error neighborhoods
@@ -634,7 +604,7 @@ class ReplanSession:
     def on_arrivals(self, pairs) -> None:
         """Replan at each arrival time of the batch, in time order.
 
-        At time ``time`` the motion is cut (``_cut``) at the server's
+        At time ``time`` the motion is cut (``core._cut``) at the server's
         position ``pos``.  Each completion comes in closed form: a request
         served by then keeps it, a new one at ``pos`` completes at ``time``,
         and every other one at ``time`` plus its first visit along the new
@@ -645,7 +615,8 @@ class ReplanSession:
         ``sqrt(3)`` part is read as its ``Fraction``.  Raises ValueError,
         before any state changes, when a time comes before an earlier
         arrival or finds the server at a surd position, and TypeError,
-        likewise, when a location to walk to has a ``sqrt(3)`` part.
+        likewise, naming a location to walk to that has a ``sqrt(3)`` part
+        (``core._rational_ints``).
         """
         d, pts, scaled = _common_scale(self._d, self._pts, [v for pair in pairs for v in pair])
         f, new = d // self._d, list(zip(scaled[::2], scaled[1::2]))
@@ -675,30 +646,26 @@ class ReplanSession:
                     done[i], completions[i] = (ca, cb), _pair_scalar(ca, cb, d)
                 else:
                     unserved.append(i)
-            for i in unserved:
-                if at[i][1]:
-                    target = _pair_scalar(at[i][0] - pa, at[i][1], d)
-                    raise TypeError(f"location must be rational, got {target!r}")
-            walk = _latency_walk([at[i][0] - pa for i in unserved])[0]  # from ``pos``, over ``d``
+            xs = [x - pa for x in _rational_ints(d, [at[i] for i in unserved])]  # from ``pos``
+            walk = _latency_walk(xs)[0]  # over ``d``
             pts += [((ca + s, cb), (pa + x, 0)) for s, x in walk[1:]]
-            for i in unserved:
-                s = ca + _first_visit(walk, at[i][0] - pa)
+            for i, x in zip(unserved, xs):
+                s = ca + _first_visit(walk, x)
                 done[i], completions[i] = (s, cb), _pair_scalar(s, cb, d)
             last = time
         self._d, self._pts, self._last, self._unserved = d, pts, last, unserved
         self._at, self._done, self._completions = at, done, completions
 
     def motion(self, until):
-        """The motion cut at ``until`` (``_cut``), in integer pairs."""
+        """The motion cut at ``until`` (``core._cut``), in integer pairs."""
         d, pts, [cut] = _common_scale(self._d, self._pts, [until])
         _cut(pts, cut)
         return d, pts
 
     def moves(self, lo: int, beyond):
-        """The motion so far from the move under way at ``lo``, all of it."""
-        pts, k = self._pts, len(self._pts) - 1
-        while k and _pair_sign(pts[k][0][0] - lo * self._d, pts[k][0][1]) > 0:
-            k -= 1
+        """The motion so far from the move under way at ``lo``
+        (``core._segment_at``), all of it."""
+        pts, k = self._pts, _segment_at(self._pts, (lo * self._d, 0))
         return self._d, ((t, p, u, q) for (t, p), (u, q) in zip(pts[k:], pts[k + 1 :]))
 
     def completions(self) -> List[object]:

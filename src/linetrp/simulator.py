@@ -12,7 +12,8 @@ Evaluation rates each completion against two per-request floors: the coarse
 along a latency-optimal walk of the actual locations (the rule of
 ``Tour.first_visit``) floored by its arrival.  It scales every completion,
 location and arrival once, in one call, to integer pairs ``(a, b)``,
-meaning ``(a + b*sqrt(3))/d`` over one common ``d``.  The walk and its
+meaning ``(a + b*sqrt(3))/d`` over one common ``d``, and refuses a surd
+location there (``core._rational_ints``).  The walk and its
 total come from the interval DP's integer entry (``offline._latency_walk``)
 on the locations over their own common denominator, so the completions'
 denominators do not grow the DP's integers; no ``Tour`` is built.  From
@@ -31,7 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .core import Instance, Trajectory, _exact_sum, _pair_scalar, _pair_sign, _pairs_sum, _scaled_pairs
+from .core import Instance, Trajectory, _exact_sum, _pair_scalar, _pair_sign, _pairs_sum
+from .core import _rational_ints, _scaled_pairs
 from .offline import _first_visit, _latency_walk
 from .offline import optimal_latency_tour  # not called here; perfbench/tracer.py wraps it under this name
 from .online import (
@@ -203,12 +205,7 @@ def evaluate(result: RunResult) -> EvaluationReport:
     requests, completions = result.instance.requests, result.completions
     values = [v for r, c in zip(requests, completions) for v in (r.actual, r.arrival, c)]
     d, pairs = _scaled_pairs(values)
-    it, scaled = iter(pairs), []
-    for r in requests:
-        (x, surd), t, num = next(it), next(it), next(it)
-        if surd:
-            raise TypeError(f"location must be rational, got {r.actual!r}")
-        scaled.append((x, t, num))
+    scaled = list(zip(_rational_ints(d, pairs[::3]), pairs[1::3], pairs[2::3]))
     # the DP runs over the locations' own common denominator, d/g, so the
     # completions' denominators do not grow its integers
     g = math.gcd(d, *[x for x, _, _ in scaled])

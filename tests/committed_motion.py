@@ -5,7 +5,8 @@ arithmetic.
 trips (``PlannedTrips``).  This module walks the same trips the plain way:
 the schedule's trips as ``(start, end, reach)`` scalars, the path's turning
 marks by arc, and each turnaround read off the path's walk by
-``position_at``.  Tests compare the two, on plans ``random_plan`` draws.
+``scalar_service.reference_position``, not by the engine's cut.  Tests
+compare the two, on plans ``random_plan`` draws.
 """
 
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from linetrp.online import (
     RobustPredictionTour,
     VisibleInfo,
 )
+from scalar_service import reference_position
 
 _ZERO = F(0)
 
@@ -42,7 +44,7 @@ def reference_trajectory(path, schedule, horizon) -> Trajectory:
     j = 0
     while t < horizon:
         reach = reaches[j] if j < len(reaches) else total
-        turn_pos = walk.position_at(reach)
+        turn_pos = reference_position(walk, reach)
         for c, p in marks:
             if c < reach:
                 pts.append((t + c, p))

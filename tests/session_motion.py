@@ -6,13 +6,16 @@
 starts at the origin, its times increase and it waits or moves at unit speed.
 ``count_trajectories`` records every ``Trajectory`` built, checked or not.
 ``RecheckAllSession`` is the replanner written the plain way, in scalar
-arithmetic, as a reference for ``online.ReplanSession``.
+arithmetic, as a reference for ``online.ReplanSession``.  Both cut motions
+by ``scalar_cut``, whose positions come from ``scalar_service``'s own rule,
+so neither runs the engine's cut (``core._cut``).
 """
 
 from fractions import Fraction as F
 
 from linetrp.core import QuadraticScalar, Trajectory, _pair_scalar
 from linetrp.offline import optimal_latency_tour
+from scalar_service import reference_position
 
 
 def checked_trajectory(session, until) -> Trajectory:
@@ -45,18 +48,19 @@ def count_trajectories(monkeypatch) -> list:
 def scalar_cut(traj, until) -> list:
     """The breakpoints of ``traj`` cut and parked at ``until``, in scalar
     arithmetic: those before ``until`` (the start at least), then ``until``
-    and the position there (``position_at``) unless a breakpoint is there."""
+    and the position there (``scalar_service.reference_position``) unless a
+    breakpoint is there."""
     pts = traj.breakpoints
     kept = [bp for bp in pts if bp[0] < until] or [pts[0]]
     if kept[-1][0] < until:
-        kept.append((until, traj.position_at(until)))
+        kept.append((until, reference_position(traj, until)))
     return kept
 
 
 class RecheckAllSession:
     """Oracle for ``ReplanSession``: the replanner as it was written before it
     kept only the unserved requests.  It re-checks every known request
-    against the committed motion, a ``Trajectory`` cut with ``truncated``,
+    against the committed motion, a ``Trajectory`` cut with ``scalar_cut``,
     on every arrival; a batch holds one arrival time."""
 
     def __init__(self):
@@ -66,7 +70,7 @@ class RecheckAllSession:
     def on_arrivals(self, pairs):
         (time,) = {arrival for _, arrival in pairs}
         locations = [loc for loc, _ in pairs]
-        committed = self._trajectory.truncated(time)
+        committed = Trajectory(tuple(scalar_cut(self._trajectory, time)))
         self._known.extend((loc, time) for loc in locations)
         unserved = [
             loc

@@ -990,7 +990,7 @@ def _trajectory_outward_step(traj, lo, hi):
     (tb, pb)`` with ``pb > pa`` and ``ta <= step < tb``; None when there is
     none by ``hi`` or before the trajectory parks."""
     pts = traj.breakpoints
-    k = max(bisect.bisect_right(traj._times, lo) - 1, 0)
+    k = max(bisect.bisect_right([t for t, _ in pts], lo) - 1, 0)
     for (ta, pa), (tb, pb) in zip(pts[k:], pts[k + 1 :]):
         if ta > hi:
             return None
@@ -1065,7 +1065,8 @@ def test_integer_outward_scan_matches_the_trajectory_scan():
         hi = lo + rng.randint(0, 2 * span)
         traj = _committed_trajectory(planned, lo, hi)
         expected = _scan_outcome(_trajectory_outward_step(traj, lo, hi))
-        got = _scan_outcome(adversary._next_outward_step(*planned.moves(lo), lo, hi))
+        moves = online.CommittedSession(planned).moves(lo, 1)
+        got = _scan_outcome(adversary._next_outward_step(*moves, lo, hi))
         assert got == expected, (case, planned, lo, hi)
         assert _scan_outcome(adversary._next_outward_step(*_as_moves(traj), lo, hi)) == expected
         found += expected is not None

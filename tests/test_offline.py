@@ -311,6 +311,13 @@ def test_optimal_latency_rejects_irrational_locations():
         optimal_latency_tour([F(1), SQRT3])
 
 
+def test_the_latency_oracles_name_a_float_location():
+    """Both oracles refuse a float with ``_exact``'s message, naming it a location."""
+    for solve in (optimal_latency_tour, brute_force_latency):
+        with pytest.raises(TypeError, match=r"^location must be exact \(int/Fraction\), got float 1\.5$"):
+            solve([F(1), 1.5])
+
+
 def test_optimal_latency_trivial_inputs():
     tour, total = optimal_latency_tour([])
     assert total == 0 and tour.turning_points == ()

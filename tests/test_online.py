@@ -803,13 +803,14 @@ def test_greedy_session_reads_a_rational_surd_arrival_as_a_fraction():
 def test_greedy_session_reads_a_rational_surd_location_as_a_fraction():
     """A location that is a ``QuadraticScalar`` with no ``sqrt(3)`` part is
     planned for as its ``Fraction``, as such an arrival time is read; one
-    with a ``sqrt(3)`` part is refused by the rational walk, by name."""
+    with a ``sqrt(3)`` part is refused by the rational walk, named as it was
+    fed, not less the server's position."""
     session = GreedyReplan().start(None)
     session.on_arrivals([(QuadraticScalar(3), F(0))])
     session.on_arrivals([(F(-1), F(3))])
     assert session.completions() == [F(3), F(7)]
     assert all(type(c) is F for c in session.completions())
-    with pytest.raises(TypeError, match=r"^location must be rational, got QuadraticScalar\(0, 1\)$"):
+    with pytest.raises(TypeError, match=r"^location must be rational, got QuadraticScalar\(-1, 1\)$"):
         session.on_arrivals([(QuadraticScalar(-1, 1), F(8))])  # parked at -1
 
 

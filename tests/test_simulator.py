@@ -647,6 +647,52 @@ def test_evaluate_refuses_a_surd_location_by_name():
         evaluate(result)
 
 
+_REPORT_FIELDS = ("on_sum", "opt_sum_bound", "sum_ratio", "max_ratio_simple", "max_ratio_tour")
+
+
+def test_a_rational_quadratic_scalar_location_counts_as_its_fraction():
+    """A location that is a ``QuadraticScalar`` with no ``sqrt(3)`` part is
+    a location: every strategy's run, ``evaluate`` and both latency oracles
+    give on it the values they give on its ``Fraction`` twin."""
+    line = LineSegment(F(0), F(6))
+    rows = [(F(2), F(0)), (F(9, 2), F(1)), (F(1), F(3)), (F(5), F(3))]
+    twin = make_instance(line, [(x, x, t) for x, t in rows])
+    inst = make_instance(line, [(QS(x), QS(x), t) for x, t in rows])
+    for name in online.STRATEGY_NAMES:
+        strategy = make_strategy(name, DEFAULT_ALPHA, F(1, 100))
+        got, expected = run(inst, strategy), run(twin, strategy)
+        assert got.completions == expected.completions, name
+        got, expected = evaluate(got), evaluate(expected)
+        for f in _REPORT_FIELDS:
+            assert getattr(got, f) == getattr(expected, f), (name, f)
+    locations = [x for x, _ in rows] + [F(0), F(-3, 2)]
+    for solve in (optimal_latency_tour, offline.brute_force_latency):
+        assert repr(solve([QS(x) for x in locations])) == repr(solve(locations))
+
+
+def test_a_surd_location_is_refused_with_one_message():
+    """Every entry that needs a rational location refuses a surd one with
+    the one message, naming it: ``evaluate``, both latency oracles and the
+    runs of the prediction tour and the replanner.  The half-line and sweep
+    round trips serve it; the robust tour names its predictions."""
+    surd = 1 + SQRT3
+    inst = make_instance(LineSegment(F(0), F(6)), [(F(2), F(2), F(0)), (surd, surd, F(1))])
+    refused = r"^location must be rational, got QuadraticScalar\(1, 1\)$"
+    for name in ("halfline", "sweep"):
+        result = run(inst, make_strategy(name))
+        assert None not in result.completions
+        with pytest.raises(TypeError, match=refused):
+            evaluate(result)
+    for name in ("perfect", "greedy"):
+        with pytest.raises(TypeError, match=refused):
+            run(inst, make_strategy(name))
+    with pytest.raises(TypeError, match=r"^delta and predictions must be rational, got QuadraticScalar\(1, 1\)$"):
+        run(inst, make_strategy("robust", DEFAULT_ALPHA, F(1, 100)))
+    for solve in (optimal_latency_tour, offline.brute_force_latency):
+        with pytest.raises(TypeError, match=refused):
+            solve([F(2), surd])
+
+
 def test_evaluate_divides_only_the_winning_ratios(monkeypatch):
     # the rows' ratios are compared in integers: only the two maxima and the
     # sum ratio are ever divided out
