@@ -626,10 +626,11 @@ def _pair_visit(pts, x, not_before):
     ``d``.  The scan starts on the segment under way at ``not_before``
     (``_segment_at``).  Returns None when the motion is not at ``x`` from
     then on, else ``(k, t)``: the visit is on the segment from breakpoint
-    ``k``, the parked tail when ``k`` is the last, at time ``t``.  ``t`` is None for ``not_before`` itself (a wait at ``x`` under
-    way then), else a pair over ``d``: the breakpoint's own time on a wait
-    or the tail, the crossing ``start + |x - p|`` on a move from ``p``.  A
-    move that crosses ``x`` must run at unit speed, else ValueError."""
+    ``k``, the parked tail when ``k`` is the last, at time ``t``.  ``t`` is
+    None for ``not_before`` itself (a wait at ``x`` under way then), else a
+    pair over ``d``: the breakpoint's own time on a wait or the tail, the
+    crossing ``start + |x - p|`` on a move from ``p``.  A move that crosses
+    ``x`` must run at unit speed, else ValueError."""
     (xa, xb), (na, nb), last = x, not_before, len(pts) - 1
     for k in range(_segment_at(pts, not_before), last + 1):
         (ta, tb), (pa, pb) = pts[k]
