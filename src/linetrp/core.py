@@ -659,10 +659,11 @@ class Trajectory:
     of the model does (a slower move is never needed: moving at full speed
     and then waiting reaches every point on the way no later).  After the
     final breakpoint the server parks at the final position forever.  The
-    constructor checks the breakpoints a caller gives; the queries read
-    them as integer pairs, scaled on first use: ``position_at`` and
-    ``truncated`` cut them (``_cut``), ``first_service_time`` runs the
-    crossing rule on them (``_pair_visit``).
+    constructor checks every trajectory, a caller's or the engine's own
+    (``_of_pairs``); the queries read the breakpoints as integer pairs,
+    scaled on first use: ``position_at`` and ``truncated`` cut them
+    (``_cut``), ``first_service_time`` runs the crossing rule on them
+    (``_pair_visit``).
     """
 
     breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
@@ -681,15 +682,11 @@ class Trajectory:
             raise ValueError("trajectory must start at the origin at time 0")
 
     @classmethod
-    def _unchecked(cls, pts, d=None) -> "Trajectory":
-        """A trajectory of breakpoints already checked or valid by
-        construction; with ``d``, ``pts`` are integer pairs over ``d``, each
-        converted back once (``_pair_scalar``)."""
-        if d is not None:
-            pts = tuple([(_pair_scalar(*t, d), _pair_scalar(*p, d)) for t, p in pts])
-        traj = object.__new__(cls)
-        object.__setattr__(traj, "breakpoints", pts)
-        return traj
+    def _of_pairs(cls, d: int, pts) -> "Trajectory":
+        """The trajectory of breakpoints ``pts`` given as integer pairs over
+        ``d``, each converted back once (``_pair_scalar``) and checked by the
+        constructor."""
+        return cls(tuple([(_pair_scalar(*t, d), _pair_scalar(*p, d)) for t, p in pts]))
 
     @cached_property
     def _pairs(self):
@@ -739,8 +736,7 @@ class Trajectory:
 
     def truncated(self, t_end) -> "Trajectory":
         """The same motion cut off (and parked) at time ``t_end``."""
-        f, pts = self._cut_at(t_end, "cut-off time")
-        return Trajectory._unchecked(pts, f)
+        return Trajectory._of_pairs(*self._cut_at(t_end, "cut-off time"))
 
 
 # --- instance text format ---------------------------------------------------

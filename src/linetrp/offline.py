@@ -87,14 +87,12 @@ class Tour:
     @cached_property
     def walk(self) -> Trajectory:
         """The tour walked once at unit speed from time 0, then parked: each
-        breakpoint time is the arc length walked to that turning point.
-        Every turning point lies beyond the walk's position before it, so
-        the motion is valid by construction and is not checked again."""
+        breakpoint time is the arc length walked to that turning point."""
         pts = [(_ZERO, _ZERO)]
         for tp in self.turning_points:
             arc, pos = pts[-1]
             pts.append((arc + abs(tp - pos), tp))
-        return Trajectory._unchecked(tuple(pts))
+        return Trajectory(tuple(pts))
 
     def first_visit(self, x) -> Optional[Scalar]:
         """Arc length at which the walk first reaches ``x``, or None when it

@@ -141,7 +141,7 @@ class RoundTripSchedule:
     def _memo_trips(self):
         """Every trip, without end: the memoized list of ``trips``, extended
         as the caller walks past its end."""
-        trips = _trip_memo(self.alpha, self.pad)
+        trips = _trip_memo(type(self.alpha), type(self.pad), *_triples([self.alpha, self.pad]))
         for j in itertools.count():
             if j == len(trips):  # trip j ends at growth**j + j*pad; trip j+1 starts there
                 start = trips[-1][1] if trips else _ZERO
@@ -151,10 +151,11 @@ class RoundTripSchedule:
             yield trips[j]
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _trip_memo(alpha, pad) -> list:
-    """The trips built so far for one ``(alpha, pad)``, only ever appended
-    to; see ``RoundTripSchedule.trips``."""
+@functools.lru_cache(maxsize=64)
+def _trip_memo(alpha_type, pad_type, alpha, pad) -> list:
+    """The trips built so far for one ``(alpha, pad)``, keyed by their types
+    and integer triples (``core._triples``), only ever appended to; see
+    ``RoundTripSchedule.trips``."""
     return []
 
 
@@ -165,9 +166,7 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
     and back.  Once the reach passes the path length, every further trip
     sweeps the whole path.  An empty path parks at the origin.  Whole trips
     of the plan's moves (``PlannedTrips._trips``) are taken while the time
-    is before ``horizon``.  Every move walks one of the path's legs at unit
-    speed, and each trip starts where the one before ends, at the origin;
-    so the motion is valid by construction and is not checked again.
+    is before ``horizon``, and converted back once (``Trajectory._of_pairs``).
     """
     if not path.turning_points or horizon <= 0:
         return Trajectory(((_ZERO, _ZERO),))
@@ -177,7 +176,7 @@ def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Tr
         pts += [(t, p) for _, _, t, p in trip]
         if _pair_scalar(*pts[-1][0], d0) >= horizon:
             break
-    return Trajectory._unchecked(pts, d0)
+    return Trajectory._of_pairs(d0, pts)
 
 
 def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
@@ -198,12 +197,14 @@ def _sweep_at(x, y, period) -> int:
     return max(_surd_floor(x * pa - 3 * y * pb, y * pa - x * pb, pa * pa - 3 * pb * pb), 0)
 
 
-def _trip_moves(legs, reach):
-    """The moves ``(ta, pa, tb, pb)`` of one round trip out to arc ``reach``
-    along the path's ``legs`` (``_trip_geometry``) and back, timed from the
-    trip's start; integer pairs over the legs' denominator."""
+def _trip_moves(legs, start, reach):
+    """The moves ``(ta, pa, tb, pb)`` of one round trip that starts at time
+    ``start`` and goes out to arc ``reach`` along the path's ``legs``
+    (``_trip_geometry``) and back, ending at ``start + 2*reach``; integer
+    pairs over the legs' denominator."""
     out, back = [], []
-    ra, rb = reach
+    (sa, sb), (ra, rb) = start, reach
+    fa, fb = sa + 2 * ra, sb + 2 * rb  # the trip's end
     for (ca, cb), (ua, ub), (va, vb) in legs:
         if _pair_sign(ra - ca, rb - cb) <= 0:
             break
@@ -211,8 +212,8 @@ def _trip_moves(legs, reach):
         ea, eb = ca + s * (va - ua), cb + s * (vb - ub)  # the arc at the leg's end
         if _pair_sign(ea - ra, eb - rb) > 0:  # the trip turns on this leg
             ea, eb, va, vb = ra, rb, ua + s * (ra - ca), ub + s * (rb - cb)
-        out.append(((ca, cb), (ua, ub), (ea, eb), (va, vb)))
-        back.append(((2 * ra - ea, 2 * rb - eb), (va, vb), (2 * ra - ca, 2 * rb - cb), (ua, ub)))
+        out.append(((sa + ca, sb + cb), (ua, ub), (sa + ea, sb + eb), (va, vb)))
+        back.append(((fa - ea, fb - eb), (va, vb), (fa - ca, fb - cb), (ua, ub)))
     return out + back[::-1]
 
 
@@ -365,9 +366,11 @@ class PlannedTrips:
 
     def _trips(self, lo: int, once: bool = False):
         """``(d0, trips)``: the committed round trips from the one under way
-        at integer time ``lo``, each as its moves ``(ta, pa, tb, pb)``
-        (``_trip_moves``) in integer pairs over ``d0``: the geometric trips
-        left, then the full sweeps from the one under way, with no end.
+        at integer time ``lo``, each as a list of its moves ``(ta, pa, tb,
+        pb)`` at their own times (``_trip_moves``), in integer pairs over
+        ``d0``: the geometric trips left, then the full sweeps from the one
+        under way, with no end.  Each trip is a list of its own, as
+        ``roundtrip_trajectory`` stops only at a trip's end.
         With a rational period integer steps fall alike in sweeps
         ``d0/gcd(pa, d0)`` apart; with ``once``, the sweeps end after those.
         The path must have positive length."""
@@ -380,11 +383,8 @@ class PlannedTrips:
         if once and not pb:
             ks = itertools.islice(ks, 1 + d0 // math.gcd(pa, d0))
         sweeps = (((ba + k * pa, bb + k * pb), (pa // 2, pb // 2)) for k in ks)
-        return d0, (
-            [((ta + sa, tb + sb), p, (ua + sa, ub + sb), q)
-             for (ta, tb), p, (ua, ub), q in _trip_moves(legs, reach)]
-            for (sa, sb), reach in itertools.chain(ahead, sweeps)
-        )
+        trips = itertools.chain(ahead, sweeps)
+        return d0, (_trip_moves(legs, start, reach) for start, reach in trips)
 
 
 class Strategy(abc.ABC):
@@ -548,11 +548,8 @@ def padded_robust_path(predictions: Sequence, delta, line: LineSegment) -> Tour:
 
 def _too_noisy(delta, line: LineSegment) -> bool:
     """Whether ``delta`` is at least ``FALLBACK_THRESHOLD`` times the line's
-    length, ``(2 - sqrt(3))/4`` of it: the sign of ``4*delta - (2 -
-    sqrt(3))*length`` in integer pairs."""
-    _, [(da, db), (aa, ab), (ba, bb)] = _scaled_pairs([delta, line.a, line.b])
-    la, lb = ba - aa, bb - ab
-    return _pair_sign(4 * da - 2 * la + 3 * lb, 4 * db - 2 * lb + la) >= 0
+    length."""
+    return delta >= FALLBACK_THRESHOLD * line.length
 
 
 @dataclass(frozen=True)
@@ -696,8 +693,8 @@ def select_algorithm(instance: Instance, delta=None, alpha=DEFAULT_ALPHA) -> Str
     if instance.model is Model.PREDICTION:
         if delta is None or delta == 0:
             return PerfectPredictionTour(alpha)
-        if not _too_noisy(delta, instance.line):
-            return RobustPredictionTour(_exact(delta, "delta"), alpha)
+        if not _too_noisy(_exact(delta, "delta"), instance.line):
+            return RobustPredictionTour(delta, alpha)
     if instance.line.is_halfline():
         return HalflineRoundTrips(alpha)
     return LineSweepRoundTrips(alpha)

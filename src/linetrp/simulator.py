@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .core import Instance, Trajectory, _exact_sum, _pair_scalar, _pair_sign, _pairs_sum
+from .core import Instance, Trajectory, _exact_sum, _pair_sign, _pairs_sum
 from .core import _rational_ints, _scaled_pairs
 from .offline import _first_visit, _latency_walk
 from .offline import optimal_latency_tour  # not called here; perfbench/tracer.py wraps it under this name
@@ -95,9 +95,7 @@ def run(instance: Instance, strategy: Strategy) -> RunResult:
     _check_coverage(instance, completions, strategy.name)
 
     def build() -> Trajectory:
-        # through the checked constructor: a session's motion may be a caller's own
-        d, pts = session.motion(max(completions, default=_ZERO))
-        return Trajectory(tuple([(_pair_scalar(*t, d), _pair_scalar(*p, d)) for t, p in pts]))
+        return Trajectory._of_pairs(*session.motion(max(completions, default=_ZERO)))
 
     return RunResult(instance, strategy.name, tuple(completions), build)
 

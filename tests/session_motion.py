@@ -1,10 +1,11 @@
 """Test helpers for a session's motion, and an independent replanner.
 
 ``motion(until)`` is the one motion a session gives, in integer pairs.
-``checked_trajectory`` converts it back and passes it through the checked
-``Trajectory`` constructor, so every replay of it re-checks the motion: it
-starts at the origin, its times increase and it waits or moves at unit speed.
-``count_trajectories`` records every ``Trajectory`` built, checked or not.
+``checked_trajectory`` converts it back with ``Trajectory._of_pairs``, the
+one door into ``Trajectory``, whose constructor re-checks the motion on
+every replay: it starts at the origin, its times increase and it waits or
+moves at unit speed.  ``count_trajectories`` records every ``Trajectory``
+built, as every one passes that check.
 ``RecheckAllSession`` is the replanner written the plain way, in scalar
 arithmetic, as a reference for ``online.ReplanSession``.  Both cut motions
 by ``scalar_cut``, whose positions come from ``scalar_service``'s own rule,
@@ -13,35 +14,28 @@ so neither runs the engine's cut (``core._cut``).
 
 from fractions import Fraction as F
 
-from linetrp.core import QuadraticScalar, Trajectory, _pair_scalar
+from linetrp.core import QuadraticScalar, Trajectory
 from linetrp.offline import optimal_latency_tour
 from scalar_service import reference_position
 
 
 def checked_trajectory(session, until) -> Trajectory:
-    """``session.motion(until)`` as a ``Trajectory``, through the checked
-    constructor: each pair converted back with ``core._pair_scalar``."""
-    d, pts = session.motion(until)
-    return Trajectory(tuple([(_pair_scalar(*t, d), _pair_scalar(*p, d)) for t, p in pts]))
+    """``session.motion(until)`` as a ``Trajectory`` (``Trajectory._of_pairs``),
+    checked by its constructor."""
+    return Trajectory._of_pairs(*session.motion(until))
 
 
 def count_trajectories(monkeypatch) -> list:
-    """Patch ``Trajectory`` so that every one built from now on, by the
-    checked constructor or by ``Trajectory._unchecked``, is appended to the
-    list returned."""
+    """Patch ``Trajectory``'s check so that every one built from now on is
+    appended to the list returned."""
     built = []
-    check, unchecked = Trajectory.__post_init__, Trajectory._unchecked.__func__
+    check = Trajectory.__post_init__
 
     def post_init(self):
         check(self)
         built.append(self)
 
-    def counted_unchecked(cls, pts):
-        built.append(unchecked(cls, pts))
-        return built[-1]
-
     monkeypatch.setattr(Trajectory, "__post_init__", post_init)
-    monkeypatch.setattr(Trajectory, "_unchecked", classmethod(counted_unchecked))
     return built
 
 

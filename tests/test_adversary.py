@@ -516,6 +516,36 @@ def test_a_request_never_reached_raises_coverage_error(strategy, missed):
         play_lowerbound_game(strategy, GameConfig(max_steps=5))
 
 
+class _WalkOut(Strategy):
+    """Walks straight out to 10 at unit speed and parks there."""
+
+    name = "walk-out"
+
+    def start(self, info):
+        return _WalkOutSession()
+
+
+class _WalkOutSession(_ParkedSession):
+    _motion = Trajectory(((F(0), F(0)), (F(10), F(10))))
+
+    def __init__(self):
+        self._pairs = []
+
+    def on_arrivals(self, pairs):
+        self._pairs += pairs
+
+    def completions(self):
+        return [self._motion.first_service_time(loc, arr) for loc, arr in self._pairs]
+
+
+def test_an_unserved_near_origin_request_stops_the_releases():
+    """The walk serves every base, so 1/1000 goes out at step 1, as the
+    server passes 1; it is never served, so no further request goes out
+    (``next_release`` gives none) and the game fails on it."""
+    with pytest.raises(CoverageError, match="^request 8 at 1/1000 is never reached by walk-out$"):
+        play_lowerbound_game(_WalkOut())
+
+
 class _EmptyPath(FixedPathStrategy):
     """A committed plan over no path: it parks at the origin."""
 

@@ -266,6 +266,11 @@ def test_trajectory_validation():
             Trajectory(((F(0), F(0)), end))
 
 
+def test_a_trajectory_needs_a_breakpoint():
+    with pytest.raises(ValueError, match="^trajectory needs at least one breakpoint$"):
+        Trajectory(())
+
+
 def test_trajectory_checks_every_segment_after_the_first():
     """Each later breakpoint is checked against the one before it, and ints
     become Fractions."""

@@ -320,6 +320,11 @@ def _closed_form_trips(s, j):
     return [(cumulative[k - 1], cumulative[k], _reach(s, k)) for k in range(1, j + 1)]
 
 
+def _memo(s):
+    """The schedule's memoized trips, read through the memo's key."""
+    return online._trip_memo(type(s.alpha), type(s.pad), *core._triples([s.alpha, s.pad]))
+
+
 def _typed(trips):
     return [tuple([(type(v), str(v)) for v in trip]) for trip in trips]
 
@@ -334,7 +339,7 @@ def test_memoized_trips_are_the_closed_form(alpha, pad, j):
     s = RoundTripSchedule(alpha, pad)
     expected = _closed_form_trips(s, j)
     assert _typed(s.trips(_reach(s, j))) == _typed(expected)
-    assert _typed(online._trip_memo(s.alpha, s.pad)[:j]) == _typed(expected)
+    assert _typed(_memo(s)[:j]) == _typed(expected)
     # a short walk after a long one still stops at its own bound
     assert _typed(s.trips(_reach(s, 1))) == _typed(expected[:1])
 
@@ -349,7 +354,7 @@ def test_interleaved_trip_walks_share_one_memo():
     tail = list(long)  # reads 3 and 4, builds 5 and 6
     assert _typed(head + tail) == _typed(expected)
     assert _typed(mid) == _typed(expected[:4])
-    assert len(online._trip_memo(s.alpha, s.pad)) == 6
+    assert len(_memo(s)) == 6
 
 
 def test_trip_memo_keeps_alpha_types_apart():
@@ -665,6 +670,18 @@ def test_the_fallback_test_is_the_threshold_product(line):
         if delta:
             picked = select_algorithm(make_instance(line, [(F(0), F(0), F(0))]), delta)
             assert isinstance(picked, RobustPredictionTour) is (delta < threshold), delta
+
+
+def test_the_fallback_threshold_has_one_home(monkeypatch):
+    """Robust plans and ``select_algorithm`` fall back by ``FALLBACK_THRESHOLD``
+    itself: raised to 1/2, it keeps delta = 1/10 on [0, 1] off the sweep."""
+    monkeypatch.setattr(online, "FALLBACK_THRESHOLD", F(1, 2))
+    instance = make_instance(LineSegment(F(0), F(1)), [(F(1, 2), F(1, 2), F(0))])
+    assert isinstance(select_algorithm(instance, F(1, 10)), RobustPredictionTour)
+    info = visible_info(instance)
+    plan = RobustPredictionTour(F(1, 10)).plan(info)
+    assert plan != LineSweepRoundTrips().plan(info)
+    assert plan.schedule.pad == F(2, 5)
 
 
 def test_robust_strategy_fallback_threshold():

@@ -328,9 +328,8 @@ def test_closed_form_matches_the_trajectory_replay(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_the_committed_motion_passes_the_trajectory_checks(data):
-    """The round trips are built unchecked, valid by construction; the
-    checked constructor takes the same breakpoints and keeps them as they
-    are."""
+    """The round trips pass the ``Trajectory`` constructor's checks; built
+    again from their breakpoints, the trajectory keeps them as they are."""
     _, _, _, planned = _draw_plan(data)
     motion = _replay(planned, F(8))
     assert core.Trajectory(motion.breakpoints).breakpoints == motion.breakpoints
