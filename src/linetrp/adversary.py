@@ -17,7 +17,7 @@ form (a committed plan's from ``roundtrip_completions``, the replanner's as
 it replans).  The game visits only the releases and the first violation,
 never the steps between them: between releases the completions are fixed,
 so each request's first provably late step has a closed form, and the next
-release is found on the session's integer moves.  Its cost does not grow
+release is found on the session's integer breakpoints.  Its cost does not grow
 with ``max_steps``.
 
 A committed session keeps one plan, so the plan's trips and legs are scaled
@@ -31,12 +31,13 @@ instance to a fresh session and replays the witness request on that
 session's motion cut at the request's deadline, in integer pairs
 (``motion(deadline)``), by the crossing rule ``Trajectory.first_service_time``
 also applies (``core._pair_visit``).  A committed session cuts its plan's own
-moves and the replanner's session its own breakpoints, both kept in integer
+breakpoints and the replanner's session its own, both kept in integer
 pairs, so the replay builds no scalar per breakpoint.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,13 +108,13 @@ class GameTranscript:
     log: Tuple[str, ...]
 
 
-def _next_outward_step(d: int, moves, lo: int, hi: int):
+def _next_outward_step(d: int, points, lo: int, hi: int):
     """``(step, position)`` at the first integer step in ``[lo, hi]`` at which
-    a move ``(ta, pa, tb, pb)`` with ``pb > pa`` stands at 1 or beyond, with
-    ``ta <= step < tb``; None if none comes by ``hi``.  The moves come in time
-    order, in integer pairs over ``d``.  An outward one must run at unit speed
-    (else ValueError), so it is at 1 or beyond from ``ta + max(0, 1 - pa)`` on."""
-    for (ta, ra), (pa, qa), (tb, rb), (pb, qb) in moves:
+    the move between breakpoints ``(ta, pa)`` and ``(tb, pb)``, in time order
+    in integer pairs over ``d``, with ``pb > pa`` stands at 1 or beyond, with
+    ``ta <= step < tb``; None if none comes by ``hi``.  An outward move must
+    run at unit speed (else ValueError): at 1 or beyond from ``ta + max(0, 1 - pa)``."""
+    for ((ta, ra), (pa, qa)), ((tb, rb), (pb, qb)) in itertools.pairwise(points):
         if _pair_sign(ta - hi * d, ra) > 0:
             return None
         if _pair_sign(pb - pa, qb - qa) > 0:
@@ -137,9 +138,9 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
     completion is fixed, so a request with deadline D is first provably
     late at step ``max(ceil(D), now)``, where ``now`` is the first step not
     yet checked, and never if it is served by D.  The next release is read
-    off the session's moves in integer pairs (``_next_outward_step``): a
-    committed plan's own, or the replanner's motion so far, which it keeps
-    in those pairs; a motion that never goes right of 1 gives none to scan.
+    off the session's breakpoints in integer pairs (``_next_outward_step``):
+    a committed plan's own, or the replanner's motion so far, kept in those
+    pairs; a motion that never goes right of 1 gives none to scan.
     So the cost grows with the releases and the legs, not with
     ``max_steps``.  Returns the full transcript; ``witness`` stays None when
     the strategy escapes every deadline within ``max_steps``.  Raises
@@ -181,7 +182,7 @@ def play_lowerbound_game(strategy: Strategy, config: Optional[GameConfig] = None
             lo = max(lo, math.ceil(comps[i]))
         if lo > hi:
             return None
-        return _next_outward_step(*session.moves(lo, 1), lo, hi)
+        return _next_outward_step(*session.motion_from(lo, 1), lo, hi)
 
     release(cfg.bases, Fraction(0))
     near_released: List[int] = []  # indices into `released`

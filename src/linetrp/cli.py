@@ -260,7 +260,7 @@ def _cmd_simulate(args) -> int:
     report = evaluate(result)
     print(f"strategy: {strategy.name}")
     print(f"requests: {len(inst.requests)}")
-    print(f"completion sum: {_exact_text(result.on_sum)}")
+    print(f"completion sum: {_exact_text(report.on_sum)}")
     print(
         f"optimal-sum floor: {_exact_text(report.opt_sum_bound)}"
         f"  sum ratio: {format_decimal(report.sum_ratio)}"

@@ -12,25 +12,25 @@ points once, on first use, to integer pairs ``(a, b)``, meaning ``(a +
 b*sqrt(3))/d`` over a common denominator ``d``, adds up the legs' arcs
 in those integers and ends the geometric trips, compared in integers too,
 at the first that reaches the path's length (``_trip_geometry``; no
-``Trajectory`` of the path is built).  A session's motion
-(``CommittedSession.motion``, the one motion a session gives), the release
-game's moves (``CommittedSession.moves``) and ``roundtrip_trajectory`` come
-from one stream of those trips; the closed-form completions
-(``roundtrip_completions``) read the same geometry, with one rescale kept
-per distinct request denominator.  The replanner keeps its motion in the
-same form: breakpoints in integer pairs over one denominator, cut
-(``core._cut``, which ``CommittedSession.motion`` and a ``Trajectory``
-apply too) and extended as it replans, and handed out as they are by its
-``motion`` and ``moves``; each replan's walk is the interval DP's integer
-entry (``offline._latency_walk``) over the targets less the server's
-position, on that denominator.  ``roundtrip_trajectory`` and the
-completions convert their pairs back once (``core._pair_scalar``): a pair
-with a ``sqrt(3)`` part over ``d`` is already a ``QuadraticScalar``'s own
-triple, reduced by one gcd, and the scalars they are given are read back as
-triples (``core._triples``) with no ``Fraction`` built; the moves and the
-motion stay integers.  The robust plan (``padded_robust_path``)
-pulls, solves, pads and clamps in integers too, and builds one scalar per
-waypoint.
+``Trajectory`` of the path is built).  Those trips are one stream of
+breakpoints ``(time, position)`` in integer pairs (``PlannedTrips._trips``),
+the one format of every motion: a session's motion
+(``CommittedSession.motion``, which ``roundtrip_trajectory`` converts back)
+and the release game's (``CommittedSession.motion_from``) read it; the
+closed-form completions (``roundtrip_completions``) read the same geometry,
+with one rescale kept per distinct request denominator.  The replanner
+keeps its motion in the same form: breakpoints in integer pairs over one
+denominator, cut (``core._cut``, which ``CommittedSession.motion`` and a
+``Trajectory`` apply too) and extended as it replans, and handed out as
+they are by its ``motion`` and ``motion_from``; each replan's walk is the
+interval DP's integer entry (``offline._latency_walk``) over the targets
+less the server's position, on that denominator.  The completions convert
+their pairs back once (``core._pair_scalar``): a pair with a ``sqrt(3)``
+part over ``d`` is already a ``QuadraticScalar``'s own triple, reduced by
+one gcd, and the scalars they are given are read back as triples
+(``core._triples``) with no ``Fraction`` built; the motion stays integers.
+The robust plan (``padded_robust_path``) pulls, solves, pads and clamps in
+integers too, and builds one scalar per waypoint.
 """
 
 from __future__ import annotations
@@ -160,23 +160,13 @@ def _trip_memo(alpha_type, pad_type, alpha, pad) -> list:
 
 
 def roundtrip_trajectory(path: Tour, schedule: RoundTripSchedule, horizon) -> Trajectory:
-    """Clamped geometric round trips over a path, until ``horizon``.
-
-    Each trip walks the path from the origin out to arc ``min(reach, length)``
-    and back.  Once the reach passes the path length, every further trip
-    sweeps the whole path.  An empty path parks at the origin.  Whole trips
-    of the plan's moves (``PlannedTrips._trips``) are taken while the time
-    is before ``horizon``, and converted back once (``Trajectory._of_pairs``).
-    """
-    if not path.turning_points or horizon <= 0:
-        return Trajectory(((_ZERO, _ZERO),))
-    d0, trips = PlannedTrips(path, schedule)._trips(0)
-    pts = [((0, 0), (0, 0))]
-    for trip in trips:
-        pts += [(t, p) for _, _, t, p in trip]
-        if _pair_scalar(*pts[-1][0], d0) >= horizon:
-            break
-    return Trajectory._of_pairs(d0, pts)
+    """Clamped geometric round trips over a path, cut at ``horizon``: the
+    committed session's motion (``CommittedSession.motion``), converted back
+    once (``Trajectory._of_pairs``).  Each trip walks the path from the
+    origin out to arc ``min(reach, length)`` and back; once the reach passes
+    the path length, every further trip sweeps the whole path.  An empty
+    path parks at the origin."""
+    return Trajectory._of_pairs(*CommittedSession(PlannedTrips(path, schedule)).motion(horizon))
 
 
 def coverage_horizon(path: Tour, schedule: RoundTripSchedule, latest_arrival):
@@ -197,11 +187,11 @@ def _sweep_at(x, y, period) -> int:
     return max(_surd_floor(x * pa - 3 * y * pb, y * pa - x * pb, pa * pa - 3 * pb * pb), 0)
 
 
-def _trip_moves(legs, start, reach):
-    """The moves ``(ta, pa, tb, pb)`` of one round trip that starts at time
-    ``start`` and goes out to arc ``reach`` along the path's ``legs``
-    (``_trip_geometry``) and back, ending at ``start + 2*reach``; integer
-    pairs over the legs' denominator."""
+def _trip_points(legs, start, reach):
+    """The breakpoints ``(time, position)`` after its start of the round
+    trip from the origin at time ``start`` out to arc ``reach`` along the
+    path's ``legs`` (``_trip_geometry``) and back by ``start + 2*reach``: the
+    outward legs' ends, then the return legs', in the legs' integer pairs."""
     out, back = [], []
     (sa, sb), (ra, rb) = start, reach
     fa, fb = sa + 2 * ra, sb + 2 * rb  # the trip's end
@@ -212,8 +202,8 @@ def _trip_moves(legs, start, reach):
         ea, eb = ca + s * (va - ua), cb + s * (vb - ub)  # the arc at the leg's end
         if _pair_sign(ea - ra, eb - rb) > 0:  # the trip turns on this leg
             ea, eb, va, vb = ra, rb, ua + s * (ra - ca), ub + s * (rb - cb)
-        out.append(((sa + ca, sb + cb), (ua, ub), (sa + ea, sb + eb), (va, vb)))
-        back.append(((fa - ea, fb - eb), (va, vb), (fa - ca, fb - cb), (ua, ub)))
+        out.append(((sa + ea, sb + eb), (va, vb)))
+        back.append(((fa - ca, fb - cb), (ua, ub)))
     return out + back[::-1]
 
 
@@ -365,12 +355,11 @@ class PlannedTrips:
         return _trip_geometry(self)
 
     def _trips(self, lo: int, once: bool = False):
-        """``(d0, trips)``: the committed round trips from the one under way
-        at integer time ``lo``, each as a list of its moves ``(ta, pa, tb,
-        pb)`` at their own times (``_trip_moves``), in integer pairs over
-        ``d0``: the geometric trips left, then the full sweeps from the one
-        under way, with no end.  Each trip is a list of its own, as
-        ``roundtrip_trajectory`` stops only at a trip's end.
+        """``(d0, points)``: the committed motion from the round trip under
+        way at integer time ``lo``, as one stream of breakpoints ``(time,
+        position)`` in integer pairs over ``d0``: that trip's start at the
+        origin, then each trip's own (``_trip_points``), the geometric trips
+        left, then the full sweeps from the one under way, with no end.
         With a rational period integer steps fall alike in sweeps
         ``d0/gcd(pa, d0)`` apart; with ``once``, the sweeps end after those.
         The path must have positive length."""
@@ -384,7 +373,9 @@ class PlannedTrips:
             ks = itertools.islice(ks, 1 + d0 // math.gcd(pa, d0))
         sweeps = (((ba + k * pa, bb + k * pb), (pa // 2, pb // 2)) for k in ks)
         trips = itertools.chain(ahead, sweeps)
-        return d0, (_trip_moves(legs, start, reach) for start, reach in trips)
+        first = next(trips)
+        points = (p for t, r in itertools.chain([first], trips) for p in _trip_points(legs, t, r))
+        return d0, itertools.chain([(first[0], (0, 0))], points)
 
 
 class Strategy(abc.ABC):
@@ -400,13 +391,13 @@ class Strategy(abc.ABC):
         ``motion(until)``: ``(d, pts)``, the breakpoints ``(time,
         position)`` from ``(0, 0)`` up to ``until >= 0``, each value a pair
         ``(a, b)`` meaning ``(a + b*sqrt(3))/d``, with the server parked
-        after the last one; and ``(d, moves)`` from ``moves(lo, beyond)``:
-        the moves ``(ta, pa, tb, pb)`` in integer pairs over ``d`` from the
-        one under way at integer time ``lo``, all those that take the
-        server right of ``beyond >= 0`` included.  Between breakpoints the
-        server waits or moves at unit speed, as a ``Trajectory`` does; the
-        release game and its witness replay refuse a slower move where they
-        read one.  These four are all a session has."""
+        after the last one; and, from ``motion_from(lo, beyond)``, those
+        breakpoints from the one that starts the segment under way at
+        integer time ``lo``, all that take the server right of ``beyond >=
+        0`` included.  Between breakpoints the server waits or moves at unit
+        speed, as a ``Trajectory`` does; the release game and its witness
+        replay refuse a slower move where they read one.  These four are all
+        a session has."""
 
 
 class FixedPathStrategy(Strategy):
@@ -438,31 +429,29 @@ class CommittedSession:
         return list(self._completions)
 
     def motion(self, until):
-        """The plan's own moves (``PlannedTrips._trips(0)``) up to the first
-        that ends at or after ``ceil(until)``, brought to one denominator
-        with ``until`` (``core._common_scale``) and cut there (``core._cut``),
-        in integer pairs; an empty path parks at the origin."""
-        d0, moves = 1, ()
+        """The plan's own breakpoints (``PlannedTrips._trips(0)``) up to the
+        first at or after ``ceil(until)``, brought to one denominator with
+        ``until`` (``core._common_scale``) and cut there (``core._cut``), in
+        integer pairs; an empty path is the origin alone."""
+        d0, points = 1, [((0, 0), (0, 0))]
         if self.planned.path.turning_points:
-            d0, trips = self.planned._trips(0)
-            moves = (move for trip in trips for move in trip)
-        pts, past = [((0, 0), (0, 0))], math.ceil(until) * d0
-        for _, _, u, q in moves:
-            pts.append((u, q))
-            if _pair_sign(u[0] - past, u[1]) >= 0:  # a move under way at the cut, or later
+            d0, points = self.planned._trips(0)
+        pts, past = [], math.ceil(until) * d0
+        for t, p in points:
+            pts.append((t, p))
+            if _pair_sign(t[0] - past, t[1]) >= 0:  # a breakpoint at the cut, or later
                 break
         d, pts, [cut] = _common_scale(d0, pts, [until])
         _cut(pts, cut)
         return d, pts
 
-    def moves(self, lo: int, beyond):
-        """The plan's moves from the trip under way at ``lo``, up to where
-        their integer steps repeat (``PlannedTrips._trips``); none when the
-        path never goes right of ``beyond``."""
+    def motion_from(self, lo: int, beyond):
+        """The plan's breakpoints from the start of the trip under way at ``lo``,
+        up to where their integer steps repeat (``PlannedTrips._trips``); none
+        when the path never goes right of ``beyond``."""
         if max(self.planned.path.turning_points, default=0) <= beyond:
             return 1, ()
-        d0, trips = self.planned._trips(lo, once=True)
-        return d0, (move for trip in trips for move in trip)
+        return self.planned._trips(lo, once=True)
 
 
 def extend_tour_to_line(tour: Tour, line: LineSegment) -> Tour:
@@ -585,9 +574,9 @@ class ReplanSession:
 
     The motion is kept as its breakpoints ``(time, position)`` in integer
     pairs ``(a, b)``, meaning ``(a + b*sqrt(3))/d`` over one denominator
-    ``d``, as ``motion`` and ``moves`` hand it out; so is each fed location
-    and each completion, the latter beside its scalar.  They are rescaled
-    only when a batch brings a new denominator."""
+    ``d``, as ``motion`` and ``motion_from`` hand it out; so is each fed
+    location and each completion, the latter beside its scalar.  They are
+    rescaled only when a batch brings a new denominator."""
 
     def __init__(self):
         self._d = 1
@@ -659,11 +648,10 @@ class ReplanSession:
         _cut(pts, cut)
         return d, pts
 
-    def moves(self, lo: int, beyond):
-        """The motion so far from the move under way at ``lo``
-        (``core._segment_at``), all of it."""
-        pts, k = self._pts, _segment_at(self._pts, (lo * self._d, 0))
-        return self._d, ((t, p, u, q) for (t, p), (u, q) in zip(pts[k:], pts[k + 1 :]))
+    def motion_from(self, lo: int, beyond):
+        """The motion so far from the breakpoint that starts the segment
+        under way at ``lo`` (``core._segment_at``), all of it."""
+        return self._d, self._pts[_segment_at(self._pts, (lo * self._d, 0)) :]
 
     def completions(self) -> List[object]:
         """The completion of every request fed so far, in feed order: the

@@ -496,7 +496,7 @@ class _ParkedSession:
     def motion(self, until):
         return _as_motion(self._motion.truncated(until))
 
-    def moves(self, lo, beyond):
+    def motion_from(self, lo, beyond):
         return _as_moves(self._motion)
 
     def completions(self):
@@ -980,9 +980,8 @@ class _HalfSpeedSession(_ParkedSession):
         assert until >= 4  # parked from 4 on: no cut to make
         return 1, list(self._pts)
 
-    def moves(self, lo, beyond):
-        (t, p), (u, q) = self._pts
-        return 1, iter([(t, p, u, q)])
+    def motion_from(self, lo, beyond):
+        return 1, iter(self._pts)
 
     def completions(self):
         return [F(4)] * self._fed
@@ -1055,11 +1054,11 @@ def _committed_trajectory(planned, lo, hi):
 
 
 def _as_moves(traj):
-    """The legs of ``traj`` as moves in integer pairs over one ``d``, the way
+    """The breakpoints of ``traj`` in integer pairs over one ``d``, the way
     the game feeds an adaptive session's trajectory to the scan."""
     pts = traj.breakpoints
     d, flat = _scaled_pairs([v for bp in pts for v in bp])
-    return d, zip(flat[::2], flat[1::2], flat[2::2], flat[3::2])
+    return d, zip(flat[::2], flat[1::2])
 
 
 def _as_motion(traj):
@@ -1095,7 +1094,7 @@ def test_integer_outward_scan_matches_the_trajectory_scan():
         hi = lo + rng.randint(0, 2 * span)
         traj = _committed_trajectory(planned, lo, hi)
         expected = _scan_outcome(_trajectory_outward_step(traj, lo, hi))
-        moves = online.CommittedSession(planned).moves(lo, 1)
+        moves = online.CommittedSession(planned).motion_from(lo, 1)
         got = _scan_outcome(adversary._next_outward_step(*moves, lo, hi))
         assert got == expected, (case, planned, lo, hi)
         assert _scan_outcome(adversary._next_outward_step(*_as_moves(traj), lo, hi)) == expected

@@ -1,5 +1,6 @@
 """Data-model tests: trajectories, service times, instance round-trips."""
 
+import operator
 import random
 import sys
 from fractions import Fraction as F
@@ -240,6 +241,18 @@ def test_floats_rejected():
     assert replan.completions() == [F(1)]  # the refused batch changed nothing
 
 
+def test_the_scalar_refuses_an_operand_it_does_not_mix_with():
+    """``+``, ``-``, ``*`` and ``/`` with an object that is no number raise
+    TypeError in either order, as each side returns ``NotImplemented``,
+    and the scalar equals no such object."""
+    x, other = QuadraticScalar(1, 1), object()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert (x == other) is False
+
+
 # --- trajectories ------------------------------------------------------------
 
 
@@ -341,7 +354,7 @@ def test_a_second_service_query_scales_only_its_location_and_time(monkeypatch):
     answer."""
     traj = roundtrip_trajectory(canonical_tour((F(-5), F(7))), RoundTripSchedule(), F(2000))
     pts = traj.breakpoints
-    assert len(pts) == 243
+    assert len(pts) == 241
     scaled, real = [], core._scaled_pairs
 
     def counting(values):

@@ -4,8 +4,10 @@ The cut (``_cut``) and the lookup of the segment under way
 (``_segment_at``) are defined in ``core`` and nowhere else; the text
 ``must be rational`` occurs once in ``src/linetrp``, in the one check that a
 location is rational (``core._rational_ints``); and no module imports
-``bisect``, since every motion is read through ``_segment_at``.  An AST scan
-finds the definitions and the imports.
+``bisect``, since every motion is read through ``_segment_at``.  A round
+trip's breakpoints (``_trip_points``) are defined in ``online`` and read
+only by the one stream of committed trips (``PlannedTrips._trips``).  An
+AST scan finds the definitions, the imports and the references.
 """
 
 import ast
@@ -37,6 +39,24 @@ def _imports(tree, module):
     return found
 
 
+def _references(tree, name):
+    """(scope, line) of every reference to ``name`` in ``tree``, as a bare
+    name or an attribute; the scope is the dotted names of the classes and
+    functions around it."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif getattr(node, "id", getattr(node, "attr", None)) == name:
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
 def _sources():
     src = Path(linetrp.__file__).resolve().parent
     files = sorted(src.glob("*.py"))
@@ -57,6 +77,14 @@ def test_scans_see_definitions_and_imports():
     )
     assert _imports(tree, "bisect") == [1, 2, 3]
     assert sorted(_definitions(tree, HOMED)) == [("_cut", 5), ("_segment_at", 7)]
+    tree = ast.parse(
+        "_cut(1)\n"
+        "class T:\n"
+        "    def f(self):\n"
+        "        return self._cut, [_cut for _ in x]\n"
+        "def _cut_at(): return core._cut\n"
+    )
+    assert _references(tree, "_cut") == [("", 1), ("T.f", 4), ("T.f", 4), ("_cut_at", 5)]
 
 
 def test_the_cut_and_the_lookup_are_defined_only_in_core():
@@ -80,3 +108,13 @@ def test_no_module_imports_bisect():
         for line in _imports(ast.parse(text), "bisect")
     ]
     assert offenders == []
+
+
+def test_a_trips_breakpoints_are_read_only_by_the_one_stream():
+    sources = {module: ast.parse(text) for module, text in _sources().items()}
+    found = [(name, module) for module, tree in sources.items() for name, _ in _definitions(tree, {"_trip_points"})]
+    assert found == [("_trip_points", "online.py")]
+    read = sorted(
+        (module, scope) for module, tree in sources.items() for scope, _ in _references(tree, "_trip_points")
+    )
+    assert read == [("online.py", "PlannedTrips._trips")]

@@ -409,9 +409,7 @@ def test_roundtrip_trajectory_frozen_breakpoints():
         (QS(1, 1), F(-1)),
         (QS(2, 1), F(0)),  # back home after trip 1
         (QS(3, 1), F(-1)),
-        (QS(6, 1), F(2)),  # trip 2 reaches past the path end: clamped
-        (QS(9, 1), F(-1)),
-        (QS(10, 1), F(0)),
+        (QS(6, 1), F(2)),  # trip 2 reaches past the path end: clamped; the horizon
     )
     assert traj.first_service_time(F(-1)) == 1
     assert traj.first_service_time(F(2)) == QS(6, 1)
@@ -419,7 +417,7 @@ def test_roundtrip_trajectory_frozen_breakpoints():
 
 def test_roundtrip_trajectory_trivial_cases():
     parked = roundtrip_trajectory(Tour(()), RoundTripSchedule(), F(10))
-    assert parked.breakpoints == ((F(0), F(0)),)
+    assert parked.breakpoints == ((F(0), F(0)), (F(10), F(0)))
     zero_horizon = roundtrip_trajectory(
         Tour((F(1),)), RoundTripSchedule(), F(0)
     )
@@ -436,10 +434,11 @@ def test_roundtrip_trajectory_clamped_trips_stay_cheap():
 
 def test_roundtrip_trajectory_matches_the_scalar_reference():
     """The trajectory built from the plan's integer trips has the breakpoints
-    of the scalar round-trip loop (``committed_motion``), by ``==`` and by
-    ``str``, on sweep, prediction and robust plans on half and full lines at
-    rational and ``sqrt3/2`` alphas; each at horizons 0 and -1, a random
-    rational, ``coverage_horizon`` and three breakpoint times."""
+    of the scalar round-trip loop (``committed_motion``) cut at the horizon
+    in scalar arithmetic (``scalar_cut``), by ``==`` and by ``str``, on
+    sweep, prediction and robust plans on half and full lines at rational
+    and ``sqrt3/2`` alphas; each at horizons 0 and -1, a random rational,
+    ``coverage_horizon`` and three breakpoint times."""
     rng = random.Random(2025)
     for case in range(300):
         planned = random_plan(rng)
@@ -450,7 +449,7 @@ def test_roundtrip_trajectory_matches_the_scalar_reference():
         horizons += [rng.choice(probe)[0] for _ in range(3)]
         for horizon in horizons:
             got = roundtrip_trajectory(path, schedule, horizon).breakpoints
-            expected = reference_trajectory(path, schedule, horizon).breakpoints
+            expected = tuple(scalar_cut(reference_trajectory(path, schedule, horizon + 1), horizon))
             assert got == expected, (case, planned, horizon)
             assert [(str(t), str(p)) for t, p in got] == [(str(t), str(p)) for t, p in expected]
 
@@ -659,8 +658,8 @@ def test_integer_robust_path_clamps_to_surd_line_ends():
 )
 def test_the_fallback_test_is_the_threshold_product(line):
     """Robust plans and ``select_algorithm`` fall back exactly where
-    ``delta >= FALLBACK_THRESHOLD * length``, the product the integer test
-    stands for: at the threshold, on either side of it, and far from it."""
+    ``delta >= FALLBACK_THRESHOLD * length``, the product ``_too_noisy``
+    compares: at the threshold, on either side of it, and far from it."""
     info = visible_info(make_instance(line, [(F(0), F(0), F(0))]))
     threshold = FALLBACK_THRESHOLD * line.length
     below = F(math.floor(threshold * 10**6), 10**6)  # rational, as a robust plan's delta must be
@@ -707,11 +706,11 @@ def test_robust_strategy_fallback_threshold():
 def test_every_session_has_exactly_the_methods_strategy_start_names():
     """The session protocol is the four methods the ``Strategy.start``
     docstring names: ``on_arrivals``, ``completions``, ``motion`` and
-    ``moves``.  Both sessions expose exactly those public methods, so a
+    ``motion_from``.  Both sessions expose exactly those public methods, so a
     second motion accessor cannot grow back unnoticed, and every strategy
     starts one of them."""
     named = set(re.findall(r"``(\w+)\(", online.Strategy.start.__doc__))
-    assert named == {"on_arrivals", "completions", "motion", "moves"}
+    assert named == {"on_arrivals", "completions", "motion", "motion_from"}
     sessions = (online.CommittedSession, online.ReplanSession)
     for session in sessions:
         public = {n for n in dir(session) if not n.startswith("_") and callable(getattr(session, n))}
@@ -748,8 +747,8 @@ def test_greedy_session_rejects_a_surd_position():
     session.on_arrivals([(F(3), F(0))])
 
     def seen():
-        d, moves = session.moves(0, 1)
-        return _whole(session, F(0)), session.motion(F(5, 2)), session.motion(F(9)), d, list(moves)
+        d, pts = session.motion_from(0, 1)
+        return _whole(session, F(0)), session.motion(F(5, 2)), session.motion(F(9)), d, list(pts)
 
     before, kept = seen(), session.completions()
     refused = [
@@ -919,7 +918,7 @@ def test_greedy_session_motion_is_its_trajectory_in_pairs(first, batches, parked
     (``RecheckAllSession``), cut in scalar arithmetic (``scalar_cut``) and
     scaled (``core._scaled_pairs``), at every breakpoint, between every two,
     at 0 and after the end; it passes the checked constructor; and
-    ``moves(lo, 1)`` is that motion's tail from the leg under way at ``lo``,
+    ``motion_from(lo, 1)`` is that motion's tail from the leg under way at ``lo``,
     scaled alike.  A batch drawn ``parked`` arrives after the motion ends,
     at a time moved by ``q*sqrt(3)``: a surd time that finds the server
     parked, from which later times keep that surd part, so they never cut
@@ -942,9 +941,9 @@ def test_greedy_session_motion_is_its_trajectory_in_pairs(first, batches, parked
         for lo in range(0, math.ceil(times[-1]) + 2):
             tail = whole.breakpoints[max(len([t for t in times if t <= lo]) - 1, 0) :]
             d, flat = core._scaled_pairs([v for bp in tail for v in bp])
-            expected = list(zip(flat[::2], flat[1::2], flat[2::2], flat[3::2]))
-            e, moves = session.moves(lo, 1)
-            assert _same_pairs((e, list(moves)), (d, expected)), lo
+            expected = list(zip(flat[::2], flat[1::2]))
+            e, pts = session.motion_from(lo, 1)
+            assert _same_pairs((e, list(pts)), (d, expected)), lo
         time += gap
 
 
