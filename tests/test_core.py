@@ -243,12 +243,12 @@ def test_floats_rejected():
 
 def test_the_scalar_refuses_an_operand_it_does_not_mix_with():
     """``+``, ``-``, ``*`` and ``/`` with an object that is no number raise
-    TypeError in either order, as each side returns ``NotImplemented``,
-    and the scalar equals no such object."""
+    Python's own TypeError in either order, as each side returns
+    ``NotImplemented``, and the scalar equals no such object."""
     x, other = QuadraticScalar(1, 1), object()
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         for a, b in ((x, other), (other, x)):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=r"^unsupported operand type\(s\)"):
                 op(a, b)
     assert (x == other) is False
 

@@ -111,10 +111,16 @@ def test_no_module_imports_bisect():
 
 
 def test_a_trips_breakpoints_are_read_only_by_the_one_stream():
-    sources = {module: ast.parse(text) for module, text in _sources().items()}
-    found = [(name, module) for module, tree in sources.items() for name, _ in _definitions(tree, {"_trip_points"})]
-    assert found == [("_trip_points", "online.py")]
-    read = sorted(
-        (module, scope) for module, tree in sources.items() for scope, _ in _references(tree, "_trip_points")
-    )
+    trees = {module: ast.parse(text) for module, text in _sources().items()}
+    found = [
+        (module, name)
+        for module, tree in trees.items()
+        for name, _ in _definitions(tree, {"_trip_points"})
+    ]
+    assert found == [("online.py", "_trip_points")]
+    read = [
+        (module, scope)
+        for module, tree in trees.items()
+        for scope, _ in _references(tree, "_trip_points")
+    ]
     assert read == [("online.py", "PlannedTrips._trips")]

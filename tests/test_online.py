@@ -409,7 +409,7 @@ def test_roundtrip_trajectory_frozen_breakpoints():
         (QS(1, 1), F(-1)),
         (QS(2, 1), F(0)),  # back home after trip 1
         (QS(3, 1), F(-1)),
-        (QS(6, 1), F(2)),  # trip 2 reaches past the path end: clamped; the horizon
+        (QS(6, 1), F(2)),  # trip 2 reaches past the path end: clamped; cut at the horizon
     )
     assert traj.first_service_time(F(-1)) == 1
     assert traj.first_service_time(F(2)) == QS(6, 1)
@@ -706,8 +706,8 @@ def test_robust_strategy_fallback_threshold():
 def test_every_session_has_exactly_the_methods_strategy_start_names():
     """The session protocol is the four methods the ``Strategy.start``
     docstring names: ``on_arrivals``, ``completions``, ``motion`` and
-    ``motion_from``.  Both sessions expose exactly those public methods, so a
-    second motion accessor cannot grow back unnoticed, and every strategy
+    ``motion_from``.  Both sessions expose exactly those public methods, so
+    a second motion accessor cannot grow back unnoticed, and every strategy
     starts one of them."""
     named = set(re.findall(r"``(\w+)\(", online.Strategy.start.__doc__))
     assert named == {"on_arrivals", "completions", "motion", "motion_from"}
@@ -918,8 +918,8 @@ def test_greedy_session_motion_is_its_trajectory_in_pairs(first, batches, parked
     (``RecheckAllSession``), cut in scalar arithmetic (``scalar_cut``) and
     scaled (``core._scaled_pairs``), at every breakpoint, between every two,
     at 0 and after the end; it passes the checked constructor; and
-    ``motion_from(lo, 1)`` is that motion's tail from the leg under way at ``lo``,
-    scaled alike.  A batch drawn ``parked`` arrives after the motion ends,
+    ``motion_from(lo, 1)`` is that motion's tail from the leg under way at
+    ``lo``, scaled alike.  A batch drawn ``parked`` arrives after the motion ends,
     at a time moved by ``q*sqrt(3)``: a surd time that finds the server
     parked, from which later times keep that surd part, so they never cut
     at a surd position."""
